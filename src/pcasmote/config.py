@@ -121,38 +121,25 @@ def build_config(values: dict) -> ExperimentConfig:
     for key in values:
         if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    parsed: dict = {}
+    top: dict = {}
+    sections: dict = {"pca": {}, "smote": {}, "eval": {}}
     for key, text in values.items():
+        section, _, name = key.rpartition(".")
         try:
-            parsed[key] = KEYS[key](text)
+            (sections[section] if section else top)[name] = KEYS[key](text)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
 
-    if "dataset" not in parsed or not parsed["dataset"]:
+    if not top.get("dataset"):
         raise ConfigError("config key 'dataset' is required")
 
     cfg = ExperimentConfig(
-        dataset=parsed["dataset"],
-        imputation=parsed.get("imputation", "mode"),
-        pca=PcaSettings(
-            threshold=parsed.get("pca.threshold", 0.90),
-            mode=parsed.get("pca.mode", "correlation"),
-            fit_within_fold=parsed.get("pca.fit_within_fold", False),
-        ),
-        smote=SmoteSettings(
-            k=parsed.get("smote.k", 5),
-            order=parsed.get("smote.order", ("TypeA", "TypeC", "TypeB")),
-            per_class_target=parsed.get("smote.per_class_target", 18),
-            seed=parsed.get("smote.seed", 7),
-        ),
-        eval=EvalSettings(
-            protocol=parsed.get("eval.protocol", "k-fold"),
-            k=parsed.get("eval.k", 10),
-            seeds=parsed.get("eval.seeds", tuple(range(1, 21))),
-            resample_scope=parsed.get("eval.resample_scope", "whole-dataset"),
-        ),
+        **top,
+        pca=PcaSettings(**sections["pca"]),
+        smote=SmoteSettings(**sections["smote"]),
+        eval=EvalSettings(**sections["eval"]),
     )
     validate_config(cfg)
     return cfg

@@ -2,22 +2,29 @@
 
 The default flow evaluates, in order: the imputed raw dataset (Initial), its
 PCA reduction (PCA), and the chained oversampling stages (SMOTE1..n), each
-under seeded stratified cross-validation with naive Bayes.  Per seed, the
-held-out predictions of all folds are pooled into one confusion matrix; the
-reported row is the mean over seeds with min/max and medians retained.
+under seeded stratified cross-validation with naive Bayes.  One driver runs
+the seed -> fold loop: for each (seed, fold) it scores every method on that
+fold's split, and per seed it pools each method's held-out predictions into
+one confusion matrix; the reported row is the mean over seeds with min/max
+and medians retained.
 
 ``resample_scope`` controls where oversampling happens: ``whole-dataset``
 resamples once up front (synthetic neighbours of test points may then appear
-in training — the historical protocol this harness reproduces), while
+in training — the historical protocol this harness reproduces) and
+cross-validates each of the five datasets on its own, while
 ``train-folds-only`` resamples inside each training fold and tests only on
-original samples.
+original samples.  There all methods share each fold's split, one PCA fit
+(the global model, or a refit on the training fold under
+``pca.fit_within_fold``) and one SMOTE chain; SMOTEi is the first i stages
+of that chain.  Under ``fit_within_fold`` the reported ``n_features`` is the
+retained count of the last fold scored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .dataset import (
@@ -27,6 +34,7 @@ from .dataset import (
     load_dataset,
     stratified_folds,
 )
+from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
 from .naive_bayes import fit_nb, predict_matrix
 from .pca import PcaModel, fit_pca, transform
@@ -102,22 +110,6 @@ class ExperimentReport:
     pca_retained_other_mode: int
 
 
-def _pool_predictions(ds: Dataset, n_folds: int, seed: int):
-    """Cross-validate naive Bayes on a fixed dataset; pooled label pairs."""
-    assignment = stratified_folds(ds, n_folds, seed)
-    actual: list[int] = []
-    predicted: list[int] = []
-    for fold in range(n_folds):
-        test_idx = assignment.test_indices(fold)
-        if test_idx.size == 0:
-            continue
-        model = fit_nb(ds.subset(assignment.train_indices(fold)))
-        preds = predict_matrix(model, ds.features[test_idx])
-        actual.extend(int(ds.labels[i]) for i in test_idx)
-        predicted.extend(int(p) for p in preds)
-    return actual, predicted
-
-
 def _summarise(
     rows: list[tuple[int, MetricRow]], method_name: str, n_samples: int, n_features: int
 ) -> EvalSummary:
@@ -144,15 +136,48 @@ def _summarise(
     )
 
 
-def _check_eval_args(ds: Dataset, protocol: str, k: int, seeds) -> int:
+def _cross_validate(
+    base: Dataset, protocol: str, k: int, seeds, names: list[str], fold_views
+) -> list[EvalSummary]:
+    """The one seeded cross-validation loop: every method scored per (seed, fold).
+
+    ``fold_views(train_idx, test_idx, seed_pos, fold)`` yields one
+    (training set, test feature matrix) pair per name in ``names``, built from
+    that fold's split of ``base``.  Naive Bayes is fitted on each pair and the
+    held-out predictions are pooled per method into one confusion matrix per
+    seed.  A method's ``n_features`` is that of the last fold it scored.
+    """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    if not seeds:
-        raise ValueError("need at least one evaluation seed")
-    for name, count in zip(ds.class_names, class_counts(ds)):
+    for name, count in zip(base.class_names, class_counts(base)):
         if count < 2:
-            raise ValueError(f"class {name} has {count} sample(s); need at least 2")
-    return ds.n_samples if protocol == "leave-one-out" else k
+            raise DataError(f"class {name} has {count} sample(s); need at least 2")
+    n_folds = base.n_samples if protocol == "leave-one-out" else k
+    rows: list[list] = [[] for _ in names]
+    n_features = [base.n_features] * len(names)
+    for seed_pos, seed in enumerate(seeds):
+        assignment = stratified_folds(base, n_folds, seed)
+        actual: list[int] = []
+        predicted: list[list[int]] = [[] for _ in names]
+        for fold in range(n_folds):
+            test_idx = assignment.test_indices(fold)
+            if test_idx.size == 0:
+                continue
+            actual += base.labels[test_idx].tolist()
+            train_idx = assignment.train_indices(fold)
+            views = fold_views(train_idx, test_idx, seed_pos, fold)
+            for m, (train, test_x) in enumerate(views):
+                predicted[m] += predict_matrix(fit_nb(train), test_x).tolist()
+                n_features[m] = test_x.shape[1]
+        for m, name in enumerate(names):
+            cm = confusion_matrix(
+                actual, predicted[m], base.n_classes, base.class_names
+            )
+            rows[m].append((seed, metric_row(cm, name, n_features[m])))
+    return [
+        _summarise(rows[m], name, base.n_samples, n_features[m])
+        for m, name in enumerate(names)
+    ]
 
 
 def evaluate_dataset(
@@ -163,65 +188,50 @@ def evaluate_dataset(
     method_name: str = "",
 ) -> EvalSummary:
     """Seeded cross-validation of naive Bayes on one fixed dataset."""
-    n_folds = _check_eval_args(ds, protocol, k, seeds)
-    rows = []
-    for seed in seeds:
-        actual, predicted = _pool_predictions(ds, n_folds, seed)
-        cm = confusion_matrix(actual, predicted, ds.n_classes, ds.class_names)
-        rows.append((seed, metric_row(cm, method_name, ds.n_features)))
-    return _summarise(rows, method_name, ds.n_samples, ds.n_features)
+
+    def fold_view(train_idx, test_idx, seed_pos: int, fold: int):
+        return [(ds.subset(train_idx), ds.features[test_idx])]
+
+    return _cross_validate(ds, protocol, k, seeds, [method_name], fold_view)[0]
 
 
-def evaluate_fold_pipeline(
+def _leak_free_views(
     base: Dataset,
     cfg: ExperimentConfig,
     pca_model: PcaModel | None,
-    n_smote_runs: int,
-    method_name: str,
-) -> EvalSummary:
-    """Leak-free evaluation: PCA/SMOTE applied inside each training fold.
+    order_idx: list[int],
+):
+    """Per-fold views for ``train-folds-only``: Initial, PCA, then each SMOTE stage.
 
-    ``pca_model`` is the globally fitted reducer, ignored when
-    ``cfg.pca.fit_within_fold`` is set.  Test folds stay original, so the
-    pooled sample count equals the base dataset size.
+    The fold's reducer is ``pca_model``, or refitted on the training fold
+    when it is None; the SMOTE chain runs once over the full order and stage
+    i is SMOTE(i+1).  Views are built lazily; the reduced training fold is
+    dropped once the chain is built and each stage once it is yielded, which
+    keeps the per-fold memory peak low.
     """
-    n_folds = _check_eval_args(base, cfg.eval.protocol, cfg.eval.k, cfg.eval.seeds)
-    order_idx = resolve_order(base, cfg.smote.order)[:n_smote_runs]
-    rows = []
-    n_features = pca_model.retained if pca_model is not None else base.n_features
-    for seed_pos, seed in enumerate(cfg.eval.seeds):
-        assignment = stratified_folds(base, n_folds, seed)
-        actual: list[int] = []
-        predicted: list[int] = []
-        for fold in range(n_folds):
-            test_idx = assignment.test_indices(fold)
-            if test_idx.size == 0:
-                continue
-            train = base.subset(assignment.train_indices(fold))
-            test = base.subset(test_idx)
-            model = pca_model
-            if cfg.pca.fit_within_fold:
-                model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
-            if model is not None:
-                train = transform(model, train)
-                test = transform(model, test)
-                n_features = model.retained
-            if order_idx:
-                fold_seed = derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold)
-                train = balance_sequence(
-                    train,
-                    order_idx,
-                    cfg.smote.per_class_target,
-                    k=cfg.smote.k,
-                    seed=fold_seed,
-                )[-1]
-            nb = fit_nb(train)
-            preds = predict_matrix(nb, test.features)
-            actual.extend(int(y) for y in test.labels)
-            predicted.extend(int(p) for p in preds)
-        cm = confusion_matrix(actual, predicted, base.n_classes, base.class_names)
-        rows.append((seed, metric_row(cm, method_name, n_features)))
-    return _summarise(rows, method_name, base.n_samples, n_features)
+
+    def views(train_idx, test_idx, seed_pos: int, fold: int):
+        train = base.subset(train_idx)
+        test = base.subset(test_idx)
+        yield train, test.features
+        model = pca_model
+        if model is None:
+            model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
+        train = transform(model, train)
+        test_x = transform(model, test).features
+        yield train, test_x
+        stages = balance_sequence(
+            train,
+            order_idx,
+            cfg.smote.per_class_target,
+            k=cfg.smote.k,
+            seed=derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold),
+        )
+        del train
+        while stages:
+            yield stages.pop(0), test_x
+
+    return views
 
 
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
@@ -232,30 +242,6 @@ def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
             raise ValueError(f"unknown class {name!r} in smote order")
         indices.append(ds.class_names.index(name))
     return indices
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": cfg.dataset,
-        "imputation": cfg.imputation,
-        "pca": {
-            "threshold": cfg.pca.threshold,
-            "mode": cfg.pca.mode,
-            "fit_within_fold": cfg.pca.fit_within_fold,
-        },
-        "smote": {
-            "k": cfg.smote.k,
-            "order": list(cfg.smote.order),
-            "per_class_target": cfg.smote.per_class_target,
-            "seed": cfg.smote.seed,
-        },
-        "eval": {
-            "protocol": cfg.eval.protocol,
-            "k": cfg.eval.k,
-            "seeds": list(cfg.eval.seeds),
-            "resample_scope": cfg.eval.resample_scope,
-        },
-    }
 
 
 def method_names(n_smote_runs: int) -> list[str]:
@@ -273,21 +259,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     other_model = fit_pca(imputed, cfg.pca.threshold, other_mode)
 
     names = method_names(len(order_idx))
-    steps: list[StepResult] = []
-
-    def fixed_step(ds: Dataset, name: str) -> StepResult:
-        summary = evaluate_dataset(
-            ds, cfg.eval.protocol, cfg.eval.k, cfg.eval.seeds, method_name=name
-        )
-        return StepResult(
-            method_name=name,
-            n_features=ds.n_features,
-            n_samples=ds.n_samples,
-            class_counts=class_counts(ds),
-            summary=summary,
-        )
-
-    if cfg.eval.resample_scope == "whole-dataset":
+    ev = cfg.eval
+    if ev.resample_scope == "whole-dataset":
         reduced = transform(pca_model, imputed)
         datasets = [imputed, reduced] + balance_sequence(
             reduced,
@@ -296,28 +269,31 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             k=cfg.smote.k,
             seed=cfg.smote.seed,
         )
-        for ds, name in zip(datasets, names):
-            steps.append(fixed_step(ds, name))
-    elif cfg.eval.resample_scope == "train-folds-only":
-        steps.append(fixed_step(imputed, "Initial"))
+        scored = [
+            (ds, evaluate_dataset(ds, ev.protocol, ev.k, ev.seeds, method_name=name))
+            for ds, name in zip(datasets, names)
+        ]
+    elif ev.resample_scope == "train-folds-only":
         fold_pca = None if cfg.pca.fit_within_fold else pca_model
-        for i, name in enumerate(names[1:]):
-            summary = evaluate_fold_pipeline(imputed, cfg, fold_pca, i, name)
-            steps.append(
-                StepResult(
-                    method_name=name,
-                    n_features=summary.mean.n_features,
-                    n_samples=imputed.n_samples,
-                    class_counts=class_counts(imputed),
-                    summary=summary,
-                )
-            )
+        views = _leak_free_views(imputed, cfg, fold_pca, order_idx)
+        summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names, views)
+        scored = [(imputed, summary) for summary in summaries]
     else:
-        raise ValueError(f"unknown resample scope {cfg.eval.resample_scope!r}")
+        raise ValueError(f"unknown resample scope {ev.resample_scope!r}")
 
+    steps = tuple(
+        StepResult(
+            method_name=summary.mean.method_name,
+            n_features=summary.mean.n_features,
+            n_samples=summary.mean.n_samples,
+            class_counts=class_counts(ds),
+            summary=summary,
+        )
+        for ds, summary in scored
+    )
     return ExperimentReport(
-        config=_config_echo(cfg),
-        steps=tuple(steps),
+        config=asdict(cfg),
+        steps=steps,
         dataset_sha256=_sha256_of(cfg.dataset),
         toolkit_version=__version__,
         resample_scope=cfg.eval.resample_scope,
@@ -325,11 +301,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         pca_retained=pca_model.retained,
         pca_retained_other_mode=other_model.retained,
     )
-
-
-def misclassified_count(row: MetricRow) -> int:
-    """Number of pooled test predictions the row got wrong."""
-    return row.misclassified
 
 
 def _sha256_of(path) -> str:

@@ -65,6 +65,16 @@ class TestValidation:
         assert code == 3
         assert "error[data]" in capsys.readouterr().err
 
+    def test_singleton_class_is_data_error(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("x,class\n0.0,a\n1.0,a\n2.0,a\n3.0,b\n")
+        cfg = write_config(tmp_path, tiny, "eval.k = 2\n")
+        code = main(["evaluate", "--config", str(cfg), "-o", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err
+        assert "class b has 1 sample(s)" in err
+
     def test_json_config_accepted(self, tmp_path, data_file):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"dataset": str(data_file), "pca": {"threshold": 0.9}}))
@@ -177,10 +187,13 @@ class TestExperimentCommand:
         assert doc["config"]["eval"]["seeds"] == [1, 2, 3]
 
     def test_rerun_byte_identical(self, tmp_path, data_file):
-        cfg = write_config(tmp_path, data_file, "eval.seeds = 1,2\n")
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["experiment", "--config", str(cfg), "-o", str(out_a)]) == 0
-        assert main(["experiment", "--config", str(cfg), "-o", str(out_b)]) == 0
-        for name in ("report.json", "report.csv", "accuracy.csv", "misclassified.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        for scope in ("whole-dataset", "train-folds-only"):
+            cfg = write_config(
+                tmp_path, data_file, f"eval.seeds = 1,2\neval.resample_scope = {scope}\n"
+            )
+            out_a = tmp_path / scope / "a"
+            out_b = tmp_path / scope / "b"
+            assert main(["experiment", "--config", str(cfg), "-o", str(out_a)]) == 0
+            assert main(["experiment", "--config", str(cfg), "-o", str(out_b)]) == 0
+            for name in ("report.json", "report.csv", "accuracy.csv", "misclassified.csv"):
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

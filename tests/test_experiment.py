@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from pcasmote import experiment
 from pcasmote.dataset import Dataset
+from pcasmote.errors import DataError
 from pcasmote.experiment import (
     EvalSettings,
     ExperimentConfig,
@@ -9,7 +13,6 @@ from pcasmote.experiment import (
     SmoteSettings,
     evaluate_dataset,
     method_names,
-    misclassified_count,
     run_experiment,
 )
 from pcasmote.rng import Rng
@@ -102,7 +105,7 @@ class TestEvaluateDataset:
     def test_requires_two_samples_per_class(self):
         ds = gaussian_blobs(_PyRandom(6), [(0.0,), (4.0,)], 3, 0.1)
         lopsided = ds.subset([0, 1, 2, 3])  # class 1 keeps one sample
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             evaluate_dataset(lopsided, "k-fold", k=2, seeds=(1,))
 
     def test_unknown_protocol_rejected(self, lung):
@@ -173,6 +176,25 @@ class TestRunExperiment:
         assert method_names(3) == ["Initial", "PCA", "SMOTE1", "SMOTE2", "SMOTE3"]
 
 
+@pytest.fixture(scope="module")
+def refit_run(data_file):
+    """The leak-free refit experiment, counting calls to the per-fold stages."""
+    cfg = default_config(data_file, seeds=(1,), resample_scope="train-folds-only")
+    cfg.pca = PcaSettings(fit_within_fold=True)
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fit_pca", "balance_sequence"):
+            original = getattr(experiment, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            mp.setattr(experiment, name, counted)
+        report = run_experiment(cfg)
+    return report, calls
+
+
 class TestTrainFoldsOnlyScope:
     def test_smoke_and_sample_counts(self, data_file):
         cfg = default_config(
@@ -189,25 +211,38 @@ class TestTrainFoldsOnlyScope:
         # tests stay original in this scope: every pooled count is 32
         assert [s.n_samples for s in report.steps] == [32] * 5
         for step in report.steps:
+            # no synthetic row is ever scored, on any seed
+            assert [row.n_samples for _, row in step.summary.per_seed] == [32, 32]
             assert 0.0 <= step.summary.mean.accuracy <= 1.0
         assert report.resample_scope == "train-folds-only"
 
-    def test_fit_within_fold_runs(self, data_file):
-        cfg = default_config(
-            data_file, seeds=(1,), resample_scope="train-folds-only"
-        )
-        cfg.pca = PcaSettings(fit_within_fold=True)
-        report = run_experiment(cfg)
-        assert len(report.steps) == 5
+    def test_fit_within_fold_runs(self, refit_run):
+        report, _ = refit_run
+        table = [
+            (s.method_name, s.n_features, round(s.summary.mean.accuracy, 4))
+            for s in report.steps
+        ]
+        assert table == [
+            ("Initial", 56, 0.5938),
+            ("PCA", 17, 0.5312),
+            ("SMOTE1", 17, 0.5),
+            ("SMOTE2", 17, 0.4375),
+            ("SMOTE3", 17, 0.4688),
+        ]
+
+    def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
+        _, calls = refit_run
+        # 2 global fits (both modes) + one per fold; one chain per fold
+        assert calls == {"fit_pca": 2 + 10, "balance_sequence": 10}
 
 
 class TestMisclassified:
     def test_perfect_accuracy_zero(self):
         ds = gaussian_blobs(_PyRandom(7), [(0.0,), (40.0,)], 6, 0.1)
         summary = evaluate_dataset(ds, "k-fold", k=3, seeds=(1,))
-        assert misclassified_count(summary.mean) == 0
+        assert summary.mean.misclassified == 0
 
     def test_counts_complement_accuracy(self, lung):
         summary = evaluate_dataset(lung, "k-fold", k=10, seeds=(5,))
         (_, row), = summary.per_seed
-        assert misclassified_count(row) == 32 - round(row.accuracy * 32)
+        assert row.misclassified == 32 - round(row.accuracy * 32)
