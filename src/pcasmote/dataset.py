@@ -171,7 +171,8 @@ def read_dataset_csv(path) -> Dataset:
 
     Class names are ordered lexicographically, which matches every dataset
     this toolkit produces (loaders emit sorted names), making the round trip
-    exact.
+    exact.  A ``nan`` cell is missing, as :func:`write_dataset_csv` writes
+    it; an infinite cell raises ``DataError`` naming file, line and column.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -194,9 +195,13 @@ def read_dataset_csv(path) -> Dataset:
                     f"found {len(cells)}"
                 )
             try:
-                rows.append([float(v) for v in cells[:-1]])
+                values = [float(v) for v in cells[:-1]]
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
+            infinite = [n for n, v in zip(feature_names, values) if math.isinf(v)]
+            if infinite:
+                raise DataError(f"{path}: line {lineno}: column {infinite[0]!r} is infinite")
+            rows.append(values)
             names_seen.append(cells[-1])
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -92,7 +92,7 @@ def fit_pca(ds: Dataset, threshold: float = 0.90, mode: str = "correlation") -> 
         scale = np.ones(ds.n_features)
         basis = linalg.covariance_matrix(ds.features)
 
-    eig = linalg.jacobi_eigen(basis)
+    eig = linalg.symmetric_eigen(basis)
     retained = retained_for_threshold(eig.eigenvalues, threshold)
     return PcaModel(
         mean=mean,

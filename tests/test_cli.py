@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pcasmote.cli import main, parse_invocation
@@ -74,6 +75,33 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "error[data]" in err
         assert "class b has 1 sample(s)" in err
+
+    def test_infinite_cell_is_data_error(self, tmp_path, data_file, capsys):
+        csv = tmp_path / "lung.csv"
+        write_dataset_csv(load_uci_lung_cancer(data_file), csv)
+        lines = csv.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[2] = "inf"
+        lines[4] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, csv)
+        code = main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err
+        assert f"{csv}: line 5" in err
+
+    def test_eigensolver_failure_is_numeric_error(
+        self, tmp_path, data_file, capsys, monkeypatch
+    ):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        cfg = write_config(tmp_path, data_file)
+        code = main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "out")])
+        assert code == 4
+        assert "error[numeric]" in capsys.readouterr().err
 
     def test_json_config_accepted(self, tmp_path, data_file):
         cfg = tmp_path / "run.json"

@@ -164,6 +164,20 @@ class TestCsvRoundTrip:
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)
 
+    def test_nan_cell_round_trips_as_missing(self, tmp_path, lung_raw):
+        path = tmp_path / "raw.csv"
+        write_dataset_csv(lung_raw, path)
+        back = read_dataset_csv(path)
+        assert back.has_missing()
+        assert lung_raw.equals(back)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "infinity", "-Infinity"])
+    def test_infinite_cell_rejected(self, tmp_path, token):
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b,class\n1.0,2.0,p\n3.0,{token},q\n")
+        with pytest.raises(DataError, match=r"x\.csv: line 3: column 'b'"):
+            read_dataset_csv(path)
+
     def test_header_row(self, tmp_path, lung):
         path = tmp_path / "export.csv"
         write_dataset_csv(lung, path)

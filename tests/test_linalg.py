@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,14 +120,16 @@ def random_symmetric(rng, n):
 
 
 class TestJacobi:
+    """Properties of ``linalg.symmetric_eigen``; the class name predates it."""
+
     def test_identity(self):
-        eig = linalg.jacobi_eigen(np.eye(3))
+        eig = linalg.symmetric_eigen(np.eye(3))
         assert np.allclose(eig.eigenvalues, [1, 1, 1])
         # columns form a signed permutation of the identity
         assert np.allclose(np.abs(eig.eigenvectors) @ np.abs(eig.eigenvectors).T, np.eye(3))
 
     def test_textbook_two_by_two(self):
-        eig = linalg.jacobi_eigen([[2.0, 1.0], [1.0, 2.0]])
+        eig = linalg.symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(eig.eigenvalues, [3.0, 1.0])
         r = 1 / math.sqrt(2)
         assert np.allclose(eig.eigenvectors[:, 0], [r, r])
@@ -132,14 +138,14 @@ class TestJacobi:
     def test_trace_identity_random(self):
         rng = np.random.default_rng(5)
         a = random_symmetric(rng, 8)
-        eig = linalg.jacobi_eigen(a)
+        eig = linalg.symmetric_eigen(a)
         assert abs(eig.eigenvalues.sum() - np.trace(a)) < 1e-9 * max(abs(np.trace(a)), 1)
 
     def test_orthonormal_residual_reconstruction(self):
         rng = np.random.default_rng(17)
         for n in (2, 5, 12, 20):
             a = random_symmetric(rng, n)
-            eig = linalg.jacobi_eigen(a)
+            eig = linalg.symmetric_eigen(a)
             v = eig.eigenvectors
             assert np.abs(v.T @ v - np.eye(n)).max() < 1e-8
             for j in range(n):
@@ -150,7 +156,7 @@ class TestJacobi:
 
     def test_descending_order(self):
         a = random_symmetric(np.random.default_rng(23), 10)
-        values = linalg.jacobi_eigen(a).eigenvalues
+        values = linalg.symmetric_eigen(a).eigenvalues
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
 
     def test_covariance_eigenvalues_nonnegative(self, lung):
@@ -158,37 +164,73 @@ class TestJacobi:
             linalg.covariance_matrix(lung.features),
             linalg.correlation_matrix(lung.features),
         ):
-            values = linalg.jacobi_eigen(basis).eigenvalues
+            values = linalg.symmetric_eigen(basis).eigenvalues
             assert (values >= -1e-10).all()
 
     def test_reconstruction_at_sixtyfour(self):
         a = random_symmetric(np.random.default_rng(64), 64)
-        eig = linalg.jacobi_eigen(a)
+        eig = linalg.symmetric_eigen(a)
         v = eig.eigenvectors
         assert np.abs(v @ np.diag(eig.eigenvalues) @ v.T - a).max() < 1e-8
 
     def test_sign_convention(self):
         a = random_symmetric(np.random.default_rng(29), 6)
-        v = linalg.jacobi_eigen(a).eigenvectors
+        v = linalg.symmetric_eigen(a).eigenvectors
         for j in range(6):
             lead = int(np.argmax(np.abs(v[:, j])))
             assert v[lead, j] >= 0
 
     def test_deterministic(self):
         a = random_symmetric(np.random.default_rng(31), 9)
-        e1 = linalg.jacobi_eigen(a)
-        e2 = linalg.jacobi_eigen(a)
+        e1 = linalg.symmetric_eigen(a)
+        e2 = linalg.symmetric_eigen(a)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            linalg.jacobi_eigen(np.zeros((2, 3)))
+            linalg.symmetric_eigen(np.zeros((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            linalg.jacobi_eigen([[1.0, 2.0], [0.5, 1.0]])
+            linalg.symmetric_eigen([[1.0, 2.0], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.symmetric_eigen(a)
 
     def test_convergence_error_type_exists(self):
-        # the cap is generous; just check the type is wired for CLI mapping
+        # the CLI maps it to exit 4 (see test_cli); check it stays an Exception
         assert issubclass(ConvergenceError, Exception)
+
+
+_HASH_EIGEN_SCRIPT = """
+import hashlib, sys
+from pcasmote import linalg
+from pcasmote.dataset import impute_missing, load_uci_lung_cancer
+ds = impute_missing(load_uci_lung_cancer(sys.argv[1]), "mode")
+h = hashlib.sha256()
+for basis in (linalg.correlation_matrix(ds.features), linalg.covariance_matrix(ds.features)):
+    eig = linalg.symmetric_eigen(basis)
+    h.update(eig.eigenvalues.tobytes())
+    h.update(eig.eigenvectors.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_eigen_bits_independent_of_blas_threads(data_file):
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_EIGEN_SCRIPT, str(data_file)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
