@@ -4,7 +4,7 @@ The text format is one ``key = value`` pair per line with dotted section
 keys (``pca.threshold = 0.90``); ``#`` starts a comment.  JSON files (by
 ``.json`` extension or a leading ``{``) may nest sections or use the same
 dotted keys.  Unknown keys are rejected by name.  Seed lists accept either
-comma-separated integers or an inclusive range like ``1..20``.
+comma-separated integers or an inclusive, ascending range like ``1..20``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,13 @@ def _parse_bool(text: str) -> bool:
 def _parse_seeds(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(end) for end in text.split("..", 1))
+        if lo > hi:
+            raise ConfigError(
+                f"eval.seeds range {text!r} runs backwards ({lo} > {hi}); "
+                f"write it as {hi}..{lo}"
+            )
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 

@@ -295,11 +295,15 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
     per-class fold counts differ by at most one; leftover samples go to the
     folds with the smallest total load (ties to the lowest fold index),
     keeping overall fold sizes balanced too.
+
+    Raises:
+        ValueError: ``k`` is below 2.
+        DataError:  ``k`` exceeds the number of samples.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > ds.n_samples:
-        raise ValueError(f"k={k} exceeds the number of samples ({ds.n_samples})")
+        raise DataError(f"k={k} exceeds the number of samples ({ds.n_samples})")
     counts = class_counts(ds)
     for name, c in zip(ds.class_names, counts):
         if c < 1:

@@ -5,6 +5,10 @@ one of the base sample's k nearest same-class neighbours and u is uniform in
 [0, 1).  Generation cycles over the minority samples in index order, drawing
 the neighbour choice and then u for each synthetic row, so a run is fully
 determined by its seed.  Synthetic rows are appended after the originals.
+
+A class's neighbour table comes from one n x n squared-distance matrix and
+one stable row-wise sort, so ties go to the lower index; memory is quadratic
+in the class size.
 """
 
 from __future__ import annotations
@@ -34,6 +38,23 @@ class SmoteConfig:
             raise ValueError("target_count must be nonnegative")
 
 
+def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
+    """Row i lists the ``k`` nearest other rows to ``pts[i]`` by (distance, index).
+
+    Squared Euclidean distances fill an n x n matrix row by row and a stable
+    sort breaks distance ties toward the lower index.  The diagonal is set
+    below every distance, so each row sorts itself first and is sliced off,
+    even where distances overflow to infinity.
+    """
+    n = pts.shape[0]
+    dist2 = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        deltas = pts - pts[i]
+        dist2[i] = np.einsum("ij,ij->i", deltas, deltas)
+    np.fill_diagonal(dist2, -1.0)
+    return np.argsort(dist2, axis=1, kind="stable")[:, 1 : k + 1]
+
+
 def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int]:
     """Indices of the ``min(k, rows-1)`` nearest rows to ``points[idx]``.
 
@@ -49,10 +70,7 @@ def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int
         raise ValueError(f"row index {idx} out of range")
     if k < 1:
         raise ValueError("k must be at least 1")
-    deltas = pts - pts[idx]
-    dist2 = np.einsum("ij,ij->i", deltas, deltas)
-    order = sorted((float(dist2[j]), j) for j in range(n) if j != idx)
-    return [j for _, j in order[: min(k, n - 1)]]
+    return _neighbor_table(pts, min(k, n - 1))[idx].tolist()
 
 
 def synthesize(sample: np.ndarray, neighbor: np.ndarray, rng: Rng) -> np.ndarray:
@@ -94,9 +112,7 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
 
     minority = ds.features[member_idx]
     k_eff = min(cfg.k, current - 1)
-    neighbor_lists = [
-        nearest_minority_neighbors(minority, i, k_eff) for i in range(current)
-    ]
+    neighbor_lists = _neighbor_table(minority, k_eff).tolist()
 
     rng = Rng(cfg.seed)
     needed = cfg.target_count - current

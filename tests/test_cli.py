@@ -76,6 +76,35 @@ class TestValidation:
         assert "error[data]" in err
         assert "class b has 1 sample(s)" in err
 
+    def test_fold_count_above_sample_count_is_data_error(
+        self, default_config, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "experiment",
+                "--config",
+                str(default_config),
+                "--set",
+                "eval.k=40",
+                "-o",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err
+        assert "k=40" in err
+        assert "number of samples (32)" in err
+
+    def test_reversed_seed_range_named(self, tmp_path, data_file, capsys):
+        cfg = write_config(tmp_path, data_file)
+        code = main(["inspect", "--config", str(cfg), "--set", "eval.seeds=5..1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[usage]" in err
+        assert "'5..1'" in err
+        assert "runs backwards" in err
+
     def test_infinite_cell_is_data_error(self, tmp_path, data_file, capsys):
         csv = tmp_path / "lung.csv"
         write_dataset_csv(load_uci_lung_cancer(data_file), csv)

@@ -237,7 +237,7 @@ class TestStratifiedFolds:
         assert seen == list(range(lung.n_samples))
 
     def test_k_too_large_rejected(self, lung):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"k=33 exceeds the number of samples \(32\)"):
             stratified_folds(lung, 33, seed=0)
 
     def test_k_too_small_rejected(self, lung):

@@ -6,6 +6,7 @@ import pytest
 from pcasmote import experiment
 from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
+from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
     EvalSettings,
     ExperimentConfig,
@@ -229,6 +230,38 @@ class TestTrainFoldsOnlyScope:
             ("SMOTE2", 17, 0.4375),
             ("SMOTE3", 17, 0.4688),
         ]
+
+    @pytest.mark.parametrize("fit_within_fold", [False, True])
+    def test_test_folds_hold_only_original_rows(
+        self, data_file, monkeypatch, fit_within_fold
+    ):
+        cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
+        cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
+        checked = []
+        leak_free_views = experiment._leak_free_views
+
+        def checking_views(base, cfg, pca_model, order_idx):
+            views = leak_free_views(base, cfg, pca_model, order_idx)
+
+            def checked_views(train_idx, test_idx, seed_pos, fold):
+                got = list(views(train_idx, test_idx, seed_pos, fold))
+                model = pca_model or fit_pca(
+                    base.subset(train_idx), cfg.pca.threshold, cfg.pca.mode
+                )
+                reduced = transform(model, base.subset(test_idx)).features
+                expected = [base.features[test_idx]] + [reduced] * (1 + len(order_idx))
+                assert len(got) == len(expected)
+                for (_, test_x), want in zip(got, expected):
+                    assert test_x.shape[0] == len(test_idx)
+                    assert np.array_equal(test_x, want)
+                checked.append((seed_pos, fold))
+                return got
+
+            return checked_views
+
+        monkeypatch.setattr(experiment, "_leak_free_views", checking_views)
+        run_experiment(cfg)
+        assert checked == [(s, f) for s in range(2) for f in range(10)]
 
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run

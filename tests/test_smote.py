@@ -186,6 +186,74 @@ class TestOversample:
             oversample_class(ds, SmoteConfig(target_class=0, target_count=3, k=5, seed=0))
 
 
+def reference_synthetic(minority, k, seed, needed):
+    """The per-row loop the neighbour table replaced, kept as its reference.
+
+    Each row's neighbours come from a Python sort of (distance, index) pairs
+    over the other rows; then the same draw loop as ``oversample_class``.
+    """
+    n = minority.shape[0]
+    k_eff = min(k, n - 1)
+    neighbor_lists = []
+    for i in range(n):
+        deltas = minority - minority[i]
+        dist2 = np.einsum("ij,ij->i", deltas, deltas)
+        order = sorted((float(dist2[j]), j) for j in range(n) if j != i)
+        neighbor_lists.append([j for _, j in order[:k_eff]])
+    rng = Rng(seed)
+    synthetic = np.empty((needed, minority.shape[1]))
+    for j in range(needed):
+        base = j % n
+        choices = neighbor_lists[base]
+        neighbor = choices[rng.randrange(len(choices))]
+        synthetic[j] = synthesize(minority[base], minority[neighbor], rng)
+    return neighbor_lists, synthetic
+
+
+def random_class(rng, trial):
+    """A seeded minority class; the kinds cycle through tie-heavy layouts."""
+    n = int(rng.integers(2, 25))
+    f = int(rng.integers(1, 6))
+    kind = trial % 5
+    if kind == 0:
+        return rng.normal(size=(n, f))
+    if kind == 1:  # integer grid: many equal distances
+        return rng.integers(0, 3, size=(n, f)).astype(float)
+    if kind == 2:  # duplicate rows: zero-distance ties
+        rows = rng.normal(size=(max(1, n // 3), f))
+        return rows[rng.integers(0, rows.shape[0], size=n)]
+    if kind == 3:  # all rows identical: every distance ties at 0
+        return np.tile(rng.normal(size=f), (n, 1))
+    # huge magnitudes: squared distances overflow to inf and tie there
+    return rng.choice([-1.0, 1.0], size=(n, f)) * 1e200
+
+
+class TestNeighborTableMatchesReference:
+    def test_sixty_seeded_classes(self):
+        rng = np.random.default_rng(2002)
+        for trial in range(60):
+            minority = random_class(rng, trial)
+            n = minority.shape[0]
+            k = int(rng.integers(1, n + 3))  # often k >= class size
+            others = rng.normal(size=(3, minority.shape[1]))
+            labels = np.array([0] * n + [1] * 3)
+            order = rng.permutation(n + 3)  # interleave the two classes
+            ds = make_dataset(
+                np.vstack([minority, others])[order], labels[order], 2
+            )
+            needed = int(rng.integers(1, 3 * n + 2))
+            seed = int(rng.integers(2**63))
+            lists, synthetic = reference_synthetic(
+                ds.features[ds.labels == 0], k, seed, needed
+            )
+            out = oversample_class(ds, SmoteConfig(0, n + needed, k, seed))
+            assert np.array_equal(out.features[n + 3 :], synthetic), trial
+            assert np.array_equal(out.features[: n + 3], ds.features), trial
+            members = ds.features[ds.labels == 0]
+            for i in range(n):
+                assert nearest_minority_neighbors(members, i, k) == lists[i], trial
+
+
 class TestBalanceSequence:
     def test_lung_trajectory(self, lung_pca):
         runs = balance_sequence(lung_pca, [0, 2, 1], 18, k=5, seed=7)
