@@ -96,9 +96,13 @@ def _flatten_json(obj: dict, prefix: str = "") -> dict:
 
 
 def read_config_file(path) -> dict:
-    """Raw key -> value-text mapping from a config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Raw key -> value-text mapping from a config file; a file that cannot
+    be read, is not UTF-8 or is malformed raises ``ConfigError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from None
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -132,8 +136,6 @@ def build_config(values: dict) -> ExperimentConfig:
         section, _, name = key.rpartition(".")
         try:
             (sections[section] if section else top)[name] = KEYS[key](text)
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
 

@@ -93,6 +93,15 @@ class Dataset:
         )
 
 
+def _ascii_lines(path):
+    """(line number, stripped line) pairs; ``DataError`` on a non-ASCII byte."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise DataError(f"{path}: line {lineno}: non-ASCII byte")
+            yield lineno, line.strip()
+
+
 def load_uci_lung_cancer(path) -> Dataset:
     """Load a UCI lung-cancer style ``.data`` file.
 
@@ -101,40 +110,38 @@ def load_uci_lung_cancer(path) -> Dataset:
     are integer attribute codes or ``?`` for a missing cell.
 
     Raises:
-        DataError: empty file, wrong field count (with line number), a value
-            that is neither an integer nor ``?``, an unknown label, or a
-            class that never appears.
+        DataError: a non-ASCII byte, empty file, wrong field count (with line
+            number), a value that is neither an integer within float range
+            nor ``?``, an unknown label, or a class that never appears.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != LUNG_N_FEATURES + 1:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {LUNG_N_FEATURES + 1} "
-                    f"fields, found {len(fields)}"
-                )
-            if fields[0] not in ("1", "2", "3"):
-                raise DataError(f"{path}: line {lineno}: unknown class label {fields[0]!r}")
-            labels.append(int(fields[0]) - 1)
-            row = []
-            for col, tok in enumerate(fields[1:], start=1):
-                tok = tok.strip()
-                if tok == "?":
-                    row.append(math.nan)
-                else:
-                    try:
-                        row.append(float(int(tok)))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: line {lineno}: attribute {col}: "
-                            f"expected integer code or '?', found {tok!r}"
-                        ) from None
-            rows.append(row)
+    for lineno, line in _ascii_lines(path):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != LUNG_N_FEATURES + 1:
+            raise DataError(
+                f"{path}: line {lineno}: expected {LUNG_N_FEATURES + 1} "
+                f"fields, found {len(fields)}"
+            )
+        if fields[0] not in ("1", "2", "3"):
+            raise DataError(f"{path}: line {lineno}: unknown class label {fields[0]!r}")
+        labels.append(int(fields[0]) - 1)
+        row = []
+        for col, tok in enumerate(fields[1:], start=1):
+            tok = tok.strip()
+            if tok == "?":
+                row.append(math.nan)
+            else:
+                try:
+                    row.append(float(int(tok)))
+                except (ValueError, OverflowError):
+                    raise DataError(
+                        f"{path}: line {lineno}: attribute {col}: expected an "
+                        f"integer code within float range or '?', found {tok!r}"
+                    ) from None
+        rows.append(row)
 
     if not rows:
         raise DataError(f"{path}: no data lines")
@@ -172,37 +179,40 @@ def read_dataset_csv(path) -> Dataset:
     Class names are ordered lexicographically, which matches every dataset
     this toolkit produces (loaders emit sorted names), making the round trip
     exact.  A ``nan`` cell is missing, as :func:`write_dataset_csv` writes
-    it; an infinite cell raises ``DataError`` naming file, line and column.
+    it; an infinite cell raises ``DataError`` naming file, line and column,
+    as do a non-ASCII byte (file and line) and a header without a feature
+    column.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise DataError(f"{path}: empty file")
-        columns = header.split(",")
-        if columns[-1] != "class":
-            raise DataError(f"{path}: last header column must be 'class'")
-        feature_names = tuple(columns[:-1])
-        rows = []
-        names_seen = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise DataError(
-                    f"{path}: line {lineno}: expected {len(columns)} fields, "
-                    f"found {len(cells)}"
-                )
-            try:
-                values = [float(v) for v in cells[:-1]]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            infinite = [n for n, v in zip(feature_names, values) if math.isinf(v)]
-            if infinite:
-                raise DataError(f"{path}: line {lineno}: column {infinite[0]!r} is infinite")
-            rows.append(values)
-            names_seen.append(cells[-1])
+    lines = _ascii_lines(path)
+    _, header = next(lines, (1, ""))
+    if not header:
+        raise DataError(f"{path}: empty file")
+    columns = header.split(",")
+    if columns[-1] != "class":
+        raise DataError(f"{path}: last header column must be 'class'")
+    if len(columns) < 2:
+        raise DataError(f"{path}: line 1: no feature column before 'class'")
+    feature_names = tuple(columns[:-1])
+    rows = []
+    names_seen = []
+    for lineno, line in lines:
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise DataError(
+                f"{path}: line {lineno}: expected {len(columns)} fields, "
+                f"found {len(cells)}"
+            )
+        try:
+            values = [float(v) for v in cells[:-1]]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        infinite = [n for n, v in zip(feature_names, values) if math.isinf(v)]
+        if infinite:
+            raise DataError(f"{path}: line {lineno}: column {infinite[0]!r} is infinite")
+        rows.append(values)
+        names_seen.append(cells[-1])
     if not rows:
         raise DataError(f"{path}: no data rows")
     class_names = tuple(sorted(set(names_seen)))
@@ -248,7 +258,7 @@ def impute_missing(ds: Dataset, strategy: str = "mode") -> Dataset:
         observed = column[~missing]
         if observed.size == 0:
             raise ImputationError(
-                f"feature {ds.feature_names[col]!r} is entirely missing"
+                f"{ds.provenance}: feature {ds.feature_names[col]!r} is entirely missing"
             )
         if strategy == "mode":
             values, counts = np.unique(observed, return_counts=True)

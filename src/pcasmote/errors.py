@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit.
 
-Argument/precondition violations raise plain ``ValueError``; the classes
-below cover conditions that depend on the input data or on numerical
-behaviour, so callers (and the CLI) can map them to distinct exit codes.
+Argument/precondition violations raise plain ``ValueError``: they are bugs,
+and the CLI lets them propagate.  The classes below cover conditions that
+depend on the config, the input data or numerical behaviour; a failure that
+user input can reach raises one of them where it starts, and the CLI maps
+each to its own exit code.
 """
 
 

@@ -235,11 +235,15 @@ def _leak_free_views(
 
 
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
-    """Map class names from the config onto label indices."""
+    """Map class names from the config onto label indices; a name that is
+    not a class of ``ds`` raises ``DataError`` naming its provenance."""
     indices = []
     for name in order:
         if name not in ds.class_names:
-            raise ValueError(f"unknown class {name!r} in smote order")
+            raise DataError(
+                f"smote.order class {name!r} is not in {ds.provenance}, "
+                f"whose classes are {', '.join(ds.class_names)}"
+            )
         indices.append(ds.class_names.index(name))
     return indices
 

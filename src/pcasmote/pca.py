@@ -14,6 +14,7 @@ import numpy as np
 
 from . import linalg, model_io
 from .dataset import Dataset
+from .errors import DataError
 
 #: Eigenvalues below this fraction of the largest one count as zero when
 #: computing coverage, so rank-deficient data reaches coverage 1.0 exactly.
@@ -70,12 +71,17 @@ def fit_pca(ds: Dataset, threshold: float = 0.90, mode: str = "correlation") -> 
     """Fit the reducer on a complete dataset.
 
     Args:
-        ds:        dataset with no missing cells and at least two samples.
+        ds:        dataset with no missing cells.
         threshold: variance coverage target in (0, 1].
         mode:      "covariance" or "correlation" (z-scored features).
+
+    Raises ``DataError`` naming the provenance on fewer than two samples, or
+    when the column statistics or the ``mode`` matrix overflow float64.
     """
     if ds.n_samples < 2:
-        raise ValueError("PCA needs at least two samples")
+        raise DataError(
+            f"{ds.provenance}: PCA needs at least two samples, found {ds.n_samples}"
+        )
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     if mode not in ("covariance", "correlation"):
@@ -83,14 +89,19 @@ def fit_pca(ds: Dataset, threshold: float = 0.90, mode: str = "correlation") -> 
     if ds.has_missing():
         raise ValueError("dataset still contains missing cells; impute first")
 
-    mean = linalg.mean_vector(ds.features)
-    if mode == "correlation":
-        sd = linalg.column_std(ds.features)
-        scale = np.where(sd < linalg.SD_FLOOR, 1.0, sd)
-        basis = linalg.correlation_matrix(ds.features)
-    else:
-        scale = np.ones(ds.n_features)
-        basis = linalg.covariance_matrix(ds.features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = linalg.mean_vector(ds.features)
+        if mode == "correlation":
+            sd = linalg.column_std(ds.features)
+            scale = np.where(sd < linalg.SD_FLOOR, 1.0, sd)
+            basis = linalg.correlation_matrix(ds.features)
+        else:
+            scale = np.ones(ds.n_features)
+            basis = linalg.covariance_matrix(ds.features)
+    if not all(np.isfinite(a).all() for a in (mean, scale, basis)):
+        raise DataError(
+            f"{ds.provenance}: the {mode} matrix of the features overflows float64"
+        )
 
     eig = linalg.symmetric_eigen(basis)
     retained = retained_for_threshold(eig.eigenvalues, threshold)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, class_counts
-from .errors import ResampleError
+from .errors import DataError, ResampleError
 from .rng import Rng, derive_seed
 
 
@@ -147,12 +147,16 @@ def balance_sequence(
 
     Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)``.
     Returns every intermediate dataset (empty list for an empty order).
+    Raises ``DataError`` if ``per_class_target`` is below the largest class.
     """
     if len(set(order)) != len(order):
         raise ValueError("order must list distinct classes")
-    if order and per_class_target < max(class_counts(ds)):
-        raise ValueError(
-            "per_class_target must be at least the largest current class count"
+    counts = class_counts(ds)
+    if order and per_class_target < max(counts):
+        largest = int(np.argmax(counts))
+        raise DataError(
+            f"smote.per_class_target={per_class_target} is below the largest class, "
+            f"{ds.class_names[largest]} with {counts[largest]} samples"
         )
     results: list[Dataset] = []
     current = ds

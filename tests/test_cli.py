@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pcasmote import linalg
 from pcasmote.cli import main, parse_invocation
 from pcasmote.dataset import impute_missing, load_uci_lung_cancer, write_dataset_csv
 
@@ -136,6 +137,112 @@ class TestValidation:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"dataset": str(data_file), "pca": {"threshold": 0.9}}))
         assert main(["inspect", "--config", str(cfg)]) == 0
+
+
+_UCI_ROW = "1," + ",".join(["2"] * 56) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, dataset, content, settings, code, named",
+    [
+        pytest.param(
+            "experiment", None, None, "smote.per_class_target = 12\n", 3,
+            ["error[data]", "smote.per_class_target=12", "TypeB with 13 samples"],
+            id="target-below-largest-class",
+        ),
+        *(
+            pytest.param(
+                command, None, None, "smote.order = TypeA,TypeZ\n", 3,
+                ["error[data]", "smote.order class 'TypeZ'", "{data}", "TypeA, TypeB, TypeC"],
+                id=f"order-class-not-in-file-{command}",
+            )
+            for command in ("experiment", "resample")
+        ),
+        pytest.param(
+            "inspect", "bad.data", (_UCI_ROW + "1\u00e9" + _UCI_ROW[1:]).encode("latin-1"), "",
+            3, ["error[data]", "{data}: line 2: non-ASCII byte"], id="non-ascii-data",
+        ),
+        pytest.param(
+            "inspect", "bad.csv", "x,class\n1.0,a\n2.0,\u00e9\n".encode("utf-8"), "",
+            3, ["error[data]", "{data}: line 3: non-ASCII byte"], id="non-ascii-csv",
+        ),
+        *(
+            pytest.param(
+                command, "bare.csv", b"class\na\nb\na\nb\n", "", 3,
+                ["error[data]", "{data}: line 1: no feature column"],
+                id=f"no-feature-column-{command}",
+            )
+            for command in ("reduce", "experiment", "train", "evaluate")
+        ),
+        pytest.param(
+            "inspect", "big.data", ("1,2,2,2,2," + "9" * 400 + _UCI_ROW[11:]).encode(), "",
+            3, ["error[data]", "{data}: line 1: attribute 5"], id="code-beyond-float-range",
+        ),
+        pytest.param(
+            "experiment", "blank.csv", b"x,y,class\nnan,2.0,a\nnan,3.0,b\n", "", 3,
+            ["error[data]", "{data}: feature 'x' is entirely missing"],
+            id="feature-entirely-missing",
+        ),
+        pytest.param(
+            "reduce", "one.csv", b"x,y,class\n1.0,2.0,a\n", "", 3,
+            ["error[data]", "{data}: PCA needs at least two samples, found 1"],
+            id="single-row-pca",
+        ),
+        *(
+            pytest.param(
+                "reduce", "huge.csv",
+                b"x,y,class\n1e200,0.0,a\n2e200,1e200,b\n3e200,2e200,a\n4e200,0.0,b\n",
+                f"pca.mode = {mode}\n", 3,
+                ["error[data]", f"{{data}}: the {mode} matrix of the features overflows"],
+                id=f"overflowing-{mode}-pca",
+            )
+            for mode in ("covariance", "correlation")
+        ),
+        pytest.param(
+            "inspect", None, None, None, 2,
+            ["error[usage]", "{cfg}: cannot read config file"], id="missing-config",
+        ),
+        pytest.param(
+            "inspect", None, None, b"dataset = \xff\n", 2,
+            ["error[usage]", "{cfg}: cannot read config file", "utf-8"], id="non-utf8-config",
+        ),
+    ],
+)
+def test_input_fault_exit_code(
+    tmp_path, data_file, capsys, command, dataset, content, settings, code, named
+):
+    """Each bad input exits with its documented code and names its file, line or key.
+
+    ``settings`` is extra config text; bytes replace the whole config file and
+    None leaves it missing.
+    """
+    data = data_file
+    if dataset is not None:
+        data = tmp_path / dataset
+        data.write_bytes(content)
+    if isinstance(settings, str):
+        cfg = write_config(tmp_path, data, settings)
+    else:
+        cfg = tmp_path / "run.cfg"
+        if settings is not None:
+            cfg.write_bytes(settings)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "-o", str(out)]) == code
+    err = capsys.readouterr().err
+    for text in named:
+        assert text.format(data=data, cfg=cfg) in err
+
+
+def test_toolkit_value_error_propagates(tmp_path, data_file, monkeypatch):
+    """A bare ValueError is a toolkit bug: a traceback, not a usage exit."""
+
+    def broken(a):
+        raise ValueError("broken precondition")
+
+    monkeypatch.setattr(linalg, "symmetric_eigen", broken)
+    cfg = write_config(tmp_path, data_file)
+    with pytest.raises(ValueError, match="broken precondition"):
+        main(["reduce", "--config", str(cfg), "-o", str(tmp_path / "out")])
 
 
 class TestInspect:

@@ -3,6 +3,7 @@ import pytest
 
 from pcasmote import linalg
 from pcasmote.dataset import Dataset
+from pcasmote.errors import DataError
 from pcasmote.pca import fit_pca, load_pca, save_pca, transform
 
 
@@ -84,7 +85,7 @@ class TestFit:
 
     def test_rejects_single_sample(self):
         ds = dataset_from([[1.0, 2.0]], labels=[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="at least two samples, found 1"):
             fit_pca(ds, 0.9, "covariance")
 
     def test_rejects_missing_cells(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcasmote.dataset import Dataset, class_counts
-from pcasmote.errors import ResampleError
+from pcasmote.errors import DataError, ResampleError
 from pcasmote.pca import fit_pca, transform
 from pcasmote.rng import Rng
 from pcasmote.smote import (
@@ -283,5 +283,8 @@ class TestBalanceSequence:
             balance_sequence(lung_pca, [0, 0], 18, k=5, seed=7)
 
     def test_target_below_majority_rejected(self, lung_pca):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            DataError,
+            match=r"smote\.per_class_target=12 is below the largest class, TypeB with 13",
+        ):
             balance_sequence(lung_pca, [0], 12, k=5, seed=7)
