@@ -7,9 +7,9 @@ output directory (``--output-dir``, else ``$PCASMOTE_OUTPUT_DIR``, else
 and handler.
 
 Exit codes, declared once in ``FAILURES``: 0 success; 2 usage or config
-error (argparse, ``ConfigError``); 3 data error (``DataError``, or an
-``OSError`` reading the dataset or writing artifacts); 4 numerical
-non-convergence (``ConvergenceError``).  Any other exception, a bare
+error (argparse, ``ConfigError``, an output directory that names a file); 3
+data error (``DataError``, or an ``OSError`` reading the dataset or writing
+artifacts); 4 numerical non-convergence (``ConvergenceError``).  Any other exception, a bare
 ``ValueError`` included, is a toolkit bug and propagates as a traceback
 (exit 1).
 """
@@ -44,7 +44,13 @@ FAILURES = {
 def _resolve_output_dir(args) -> Path:
     out = args.output_dir or os.environ.get("PCASMOTE_OUTPUT_DIR", "out")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(
+            f"output directory {out} (--output-dir, else $PCASMOTE_OUTPUT_DIR, "
+            f"else ./out): {exc.strerror}"
+        ) from exc
     return path
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .dataset import (
@@ -205,13 +205,19 @@ def _leak_free_views(
 
     The fold's reducer is ``pca_model``, or refitted on the training fold
     when it is None; the SMOTE chain runs once over the full order and stage
-    i is SMOTE(i+1).  Views are built lazily; the reduced training fold is
-    dropped once the chain is built and each stage once it is yielded, which
-    keeps the per-fold memory peak low.
+    i is SMOTE(i+1).  The training fold's provenance names the fold (counted
+    from 1) and the seed, so an error raised on it says that its counts are
+    the fold's, not the file's.  Views are built lazily; the reduced training
+    fold is dropped once the chain is built and each stage once it is
+    yielded, which keeps the per-fold memory peak low.
     """
 
     def views(train_idx, test_idx, seed_pos: int, fold: int):
-        train = base.subset(train_idx)
+        train = replace(
+            base.subset(train_idx),
+            provenance=f"{base.provenance}, training fold {fold + 1} "
+            f"of seed {cfg.eval.seeds[seed_pos]}",
+        )
         test = base.subset(test_idx)
         yield train, test.features
         model = pca_model

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import model_io
 from .dataset import Dataset
+from .errors import DataError
 
 STD_FLOOR = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -46,6 +47,9 @@ def fit_nb(ds: Dataset) -> NbModel:
     class has at least two samples and the floor otherwise.  A class absent
     from the data falls back to the global column mean and std so its
     (Laplace-smoothed) prior still yields a defined score.
+
+    Raises ``DataError`` naming the provenance when a mean or a variance
+    overflows float64.
     """
     if ds.n_samples == 0 or ds.n_features == 0:
         raise ValueError("cannot fit on an empty dataset")
@@ -57,22 +61,23 @@ def fit_nb(ds: Dataset) -> NbModel:
     means = np.zeros((n_classes, ds.n_features))
     stds = np.full((n_classes, ds.n_features), STD_FLOOR)
 
-    global_mean = ds.features.mean(axis=0)
-    if n >= 2:
-        global_std = ds.features.std(axis=0, ddof=1)
-    else:
-        global_std = np.zeros(ds.n_features)
-
-    for cls in range(n_classes):
-        rows = ds.features[ds.labels == cls]
-        if rows.shape[0] == 0:
-            means[cls] = global_mean
-            stds[cls] = np.maximum(global_std, STD_FLOOR)
-        elif rows.shape[0] == 1:
-            means[cls] = rows[0]
-        else:
-            means[cls] = rows.mean(axis=0)
-            stds[cls] = np.maximum(rows.std(axis=0, ddof=1), STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cls in range(n_classes):
+            rows = ds.features[ds.labels == cls]
+            if rows.shape[0] == 0:
+                means[cls] = ds.features.mean(axis=0)
+                if n >= 2:
+                    stds[cls] = np.maximum(ds.features.std(axis=0, ddof=1), STD_FLOOR)
+            elif rows.shape[0] == 1:
+                means[cls] = rows[0]
+            else:
+                means[cls] = rows.mean(axis=0)
+                stds[cls] = np.maximum(rows.std(axis=0, ddof=1), STD_FLOOR)
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise DataError(
+            f"{ds.provenance}: the class means or variances of the features "
+            "overflow float64"
+        )
 
     return NbModel(
         priors=priors, means=means, stds=stds, class_names=ds.class_names

@@ -14,6 +14,11 @@ Derived draws are defined exactly as:
 * ``random()``      -> ``(next_u64() >> 11) * 2**-53`` (uniform in [0, 1))
 * ``randrange(n)``  -> ``next_u64() % n``
 
+Because the state after ``i + 1`` calls is ``seed + (i + 1) * gamma mod 2^64``,
+draw i (counting from 0) is the finaliser of that state on its own.  ``next_u64_array(seed, n)``
+computes the first ``n`` draws that way, as one uint64 array; it is part of
+the spec and equals ``[Rng(seed).next_u64() for _ in range(n)]``.
+
 ``derive_seed(seed, index)`` feeds ``seed + (index + 1) * 0x9E3779B97F4A7C15``
 through the finaliser, giving independent, reproducible sub-streams for
 sequenced stages (e.g. successive oversampling runs).
@@ -21,12 +26,18 @@ sequenced stages (e.g. successive oversampling runs).
 Any implementation following these rules reproduces the streams bit for bit.
 """
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
-    """splitmix64 finaliser."""
+def _mix(z):
+    """splitmix64 finaliser, on a Python int or elementwise on a uint64 array.
+
+    uint64 array arithmetic wraps mod 2^64 without a warning, so the masks
+    are no-ops there.
+    """
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -60,6 +71,14 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def next_u64_array(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` outputs of ``Rng(seed).next_u64()`` as a uint64 array."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    return _mix(np.uint64(seed & _MASK64) + steps * np.uint64(_GAMMA))
 
 
 def derive_seed(seed: int, index: int) -> int:

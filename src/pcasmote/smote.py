@@ -5,10 +5,13 @@ one of the base sample's k nearest same-class neighbours and u is uniform in
 [0, 1).  Generation cycles over the minority samples in index order, drawing
 the neighbour choice and then u for each synthetic row, so a run is fully
 determined by its seed.  Synthetic rows are appended after the originals.
+All of a class's draws are taken at once as one array of the seed's stream,
+and all of its synthetic rows are built by one array expression.
 
 A class's neighbour table comes from one n x n squared-distance matrix and
 one stable row-wise sort, so ties go to the lower index; memory is quadratic
-in the class size.
+in the class size.  The matrix is filled in blocks of rows whose broadcast
+temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class size.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ import numpy as np
 
 from .dataset import Dataset, class_counts
 from .errors import DataError, ResampleError
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, next_u64_array
+
+#: float64 elements in one block's (rows, n, features) difference temporary
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -41,16 +47,17 @@ class SmoteConfig:
 def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
     """Row i lists the ``k`` nearest other rows to ``pts[i]`` by (distance, index).
 
-    Squared Euclidean distances fill an n x n matrix row by row and a stable
-    sort breaks distance ties toward the lower index.  The diagonal is set
-    below every distance, so each row sorts itself first and is sliced off,
-    even where distances overflow to infinity.
+    Squared Euclidean distances fill an n x n matrix a block of rows at a
+    time and a stable sort breaks distance ties toward the lower index.  The
+    diagonal is set below every distance, so each row sorts itself first and
+    is sliced off, even where distances overflow to infinity.
     """
-    n = pts.shape[0]
+    n, f = pts.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, n * f))
     dist2 = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        deltas = pts - pts[i]
-        dist2[i] = np.einsum("ij,ij->i", deltas, deltas)
+    for lo in range(0, n, step):
+        deltas = pts[None] - pts[lo : lo + step, None]
+        dist2[lo : lo + step] = np.einsum("ijk,ijk->ij", deltas, deltas)
     np.fill_diagonal(dist2, -1.0)
     return np.argsort(dist2, axis=1, kind="stable")[:, 1 : k + 1]
 
@@ -79,8 +86,12 @@ def synthesize(sample: np.ndarray, neighbor: np.ndarray, rng: Rng) -> np.ndarray
     nb = np.asarray(neighbor, dtype=np.float64)
     if s.shape != nb.shape:
         raise ValueError(f"length mismatch: {s.shape} vs {nb.shape}")
-    u = rng.random()
-    return s + u * (nb - s)
+    return _interpolate(s, nb, rng.random())
+
+
+def _interpolate(sample, neighbor, u):
+    """``sample + u * (neighbor - sample)``, elementwise; the SMOTE formula."""
+    return sample + u * (neighbor - sample)
 
 
 def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
@@ -91,7 +102,8 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
     target count.
 
     Raises:
-        ResampleError: the target class has fewer than two samples.
+        ResampleError: the target class has fewer than two samples; the
+                       message names the provenance.
         ValueError:    ``target_count`` is below the current count.
     """
     if not 0 <= cfg.target_class < ds.n_classes:
@@ -106,22 +118,22 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         return ds
     if current < 2:
         raise ResampleError(
-            f"class {ds.class_names[cfg.target_class]} has {current} sample(s); "
-            "need at least 2 to interpolate"
+            f"{ds.provenance}: class {ds.class_names[cfg.target_class]} has "
+            f"{current} sample(s); need at least 2 to interpolate"
         )
 
     minority = ds.features[member_idx]
     k_eff = min(cfg.k, current - 1)
-    neighbor_lists = _neighbor_table(minority, k_eff).tolist()
+    table = _neighbor_table(minority, k_eff)
 
-    rng = Rng(cfg.seed)
+    # draws 2j and 2j+1 of the stream are row j's Rng.randrange(k_eff) and
+    # Rng.random(), as the rng module defines them
     needed = cfg.target_count - current
-    synthetic = np.empty((needed, ds.n_features), dtype=np.float64)
-    for j in range(needed):
-        base = j % current
-        choices = neighbor_lists[base]
-        neighbor = choices[rng.randrange(len(choices))]
-        synthetic[j] = synthesize(minority[base], minority[neighbor], rng)
+    draws = next_u64_array(cfg.seed, 2 * needed)
+    base = np.arange(needed) % current
+    neighbor = table[base, draws[0::2] % k_eff]
+    u = (draws[1::2] >> 11) * 2.0**-53
+    synthetic = _interpolate(minority[base], minority[neighbor], u[:, None])
 
     features = np.vstack([ds.features, synthetic])
     labels = np.concatenate(
@@ -147,7 +159,8 @@ def balance_sequence(
 
     Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)``.
     Returns every intermediate dataset (empty list for an empty order).
-    Raises ``DataError`` if ``per_class_target`` is below the largest class.
+    Raises ``DataError`` naming the provenance if ``per_class_target`` is
+    below the largest class.
     """
     if len(set(order)) != len(order):
         raise ValueError("order must list distinct classes")
@@ -155,8 +168,9 @@ def balance_sequence(
     if order and per_class_target < max(counts):
         largest = int(np.argmax(counts))
         raise DataError(
-            f"smote.per_class_target={per_class_target} is below the largest class, "
-            f"{ds.class_names[largest]} with {counts[largest]} samples"
+            f"{ds.provenance}: smote.per_class_target={per_class_target} is below "
+            f"the largest class, {ds.class_names[largest]} with {counts[largest]} "
+            "samples"
         )
     results: list[Dataset] = []
     current = ds

@@ -133,6 +133,13 @@ class TestValidation:
         assert code == 4
         assert "error[numeric]" in capsys.readouterr().err
 
+    def test_output_dir_naming_a_file_is_usage_error(self, tmp_path, data_file, capsys):
+        cfg = write_config(tmp_path, data_file)
+        for out in (cfg, cfg / "sub"):
+            assert main(["train", "--config", str(cfg), "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"error[usage]: output directory {out} (--output-dir" in err
+
     def test_json_config_accepted(self, tmp_path, data_file):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"dataset": str(data_file), "pca": {"threshold": 0.9}}))
@@ -140,6 +147,16 @@ class TestValidation:
 
 
 _UCI_ROW = "1," + ",".join(["2"] * 56) + "\n"
+_SIX_ROWS = (
+    b"x,y,class\n0.0,1.0,a\n1.0,0.5,a\n2.0,2.5,a\n5.0,4.0,b\n6.0,6.5,b\n7.0,5.0,b\n"
+)
+_HUGE_ROWS = b"x,class\n" + b"".join(  # values 1e200..1e201: variances overflow
+    b"%de200,%c\n" % (i, b"ab"[i % 2]) for i in range(1, 11)
+)
+_FOLDS_ONLY = (
+    "eval.k = 2\neval.seeds = 1\neval.resample_scope = train-folds-only\n"
+    "pca.fit_within_fold = true\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -197,6 +214,27 @@ _UCI_ROW = "1," + ",".join(["2"] * 56) + "\n"
                 id=f"overflowing-{mode}-pca",
             )
             for mode in ("covariance", "correlation")
+        ),
+        *(
+            pytest.param(
+                command, "huge.csv", _HUGE_ROWS, "eval.k = 2\n", 3,
+                ["error[data]", "{data}: the class means or variances of the features"],
+                id=f"overflowing-variance-{command}",
+            )
+            for command in ("train", "evaluate")
+        ),
+        pytest.param(
+            "experiment", "six.csv", _SIX_ROWS,
+            _FOLDS_ONLY + "smote.order = a,b\nsmote.per_class_target = 3\n", 3,
+            ["error[data]", "{data}, training fold 1 of seed 1: class a has 1 sample(s)"],
+            id="singleton-class-in-training-fold",
+        ),
+        pytest.param(
+            "experiment", "six.csv", _SIX_ROWS + b"8.0,7.5,b\n9.0,8.0,b\n",
+            _FOLDS_ONLY + "smote.order = a\nsmote.per_class_target = 2\n", 3,
+            ["error[data]", "{data}, training fold 1 of seed 1: smote.per_class_target=2",
+             "b with 3 samples"],
+            id="target-below-largest-class-in-training-fold",
         ),
         pytest.param(
             "inspect", None, None, None, 2,

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcasmote.dataset import Dataset
+from pcasmote.errors import DataError
 from pcasmote.naive_bayes import (
     NbModel,
     STD_FLOOR,
@@ -80,6 +82,34 @@ class TestFit:
         assert model.priors.shape == (3,)
         assert abs(model.priors.sum() - 1.0) < 1e-12
         assert np.isfinite(log_posterior(model, [1.5])).all()
+
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_absent_class_takes_the_global_moments(self, rows):
+        ds = Dataset(
+            features=np.array([[0.0, 5.0], [1.0, 3.0], [2.5, 4.0], [3.0, 9.0]])[:rows],
+            labels=np.array([0, 1, 0, 1])[:rows],
+            class_names=("c0", "c1", "c2"),
+            feature_names=("f0", "f1"),
+        )
+        model = fit_nb(ds)
+        assert np.array_equal(model.means[2], ds.features.mean(axis=0))
+        if rows >= 2:
+            expected_std = np.maximum(ds.features.std(axis=0, ddof=1), STD_FLOOR)
+        else:
+            expected_std = np.full(2, STD_FLOOR)
+        assert np.array_equal(model.stds[2], expected_std)
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1e200, 2e200, 3e200, 4e201], [1.7e308, 1.0, 1.6e308, 2.0]],
+        ids=["variance", "mean"],
+    )
+    def test_overflowing_moments_are_a_data_error(self, column):
+        ds = replace(
+            make_dataset(np.array(column)[:, None], [0, 1, 0, 1]), provenance="huge.csv"
+        )
+        with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
+            fit_nb(ds)
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(

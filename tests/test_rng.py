@@ -1,4 +1,9 @@
-from pcasmote.rng import Rng, derive_seed
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcasmote.rng import Rng, derive_seed, next_u64_array
 
 
 def test_same_seed_same_stream():
@@ -46,3 +51,41 @@ def test_derive_seed_is_stable_and_distinct():
     s1 = derive_seed(123, 1)
     assert s0 == derive_seed(123, 0)
     assert s0 != s1
+
+
+STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_vector_stream_matches_rng(seed):
+    rng = Rng(seed)
+    expected = [rng.next_u64() for _ in range(300)]
+    draws = next_u64_array(seed, 300)
+    assert draws.dtype == np.uint64
+    assert draws.tolist() == expected
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_vector_stream_derived_draws_match_rng(seed):
+    # the odd/even split oversampling uses: randrange(k) then random()
+    rng = Rng(seed)
+    expected_picks, expected_units = [], []
+    for _ in range(200):
+        expected_picks.append(rng.randrange(7))
+        expected_units.append(rng.random())
+    draws = next_u64_array(seed, 400)
+    assert (draws[0::2] % 7).tolist() == expected_picks
+    assert ((draws[1::2] >> 11) * 2.0**-53).tolist() == expected_units
+
+
+def test_vector_stream_empty_and_negative_length():
+    assert next_u64_array(3, 0).shape == (0,)
+    with pytest.raises(ValueError):
+        next_u64_array(3, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=-(2**65), max_value=2**66), n=st.integers(0, 64))
+def test_vector_stream_property(seed, n):
+    rng = Rng(seed)
+    assert next_u64_array(seed, n).tolist() == [rng.next_u64() for _ in range(n)]

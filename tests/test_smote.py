@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,6 +255,51 @@ class TestNeighborTableMatchesReference:
             members = ds.features[ds.labels == 0]
             for i in range(n):
                 assert nearest_minority_neighbors(members, i, k) == lists[i], trial
+
+
+class TestOversampleLargeClassMatchesReference:
+    """Classes whose distance matrix takes several blocks, the last one partial."""
+
+    @pytest.mark.parametrize("n, f", [(400, 56), (100, 7)])
+    def test_matches_reference(self, n, f):
+        rng = np.random.default_rng(n * f)
+        minority = rng.normal(size=(n, f))
+        minority[1::7] = minority[0::7][: minority[1::7].shape[0]]  # duplicate rows
+        ds = make_dataset(
+            np.vstack([minority, rng.normal(size=(5, f))]), [0] * n + [1] * 5, 2
+        )
+        needed = 2 * n + 3
+        seed = 2**64 - 1
+        lists, synthetic = reference_synthetic(minority, 5, seed, needed)
+        out = oversample_class(ds, SmoteConfig(0, n + needed, 5, seed))
+        assert np.array_equal(out.features[n + 5 :], synthetic)
+        for i in range(0, n, 37):
+            assert nearest_minority_neighbors(minority, i, 5) == lists[i]
+
+    def test_no_numpy_warning_near_the_top_of_the_seed_range(self):
+        # uint64 stream arithmetic wraps by design; it must not warn
+        ds = make_dataset([[0.0], [1.0], [2.0], [9.0], [8.0]], [0, 0, 0, 1, 1], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (2**64 - 1, 2**64 + 5, -1):
+                oversample_class(ds, SmoteConfig(0, 40, 2, seed))
+
+
+class TestErrorsNameTheProvenance:
+    def test_singleton_class(self):
+        ds = replace(
+            make_dataset([[0.0], [5.0], [6.0]], [0, 1, 1], 2),
+            provenance="cohort.csv, training fold 2 of seed 4",
+        )
+        with pytest.raises(
+            ResampleError,
+            match=r"^cohort\.csv, training fold 2 of seed 4: class c0 has 1 sample",
+        ):
+            oversample_class(ds, SmoteConfig(0, 3, 5, seed=0))
+
+    def test_target_below_largest_class(self, lung_pca):
+        with pytest.raises(DataError, match=r"lung-cancer\.data: smote\.per_class"):
+            balance_sequence(lung_pca, [0], 12, k=5, seed=7)
 
 
 class TestBalanceSequence:
