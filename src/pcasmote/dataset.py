@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -287,15 +288,18 @@ class FoldAssignment:
     fold_of_sample: tuple[int, ...]
     k: int
 
+    @cached_property
+    def fold_array(self) -> np.ndarray:
+        """``fold_of_sample`` as a read-only int64 array."""
+        folds = np.array(self.fold_of_sample, dtype=np.int64)
+        folds.flags.writeable = False
+        return folds
+
     def test_indices(self, fold: int) -> np.ndarray:
-        return np.array(
-            [i for i, f in enumerate(self.fold_of_sample) if f == fold], dtype=np.int64
-        )
+        return np.flatnonzero(self.fold_array == fold).astype(np.int64, copy=False)
 
     def train_indices(self, fold: int) -> np.ndarray:
-        return np.array(
-            [i for i, f in enumerate(self.fold_of_sample) if f != fold], dtype=np.int64
-        )
+        return np.flatnonzero(self.fold_array != fold).astype(np.int64, copy=False)
 
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:

@@ -2,11 +2,14 @@
 
 The default flow evaluates, in order: the imputed raw dataset (Initial), its
 PCA reduction (PCA), and the chained oversampling stages (SMOTE1..n), each
-under seeded stratified cross-validation with naive Bayes.  One driver runs
-the seed -> fold loop: for each (seed, fold) it scores every method on that
-fold's split, and per seed it pools each method's held-out predictions into
-one confusion matrix; the reported row is the mean over seeds with min/max
-and medians retained.
+under seeded stratified cross-validation with naive Bayes.  One loop runs
+over the seeds: per seed it draws the fold assignment, asks a scorer for one
+held-out prediction per row and method, and pools each method's predictions
+into one confusion matrix; the reported row is the mean over seeds with
+min/max and medians retained.  A fixed dataset is scored once per seed with
+every fold's model fitted at once (``naive_bayes.cross_val_predict``); under
+``train-folds-only`` the scorer loops over the folds, since each fold
+builds its own training sets.
 
 ``resample_scope`` controls where oversampling happens: ``whole-dataset``
 resamples once up front (synthetic neighbours of test points may then appear
@@ -26,6 +29,8 @@ import hashlib
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from . import __version__
 from .dataset import (
     Dataset,
@@ -36,7 +41,7 @@ from .dataset import (
 )
 from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
-from .naive_bayes import fit_nb, predict_matrix
+from .naive_bayes import cross_val_predict, fit_nb, predict_matrix
 from .pca import PcaModel, fit_pca, transform
 from .rng import derive_seed
 from .smote import balance_sequence
@@ -137,43 +142,32 @@ def _summarise(
 
 
 def _cross_validate(
-    base: Dataset, protocol: str, k: int, seeds, names: list[str], fold_views
+    base: Dataset, protocol: str, k: int, seeds, names: list[str], scorer
 ) -> list[EvalSummary]:
-    """The one seeded cross-validation loop: every method scored per (seed, fold).
+    """The one seeded cross-validation loop: every method scored per seed.
 
-    ``fold_views(train_idx, test_idx, seed_pos, fold)`` yields one
-    (training set, test feature matrix) pair per name in ``names``, built from
-    that fold's split of ``base``.  Naive Bayes is fitted on each pair and the
-    held-out predictions are pooled per method into one confusion matrix per
-    seed.  A method's ``n_features`` is that of the last fold it scored.
+    ``scorer(assignment, seed_pos)`` returns, per name in ``names``, one
+    held-out prediction per row of ``base`` and the feature count the method
+    was scored with; each method's predictions are pooled into one confusion
+    matrix per seed.  A method's reported ``n_features`` is its last seed's.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     for name, count in zip(base.class_names, class_counts(base)):
         if count < 2:
-            raise DataError(f"class {name} has {count} sample(s); need at least 2")
+            raise DataError(
+                f"{base.provenance}: class {name} has {count} sample(s); "
+                "need at least 2"
+            )
     n_folds = base.n_samples if protocol == "leave-one-out" else k
     rows: list[list] = [[] for _ in names]
     n_features = [base.n_features] * len(names)
     for seed_pos, seed in enumerate(seeds):
         assignment = stratified_folds(base, n_folds, seed)
-        actual: list[int] = []
-        predicted: list[list[int]] = [[] for _ in names]
-        for fold in range(n_folds):
-            test_idx = assignment.test_indices(fold)
-            if test_idx.size == 0:
-                continue
-            actual += base.labels[test_idx].tolist()
-            train_idx = assignment.train_indices(fold)
-            views = fold_views(train_idx, test_idx, seed_pos, fold)
-            for m, (train, test_x) in enumerate(views):
-                predicted[m] += predict_matrix(fit_nb(train), test_x).tolist()
-                n_features[m] = test_x.shape[1]
-        for m, name in enumerate(names):
-            cm = confusion_matrix(
-                actual, predicted[m], base.n_classes, base.class_names
-            )
-            rows[m].append((seed, metric_row(cm, name, n_features[m])))
+        for m, (predicted, width) in enumerate(scorer(assignment, seed_pos)):
+            n_features[m] = width
+            cm = confusion_matrix(base.labels, predicted, base.n_classes, base.class_names)
+            rows[m].append((seed, metric_row(cm, names[m], width)))
     return [
         _summarise(rows[m], name, base.n_samples, n_features[m])
         for m, name in enumerate(names)
@@ -187,12 +181,38 @@ def evaluate_dataset(
     seeds=(1,),
     method_name: str = "",
 ) -> EvalSummary:
-    """Seeded cross-validation of naive Bayes on one fixed dataset."""
+    """Seeded cross-validation of naive Bayes on one fixed dataset; every
+    fold of a seed is fitted and scored at once."""
 
-    def fold_view(train_idx, test_idx, seed_pos: int, fold: int):
-        return [(ds.subset(train_idx), ds.features[test_idx])]
+    def scorer(assignment, seed_pos: int):
+        return [(cross_val_predict(ds, assignment), ds.n_features)]
 
-    return _cross_validate(ds, protocol, k, seeds, [method_name], fold_view)[0]
+    return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
+
+
+def _per_fold_scorer(base: Dataset, n_methods: int, fold_views):
+    """Scorer that fits naive Bayes on each view of each fold in turn.
+
+    ``fold_views(train_idx, test_idx, seed_pos, fold)`` yields one
+    (training set, test feature matrix) pair per method, built from that
+    fold's split of ``base``; a method's feature count is its last fold's.
+    """
+
+    def scorer(assignment, seed_pos: int):
+        predicted = np.empty((n_methods, base.n_samples), dtype=np.int64)
+        n_features = [base.n_features] * n_methods
+        for fold in range(assignment.k):
+            test_idx = assignment.test_indices(fold)
+            if test_idx.size == 0:
+                continue
+            train_idx = assignment.train_indices(fold)
+            views = fold_views(train_idx, test_idx, seed_pos, fold)
+            for m, (train, test_x) in enumerate(views):
+                predicted[m, test_idx] = predict_matrix(fit_nb(train), test_x)
+                n_features[m] = test_x.shape[1]
+        return list(zip(predicted, n_features))
+
+    return scorer
 
 
 def _leak_free_views(
@@ -286,7 +306,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     elif ev.resample_scope == "train-folds-only":
         fold_pca = None if cfg.pca.fit_within_fold else pca_model
         views = _leak_free_views(imputed, cfg, fold_pca, order_idx)
-        summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names, views)
+        scorer = _per_fold_scorer(imputed, len(names), views)
+        summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names, scorer)
         scored = [(imputed, summary) for summary in summaries]
     else:
         raise ValueError(f"unknown resample scope {ev.resample_scope!r}")

@@ -5,6 +5,19 @@ per-feature Gaussian log densities, with per-class per-feature means and
 standard deviations estimated from the training data.  Priors are Laplace
 smoothed, ``(count + 1) / (N + n_classes)``, which keeps every class defined
 even in degenerate training splits.
+
+One estimator fits a batch of training sets that are row masks of one
+matrix: :func:`fit_nb` is the batch of one (every row kept), and
+:func:`cross_val_predict` fits every fold of a fold assignment at once.  The
+rows are grouped by class and stacked once per training set, each left-out
+row replaced by ``-0.0``, the exact additive identity (``s + -0.0 == s`` for
+every ``s``, signed zeros included).  Each class's run of rows is summed
+over the row axis, and so are its squared deviations with left-out rows set
+to ``0.0``: the sums ``np.mean`` and ``np.std(ddof=1)`` take.  With two or
+more features numpy adds the rows of a non-innermost axis one after
+another, so each fold's moments equal those of a fit on that fold's rows
+alone, bit for bit.  With one feature numpy sums pairwise, and the inserted
+zeros may move a fold's moments by a last bit.
 """
 
 from __future__ import annotations
@@ -15,11 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_io
-from .dataset import Dataset
+from .dataset import Dataset, FoldAssignment
 from .errors import DataError
 
 STD_FLOOR = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
+
+#: float64 elements in one block of folds' stacked training rows (folds x rows x features)
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,6 +56,72 @@ class NbModel:
         return self.means.shape[1]
 
 
+def _segment_sums(stack: np.ndarray, bounds: list[int], initial: float) -> np.ndarray:
+    """(B, S, f) sums of ``stack`` (B, n, f) over each segment of rows, in row order."""
+    sums = np.empty((stack.shape[0], len(bounds) - 1, stack.shape[2]))
+    for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.add.reduce(stack[:, lo:hi], axis=1, out=sums[:, s], initial=initial)
+    return sums
+
+
+def _segment_moments(features: np.ndarray, order: np.ndarray, keep: np.ndarray, sizes):
+    """Counts (B, S), means and floored stds (B, S, f) per row mask and segment.
+
+    The rows ``features[order]`` are cut into S consecutive segments of
+    ``sizes`` rows; entry (b, s) describes the rows of segment s that the
+    mask ``keep[b]`` (over ``features``' rows) keeps.  The std uses divisor
+    ``count - 1`` and is the floor below two rows; a segment with no kept
+    row has a NaN mean.  Run under ``np.errstate`` ignoring divide and
+    invalid.
+    """
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    keep = keep[:, order]
+    left_out = ~keep
+    stack = features[order[None].repeat(keep.shape[0], axis=0)]    # (B, n, f)
+    stack[left_out] = -0.0
+    counts = keep @ np.repeat(np.eye(len(sizes)), sizes, axis=0)   # whole numbers
+    # summed from -0.0, a lone row is its own mean, -0.0 included; adding
+    # +0.0 gives a longer run the +0.0 start that np.mean's sum has
+    sums = _segment_sums(stack, bounds, -0.0)
+    means = np.where(counts[:, :, None] == 1, sums, sums + 0.0) / counts[:, :, None]
+    np.subtract(stack, np.repeat(means, sizes, axis=1), out=stack)
+    np.square(stack, out=stack)
+    stack[left_out] = 0.0
+    stds = np.sqrt(_segment_sums(stack, bounds, 0.0) / (counts - 1)[:, :, None])
+    stds = np.maximum(stds, STD_FLOOR)
+    stds[counts < 2] = STD_FLOOR
+    return counts, means, stds
+
+
+def _fit_masked(ds: Dataset, keep: np.ndarray):
+    """Priors (B, C) and means and stds (B, C, f) fitted on each ``ds`` row mask ``keep[b]``.
+
+    The rows are grouped by class, in their order within each class, so a
+    class is one segment.  A class absent from a training set takes that
+    set's global column mean and std.  Raises ``DataError`` naming the
+    provenance when a mean or a variance in use overflows float64.
+    """
+    order = np.argsort(ds.labels, kind="stable")
+    sizes = np.bincount(ds.labels, minlength=ds.n_classes)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        counts, means, stds = _segment_moments(ds.features, order, keep, sizes)
+        absent = (counts == 0)[:, :, None]
+        if absent.any():
+            _, global_means, global_stds = _segment_moments(
+                ds.features, np.arange(ds.n_samples), keep, [ds.n_samples]
+            )
+            # + 0.0: the global mean of a lone row is np.mean's, from +0.0
+            means = np.where(absent, global_means + 0.0, means)
+            stds = np.where(absent, global_stds, stds)
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise DataError(
+            f"{ds.provenance}: the class means or variances of the features "
+            "overflow float64"
+        )
+    priors = (counts + 1.0) / (counts.sum(axis=1) + ds.n_classes)[:, None]
+    return priors, means, stds
+
+
 def fit_nb(ds: Dataset) -> NbModel:
     """Estimate priors, means, and standard deviations from a dataset.
 
@@ -53,35 +135,30 @@ def fit_nb(ds: Dataset) -> NbModel:
     """
     if ds.n_samples == 0 or ds.n_features == 0:
         raise ValueError("cannot fit on an empty dataset")
-    n_classes = ds.n_classes
-    n = ds.n_samples
-    counts = np.bincount(ds.labels, minlength=n_classes)
-
-    priors = (counts + 1.0) / (n + n_classes)
-    means = np.zeros((n_classes, ds.n_features))
-    stds = np.full((n_classes, ds.n_features), STD_FLOOR)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cls in range(n_classes):
-            rows = ds.features[ds.labels == cls]
-            if rows.shape[0] == 0:
-                means[cls] = ds.features.mean(axis=0)
-                if n >= 2:
-                    stds[cls] = np.maximum(ds.features.std(axis=0, ddof=1), STD_FLOOR)
-            elif rows.shape[0] == 1:
-                means[cls] = rows[0]
-            else:
-                means[cls] = rows.mean(axis=0)
-                stds[cls] = np.maximum(rows.std(axis=0, ddof=1), STD_FLOOR)
-    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
-        raise DataError(
-            f"{ds.provenance}: the class means or variances of the features "
-            "overflow float64"
-        )
-
+    priors, means, stds = _fit_masked(ds, np.ones((1, ds.n_samples), dtype=bool))
     return NbModel(
-        priors=priors, means=means, stds=stds, class_names=ds.class_names
+        priors=priors[0], means=means[0], stds=stds[0], class_names=ds.class_names
     )
+
+
+def cross_val_predict(ds: Dataset, folds: FoldAssignment) -> np.ndarray:
+    """Predict each row of ``ds`` with the model fitted on the rows of the other folds.
+
+    The models of a block of folds are fitted at once, the block sized so
+    its stacked training rows stay near ``_BLOCK_ELEMENTS`` floats; each
+    row is then scored against its own fold's model.
+    """
+    fold_of = folds.fold_array
+    predicted = np.empty(ds.n_samples, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // (ds.n_samples * ds.n_features))
+    for lo in range(0, folds.k, step):
+        block = np.arange(lo, min(lo + step, folds.k))
+        priors, means, stds = _fit_masked(ds, fold_of[None, :] != block[:, None])
+        rows = np.flatnonzero((fold_of >= lo) & (fold_of < lo + step))
+        model = fold_of[rows] - lo
+        scores = _log_scores(ds.features[rows], priors[model], means[model], stds[model])
+        predicted[rows] = np.argmax(scores, axis=1)
+    return predicted
 
 
 def _check_vector(model: NbModel, x) -> np.ndarray:
@@ -93,12 +170,19 @@ def _check_vector(model: NbModel, x) -> np.ndarray:
     return v
 
 
+def _log_scores(rows, priors, means, stds) -> np.ndarray:
+    """(n_rows, n_classes) log scores of ``rows`` (n, f) against one model's
+    ``priors`` (C,), ``means`` and ``stds`` (C, f), or against one model per
+    row with a leading axis of n on each."""
+    x = np.asarray(rows, dtype=np.float64)[:, None, :]      # (n, 1, f)
+    z = (x - means) / stds
+    log_density = -0.5 * (z * z) - np.log(stds) - 0.5 * _LOG_2PI
+    return np.log(priors) + log_density.sum(axis=2)
+
+
 def log_posterior_matrix(model: NbModel, rows: np.ndarray) -> np.ndarray:
     """(n_rows, n_classes) unnormalised log scores, vectorised."""
-    x = np.asarray(rows, dtype=np.float64)[:, None, :]      # (n, 1, f)
-    z = (x - model.means[None, :, :]) / model.stds[None, :, :]
-    log_density = -0.5 * (z * z) - np.log(model.stds)[None, :, :] - 0.5 * _LOG_2PI
-    return np.log(model.priors)[None, :] + log_density.sum(axis=2)
+    return _log_scores(rows, model.priors, model.means, model.stds)
 
 
 def log_posterior(model: NbModel, x) -> np.ndarray:

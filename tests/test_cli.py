@@ -223,6 +223,15 @@ _FOLDS_ONLY = (
             )
             for command in ("train", "evaluate")
         ),
+        *(
+            pytest.param(
+                command, "tiny.csv", b"x,class\n0.0,a\n1.0,a\n2.0,a\n3.0,b\n",
+                "eval.k = 2\nsmote.order = a\nsmote.per_class_target = 3\n", 3,
+                ["error[data]", "{data}: class b has 1 sample(s); need at least 2"],
+                id=f"singleton-class-in-file-{command}",
+            )
+            for command in ("evaluate", "experiment")
+        ),
         pytest.param(
             "experiment", "six.csv", _SIX_ROWS,
             _FOLDS_ONLY + "smote.order = a,b\nsmote.per_class_target = 3\n", 3,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcasmote.dataset import (
     Dataset,
@@ -248,6 +250,61 @@ class TestStratifiedFolds:
         ds = make_dataset([[float(i)] for i in range(8)], [0, 0, 1, 1, 1, 1, 1, 1])
         fa = stratified_folds(ds, 4, seed=0)
         assert isinstance(fa, FoldAssignment)
+
+
+@st.composite
+def fold_cases(draw):
+    """(dataset with every class present, k in 2..n, seed)."""
+    n_classes = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 15), min_size=n_classes, max_size=n_classes))
+    labels = [cls for cls, size in enumerate(sizes) for _ in range(size)]
+    labels = draw(st.permutations(labels))
+    n = len(labels)
+    if n < 2:
+        labels, n = labels * 2, 2
+    k = draw(st.integers(2, n))
+    seed = draw(st.integers(-(2**64), 2**65))
+    return make_dataset(np.zeros((n, 1)), labels, n_classes), k, seed
+
+
+class TestStratifiedFoldsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=fold_cases())
+    def test_every_row_in_exactly_one_fold(self, case):
+        ds, k, seed = case
+        fa = stratified_folds(ds, k, seed)
+        assert fa.k == k
+        assert len(fa.fold_of_sample) == ds.n_samples
+        assert all(0 <= f < k for f in fa.fold_of_sample)
+        assert fa.fold_array.tolist() == list(fa.fold_of_sample)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fold_cases())
+    def test_per_class_fold_counts_differ_by_at_most_one(self, case):
+        ds, k, seed = case
+        fa = stratified_folds(ds, k, seed)
+        for cls in range(ds.n_classes):
+            per_fold = np.bincount(fa.fold_array[ds.labels == cls], minlength=k)
+            assert per_fold.max() - per_fold.min() <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=fold_cases())
+    def test_same_seed_same_assignment(self, case):
+        ds, k, seed = case
+        assert stratified_folds(ds, k, seed) == stratified_folds(ds, k, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fold_cases())
+    def test_test_and_train_indices_partition_the_rows(self, case):
+        ds, k, seed = case
+        fa = stratified_folds(ds, k, seed)
+        for fold in range(k):
+            test, train = fa.test_indices(fold), fa.train_indices(fold)
+            assert test.dtype == np.int64 and train.dtype == np.int64
+            assert (np.diff(test) > 0).all() and (np.diff(train) > 0).all()
+            assert sorted(test.tolist() + train.tolist()) == list(range(ds.n_samples))
+            assert [fa.fold_of_sample[i] for i in test] == [fold] * test.size
+            assert fold not in [fa.fold_of_sample[i] for i in train]
 
 
 class TestDatasetType:

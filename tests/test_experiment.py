@@ -263,6 +263,49 @@ class TestTrainFoldsOnlyScope:
         run_experiment(cfg)
         assert checked == [(s, f) for s in range(2) for f in range(10)]
 
+    @pytest.mark.parametrize(
+        "fit_within_fold, table",
+        [
+            pytest.param(
+                False,
+                [
+                    ("Initial", 56, 0.6375, 0.2267, 0.6931, 0.6375, 12),
+                    ("PCA", 18, 0.4906, 0.2943, 0.5172, 0.4906, 16),
+                    ("SMOTE1", 18, 0.5031, 0.2986, 0.5916, 0.5031, 16),
+                    ("SMOTE2", 18, 0.5406, 0.2904, 0.6309, 0.5406, 15),
+                    ("SMOTE3", 18, 0.5281, 0.2889, 0.5842, 0.5281, 15),
+                ],
+                id="global-pca",
+            ),
+            pytest.param(
+                True,
+                [
+                    ("Initial", 56, 0.6375, 0.2267, 0.6931, 0.6375, 12),
+                    ("PCA", 17, 0.5984, 0.2262, 0.6188, 0.5984, 13),
+                    ("SMOTE1", 17, 0.5578, 0.2369, 0.5645, 0.5578, 14),
+                    ("SMOTE2", 17, 0.5453, 0.2411, 0.5474, 0.5453, 15),
+                    ("SMOTE3", 17, 0.5578, 0.2487, 0.5676, 0.5578, 14),
+                ],
+                id="fit-within-fold",
+            ),
+        ],
+    )
+    def test_twenty_seed_table_is_pinned(self, data_file, fit_within_fold, table):
+        """The leak-free five-method tables of the default config, 20 seeds."""
+        cfg = default_config(data_file, resample_scope="train-folds-only")
+        cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
+        report = run_experiment(cfg)
+        got = []
+        for step in report.steps:
+            m = step.summary.mean
+            rates = (m.accuracy, m.fp_rate, m.precision, m.recall)
+            got.append(
+                (step.method_name, step.n_features)
+                + tuple(round(v, 4) for v in rates)
+                + (m.misclassified,)
+            )
+        assert got == table
+
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run
         # 2 global fits (both modes) + one per fold; one chain per fold

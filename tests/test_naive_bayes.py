@@ -1,14 +1,19 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pcasmote.dataset import Dataset
+from pcasmote import naive_bayes
+from pcasmote.dataset import Dataset, FoldAssignment
 from pcasmote.errors import DataError
 from pcasmote.naive_bayes import (
     NbModel,
     STD_FLOOR,
+    cross_val_predict,
     fit_nb,
     load_nb,
     log_posterior,
@@ -55,6 +60,13 @@ class TestFit:
         model = fit_nb(ds)
         assert model.stds[1, 0] == STD_FLOOR
         assert model.means[1, 0] == 7.0
+
+    def test_signed_zero_means(self):
+        # a lone row is its own mean; a longer run's mean is np.mean's, summed from +0.0
+        ds = make_dataset([[-0.0], [-0.0], [-0.0]], [0, 0, 1])
+        model = fit_nb(ds)
+        assert np.signbit(model.means[:, 0]).tolist() == [False, True]
+        assert np.signbit(np.mean(ds.features[:2], axis=0)).tolist() == [False]
 
     def test_moments_match_two_pass_oracle(self):
         rng = np.random.default_rng(8)
@@ -263,3 +275,99 @@ class TestSerialization:
         assert np.array_equal(
             predict_matrix(model, lung.features), predict_matrix(back, lung.features)
         )
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def check_fold_batch(ds: Dataset, folds: FoldAssignment, block: int) -> None:
+    """The fold-batched fit and predictions against one ``fit_nb`` per fold.
+
+    Priors always match bit for bit, means and stds when there are at least
+    two features; predictions always match ``predict_matrix``.  ``block``
+    replaces the fold block bound, so several blocks and a partial last one
+    are exercised.
+    """
+    keep = folds.fold_array[None, :] != np.arange(folds.k)[:, None]
+    priors, means, stds = naive_bayes._fit_masked(ds, keep)
+    expected = np.full(ds.n_samples, -1)
+    for fold in range(folds.k):
+        model = fit_nb(ds.subset(folds.train_indices(fold)))
+        assert _bits(priors[fold]) == _bits(model.priors)
+        if ds.n_features >= 2:
+            assert _bits(means[fold]) == _bits(model.means)
+            assert _bits(stds[fold]) == _bits(model.stds)
+        test_idx = folds.test_indices(fold)
+        expected[test_idx] = predict_matrix(model, ds.features[test_idx])
+    with mock.patch.object(naive_bayes, "_BLOCK_ELEMENTS", block):
+        predicted = cross_val_predict(ds, folds)
+    assert predicted.dtype == np.int64
+    assert predicted.tolist() == expected.tolist()
+
+
+@st.composite
+def fold_problems(draw):
+    """A dataset with duplicate rows, a fold assignment and a block bound."""
+    n = draw(st.integers(4, 60))
+    f = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 4))
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.just(-0.0),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    distinct = draw(st.lists(st.lists(value, min_size=f, max_size=f), min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    k = draw(st.integers(2, n))
+    fold_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    assume(len(set(fold_of)) >= 2)  # every training set keeps a row
+    block = draw(st.integers(1, 2 * n * f))
+    ds = make_dataset(rows, labels, n_classes)
+    return ds, FoldAssignment(fold_of_sample=tuple(fold_of), k=k), block
+
+
+class TestCrossValPredict:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=fold_problems())
+    def test_matches_one_fit_per_fold(self, problem):
+        check_fold_batch(*problem)
+
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_class_absent_from_a_training_fold(self, f):
+        # class 2's rows all sit in fold 0, so fold 0's model takes the global moments
+        rng = np.random.default_rng(21)
+        labels = [0, 1, 2, 0, 1, 2, 0, 1, 0, 1]
+        fold_of = (0, 1, 0, 0, 1, 0, 1, 2, 2, 2)
+        ds = make_dataset(rng.normal(size=(10, f)), labels, 3)
+        assert 2 not in ds.labels[np.array(fold_of) != 0]
+        check_fold_batch(ds, FoldAssignment(fold_of, 3), block=1 << 16)
+
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_singleton_class_in_a_training_fold(self, f):
+        rng = np.random.default_rng(22)
+        labels = [0, 0, 0, 0, 1, 1, 0, 0]
+        fold_of = (0, 1, 0, 1, 0, 1, 0, 1)
+        ds = make_dataset(rng.normal(size=(8, f)), labels)
+        # class 1 has one row in each training fold
+        assert ds.labels[np.array(fold_of) != 0].tolist().count(1) == 1
+        check_fold_batch(ds, FoldAssignment(fold_of, 2), block=f)
+        _, means, stds = naive_bayes._fit_masked(ds, np.array([fold_of]) != 0)
+        assert _bits(means[0, 1]) == _bits(ds.features[5])
+        assert stds[0, 1].tolist() == [STD_FLOOR] * f
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_leave_one_out(self, block):
+        rng = np.random.default_rng(23)
+        n = 24
+        ds = make_dataset(np.round(rng.normal(size=(n, 4)), 1), rng.integers(0, 3, n), 3)
+        order = rng.permutation(n)
+        check_fold_batch(ds, FoldAssignment(tuple(order.tolist()), n), block)
+
+    def test_overflow_is_a_data_error(self):
+        column = np.array([1e200, 2e200, 3e200, 4e201, 5e200, 6e201])[:, None]
+        ds = replace(make_dataset(column, [0, 1, 0, 1, 0, 1]), provenance="huge.csv")
+        folds = FoldAssignment((0, 0, 1, 1, 2, 2), 3)
+        with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
+            cross_val_predict(ds, folds)
