@@ -177,6 +177,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("eval.seeds must be nonnegative")
     if cfg.eval.resample_scope not in RESAMPLE_SCOPES:
         raise ConfigError(f"eval.resample_scope must be one of {RESAMPLE_SCOPES}")
+    if (
+        cfg.eval.protocol == "leave-one-out"
+        and cfg.eval.resample_scope == "whole-dataset"
+        and len(cfg.eval.seeds) > 1
+    ):
+        raise ConfigError(
+            f"eval.seeds lists {len(cfg.eval.seeds)} seeds, but leave-one-out under "
+            "eval.resample_scope = whole-dataset gives every seed the same result; "
+            "give one seed"
+        )
     if cfg.pca.fit_within_fold and cfg.eval.resample_scope != "train-folds-only":
         raise ConfigError(
             "pca.fit_within_fold requires eval.resample_scope = train-folds-only"

@@ -8,7 +8,7 @@ backing arrays are marked read-only and every operation returns a new value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -75,13 +75,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
-            class_names=self.class_names,
-            feature_names=self.feature_names,
-            provenance=self.provenance,
-        )
+        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
     def equals(self, other: "Dataset") -> bool:
         """Bitwise feature equality plus identical labels and names."""
@@ -237,7 +231,7 @@ def load_dataset(path) -> Dataset:
 IMPUTE_STRATEGIES = ("mode", "mean")
 
 
-def impute_missing(ds: Dataset, strategy: str = "mode") -> Dataset:
+def impute_missing(ds: Dataset, strategy: str) -> Dataset:
     """Fill NaN cells per feature; non-missing cells are left untouched.
 
     ``mode`` uses the most frequent non-missing value, ties broken toward
@@ -267,13 +261,7 @@ def impute_missing(ds: Dataset, strategy: str = "mode") -> Dataset:
         else:
             fill = float(observed.mean())
         column[missing] = fill
-    return Dataset(
-        features=feats,
-        labels=ds.labels.copy(),
-        class_names=ds.class_names,
-        feature_names=ds.feature_names,
-        provenance=ds.provenance,
-    )
+    return replace(ds, features=feats)
 
 
 def class_counts(ds: Dataset) -> list[int]:
@@ -324,21 +312,15 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
             raise ValueError(f"class {name} has no samples")
 
     rng = Rng(seed)
-    loads = [0] * k
-    fold_of_sample = [-1] * ds.n_samples
+    loads = np.zeros(k, dtype=np.int64)
+    fold_of_sample = np.empty(ds.n_samples, dtype=np.int64)
     for cls in range(ds.n_classes):
-        members = [i for i in range(ds.n_samples) if ds.labels[i] == cls]
+        members = np.flatnonzero(ds.labels == cls).tolist()
         rng.shuffle(members)
         base, extra = divmod(len(members), k)
-        quota = [base] * k
-        # round-robin the remainder onto the lightest folds
-        order = sorted(range(k), key=lambda f: (loads[f], f))
-        for f in order[:extra]:
-            quota[f] += 1
-        pos = 0
-        for f in range(k):
-            for _ in range(quota[f]):
-                fold_of_sample[members[pos]] = f
-                pos += 1
-            loads[f] += quota[f]
-    return FoldAssignment(fold_of_sample=tuple(fold_of_sample), k=k)
+        quota = np.full(k, base)
+        # the remainder goes onto the lightest folds, ties to the lowest index
+        quota[np.argsort(loads, kind="stable")[:extra]] += 1
+        fold_of_sample[members] = np.repeat(np.arange(k), quota)
+        loads += quota
+    return FoldAssignment(fold_of_sample=tuple(fold_of_sample.tolist()), k=k)

@@ -8,8 +8,9 @@ held-out prediction per row and method, and pools each method's predictions
 into one confusion matrix; the reported row is the mean over seeds with
 min/max and medians retained.  A fixed dataset is scored once per seed with
 every fold's model fitted at once (``naive_bayes.cross_val_predict``); under
-``train-folds-only`` the scorer loops over the folds, since each fold
-builds its own training sets.
+``train-folds-only`` one function scores a seed fold by fold, since each
+fold builds its own training sets.  Leave-one-out gives every seed the same
+folds, so under ``whole-dataset`` a config may give it only one seed.
 
 ``resample_scope`` controls where oversampling happens: ``whole-dataset``
 resamples once up front (synthetic neighbours of test points may then appear
@@ -28,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -175,11 +177,7 @@ def _cross_validate(
 
 
 def evaluate_dataset(
-    ds: Dataset,
-    protocol: str = "k-fold",
-    k: int = 10,
-    seeds=(1,),
-    method_name: str = "",
+    ds: Dataset, protocol: str, k: int, seeds, method_name: str = ""
 ) -> EvalSummary:
     """Seeded cross-validation of naive Bayes on one fixed dataset; every
     fold of a seed is fitted and scored at once."""
@@ -190,62 +188,42 @@ def evaluate_dataset(
     return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
 
 
-def _per_fold_scorer(base: Dataset, n_methods: int, fold_views):
-    """Scorer that fits naive Bayes on each view of each fold in turn.
-
-    ``fold_views(train_idx, test_idx, seed_pos, fold)`` yields one
-    (training set, test feature matrix) pair per method, built from that
-    fold's split of ``base``; a method's feature count is its last fold's.
-    """
-
-    def scorer(assignment, seed_pos: int):
-        predicted = np.empty((n_methods, base.n_samples), dtype=np.int64)
-        n_features = [base.n_features] * n_methods
-        for fold in range(assignment.k):
-            test_idx = assignment.test_indices(fold)
-            if test_idx.size == 0:
-                continue
-            train_idx = assignment.train_indices(fold)
-            views = fold_views(train_idx, test_idx, seed_pos, fold)
-            for m, (train, test_x) in enumerate(views):
-                predicted[m, test_idx] = predict_matrix(fit_nb(train), test_x)
-                n_features[m] = test_x.shape[1]
-        return list(zip(predicted, n_features))
-
-    return scorer
-
-
-def _leak_free_views(
+def _leak_free_predictions(
     base: Dataset,
     cfg: ExperimentConfig,
     pca_model: PcaModel | None,
     order_idx: list[int],
+    assignment,
+    seed_pos: int,
 ):
-    """Per-fold views for ``train-folds-only``: Initial, PCA, then each SMOTE stage.
+    """Scorer for ``train-folds-only``: per fold, Initial, PCA, then each SMOTE stage.
 
-    The fold's reducer is ``pca_model``, or refitted on the training fold
-    when it is None; the SMOTE chain runs once over the full order and stage
-    i is SMOTE(i+1).  The training fold's provenance names the fold (counted
-    from 1) and the seed, so an error raised on it says that its counts are
-    the fold's, not the file's.  Views are built lazily; the reduced training
-    fold is dropped once the chain is built and each stage once it is
-    yielded, which keeps the per-fold memory peak low.
+    Every method is trained on the fold's training rows and scored on its
+    original test rows.  The fold's reducer is ``pca_model``, or a refit on
+    the training fold when it is None; the SMOTE chain runs once over the
+    full order and stage i is SMOTE(i+1).  The training fold's provenance
+    names the fold (counted from 1) and the seed, so an error raised on it
+    says that its counts are the fold's, not the file's.  A method's feature
+    count is its last fold's.
     """
-
-    def views(train_idx, test_idx, seed_pos: int, fold: int):
+    predicted = np.empty((2 + len(order_idx), base.n_samples), dtype=np.int64)
+    width = base.n_features
+    for fold in range(assignment.k):
+        test_idx = assignment.test_indices(fold)
+        if test_idx.size == 0:
+            continue
         train = replace(
-            base.subset(train_idx),
+            base.subset(assignment.train_indices(fold)),
             provenance=f"{base.provenance}, training fold {fold + 1} "
             f"of seed {cfg.eval.seeds[seed_pos]}",
         )
         test = base.subset(test_idx)
-        yield train, test.features
-        model = pca_model
-        if model is None:
-            model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
+        predicted[0, test_idx] = predict_matrix(fit_nb(train), test.features)
+        model = pca_model or fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
         train = transform(model, train)
         test_x = transform(model, test).features
-        yield train, test_x
+        width = test_x.shape[1]
+        predicted[1, test_idx] = predict_matrix(fit_nb(train), test_x)
         stages = balance_sequence(
             train,
             order_idx,
@@ -253,11 +231,10 @@ def _leak_free_views(
             k=cfg.smote.k,
             seed=derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold),
         )
-        del train
-        while stages:
-            yield stages.pop(0), test_x
-
-    return views
+        del train  # each stage is dropped once scored, to keep the memory peak low
+        for m in range(2, len(predicted)):
+            predicted[m, test_idx] = predict_matrix(fit_nb(stages.pop(0)), test_x)
+    return [(predicted[0], base.n_features)] + [(p, width) for p in predicted[1:]]
 
 
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
@@ -305,8 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ]
     elif ev.resample_scope == "train-folds-only":
         fold_pca = None if cfg.pca.fit_within_fold else pca_model
-        views = _leak_free_views(imputed, cfg, fold_pca, order_idx)
-        scorer = _per_fold_scorer(imputed, len(names), views)
+        scorer = partial(_leak_free_predictions, imputed, cfg, fold_pca, order_idx)
         summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names, scorer)
         scored = [(imputed, summary) for summary in summaries]
     else:

@@ -13,11 +13,10 @@ rows are grouped by class and stacked once per training set, each left-out
 row replaced by ``-0.0``, the exact additive identity (``s + -0.0 == s`` for
 every ``s``, signed zeros included).  Each class's run of rows is summed
 over the row axis, and so are its squared deviations with left-out rows set
-to ``0.0``: the sums ``np.mean`` and ``np.std(ddof=1)`` take.  With two or
-more features numpy adds the rows of a non-innermost axis one after
+to ``0.0``.  numpy adds the rows of a non-innermost axis one after
 another, so each fold's moments equal those of a fit on that fold's rows
-alone, bit for bit.  With one feature numpy sums pairwise, and the inserted
-zeros may move a fold's moments by a last bit.
+alone, bit for bit.  A lone feature column would be summed pairwise, where
+the inserted zeros regroup the sum, so it is summed beside a copy of itself.
 """
 
 from __future__ import annotations
@@ -74,6 +73,9 @@ def _segment_moments(features: np.ndarray, order: np.ndarray, keep: np.ndarray, 
     row has a NaN mean.  Run under ``np.errstate`` ignoring divide and
     invalid.
     """
+    n_features = features.shape[1]
+    if n_features == 1:
+        features = features[:, [0, 0]]   # two columns: summed row after row
     bounds = [0, *np.cumsum(sizes).tolist()]
     keep = keep[:, order]
     left_out = ~keep
@@ -90,7 +92,7 @@ def _segment_moments(features: np.ndarray, order: np.ndarray, keep: np.ndarray, 
     stds = np.sqrt(_segment_sums(stack, bounds, 0.0) / (counts - 1)[:, :, None])
     stds = np.maximum(stds, STD_FLOOR)
     stds[counts < 2] = STD_FLOOR
-    return counts, means, stds
+    return counts, means[:, :, :n_features], stds[:, :, :n_features]
 
 
 def _fit_masked(ds: Dataset, keep: np.ndarray):

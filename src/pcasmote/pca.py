@@ -8,7 +8,7 @@ projects rows through ``(x - mean) / scale @ components``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> int:
     return int(reached[0]) + 1
 
 
-def fit_pca(ds: Dataset, threshold: float = 0.90, mode: str = "correlation") -> PcaModel:
+def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
     """Fit the reducer on a complete dataset.
 
     Args:
@@ -127,13 +127,10 @@ def transform(model: PcaModel, ds: Dataset) -> Dataset:
             f"dataset has {ds.n_features} features, model expects {model.n_features}"
         )
     z = (ds.features - model.mean) / model.scale
-    projected = z @ model.components
-    return Dataset(
-        features=projected,
-        labels=ds.labels.copy(),
-        class_names=ds.class_names,
+    return replace(
+        ds,
+        features=z @ model.components,
         feature_names=tuple(f"PC{i}" for i in range(1, model.retained + 1)),
-        provenance=ds.provenance,
     )
 
 

@@ -16,7 +16,7 @@ temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class SmoteConfig:
 
     target_class: int
     target_count: int
-    k: int = 5
-    seed: int = 0
+    k: int
+    seed: int
 
     def __post_init__(self):
         if self.k < 1:
@@ -139,21 +139,11 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
     labels = np.concatenate(
         [ds.labels, np.full(needed, cfg.target_class, dtype=np.int64)]
     )
-    return Dataset(
-        features=features,
-        labels=labels,
-        class_names=ds.class_names,
-        feature_names=ds.feature_names,
-        provenance=ds.provenance,
-    )
+    return replace(ds, features=features, labels=labels)
 
 
 def balance_sequence(
-    ds: Dataset,
-    order: list[int],
-    per_class_target: int,
-    k: int = 5,
-    seed: int = 0,
+    ds: Dataset, order: list[int], per_class_target: int, k: int, seed: int
 ) -> list[Dataset]:
     """Run one oversampling pass per class in ``order``, chaining outputs.
 

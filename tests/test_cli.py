@@ -106,6 +106,18 @@ class TestValidation:
         assert "'5..1'" in err
         assert "runs backwards" in err
 
+    def test_leave_one_out_whole_dataset_takes_one_seed(self, tmp_path, data_file, capsys):
+        cfg = write_config(tmp_path, data_file, "eval.protocol = leave-one-out\n")
+        code = main(["inspect", "--config", str(cfg), "--set", "eval.seeds=1..3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[usage]" in err
+        assert "eval.seeds lists 3 seeds" in err
+        # one seed, or seeds that drive per-fold SMOTE, stay valid
+        for extra in ("eval.seeds=4", "eval.resample_scope=train-folds-only"):
+            argv = ["--config", str(cfg), "--set", "eval.seeds=1..3", "--set", extra]
+            assert main(["inspect"] + argv) == 0
+
     def test_infinite_cell_is_data_error(self, tmp_path, data_file, capsys):
         csv = tmp_path / "lung.csv"
         write_dataset_csv(load_uci_lung_cancer(data_file), csv)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from pcasmote.dataset import (
     write_dataset_csv,
 )
 from pcasmote.errors import DataError, ImputationError
+from pcasmote.rng import Rng
 
 
 def make_dataset(features, labels, n_classes=None):
@@ -31,6 +34,15 @@ def make_dataset(features, labels, n_classes=None):
 
 
 class TestLoader:
+    def test_generator_reproduces_the_bundled_file(self, tmp_path, data_file):
+        script = data_file.parent.parent / "tools" / "generate_standin_dataset.py"
+        out = tmp_path / "lung-cancer.data"
+        subprocess.run(
+            [sys.executable, str(script), str(out)],
+            capture_output=True, check=True, timeout=120,
+        )
+        assert out.read_bytes() == data_file.read_bytes()
+
     def test_bundled_file_shape_and_counts(self, lung_raw):
         assert lung_raw.n_samples == 32
         assert lung_raw.n_features == 56
@@ -267,7 +279,42 @@ def fold_cases(draw):
     return make_dataset(np.zeros((n, 1)), labels, n_classes), k, seed
 
 
+def dealt_one_by_one(ds: Dataset, k: int, seed: int) -> tuple[int, ...]:
+    """Reference for ``stratified_folds``: the same dealing, one sample at a
+    time in plain Python (the package's implementation before numpy)."""
+    rng = Rng(seed)
+    loads = [0] * k
+    fold_of_sample = [-1] * ds.n_samples
+    for cls in range(ds.n_classes):
+        members = [i for i in range(ds.n_samples) if ds.labels[i] == cls]
+        rng.shuffle(members)
+        base, extra = divmod(len(members), k)
+        quota = [base] * k
+        for f in sorted(range(k), key=lambda f: (loads[f], f))[:extra]:
+            quota[f] += 1
+        pos = 0
+        for f in range(k):
+            for _ in range(quota[f]):
+                fold_of_sample[members[pos]] = f
+                pos += 1
+            loads[f] += quota[f]
+    return tuple(fold_of_sample)
+
+
 class TestStratifiedFoldsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=fold_cases())
+    def test_matches_dealing_one_sample_at_a_time(self, case):
+        ds, k, seed = case
+        assert stratified_folds(ds, k, seed).fold_of_sample == dealt_one_by_one(ds, k, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fold_cases())
+    def test_fold_sizes_differ_by_at_most_one(self, case):
+        ds, k, seed = case
+        sizes = np.bincount(stratified_folds(ds, k, seed).fold_array, minlength=k)
+        assert sizes.max() - sizes.min() <= 1
+
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_every_row_in_exactly_one_fold(self, case):

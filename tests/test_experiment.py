@@ -233,35 +233,48 @@ class TestTrainFoldsOnlyScope:
 
     @pytest.mark.parametrize("fit_within_fold", [False, True])
     def test_test_folds_hold_only_original_rows(
-        self, data_file, monkeypatch, fit_within_fold
+        self, data_file, lung, monkeypatch, fit_within_fold
     ):
+        """Every matrix scored in a fold is exactly that fold's original test
+        rows: raw for Initial, then reduced by the global model or the fold's
+        refit for PCA and each SMOTE stage."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
-        checked = []
-        leak_free_views = experiment._leak_free_views
+        assignments, scored = [], []
+        stratified_folds = experiment.stratified_folds
+        predict_matrix = experiment.predict_matrix
 
-        def checking_views(base, cfg, pca_model, order_idx):
-            views = leak_free_views(base, cfg, pca_model, order_idx)
+        def recording_folds(*args):
+            assignments.append(stratified_folds(*args))
+            return assignments[-1]
 
-            def checked_views(train_idx, test_idx, seed_pos, fold):
-                got = list(views(train_idx, test_idx, seed_pos, fold))
-                model = pca_model or fit_pca(
-                    base.subset(train_idx), cfg.pca.threshold, cfg.pca.mode
-                )
-                reduced = transform(model, base.subset(test_idx)).features
-                expected = [base.features[test_idx]] + [reduced] * (1 + len(order_idx))
-                assert len(got) == len(expected)
-                for (_, test_x), want in zip(got, expected):
-                    assert test_x.shape[0] == len(test_idx)
-                    assert np.array_equal(test_x, want)
-                checked.append((seed_pos, fold))
-                return got
+        def recording_predict(model, rows):
+            scored.append(rows)
+            return predict_matrix(model, rows)
 
-            return checked_views
-
-        monkeypatch.setattr(experiment, "_leak_free_views", checking_views)
+        monkeypatch.setattr(experiment, "stratified_folds", recording_folds)
+        monkeypatch.setattr(experiment, "predict_matrix", recording_predict)
         run_experiment(cfg)
-        assert checked == [(s, f) for s in range(2) for f in range(10)]
+
+        global_model = fit_pca(lung, cfg.pca.threshold, cfg.pca.mode)
+        per_fold = 2 + len(cfg.smote.order)
+        visited = []
+        for seed_pos, fa in enumerate(assignments):
+            for fold in range(fa.k):
+                test_idx = fa.test_indices(fold)
+                model = global_model
+                if fit_within_fold:
+                    train = lung.subset(fa.train_indices(fold))
+                    model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
+                reduced = transform(model, lung.subset(test_idx)).features
+                expected = [lung.features[test_idx]] + [reduced] * (per_fold - 1)
+                got = scored[len(visited) * per_fold :][:per_fold]
+                assert len(got) == per_fold
+                for test_x, want in zip(got, expected):
+                    assert np.array_equal(test_x, want)
+                visited.append((seed_pos, fold))
+        assert len(scored) == len(visited) * per_fold
+        assert visited == [(s, f) for s in range(2) for f in range(10)]
 
     @pytest.mark.parametrize(
         "fit_within_fold, table",

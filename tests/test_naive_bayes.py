@@ -284,8 +284,8 @@ def _bits(a) -> bytes:
 def check_fold_batch(ds: Dataset, folds: FoldAssignment, block: int) -> None:
     """The fold-batched fit and predictions against one ``fit_nb`` per fold.
 
-    Priors always match bit for bit, means and stds when there are at least
-    two features; predictions always match ``predict_matrix``.  ``block``
+    Priors, means and stds match bit for bit, whatever the feature count;
+    predictions always match ``predict_matrix``.  ``block``
     replaces the fold block bound, so several blocks and a partial last one
     are exercised.
     """
@@ -295,9 +295,8 @@ def check_fold_batch(ds: Dataset, folds: FoldAssignment, block: int) -> None:
     for fold in range(folds.k):
         model = fit_nb(ds.subset(folds.train_indices(fold)))
         assert _bits(priors[fold]) == _bits(model.priors)
-        if ds.n_features >= 2:
-            assert _bits(means[fold]) == _bits(model.means)
-            assert _bits(stds[fold]) == _bits(model.stds)
+        assert _bits(means[fold]) == _bits(model.means)
+        assert _bits(stds[fold]) == _bits(model.stds)
         test_idx = folds.test_indices(fold)
         expected[test_idx] = predict_matrix(model, ds.features[test_idx])
     with mock.patch.object(naive_bayes, "_BLOCK_ELEMENTS", block):
@@ -356,6 +355,14 @@ class TestCrossValPredict:
         _, means, stds = naive_bayes._fit_masked(ds, np.array([fold_of]) != 0)
         assert _bits(means[0, 1]) == _bits(ds.features[5])
         assert stds[0, 1].tolist() == [STD_FLOOR] * f
+
+    def test_one_feature_exact_tie(self):
+        # fold 0 trains both classes on eight 0.0 rows and one 1.0, so their
+        # scores tie and a last-bit difference in a std flips the prediction
+        column = [[0.0]] * 25 + [[1.0]] * 2
+        labels = [0] * 15 + [1] * 10 + [0, 1]
+        fold_of = (0,) * 7 + (1,) * 8 + (0, 0) + (1,) * 10
+        check_fold_batch(make_dataset(column, labels), FoldAssignment(fold_of, 2), block=1)
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_leave_one_out(self, block):
