@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -269,29 +268,9 @@ def class_counts(ds: Dataset) -> list[int]:
     return np.bincount(ds.labels, minlength=ds.n_classes).tolist()
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Maps each sample to one of ``k`` folds."""
-
-    fold_of_sample: tuple[int, ...]
-    k: int
-
-    @cached_property
-    def fold_array(self) -> np.ndarray:
-        """``fold_of_sample`` as a read-only int64 array."""
-        folds = np.array(self.fold_of_sample, dtype=np.int64)
-        folds.flags.writeable = False
-        return folds
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_array == fold).astype(np.int64, copy=False)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_array != fold).astype(np.int64, copy=False)
-
-
-def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
-    """Deterministic, stratified k-fold assignment.
+def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
+    """Deterministic, stratified k-fold assignment: a read-only int64 array
+    whose entry i is row i's fold, in 0..k-1.
 
     Per class, samples are shuffled with the seeded generator and dealt so
     per-class fold counts differ by at most one; leftover samples go to the
@@ -313,7 +292,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
 
     rng = Rng(seed)
     loads = np.zeros(k, dtype=np.int64)
-    fold_of_sample = np.empty(ds.n_samples, dtype=np.int64)
+    fold_of = np.empty(ds.n_samples, dtype=np.int64)
     for cls in range(ds.n_classes):
         members = np.flatnonzero(ds.labels == cls).tolist()
         rng.shuffle(members)
@@ -321,6 +300,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
         quota = np.full(k, base)
         # the remainder goes onto the lightest folds, ties to the lowest index
         quota[np.argsort(loads, kind="stable")[:extra]] += 1
-        fold_of_sample[members] = np.repeat(np.arange(k), quota)
+        fold_of[members] = np.repeat(np.arange(k), quota)
         loads += quota
-    return FoldAssignment(fold_of_sample=tuple(fold_of_sample.tolist()), k=k)
+    fold_of.flags.writeable = False
+    return fold_of

@@ -148,7 +148,7 @@ def _cross_validate(
 ) -> list[EvalSummary]:
     """The one seeded cross-validation loop: every method scored per seed.
 
-    ``scorer(assignment, seed_pos)`` returns, per name in ``names``, one
+    ``scorer(fold_of, seed_pos)`` returns, per name in ``names``, one
     held-out prediction per row of ``base`` and the feature count the method
     was scored with; each method's predictions are pooled into one confusion
     matrix per seed.  A method's reported ``n_features`` is its last seed's.
@@ -165,8 +165,8 @@ def _cross_validate(
     rows: list[list] = [[] for _ in names]
     n_features = [base.n_features] * len(names)
     for seed_pos, seed in enumerate(seeds):
-        assignment = stratified_folds(base, n_folds, seed)
-        for m, (predicted, width) in enumerate(scorer(assignment, seed_pos)):
+        fold_of = stratified_folds(base, n_folds, seed)
+        for m, (predicted, width) in enumerate(scorer(fold_of, seed_pos)):
             n_features[m] = width
             cm = confusion_matrix(base.labels, predicted, base.n_classes, base.class_names)
             rows[m].append((seed, metric_row(cm, names[m], width)))
@@ -182,8 +182,8 @@ def evaluate_dataset(
     """Seeded cross-validation of naive Bayes on one fixed dataset; every
     fold of a seed is fitted and scored at once."""
 
-    def scorer(assignment, seed_pos: int):
-        return [(cross_val_predict(ds, assignment), ds.n_features)]
+    def scorer(fold_of, seed_pos: int):
+        return [(cross_val_predict(ds, fold_of), ds.n_features)]
 
     return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
 
@@ -193,7 +193,7 @@ def _leak_free_predictions(
     cfg: ExperimentConfig,
     pca_model: PcaModel | None,
     order_idx: list[int],
-    assignment,
+    fold_of: np.ndarray,
     seed_pos: int,
 ):
     """Scorer for ``train-folds-only``: per fold, Initial, PCA, then each SMOTE stage.
@@ -208,12 +208,10 @@ def _leak_free_predictions(
     """
     predicted = np.empty((2 + len(order_idx), base.n_samples), dtype=np.int64)
     width = base.n_features
-    for fold in range(assignment.k):
-        test_idx = assignment.test_indices(fold)
-        if test_idx.size == 0:
-            continue
+    for fold in range(int(fold_of.max()) + 1):
+        test_idx = np.flatnonzero(fold_of == fold)
         train = replace(
-            base.subset(assignment.train_indices(fold)),
+            base.subset(np.flatnonzero(fold_of != fold)),
             provenance=f"{base.provenance}, training fold {fold + 1} "
             f"of seed {cfg.eval.seeds[seed_pos]}",
         )

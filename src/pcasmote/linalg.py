@@ -114,12 +114,10 @@ def symmetric_eigen(a) -> EigenDecomposition:
 def _finish(values: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vecs = vecs[:, order].copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        lead = int(np.argmax(np.abs(col)))  # lowest index wins ties
-        if col[lead] < 0.0:
-            vecs[:, j] = -col
+    vecs = vecs[:, order]
+    # each column's entry of largest magnitude, lowest index on ties
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = np.where(lead < 0.0, -vecs, vecs)
     values.flags.writeable = False
     vecs.flags.writeable = False
     return EigenDecomposition(eigenvalues=values, eigenvectors=vecs)

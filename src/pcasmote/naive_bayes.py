@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_io
-from .dataset import Dataset, FoldAssignment
+from .dataset import Dataset
 from .errors import DataError
 
 STD_FLOOR = 1e-6
@@ -143,18 +143,19 @@ def fit_nb(ds: Dataset) -> NbModel:
     )
 
 
-def cross_val_predict(ds: Dataset, folds: FoldAssignment) -> np.ndarray:
+def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
     """Predict each row of ``ds`` with the model fitted on the rows of the other folds.
 
-    The models of a block of folds are fitted at once, the block sized so
-    its stacked training rows stay near ``_BLOCK_ELEMENTS`` floats; each
-    row is then scored against its own fold's model.
+    ``fold_of[i]`` is row i's fold, in 0..k-1.  The models of a block of
+    folds are fitted at once, the block sized so its stacked training rows
+    stay near ``_BLOCK_ELEMENTS`` floats; each row is then scored against
+    its own fold's model.
     """
-    fold_of = folds.fold_array
+    k = int(fold_of.max()) + 1
     predicted = np.empty(ds.n_samples, dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // (ds.n_samples * ds.n_features))
-    for lo in range(0, folds.k, step):
-        block = np.arange(lo, min(lo + step, folds.k))
+    for lo in range(0, k, step):
+        block = np.arange(lo, min(lo + step, k))
         priors, means, stds = _fit_masked(ds, fold_of[None, :] != block[:, None])
         rows = np.flatnonzero((fold_of >= lo) & (fold_of < lo + step))
         model = fold_of[rows] - lo
@@ -182,15 +183,10 @@ def _log_scores(rows, priors, means, stds) -> np.ndarray:
     return np.log(priors) + log_density.sum(axis=2)
 
 
-def log_posterior_matrix(model: NbModel, rows: np.ndarray) -> np.ndarray:
-    """(n_rows, n_classes) unnormalised log scores, vectorised."""
-    return _log_scores(rows, model.priors, model.means, model.stds)
-
-
 def log_posterior(model: NbModel, x) -> np.ndarray:
     """Per-class log scores for one feature vector (unnormalised)."""
     v = _check_vector(model, x)
-    return log_posterior_matrix(model, v[None, :])[0]
+    return _log_scores(v[None, :], model.priors, model.means, model.stds)[0]
 
 
 def posterior(model: NbModel, x) -> np.ndarray:
@@ -207,7 +203,8 @@ def predict(model: NbModel, x) -> int:
 
 def predict_matrix(model: NbModel, rows: np.ndarray) -> np.ndarray:
     """Vectorised ``predict`` over the rows of a matrix."""
-    return np.argmax(log_posterior_matrix(model, rows), axis=1).astype(np.int64)
+    scores = _log_scores(rows, model.priors, model.means, model.stds)
+    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def save_nb(model: NbModel, path) -> None:

@@ -44,15 +44,14 @@ class PcaModel:
 
     def coverage(self, m: int) -> float:
         """Cumulative variance share of the first ``m`` components."""
-        clamped = np.maximum(self.eigenvalues, 0.0)
-        total = float(clamped.sum())
-        if total == 0.0:
-            return 1.0
-        return float(clamped[:m].sum()) / total
+        shares = _cumulative_coverage(self.eigenvalues)
+        return float(shares[min(m, shares.size) - 1]) if m > 0 else 0.0
 
 
-def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> int:
-    """Smallest component count whose coverage reaches ``threshold``."""
+def _cumulative_coverage(eigenvalues) -> np.ndarray:
+    """Variance share of the first 1, 2, ... components of descending
+    ``eigenvalues``: negative ones and those below ``RANK_TOL`` of the
+    largest (or of 1) count as zero; all zero gives full coverage."""
     clamped = np.maximum(np.asarray(eigenvalues, dtype=np.float64), 0.0)
     if clamped.size == 0:
         raise ValueError("no eigenvalues")
@@ -60,8 +59,13 @@ def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> int:
     clamped[clamped < cutoff] = 0.0
     total = clamped.sum()
     if total == 0.0:
-        return 1
-    coverage = np.cumsum(clamped) / total
+        return np.ones(clamped.size)
+    return np.cumsum(clamped) / total
+
+
+def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> int:
+    """Smallest component count whose coverage reaches ``threshold``."""
+    coverage = _cumulative_coverage(eigenvalues)
     # tiny fp slack so threshold 1.0 stops at the true rank
     reached = np.nonzero(coverage >= threshold - 1e-12)[0]
     return int(reached[0]) + 1

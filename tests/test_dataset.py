@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pcasmote.dataset import (
     Dataset,
-    FoldAssignment,
     class_counts,
     impute_missing,
     load_uci_lung_cancer,
@@ -208,46 +207,46 @@ class TestCsvRoundTrip:
 
 class TestStratifiedFolds:
     def test_lung_two_folds(self, lung):
-        fa = stratified_folds(lung, 2, seed=1)
-        sizes = [len(fa.test_indices(f)) for f in range(2)]
+        fold_of = stratified_folds(lung, 2, seed=1)
+        sizes = [len(np.flatnonzero(fold_of == f)) for f in range(2)]
         assert sorted(sizes) == [16, 16]
         for cls, total in enumerate(class_counts(lung)):
             per_fold = [
-                sum(1 for i in fa.test_indices(f) if lung.labels[i] == cls)
+                sum(1 for i in np.flatnonzero(fold_of == f) if lung.labels[i] == cls)
                 for f in range(2)
             ]
             assert sum(per_fold) == total
             assert max(per_fold) - min(per_fold) <= 1
 
     def test_leave_one_out_assignment(self, lung):
-        fa = stratified_folds(lung, lung.n_samples, seed=3)
-        sizes = [len(fa.test_indices(f)) for f in range(lung.n_samples)]
+        fold_of = stratified_folds(lung, lung.n_samples, seed=3)
+        sizes = [len(np.flatnonzero(fold_of == f)) for f in range(lung.n_samples)]
         assert sizes == [1] * lung.n_samples
 
     def test_deterministic(self, lung):
         a = stratified_folds(lung, 5, seed=99)
         b = stratified_folds(lung, 5, seed=99)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_seed_changes_assignment(self, lung):
         a = stratified_folds(lung, 5, seed=1)
         b = stratified_folds(lung, 5, seed=2)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_stratification_property_many_seeds(self, lung):
         for k in (2, 3, 5, 10):
             for seed in range(6):
-                fa = stratified_folds(lung, k, seed)
+                fold_of = stratified_folds(lung, k, seed)
                 for cls in range(lung.n_classes):
                     per_fold = [
-                        sum(1 for i in fa.test_indices(f) if lung.labels[i] == cls)
+                        sum(1 for i in np.flatnonzero(fold_of == f) if lung.labels[i] == cls)
                         for f in range(k)
                     ]
                     assert max(per_fold) - min(per_fold) <= 1
 
     def test_every_sample_assigned_once(self, lung):
-        fa = stratified_folds(lung, 7, seed=5)
-        seen = sorted(i for f in range(7) for i in fa.test_indices(f))
+        fold_of = stratified_folds(lung, 7, seed=5)
+        seen = sorted(i for f in range(7) for i in np.flatnonzero(fold_of == f))
         assert seen == list(range(lung.n_samples))
 
     def test_k_too_large_rejected(self, lung):
@@ -260,8 +259,9 @@ class TestStratifiedFolds:
 
     def test_small_class_spread_without_error(self):
         ds = make_dataset([[float(i)] for i in range(8)], [0, 0, 1, 1, 1, 1, 1, 1])
-        fa = stratified_folds(ds, 4, seed=0)
-        assert isinstance(fa, FoldAssignment)
+        fold_of = stratified_folds(ds, 4, seed=0)
+        assert fold_of.dtype == np.int64 and fold_of.shape == (8,)
+        assert not fold_of.flags.writeable
 
 
 @st.composite
@@ -306,52 +306,54 @@ class TestStratifiedFoldsProperties:
     @given(case=fold_cases())
     def test_matches_dealing_one_sample_at_a_time(self, case):
         ds, k, seed = case
-        assert stratified_folds(ds, k, seed).fold_of_sample == dealt_one_by_one(ds, k, seed)
+        expected = dealt_one_by_one(ds, k, seed)
+        assert tuple(stratified_folds(ds, k, seed).tolist()) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_fold_sizes_differ_by_at_most_one(self, case):
         ds, k, seed = case
-        sizes = np.bincount(stratified_folds(ds, k, seed).fold_array, minlength=k)
+        sizes = np.bincount(stratified_folds(ds, k, seed), minlength=k)
         assert sizes.max() - sizes.min() <= 1
 
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_every_row_in_exactly_one_fold(self, case):
         ds, k, seed = case
-        fa = stratified_folds(ds, k, seed)
-        assert fa.k == k
-        assert len(fa.fold_of_sample) == ds.n_samples
-        assert all(0 <= f < k for f in fa.fold_of_sample)
-        assert fa.fold_array.tolist() == list(fa.fold_of_sample)
+        fold_of = stratified_folds(ds, k, seed)
+        assert fold_of.shape == (ds.n_samples,)
+        assert set(fold_of.tolist()) == set(range(k))
 
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_per_class_fold_counts_differ_by_at_most_one(self, case):
         ds, k, seed = case
-        fa = stratified_folds(ds, k, seed)
+        fold_of = stratified_folds(ds, k, seed)
         for cls in range(ds.n_classes):
-            per_fold = np.bincount(fa.fold_array[ds.labels == cls], minlength=k)
+            per_fold = np.bincount(fold_of[ds.labels == cls], minlength=k)
             assert per_fold.max() - per_fold.min() <= 1
 
     @settings(max_examples=100, deadline=None)
     @given(case=fold_cases())
     def test_same_seed_same_assignment(self, case):
         ds, k, seed = case
-        assert stratified_folds(ds, k, seed) == stratified_folds(ds, k, seed)
+        first, again = stratified_folds(ds, k, seed), stratified_folds(ds, k, seed)
+        assert np.array_equal(first, again)
 
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_test_and_train_indices_partition_the_rows(self, case):
         ds, k, seed = case
-        fa = stratified_folds(ds, k, seed)
+        fold_of = stratified_folds(ds, k, seed)
         for fold in range(k):
-            test, train = fa.test_indices(fold), fa.train_indices(fold)
+            test = np.flatnonzero(fold_of == fold)
+            train = np.flatnonzero(fold_of != fold)
             assert test.dtype == np.int64 and train.dtype == np.int64
             assert (np.diff(test) > 0).all() and (np.diff(train) > 0).all()
             assert sorted(test.tolist() + train.tolist()) == list(range(ds.n_samples))
-            assert [fa.fold_of_sample[i] for i in test] == [fold] * test.size
-            assert fold not in [fa.fold_of_sample[i] for i in train]
+            assert test.size > 0  # so the fold loops never meet an empty test fold
+            assert fold_of[test].tolist() == [fold] * test.size
+            assert fold not in fold_of[train].tolist()
 
 
 class TestDatasetType:

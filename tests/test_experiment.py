@@ -259,12 +259,12 @@ class TestTrainFoldsOnlyScope:
         global_model = fit_pca(lung, cfg.pca.threshold, cfg.pca.mode)
         per_fold = 2 + len(cfg.smote.order)
         visited = []
-        for seed_pos, fa in enumerate(assignments):
-            for fold in range(fa.k):
-                test_idx = fa.test_indices(fold)
+        for seed_pos, fold_of in enumerate(assignments):
+            for fold in range(int(fold_of.max()) + 1):
+                test_idx = np.flatnonzero(fold_of == fold)
                 model = global_model
                 if fit_within_fold:
-                    train = lung.subset(fa.train_indices(fold))
+                    train = lung.subset(np.flatnonzero(fold_of != fold))
                     model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
                 reduced = transform(model, lung.subset(test_idx)).features
                 expected = [lung.features[test_idx]] + [reduced] * (per_fold - 1)
@@ -318,6 +318,21 @@ class TestTrainFoldsOnlyScope:
                 + (m.misclassified,)
             )
         assert got == table
+
+    def test_initial_does_not_depend_on_the_scope(self, data_file):
+        """Initial trains on the original rows of each fold in every scope."""
+        rows = []
+        for scope, refit in [
+            ("whole-dataset", False),
+            ("train-folds-only", False),
+            ("train-folds-only", True),
+        ]:
+            cfg = default_config(data_file, resample_scope=scope)
+            cfg.pca = PcaSettings(fit_within_fold=refit)
+            rows.append(run_experiment(cfg).steps[0].summary.per_seed)
+        assert len(rows[0]) == 20
+        assert rows[1] == rows[0]
+        assert rows[2] == rows[0]
 
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run

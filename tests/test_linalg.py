@@ -207,6 +207,25 @@ class TestJacobi:
         assert issubclass(ConvergenceError, Exception)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_sign_fix_matches_column_loop(n):
+    # rounded entries give repeated magnitudes and zero columns give
+    # signed zeros, so ties and -0.0 are compared bit for bit
+    rng = np.random.default_rng(n)
+    vecs = np.round(rng.normal(size=(n, n)), 1)
+    vecs[:, n // 2] = 0.0
+    vecs[0, n // 2] = -0.0
+    values = np.round(rng.normal(size=n), 1)
+    got = linalg._finish(values, vecs).eigenvectors
+    order = np.argsort(-values, kind="stable")
+    want = vecs[:, order].copy()
+    for j in range(n):
+        col = want[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            want[:, j] = -col
+    assert got.tobytes() == want.tobytes()
+
+
 _HASH_EIGEN_SCRIPT = """
 import hashlib, sys
 from pcasmote import linalg

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcasmote import naive_bayes
-from pcasmote.dataset import Dataset, FoldAssignment
+from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
 from pcasmote.naive_bayes import (
     NbModel,
@@ -281,7 +281,7 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def check_fold_batch(ds: Dataset, folds: FoldAssignment, block: int) -> None:
+def check_fold_batch(ds: Dataset, fold_of: np.ndarray, block: int) -> None:
     """The fold-batched fit and predictions against one ``fit_nb`` per fold.
 
     Priors, means and stds match bit for bit, whatever the feature count;
@@ -289,18 +289,19 @@ def check_fold_batch(ds: Dataset, folds: FoldAssignment, block: int) -> None:
     replaces the fold block bound, so several blocks and a partial last one
     are exercised.
     """
-    keep = folds.fold_array[None, :] != np.arange(folds.k)[:, None]
+    k = int(fold_of.max()) + 1
+    keep = fold_of[None, :] != np.arange(k)[:, None]
     priors, means, stds = naive_bayes._fit_masked(ds, keep)
     expected = np.full(ds.n_samples, -1)
-    for fold in range(folds.k):
-        model = fit_nb(ds.subset(folds.train_indices(fold)))
+    for fold in range(k):
+        model = fit_nb(ds.subset(np.flatnonzero(fold_of != fold)))
         assert _bits(priors[fold]) == _bits(model.priors)
         assert _bits(means[fold]) == _bits(model.means)
         assert _bits(stds[fold]) == _bits(model.stds)
-        test_idx = folds.test_indices(fold)
+        test_idx = np.flatnonzero(fold_of == fold)
         expected[test_idx] = predict_matrix(model, ds.features[test_idx])
     with mock.patch.object(naive_bayes, "_BLOCK_ELEMENTS", block):
-        predicted = cross_val_predict(ds, folds)
+        predicted = cross_val_predict(ds, fold_of)
     assert predicted.dtype == np.int64
     assert predicted.tolist() == expected.tolist()
 
@@ -324,7 +325,7 @@ def fold_problems(draw):
     assume(len(set(fold_of)) >= 2)  # every training set keeps a row
     block = draw(st.integers(1, 2 * n * f))
     ds = make_dataset(rows, labels, n_classes)
-    return ds, FoldAssignment(fold_of_sample=tuple(fold_of), k=k), block
+    return ds, np.array(fold_of), block
 
 
 class TestCrossValPredict:
@@ -338,21 +339,21 @@ class TestCrossValPredict:
         # class 2's rows all sit in fold 0, so fold 0's model takes the global moments
         rng = np.random.default_rng(21)
         labels = [0, 1, 2, 0, 1, 2, 0, 1, 0, 1]
-        fold_of = (0, 1, 0, 0, 1, 0, 1, 2, 2, 2)
+        fold_of = np.array([0, 1, 0, 0, 1, 0, 1, 2, 2, 2])
         ds = make_dataset(rng.normal(size=(10, f)), labels, 3)
-        assert 2 not in ds.labels[np.array(fold_of) != 0]
-        check_fold_batch(ds, FoldAssignment(fold_of, 3), block=1 << 16)
+        assert 2 not in ds.labels[fold_of != 0]
+        check_fold_batch(ds, fold_of, block=1 << 16)
 
     @pytest.mark.parametrize("f", [1, 3])
     def test_singleton_class_in_a_training_fold(self, f):
         rng = np.random.default_rng(22)
         labels = [0, 0, 0, 0, 1, 1, 0, 0]
-        fold_of = (0, 1, 0, 1, 0, 1, 0, 1)
+        fold_of = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         ds = make_dataset(rng.normal(size=(8, f)), labels)
         # class 1 has one row in each training fold
-        assert ds.labels[np.array(fold_of) != 0].tolist().count(1) == 1
-        check_fold_batch(ds, FoldAssignment(fold_of, 2), block=f)
-        _, means, stds = naive_bayes._fit_masked(ds, np.array([fold_of]) != 0)
+        assert ds.labels[fold_of != 0].tolist().count(1) == 1
+        check_fold_batch(ds, fold_of, block=f)
+        _, means, stds = naive_bayes._fit_masked(ds, fold_of[None, :] != 0)
         assert _bits(means[0, 1]) == _bits(ds.features[5])
         assert stds[0, 1].tolist() == [STD_FLOOR] * f
 
@@ -361,8 +362,8 @@ class TestCrossValPredict:
         # scores tie and a last-bit difference in a std flips the prediction
         column = [[0.0]] * 25 + [[1.0]] * 2
         labels = [0] * 15 + [1] * 10 + [0, 1]
-        fold_of = (0,) * 7 + (1,) * 8 + (0, 0) + (1,) * 10
-        check_fold_batch(make_dataset(column, labels), FoldAssignment(fold_of, 2), block=1)
+        fold_of = np.array([0] * 7 + [1] * 8 + [0, 0] + [1] * 10)
+        check_fold_batch(make_dataset(column, labels), fold_of, block=1)
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_leave_one_out(self, block):
@@ -370,11 +371,11 @@ class TestCrossValPredict:
         n = 24
         ds = make_dataset(np.round(rng.normal(size=(n, 4)), 1), rng.integers(0, 3, n), 3)
         order = rng.permutation(n)
-        check_fold_batch(ds, FoldAssignment(tuple(order.tolist()), n), block)
+        check_fold_batch(ds, order, block)
 
     def test_overflow_is_a_data_error(self):
         column = np.array([1e200, 2e200, 3e200, 4e201, 5e200, 6e201])[:, None]
         ds = replace(make_dataset(column, [0, 1, 0, 1, 0, 1]), provenance="huge.csv")
-        folds = FoldAssignment((0, 0, 1, 1, 2, 2), 3)
+        fold_of = np.array([0, 0, 1, 1, 2, 2])
         with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
-            cross_val_predict(ds, folds)
+            cross_val_predict(ds, fold_of)

@@ -4,7 +4,14 @@ import pytest
 from pcasmote import linalg
 from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
-from pcasmote.pca import fit_pca, load_pca, save_pca, transform
+from pcasmote.pca import (
+    PcaModel,
+    fit_pca,
+    load_pca,
+    retained_for_threshold,
+    save_pca,
+    transform,
+)
 
 
 def dataset_from(features, labels=None):
@@ -65,6 +72,22 @@ class TestFit:
         m = model.retained
         assert model.coverage(m) >= 0.90
         assert model.coverage(m - 1) < 0.90
+
+    def test_coverage_ignores_eigenvalues_below_rank_tolerance(self):
+        # the 40 tiny eigenvalues are numerical zeros: one component covers all
+        eigenvalues = np.array([1.0] + [5e-13] * 40)
+        model = PcaModel(
+            mean=np.zeros(41),
+            scale=np.ones(41),
+            components=np.eye(41)[:, :1],
+            eigenvalues=eigenvalues,
+            retained=retained_for_threshold(eigenvalues, 1.0),
+            variance_threshold=1.0,
+            mode="covariance",
+        )
+        assert model.retained == 1
+        assert model.coverage(1) == 1.0
+        assert model.coverage(0) == 0.0
 
     def test_monotone_coverage(self, lung):
         previous = 0
