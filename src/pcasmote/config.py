@@ -80,12 +80,14 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def _flatten_json(obj: dict, prefix: str = "") -> dict:
+def _flatten_json(obj: dict, source: str, prefix: str = "") -> dict:
     flat: dict = {}
     for key, value in obj.items():
         dotted = f"{prefix}{key}"
+        if value is None or (isinstance(value, list) and None in value):
+            raise ConfigError(f"{source}: config key {dotted!r} is null")
         if isinstance(value, dict):
-            flat.update(_flatten_json(value, prefix=f"{dotted}."))
+            flat.update(_flatten_json(value, source, prefix=f"{dotted}."))
         elif isinstance(value, list):
             flat[dotted] = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
@@ -110,7 +112,7 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: JSON config must be an object")
-        return _flatten_json(data)
+        return _flatten_json(data, str(path))
     return parse_kv_text(text, source=str(path))
 
 

@@ -284,7 +284,9 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > ds.n_samples:
-        raise DataError(f"k={k} exceeds the number of samples ({ds.n_samples})")
+        raise DataError(
+            f"{ds.provenance}: eval.k={k} exceeds the number of samples ({ds.n_samples})"
+        )
     counts = class_counts(ds)
     for name, c in zip(ds.class_names, counts):
         if c < 1:

@@ -6,22 +6,21 @@ under seeded stratified cross-validation with naive Bayes.  One loop runs
 over the seeds: per seed it draws the fold assignment, asks a scorer for one
 held-out prediction per row and method, and pools each method's predictions
 into one confusion matrix; the reported row is the mean over seeds with
-min/max and medians retained.  A fixed dataset is scored once per seed with
-every fold's model fitted at once (``naive_bayes.cross_val_predict``); under
-``train-folds-only`` one function scores a seed fold by fold, since each
-fold builds its own training sets.  Leave-one-out gives every seed the same
-folds, so under ``whole-dataset`` a config may give it only one seed.
+min/max and medians retained.  A fixed dataset, Initial in every scope, is
+scored once per seed with every fold's model fitted at once
+(``naive_bayes.cross_val_predict``).  Leave-one-out gives every seed the
+same folds, so under ``whole-dataset`` a config may give it only one seed.
 
 ``resample_scope`` controls where oversampling happens: ``whole-dataset``
 resamples once up front (synthetic neighbours of test points may then appear
 in training — the historical protocol this harness reproduces) and
 cross-validates each of the five datasets on its own, while
 ``train-folds-only`` resamples inside each training fold and tests only on
-original samples.  There all methods share each fold's split, one PCA fit
-(the global model, or a refit on the training fold under
-``pca.fit_within_fold``) and one SMOTE chain; SMOTEi is the first i stages
-of that chain.  Under ``fit_within_fold`` the reported ``n_features`` is the
-retained count of the last fold scored.
+original samples.  There one function scores PCA and the SMOTE stages fold
+by fold: they share each fold's split, one PCA fit (the global model, or a
+refit on the training fold under ``pca.fit_within_fold``) and one SMOTE
+chain; SMOTEi is the first i stages of that chain.  Under
+``fit_within_fold`` the reported ``n_features`` is the last fold's.
 """
 
 from __future__ import annotations
@@ -117,26 +116,18 @@ class ExperimentReport:
     pca_retained_other_mode: int
 
 
-def _summarise(
-    rows: list[tuple[int, MetricRow]], method_name: str, n_samples: int, n_features: int
-) -> EvalSummary:
+def _summarise(rows: list[tuple[int, MetricRow]]) -> EvalSummary:
+    """Mean, spread and median of one method's per-seed rows; the mean row
+    keeps the last seed's method name, sample count and feature count."""
+
     def values(name):
         return [getattr(row, name) for _, row in rows]
 
-    acc = statistics.fmean(values("accuracy"))
-    mean_row = MetricRow(
-        method_name=method_name,
-        n_samples=n_samples,
-        n_features=n_features,
-        accuracy=acc,
-        fp_rate=statistics.fmean(values("fp_rate")),
-        precision=statistics.fmean(values("precision")),
-        recall=statistics.fmean(values("recall")),
-        misclassified=round(statistics.fmean(values("misclassified"))),
-    )
+    means = {name: statistics.fmean(values(name)) for name in RATE_FIELDS}
+    means["misclassified"] = round(means["misclassified"])
     ranges = {name: (min(values(name)), max(values(name))) for name in RATE_FIELDS}
     return EvalSummary(
-        mean=mean_row,
+        mean=replace(rows[-1][1], **means),
         per_seed=tuple(rows),
         ranges=ranges,
         misclassified_median=float(statistics.median(values("misclassified"))),
@@ -148,10 +139,11 @@ def _cross_validate(
 ) -> list[EvalSummary]:
     """The one seeded cross-validation loop: every method scored per seed.
 
-    ``scorer(fold_of, seed_pos)`` returns, per name in ``names``, one
-    held-out prediction per row of ``base`` and the feature count the method
-    was scored with; each method's predictions are pooled into one confusion
-    matrix per seed.  A method's reported ``n_features`` is its last seed's.
+    ``scorer(fold_of, seed_pos)`` returns ``(predictions, width)``: an int64
+    array with one row per name in ``names`` and one held-out prediction per
+    row of ``base``, and the feature count the methods were scored with.
+    Each method's predictions are pooled into one confusion matrix per seed;
+    its summary's ``n_features`` is the last seed's width.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -163,17 +155,13 @@ def _cross_validate(
             )
     n_folds = base.n_samples if protocol == "leave-one-out" else k
     rows: list[list] = [[] for _ in names]
-    n_features = [base.n_features] * len(names)
     for seed_pos, seed in enumerate(seeds):
         fold_of = stratified_folds(base, n_folds, seed)
-        for m, (predicted, width) in enumerate(scorer(fold_of, seed_pos)):
-            n_features[m] = width
-            cm = confusion_matrix(base.labels, predicted, base.n_classes, base.class_names)
-            rows[m].append((seed, metric_row(cm, names[m], width)))
-    return [
-        _summarise(rows[m], name, base.n_samples, n_features[m])
-        for m, name in enumerate(names)
-    ]
+        predicted, width = scorer(fold_of, seed_pos)
+        for name, method_predicted, method_rows in zip(names, predicted, rows):
+            cm = confusion_matrix(base.labels, method_predicted, base.n_classes)
+            method_rows.append((seed, metric_row(cm, name, width)))
+    return [_summarise(method_rows) for method_rows in rows]
 
 
 def evaluate_dataset(
@@ -183,7 +171,7 @@ def evaluate_dataset(
     fold of a seed is fitted and scored at once."""
 
     def scorer(fold_of, seed_pos: int):
-        return [(cross_val_predict(ds, fold_of), ds.n_features)]
+        return cross_val_predict(ds, fold_of)[None], ds.n_features
 
     return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
 
@@ -196,18 +184,18 @@ def _leak_free_predictions(
     fold_of: np.ndarray,
     seed_pos: int,
 ):
-    """Scorer for ``train-folds-only``: per fold, Initial, PCA, then each SMOTE stage.
+    """Scorer for ``train-folds-only``: per fold, PCA, then each SMOTE stage.
 
-    Every method is trained on the fold's training rows and scored on its
-    original test rows.  The fold's reducer is ``pca_model``, or a refit on
-    the training fold when it is None; the SMOTE chain runs once over the
-    full order and stage i is SMOTE(i+1).  The training fold's provenance
-    names the fold (counted from 1) and the seed, so an error raised on it
-    says that its counts are the fold's, not the file's.  A method's feature
-    count is its last fold's.
+    Returns a ``(1 + len(order_idx), n)`` int64 prediction array, PCA's row
+    first, and the last fold's retained count.  Each method is trained on
+    the fold's training rows and scored on its original test rows, both
+    reduced by the fold's reducer: ``pca_model``, or a refit on the training
+    fold when it is None.  The SMOTE chain runs once over the full order and
+    stage i is SMOTE(i+1).  The training fold's provenance names the fold
+    (counted from 1) and the seed, so an error raised on it says that its
+    counts are the fold's, not the file's.
     """
-    predicted = np.empty((2 + len(order_idx), base.n_samples), dtype=np.int64)
-    width = base.n_features
+    predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
     for fold in range(int(fold_of.max()) + 1):
         test_idx = np.flatnonzero(fold_of == fold)
         train = replace(
@@ -215,24 +203,20 @@ def _leak_free_predictions(
             provenance=f"{base.provenance}, training fold {fold + 1} "
             f"of seed {cfg.eval.seeds[seed_pos]}",
         )
-        test = base.subset(test_idx)
-        predicted[0, test_idx] = predict_matrix(fit_nb(train), test.features)
         model = pca_model or fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
         train = transform(model, train)
-        test_x = transform(model, test).features
-        width = test_x.shape[1]
-        predicted[1, test_idx] = predict_matrix(fit_nb(train), test_x)
-        stages = balance_sequence(
+        test_x = transform(model, base.subset(test_idx)).features
+        train_sets = [train] + balance_sequence(
             train,
             order_idx,
             cfg.smote.per_class_target,
             k=cfg.smote.k,
             seed=derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold),
         )
-        del train  # each stage is dropped once scored, to keep the memory peak low
-        for m in range(2, len(predicted)):
-            predicted[m, test_idx] = predict_matrix(fit_nb(stages.pop(0)), test_x)
-    return [(predicted[0], base.n_features)] + [(p, width) for p in predicted[1:]]
+        del train  # each set is dropped once scored, to keep the memory peak low
+        for method_predicted in predicted:
+            method_predicted[test_idx] = predict_matrix(fit_nb(train_sets.pop(0)), test_x)
+    return predicted, test_x.shape[1]
 
 
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
@@ -265,24 +249,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     names = method_names(len(order_idx))
     ev = cfg.eval
+    scored = [(imputed, evaluate_dataset(imputed, ev.protocol, ev.k, ev.seeds, "Initial"))]
     if ev.resample_scope == "whole-dataset":
         reduced = transform(pca_model, imputed)
-        datasets = [imputed, reduced] + balance_sequence(
+        datasets = [reduced] + balance_sequence(
             reduced,
             order_idx,
             cfg.smote.per_class_target,
             k=cfg.smote.k,
             seed=cfg.smote.seed,
         )
-        scored = [
-            (ds, evaluate_dataset(ds, ev.protocol, ev.k, ev.seeds, method_name=name))
-            for ds, name in zip(datasets, names)
+        scored += [
+            (ds, evaluate_dataset(ds, ev.protocol, ev.k, ev.seeds, name))
+            for ds, name in zip(datasets, names[1:])
         ]
     elif ev.resample_scope == "train-folds-only":
         fold_pca = None if cfg.pca.fit_within_fold else pca_model
         scorer = partial(_leak_free_predictions, imputed, cfg, fold_pca, order_idx)
-        summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names, scorer)
-        scored = [(imputed, summary) for summary in summaries]
+        summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names[1:], scorer)
+        scored += [(imputed, summary) for summary in summaries]
     else:
         raise ValueError(f"unknown resample scope {ev.resample_scope!r}")
 

@@ -19,7 +19,6 @@ class ConfusionMatrix:
     """counts[a][p] = number of samples of actual class a predicted as p."""
 
     counts: np.ndarray
-    class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))
@@ -27,14 +26,8 @@ class ConfusionMatrix:
             raise ValueError("counts must be a square matrix")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        names = tuple(self.class_names) or tuple(
-            f"class{i}" for i in range(counts.shape[0])
-        )
-        if len(names) != counts.shape[0]:
-            raise ValueError("class_names length must match the matrix size")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "class_names", names)
 
     @property
     def n_classes(self) -> int:
@@ -45,7 +38,7 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion_matrix(actual, predicted, n_classes: int, class_names=()) -> ConfusionMatrix:
+def confusion_matrix(actual, predicted, n_classes: int) -> ConfusionMatrix:
     """Tally actual/predicted label pairs into an n_classes x n_classes table."""
     a = np.asarray(actual, dtype=np.int64)
     p = np.asarray(predicted, dtype=np.int64)
@@ -57,7 +50,7 @@ def confusion_matrix(actual, predicted, n_classes: int, class_names=()) -> Confu
         raise ValueError("predicted label out of range")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (a, p), 1)
-    return ConfusionMatrix(counts=counts, class_names=class_names)
+    return ConfusionMatrix(counts=counts)
 
 
 def one_vs_rest(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:

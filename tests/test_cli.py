@@ -265,6 +265,27 @@ _FOLDS_ONLY = (
             "inspect", None, None, b"dataset = \xff\n", 2,
             ["error[usage]", "{cfg}: cannot read config file", "utf-8"], id="non-utf8-config",
         ),
+        *(
+            pytest.param(
+                command, None, None, settings, 2,
+                ["error[usage]", f"{{cfg}}: config key '{key}' is null"],
+                id=f"json-null-{key}-{command}",
+            )
+            for command, key, settings in (
+                ("inspect", "dataset", b'{"dataset": null}'),
+                ("inspect", "smote.seed", b'{"smote": {"seed": null}}'),
+                ("inspect", "smote.order", b'{"smote": {"order": ["TypeA", null]}}'),
+                ("experiment", "smote.order", b'{"smote": {"order": ["TypeA", null]}}'),
+            )
+        ),
+        *(
+            pytest.param(
+                command, None, None, "eval.k = 40\n", 3,
+                ["error[data]", "{data}: eval.k=40 exceeds the number of samples (32)"],
+                id=f"k-above-sample-count-{command}",
+            )
+            for command in ("experiment", "evaluate")
+        ),
     ],
 )
 def test_input_fault_exit_code(

@@ -1,14 +1,15 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcasmote.config import KEYS, load_config
+from pcasmote.config import KEYS, build_config, load_config
 from pcasmote.dataset import IMPUTE_STRATEGIES
 from pcasmote.errors import ConfigError
-from pcasmote.experiment import PROTOCOLS, RESAMPLE_SCOPES
+from pcasmote.experiment import PROTOCOLS, RESAMPLE_SCOPES, ExperimentConfig
 
 # text the `key = value` format can carry: no '#', no line break, no edge space
 _plain_text = st.text(
@@ -20,6 +21,8 @@ _class_name = st.text(
     min_size=1,
 )
 _bool_words = {True: ("true", "yes", "1", "True"), False: ("false", "no", "0", "NO")}
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @st.composite
@@ -89,3 +92,17 @@ class TestConfigProperties:
         text = f"{hi + gap}..{hi}"
         with pytest.raises(ConfigError, match=re.escape(repr(text))):
             KEYS["eval.seeds"](text)
+
+
+def test_readme_table_default_config_and_dataclasses_agree():
+    """The README's Configuration table, configs/default.cfg and the
+    dataclass defaults state the same defaults for exactly the known keys."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    table = dict(re.findall(r"^\| `([^`]+)` \| (.+?) \|", section, flags=re.MULTILINE))
+    assert list(table) == list(KEYS)
+    defaults = {key: cell.strip("`") for key, cell in table.items()}
+    defaults["dataset"] = "data/lung-cancer.data"
+    from_readme = build_config(defaults)
+    assert from_readme == load_config(ROOT / "configs" / "default.cfg")
+    assert from_readme == ExperimentConfig(dataset="data/lung-cancer.data")

@@ -184,7 +184,7 @@ def refit_run(data_file):
     cfg.pca = PcaSettings(fit_within_fold=True)
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("fit_pca", "balance_sequence"):
+        for name in ("fit_pca", "balance_sequence", "fit_nb"):
             original = getattr(experiment, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -236,8 +236,8 @@ class TestTrainFoldsOnlyScope:
         self, data_file, lung, monkeypatch, fit_within_fold
     ):
         """Every matrix scored in a fold is exactly that fold's original test
-        rows: raw for Initial, then reduced by the global model or the fold's
-        refit for PCA and each SMOTE stage."""
+        rows, reduced by the global model or the fold's refit, for PCA and
+        each SMOTE stage; Initial is scored on the same folds beforehand."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
         assignments, scored = [], []
@@ -256,8 +256,13 @@ class TestTrainFoldsOnlyScope:
         monkeypatch.setattr(experiment, "predict_matrix", recording_predict)
         run_experiment(cfg)
 
+        # Initial's folds come first, one per seed, and equal the other methods'
+        initial_folds, assignments = assignments[:2], assignments[2:]
+        assert len(assignments) == 2
+        for initial_fold_of, fold_of in zip(initial_folds, assignments):
+            assert np.array_equal(initial_fold_of, fold_of)
         global_model = fit_pca(lung, cfg.pca.threshold, cfg.pca.mode)
-        per_fold = 2 + len(cfg.smote.order)
+        per_fold = 1 + len(cfg.smote.order)
         visited = []
         for seed_pos, fold_of in enumerate(assignments):
             for fold in range(int(fold_of.max()) + 1):
@@ -267,11 +272,10 @@ class TestTrainFoldsOnlyScope:
                     train = lung.subset(np.flatnonzero(fold_of != fold))
                     model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
                 reduced = transform(model, lung.subset(test_idx)).features
-                expected = [lung.features[test_idx]] + [reduced] * (per_fold - 1)
                 got = scored[len(visited) * per_fold :][:per_fold]
                 assert len(got) == per_fold
-                for test_x, want in zip(got, expected):
-                    assert np.array_equal(test_x, want)
+                for test_x in got:
+                    assert np.array_equal(test_x, reduced)
                 visited.append((seed_pos, fold))
         assert len(scored) == len(visited) * per_fold
         assert visited == [(s, f) for s in range(2) for f in range(10)]
@@ -336,8 +340,9 @@ class TestTrainFoldsOnlyScope:
 
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run
-        # 2 global fits (both modes) + one per fold; one chain per fold
-        assert calls == {"fit_pca": 2 + 10, "balance_sequence": 10}
+        # 2 global fits (both modes) + one per fold; one chain per fold;
+        # naive Bayes fitted for PCA and 3 SMOTE stages per fold, none for Initial
+        assert calls == {"fit_pca": 2 + 10, "balance_sequence": 10, "fit_nb": 4 * 10}
 
 
 class TestMisclassified:
