@@ -89,6 +89,10 @@ def _flatten_json(obj: dict, source: str, prefix: str = "") -> dict:
         if isinstance(value, dict):
             flat.update(_flatten_json(value, source, prefix=f"{dotted}."))
         elif isinstance(value, list):
+            nested = any(isinstance(v, (list, dict)) for v in value)
+            if nested or KEYS.get(dotted, _parse_order) not in (_parse_order, _parse_seeds):
+                what = "a nested list" if nested else "a list, but takes one value"
+                raise ConfigError(f"{source}: config key {dotted!r} is {what}")
             flat[dotted] = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
             flat[dotted] = "true" if value else "false"
@@ -196,7 +200,4 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    values = read_config_file(path)
-    if overrides:
-        values = apply_overrides(values, overrides)
-    return build_config(values)
+    return build_config(apply_overrides(read_config_file(path), overrides or []))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ImputationError
-from .rng import Rng
+from .rng import next_u64_array
 
 LUNG_CLASS_NAMES = ("TypeA", "TypeB", "TypeC")
 LUNG_N_FEATURES = 56
@@ -272,10 +272,10 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
     """Deterministic, stratified k-fold assignment: a read-only int64 array
     whose entry i is row i's fold, in 0..k-1.
 
-    Per class, samples are shuffled with the seeded generator and dealt so
-    per-class fold counts differ by at most one; leftover samples go to the
-    folds with the smallest total load (ties to the lowest fold index),
-    keeping overall fold sizes balanced too.
+    Per class in turn, samples are shuffled as ``Rng(seed).shuffle`` would,
+    from one array holding each class's n - 1 draws, and dealt so per-class
+    fold counts differ by at most one; leftover samples go to the lightest
+    folds (ties to the lowest fold index), keeping fold sizes balanced too.
 
     Raises:
         ValueError: ``k`` is below 2.
@@ -288,16 +288,16 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
             f"{ds.provenance}: eval.k={k} exceeds the number of samples ({ds.n_samples})"
         )
     counts = class_counts(ds)
-    for name, c in zip(ds.class_names, counts):
-        if c < 1:
-            raise ValueError(f"class {name} has no samples")
+    if 0 in counts:
+        raise ValueError(f"class {ds.class_names[counts.index(0)]} has no samples")
 
-    rng = Rng(seed)
+    draws = iter(next_u64_array(seed, ds.n_samples - ds.n_classes).tolist())
     loads = np.zeros(k, dtype=np.int64)
     fold_of = np.empty(ds.n_samples, dtype=np.int64)
     for cls in range(ds.n_classes):
         members = np.flatnonzero(ds.labels == cls).tolist()
-        rng.shuffle(members)
+        for i, draw in zip(range(len(members) - 1, 0, -1), draws):  # Fisher-Yates
+            members[i], members[draw % (i + 1)] = members[draw % (i + 1)], members[i]
         base, extra = divmod(len(members), k)
         quota = np.full(k, base)
         # the remainder goes onto the lightest folds, ties to the lowest index

@@ -16,11 +16,14 @@ resamples once up front (synthetic neighbours of test points may then appear
 in training — the historical protocol this harness reproduces) and
 cross-validates each of the five datasets on its own, while
 ``train-folds-only`` resamples inside each training fold and tests only on
-original samples.  There one function scores PCA and the SMOTE stages fold
-by fold: they share each fold's split, one PCA fit (the global model, or a
-refit on the training fold under ``pca.fit_within_fold``) and one SMOTE
-chain; SMOTEi is the first i stages of that chain.  Under
-``fit_within_fold`` the reported ``n_features`` is the last fold's.
+original samples.  There one function scores the SMOTE stages fold by fold:
+they share each fold's split and one SMOTE chain; SMOTEi is the first i
+stages of that chain.  With the global PCA the data is reduced once, PCA is
+scored as a fixed dataset, each training fold is a row slice of the
+reduction, and each class's neighbours are ranked once per run, so a fold's
+neighbour table is a masked read of that ranking.  Under
+``pca.fit_within_fold`` each fold refits PCA, scores it and ranks its own
+neighbours; the reported ``n_features`` is then the last fold's.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import hashlib
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -43,9 +47,9 @@ from .dataset import (
 from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
 from .naive_bayes import cross_val_predict, fit_nb, predict_matrix
-from .pca import PcaModel, fit_pca, transform
+from .pca import fit_pca, transform
 from .rng import derive_seed
-from .smote import balance_sequence
+from .smote import balance_sequence, neighbor_ranking, restrict_ranking
 
 PROTOCOLS = ("k-fold", "leave-one-out")
 RESAMPLE_SCOPES = ("whole-dataset", "train-folds-only")
@@ -153,7 +157,7 @@ def _cross_validate(
                 f"{base.provenance}: class {name} has {count} sample(s); "
                 "need at least 2"
             )
-    n_folds = base.n_samples if protocol == "leave-one-out" else k
+    n_folds = _n_folds(base, protocol, k)
     rows: list[list] = [[] for _ in names]
     for seed_pos, seed in enumerate(seeds):
         fold_of = stratified_folds(base, n_folds, seed)
@@ -177,46 +181,56 @@ def evaluate_dataset(
 
 
 def _leak_free_predictions(
-    base: Dataset,
-    cfg: ExperimentConfig,
-    pca_model: PcaModel | None,
-    order_idx: list[int],
-    fold_of: np.ndarray,
-    seed_pos: int,
+    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, rankings: dict,
+    order_idx: list[int], fold_of: np.ndarray, seed_pos: int,
 ):
-    """Scorer for ``train-folds-only``: per fold, PCA, then each SMOTE stage.
+    """Scorer for ``train-folds-only``: PCA, then each SMOTE stage, per fold.
 
     Returns a ``(1 + len(order_idx), n)`` int64 prediction array, PCA's row
     first, and the last fold's retained count.  Each method is trained on
-    the fold's training rows and scored on its original test rows, both
-    reduced by the fold's reducer: ``pca_model``, or a refit on the training
-    fold when it is None.  The SMOTE chain runs once over the full order and
-    stage i is SMOTE(i+1).  The training fold's provenance names the fold
-    (counted from 1) and the seed, so an error raised on it says that its
-    counts are the fold's, not the file's.
+    the fold's training rows and scored on its original test rows: rows of
+    ``reduced``, with each class's neighbour table read from its ranking in
+    ``rankings`` and PCA scored by ``cross_val_predict``, or under
+    ``pca.fit_within_fold`` reduced by a refit on the training fold.  The
+    SMOTE chain runs once over the full order and stage i is SMOTE(i+1).
+    The training fold's provenance names the fold (counted from 1) and the
+    seed, so an error raised on it says its counts are the fold's.
     """
+    refit = cfg.pca.fit_within_fold
     predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
+    if not refit:
+        predicted[0] = cross_val_predict(reduced, fold_of)
     for fold in range(int(fold_of.max()) + 1):
         test_idx = np.flatnonzero(fold_of == fold)
+        in_train = fold_of != fold
         train = replace(
-            base.subset(np.flatnonzero(fold_of != fold)),
+            (base if refit else reduced).subset(np.flatnonzero(in_train)),
             provenance=f"{base.provenance}, training fold {fold + 1} "
             f"of seed {cfg.eval.seeds[seed_pos]}",
         )
-        model = pca_model or fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
-        train = transform(model, train)
-        test_x = transform(model, base.subset(test_idx)).features
-        train_sets = [train] + balance_sequence(
+        test_x = reduced.features[test_idx]
+        if refit:
+            model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
+            train = transform(model, train)
+            test_x = transform(model, base.subset(test_idx)).features
+        train_sets = ([train] if refit else []) + balance_sequence(
             train,
             order_idx,
             cfg.smote.per_class_target,
             k=cfg.smote.k,
             seed=derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold),
+            neighbors=None if refit else (
+                lambda cls, k: restrict_ranking(rankings[cls], in_train[base.labels == cls], k)
+            ),
         )
         del train  # each set is dropped once scored, to keep the memory peak low
-        for method_predicted in predicted:
+        for method_predicted in predicted[len(predicted) - len(train_sets) :]:
             method_predicted[test_idx] = predict_matrix(fit_nb(train_sets.pop(0)), test_x)
     return predicted, test_x.shape[1]
+
+
+def _n_folds(ds: Dataset, protocol: str, k: int) -> int:
+    return ds.n_samples if protocol == "leave-one-out" else k
 
 
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
@@ -250,8 +264,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     names = method_names(len(order_idx))
     ev = cfg.eval
     scored = [(imputed, evaluate_dataset(imputed, ev.protocol, ev.k, ev.seeds, "Initial"))]
+    reduced = transform(pca_model, imputed)
     if ev.resample_scope == "whole-dataset":
-        reduced = transform(pca_model, imputed)
         datasets = [reduced] + balance_sequence(
             reduced,
             order_idx,
@@ -264,8 +278,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for ds, name in zip(datasets, names[1:])
         ]
     elif ev.resample_scope == "train-folds-only":
-        fold_pca = None if cfg.pca.fit_within_fold else pca_model
-        scorer = partial(_leak_free_predictions, imputed, cfg, fold_pca, order_idx)
+        # wide enough for any training fold: a test fold holds <= ceil(n / n_folds) of n rows
+        n_folds = _n_folds(imputed, ev.protocol, ev.k)
+        rankings = {}
+        for cls in [] if cfg.pca.fit_within_fold else order_idx:
+            pts = reduced.features[reduced.labels == cls]
+            width = cfg.smote.k + 1 - (-len(pts) // n_folds)
+            rankings[cls] = neighbor_ranking(pts, min(len(pts), width))
+        scorer = partial(_leak_free_predictions, imputed, cfg, reduced, rankings, order_idx)
         summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names[1:], scorer)
         scored += [(imputed, summary) for summary in summaries]
     else:
@@ -284,17 +304,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=asdict(cfg),
         steps=steps,
-        dataset_sha256=_sha256_of(cfg.dataset),
+        dataset_sha256=hashlib.sha256(Path(cfg.dataset).read_bytes()).hexdigest(),
         toolkit_version=__version__,
         resample_scope=cfg.eval.resample_scope,
         pca_mode=cfg.pca.mode,
         pca_retained=pca_model.retained,
         pca_retained_other_mode=other_model.retained,
     )
-
-
-def _sha256_of(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()

@@ -8,10 +8,12 @@ determined by its seed.  Synthetic rows are appended after the originals.
 All of a class's draws are taken at once as one array of the seed's stream,
 and all of its synthetic rows are built by one array expression.
 
-A class's neighbour table comes from one n x n squared-distance matrix and
-one stable row-wise sort, so ties go to the lower index; memory is quadratic
-in the class size.  The matrix is filled in blocks of rows whose broadcast
-temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class size.
+A class's neighbour table comes from its ranking: one n x n squared-distance
+matrix and one stable row-wise sort, so ties go to the lower index; memory
+is quadratic in the class size.  The matrix is filled in blocks of rows whose
+broadcast temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class
+size.  ``restrict_ranking`` reads the table of a subset of the rows from
+their ranking, so a cross-validation ranks each class once per run.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ class SmoteConfig:
             raise ValueError("target_count must be nonnegative")
 
 
-def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
-    """Row i lists the ``k`` nearest other rows to ``pts[i]`` by (distance, index).
+def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
+    """Row i lists the first ``width`` rows by (distance to ``pts[i]``, index).
 
     Squared Euclidean distances fill an n x n matrix a block of rows at a
     time and a stable sort breaks distance ties toward the lower index.  The
-    diagonal is set below every distance, so each row sorts itself first and
-    is sliced off, even where distances overflow to infinity.
+    diagonal is set below every distance, so each row ranks itself first,
+    even where distances overflow to infinity.
     """
     n, f = pts.shape
     step = max(1, _BLOCK_ELEMENTS // max(1, n * f))
@@ -59,7 +61,27 @@ def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
         deltas = pts[None] - pts[lo : lo + step, None]
         dist2[lo : lo + step] = np.einsum("ijk,ijk->ij", deltas, deltas)
     np.fill_diagonal(dist2, -1.0)
-    return np.argsort(dist2, axis=1, kind="stable")[:, 1 : k + 1]
+    return np.argsort(dist2, axis=1, kind="stable")[:, :width].copy()  # frees the n x n sort
+
+
+def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
+    """Row i lists the ``k`` nearest other rows to ``pts[i]`` by (distance, index)."""
+    return neighbor_ranking(pts, k + 1)[:, 1:]
+
+
+def restrict_ranking(ranking: np.ndarray, kept: np.ndarray, k: int) -> np.ndarray:
+    """``_neighbor_table(pts[kept], k)``, read from ``neighbor_ranking(pts, w)``.
+
+    Each kept row takes its first ``k + 1`` kept entries, itself first: a
+    stable order restricted to an increasing index subset keeps its order.
+    A row whose ``w`` entries hold fewer kept ones raises ``ValueError``.
+    """
+    rows = ranking[kept]
+    hits = kept[rows]
+    hits &= np.cumsum(hits, axis=1) <= k + 1
+    if not (hits.sum(axis=1) == k + 1).all():
+        raise ValueError(f"ranking of width {ranking.shape[1]} holds too few kept rows")
+    return (np.cumsum(kept) - 1)[rows[hits].reshape(-1, k + 1)[:, 1:]]
 
 
 def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int]:
@@ -94,12 +116,13 @@ def _interpolate(sample, neighbor, u):
     return sample + u * (neighbor - sample)
 
 
-def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
+def oversample_class(ds: Dataset, cfg: SmoteConfig, neighbors=None) -> Dataset:
     """Append synthetic rows until ``target_class`` has ``target_count`` samples.
 
     Original rows are preserved in order; ``k`` is clamped to the class size
-    minus one.  Returns the input unchanged when the class already has the
-    target count.
+    minus one; ``neighbors(class index, k)``, if given, supplies the class's
+    neighbour table.  Returns the input unchanged when the class already has
+    the target count.
 
     Raises:
         ResampleError: the target class has fewer than two samples; the
@@ -124,7 +147,10 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
 
     minority = ds.features[member_idx]
     k_eff = min(cfg.k, current - 1)
-    table = _neighbor_table(minority, k_eff)
+    if neighbors is None:
+        table = _neighbor_table(minority, k_eff)
+    else:
+        table = neighbors(cfg.target_class, k_eff)
 
     # draws 2j and 2j+1 of the stream are row j's Rng.randrange(k_eff) and
     # Rng.random(), as the rng module defines them
@@ -143,14 +169,14 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
 
 
 def balance_sequence(
-    ds: Dataset, order: list[int], per_class_target: int, k: int, seed: int
+    ds: Dataset, order: list[int], per_class_target: int, k: int, seed: int, neighbors=None
 ) -> list[Dataset]:
     """Run one oversampling pass per class in ``order``, chaining outputs.
 
-    Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)``.
-    Returns every intermediate dataset (empty list for an empty order).
-    Raises ``DataError`` naming the provenance if ``per_class_target`` is
-    below the largest class.
+    Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)`` and
+    ``neighbors`` (see ``oversample_class``).  Returns every intermediate
+    dataset (empty list for an empty order).  Raises ``DataError`` naming
+    the provenance if ``per_class_target`` is below the largest class.
     """
     if len(set(order)) != len(order):
         raise ValueError("order must list distinct classes")
@@ -171,6 +197,6 @@ def balance_sequence(
             k=k,
             seed=derive_seed(seed, i),
         )
-        current = oversample_class(current, cfg)
+        current = oversample_class(current, cfg, neighbors)
         results.append(current)
     return results

@@ -280,6 +280,24 @@ _FOLDS_ONLY = (
         ),
         *(
             pytest.param(
+                command, None, None, settings, 2,
+                ["error[usage]", f"{{cfg}}: config key '{key}' is {what}"],
+                id=f"json-list-{key}-{command}",
+            )
+            for command, key, settings, what in (
+                ("inspect", "smote.order", b'{"smote": {"order": [["TypeA", "TypeB"]]}}',
+                 "a nested list"),
+                ("experiment", "smote.order", b'{"smote": {"order": [["TypeA", "TypeB"]]}}',
+                 "a nested list"),
+                ("inspect", "eval.seeds", b'{"eval": {"seeds": [1, {"to": 3}]}}',
+                 "a nested list"),
+                ("inspect", "eval.k", b'{"eval": {"k": [3]}}', "a list, but takes one value"),
+                ("experiment", "pca.threshold", b'{"pca": {"threshold": [0.5]}}',
+                 "a list, but takes one value"),
+            )
+        ),
+        *(
+            pytest.param(
                 command, None, None, "eval.k = 40\n", 3,
                 ["error[data]", "{data}: eval.k=40 exceeds the number of samples (32)"],
                 id=f"k-above-sample-count-{command}",

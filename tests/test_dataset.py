@@ -265,10 +265,12 @@ class TestStratifiedFolds:
 
 
 @st.composite
-def fold_cases(draw):
+def fold_cases(draw, max_class_size=15):
     """(dataset with every class present, k in 2..n, seed)."""
     n_classes = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 15), min_size=n_classes, max_size=n_classes))
+    sizes = draw(
+        st.lists(st.integers(1, max_class_size), min_size=n_classes, max_size=n_classes)
+    )
     labels = [cls for cls, size in enumerate(sizes) for _ in range(size)]
     labels = draw(st.permutations(labels))
     n = len(labels)
@@ -305,6 +307,15 @@ class TestStratifiedFoldsProperties:
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_matches_dealing_one_sample_at_a_time(self, case):
+        ds, k, seed = case
+        expected = dealt_one_by_one(ds, k, seed)
+        assert tuple(stratified_folds(ds, k, seed).tolist()) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=fold_cases(max_class_size=200))
+    def test_matches_rng_shuffle_on_large_classes(self, case):
+        """Each class's shuffle reads its slice of one draw array; with many
+        draws per class, a slice that starts in the wrong place shows."""
         ds, k, seed = case
         expected = dealt_one_by_one(ds, k, seed)
         assert tuple(stratified_folds(ds, k, seed).tolist()) == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcasmote import experiment
-from pcasmote.dataset import Dataset
+from pcasmote.dataset import Dataset, write_dataset_csv
 from pcasmote.errors import DataError
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
@@ -16,7 +16,9 @@ from pcasmote.experiment import (
     method_names,
     run_experiment,
 )
-from pcasmote.rng import Rng
+from pcasmote.naive_bayes import fit_nb, predict_matrix
+from pcasmote.rng import Rng, derive_seed
+from pcasmote.smote import balance_sequence
 
 
 def gaussian_blobs(rng, centers, n_per_class, spread):
@@ -177,14 +179,13 @@ class TestRunExperiment:
         assert method_names(3) == ["Initial", "PCA", "SMOTE1", "SMOTE2", "SMOTE3"]
 
 
-@pytest.fixture(scope="module")
-def refit_run(data_file):
-    """The leak-free refit experiment, counting calls to the per-fold stages."""
+def counted_run(data_file, fit_within_fold, names):
+    """One-seed leak-free experiment, counting calls to ``experiment.<name>``."""
     cfg = default_config(data_file, seeds=(1,), resample_scope="train-folds-only")
-    cfg.pca = PcaSettings(fit_within_fold=True)
+    cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("fit_pca", "balance_sequence", "fit_nb"):
+        for name in names:
             original = getattr(experiment, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -194,6 +195,12 @@ def refit_run(data_file):
             mp.setattr(experiment, name, counted)
         report = run_experiment(cfg)
     return report, calls
+
+
+@pytest.fixture(scope="module")
+def refit_run(data_file):
+    """The leak-free refit experiment, counting calls to the per-fold stages."""
+    return counted_run(data_file, True, ("fit_pca", "balance_sequence", "fit_nb"))
 
 
 class TestTrainFoldsOnlyScope:
@@ -236,8 +243,10 @@ class TestTrainFoldsOnlyScope:
         self, data_file, lung, monkeypatch, fit_within_fold
     ):
         """Every matrix scored in a fold is exactly that fold's original test
-        rows, reduced by the global model or the fold's refit, for PCA and
-        each SMOTE stage; Initial is scored on the same folds beforehand."""
+        rows: under the global PCA, the rows of the dataset reduced once, for
+        each SMOTE stage (PCA is scored on them by ``cross_val_predict``);
+        under a refit, the fold's test rows reduced by it, for PCA and each
+        stage.  Initial is scored on the same folds beforehand."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
         assignments, scored = [], []
@@ -261,17 +270,17 @@ class TestTrainFoldsOnlyScope:
         assert len(assignments) == 2
         for initial_fold_of, fold_of in zip(initial_folds, assignments):
             assert np.array_equal(initial_fold_of, fold_of)
-        global_model = fit_pca(lung, cfg.pca.threshold, cfg.pca.mode)
-        per_fold = 1 + len(cfg.smote.order)
+        reduced_once = transform(fit_pca(lung, cfg.pca.threshold, cfg.pca.mode), lung)
+        per_fold = len(cfg.smote.order) + fit_within_fold
         visited = []
         for seed_pos, fold_of in enumerate(assignments):
             for fold in range(int(fold_of.max()) + 1):
                 test_idx = np.flatnonzero(fold_of == fold)
-                model = global_model
+                reduced = reduced_once.features[test_idx]
                 if fit_within_fold:
                     train = lung.subset(np.flatnonzero(fold_of != fold))
                     model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
-                reduced = transform(model, lung.subset(test_idx)).features
+                    reduced = transform(model, lung.subset(test_idx)).features
                 got = scored[len(visited) * per_fold :][:per_fold]
                 assert len(got) == per_fold
                 for test_x in got:
@@ -343,6 +352,105 @@ class TestTrainFoldsOnlyScope:
         # 2 global fits (both modes) + one per fold; one chain per fold;
         # naive Bayes fitted for PCA and 3 SMOTE stages per fold, none for Initial
         assert calls == {"fit_pca": 2 + 10, "balance_sequence": 10, "fit_nb": 4 * 10}
+
+    def test_global_pca_reduces_once_and_chains_once_per_fold(self, data_file):
+        names = ("fit_pca", "transform", "balance_sequence", "fit_nb", "cross_val_predict")
+        _, calls = counted_run(data_file, False, names)
+        # both modes fitted once; one reduction per run; one chain per fold;
+        # naive Bayes fitted for 3 SMOTE stages per fold; Initial and PCA are
+        # each scored by one cross_val_predict
+        assert calls == {
+            "fit_pca": 2,
+            "transform": 1,
+            "balance_sequence": 10,
+            "fit_nb": 3 * 10,
+            "cross_val_predict": 2,
+        }
+
+
+def per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos):
+    """The leak-free scorer as it was before the global reduction and the
+    class rankings: every fold transforms its own rows and ranks its own
+    neighbours afresh (``balance_sequence`` without ``neighbors``)."""
+    predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
+    for fold in range(int(fold_of.max()) + 1):
+        test_idx = np.flatnonzero(fold_of == fold)
+        train = transform(model, base.subset(np.flatnonzero(fold_of != fold)))
+        test_x = transform(model, base.subset(test_idx)).features
+        train_sets = [train] + balance_sequence(
+            train,
+            order_idx,
+            cfg.smote.per_class_target,
+            k=cfg.smote.k,
+            seed=derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold),
+        )
+        for row, ds in zip(predicted, train_sets):
+            row[test_idx] = predict_matrix(fit_nb(ds), test_x)
+    return predicted
+
+
+class TestGlobalPcaScorerMatchesPerFoldPath:
+    """Three integer-coded classes of 60, 75 and 90 rows: many tied distances."""
+
+    @pytest.fixture(scope="class")
+    def cohort_file(self, tmp_path_factory):
+        rng = np.random.default_rng(20)
+        sizes = (60, 75, 90)
+        centers = rng.normal(scale=1.5, size=(3, 9))
+        rows = np.vstack(
+            [np.round(c + rng.normal(size=(n, 9))) for c, n in zip(centers, sizes)]
+        )
+        labels = np.repeat(np.arange(3), sizes)
+        order = rng.permutation(labels.size)
+        path = tmp_path_factory.mktemp("cohort") / "cohort.csv"
+        write_dataset_csv(
+            Dataset(
+                features=rows[order],
+                labels=labels[order],
+                class_names=("c0", "c1", "c2"),
+                feature_names=tuple(f"f{i}" for i in range(9)),
+            ),
+            path,
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "protocol, k, seeds, smote_k",
+        [
+            ("k-fold", 10, (1, 2, 3), 5),
+            ("k-fold", 2, (4,), 5),
+            ("k-fold", 5, (5,), 70),
+            ("leave-one-out", 10, (6,), 5),
+        ],
+        ids=["10-fold", "2-fold", "k-above-class-size", "leave-one-out"],
+    )
+    def test_predictions_equal(self, cohort_file, monkeypatch, protocol, k, seeds, smote_k):
+        cfg = ExperimentConfig(
+            dataset=str(cohort_file),
+            pca=PcaSettings(threshold=0.8),
+            smote=SmoteSettings(k=smote_k, order=("c0", "c2", "c1"), per_class_target=100),
+            eval=EvalSettings(
+                protocol=protocol, k=k, seeds=seeds, resample_scope="train-folds-only"
+            ),
+        )
+        calls = []
+        scorer = experiment._leak_free_predictions
+
+        def recording(*args):
+            result = scorer(*args)
+            calls.append((args[-2], args[-1], result[0]))
+            return result
+
+        monkeypatch.setattr(experiment, "_leak_free_predictions", recording)
+        run_experiment(cfg)
+        base = experiment.load_dataset(cfg.dataset)
+        model = fit_pca(base, cfg.pca.threshold, cfg.pca.mode)
+        assert 1 < model.retained < base.n_features
+        order_idx = [0, 2, 1]
+        assert [seed_pos for _, seed_pos, _ in calls] == list(range(len(seeds)))
+        for fold_of, seed_pos, predicted in calls:
+            expected = per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos)
+            assert np.array_equal(predicted, expected), seed_pos
 
 
 class TestMisclassified:

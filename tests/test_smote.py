@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcasmote.dataset import Dataset, class_counts
 from pcasmote.errors import DataError, ResampleError
@@ -10,9 +12,12 @@ from pcasmote.pca import fit_pca, transform
 from pcasmote.rng import Rng
 from pcasmote.smote import (
     SmoteConfig,
+    _neighbor_table,
     balance_sequence,
     nearest_minority_neighbors,
+    neighbor_ranking,
     oversample_class,
+    restrict_ranking,
     synthesize,
 )
 
@@ -255,6 +260,72 @@ class TestNeighborTableMatchesReference:
             members = ds.features[ds.labels == 0]
             for i in range(n):
                 assert nearest_minority_neighbors(members, i, k) == lists[i], trial
+
+
+@st.composite
+def restricted_classes(draw):
+    """A class, ``k``, the fold count and the rows one test fold removes.
+
+    The rows come in the tie-heavy layouts of ``random_class``: duplicates,
+    an integer grid, identical rows and magnitudes near 1e200 whose squared
+    distances are infinite.  ``k`` often reaches the class size.  A test
+    fold of a stratified assignment removes at most ``ceil(n / n_folds)``
+    rows of the class; leave-one-out removes one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = random_class(rng, draw(st.integers(0, 4)))
+    n = pts.shape[0]
+    k = draw(st.integers(1, n + 2))
+    n_folds = n if draw(st.booleans()) else draw(st.integers(2, n))
+    most = -(-n // n_folds)
+    removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=most))
+    kept = np.ones(n, dtype=bool)
+    kept[sorted(removed)] = False
+    return pts, k, n_folds, kept
+
+
+class TestRestrictRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(case=restricted_classes())
+    def test_equals_the_table_of_the_kept_rows(self, case):
+        pts, k, n_folds, kept = case
+        n = pts.shape[0]
+        ranking = neighbor_ranking(pts, min(n, k + 1 - (-n // n_folds)))
+        k_eff = min(k, int(kept.sum()) - 1)
+        got = restrict_ranking(ranking, kept, k_eff)
+        expected = _neighbor_table(pts[kept], k_eff)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_full_ranking_restricted_to_every_row_is_the_table(self):
+        pts = random_class(np.random.default_rng(3), 2)
+        n = pts.shape[0]
+        kept = np.ones(n, dtype=bool)
+        table = restrict_ranking(neighbor_ranking(pts, n), kept, min(5, n - 1))
+        assert np.array_equal(table, _neighbor_table(pts, min(5, n - 1)))
+
+    def test_a_ranking_too_narrow_raises(self):
+        pts = np.array([[0.0], [1.0], [2.0], [3.0]])
+        ranking = neighbor_ranking(pts, 2)  # each row and its nearest
+        kept = np.array([True, False, True, True])
+        # row 0's only neighbour in the ranking, row 1, is not kept
+        with pytest.raises(ValueError, match="width 2 holds too few kept rows"):
+            restrict_ranking(ranking, kept, 1)
+
+    def test_oversample_reads_the_given_table(self, lung_pca):
+        members = lung_pca.labels == 0
+        ranking = neighbor_ranking(lung_pca.features[members], int(members.sum()))
+        calls = []
+
+        def neighbors(cls, k):
+            calls.append((cls, k))
+            return restrict_ranking(ranking, np.ones(members.sum(), dtype=bool), k)
+
+        cfg = SmoteConfig(0, 18, 5, seed=3)
+        assert oversample_class(lung_pca, cfg, neighbors).equals(
+            oversample_class(lung_pca, cfg)
+        )
+        assert calls == [(0, 5)]
 
 
 class TestOversampleLargeClassMatchesReference:

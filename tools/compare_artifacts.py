@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Compare the artifacts of ``pcasmote experiment`` from two source trees.
+
+Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
+experiment --config configs/default.cfg`` is run in that tree under every
+override set in ``CONFIGS``.  Every output file but ``run_meta.json`` (which
+holds timings and the command line) is compared byte for byte, and one line
+per config says whether the two runs agree and, if not, which files differ.
+The generated cohort of the ``large-cohort`` benchmark workload (workload
+seed 0) is written once, from the second tree's ``perfbench/cohort.py``, and
+read by both.
+
+Usage: python tools/compare_artifacts.py BEFORE_TREE [AFTER_TREE]
+
+AFTER_TREE defaults to this checkout.  The exit status is 0 if every config
+agrees, else 1.  Needs only the standard library (and numpy, through the
+package under test).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TFO = "eval.resample_scope=train-folds-only"
+COHORT = "{cohort}"  # replaced by the generated cohort's path
+
+#: (name, ``--set`` overrides); a ``{cohort}`` entry names the cohort file
+CONFIGS = (
+    ("default", ()),
+    ("train-folds-only", (TFO,)),
+    ("train-folds-only+fit_within_fold", (TFO, "pca.fit_within_fold=true")),
+    ("covariance+smote.seed=123", ("pca.mode=covariance", "smote.seed=123")),
+    ("train-folds-only+loo seeds 1..3", (TFO, "eval.protocol=leave-one-out", "eval.seeds=1..3")),
+    ("whole-dataset+loo seed 1", ("eval.protocol=leave-one-out", "eval.seeds=1")),
+    ("train-folds-only+empty order", (TFO, "smote.order=")),
+    ("cohort train-folds-only (large-cohort seed 0)", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..5",
+    )),
+    ("cohort train-folds-only+fit_within_fold", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..5",
+        "pca.fit_within_fold=true",
+    )),
+    ("leakfree-refit seed 0", (TFO, "pca.fit_within_fold=true", "eval.seeds=1..1")),
+    # neighbour tables where a fold holds most of a class, or k exceeds it
+    ("train-folds-only+eval.k=2", (TFO, "eval.k=2")),
+    ("train-folds-only+smote.k=12", (TFO, "smote.k=12")),
+    ("cohort train-folds-only+loo seed 1", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.protocol=leave-one-out",
+        "eval.seeds=1",
+    )),
+)
+
+
+def write_cohort(tree: Path, path: Path) -> None:
+    code = (
+        "import sys; from pathlib import Path; from cohort import write_cohort_csv; "
+        "write_cohort_csv(0, Path(sys.argv[1]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "perfbench"), str(tree / "src")]))
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+
+
+def run(tree: Path, overrides: list[str], out: Path) -> str:
+    """Run one experiment; returns "" on success, else the exit status and
+    the last line of stderr."""
+    argv = ["experiment", "--config", "configs/default.cfg", "--output-dir", str(out)]
+    for pair in overrides:
+        argv += ["--set", pair]
+    code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    if done.returncode == 0:
+        return ""
+    last = done.stderr.strip().splitlines()[-1:] or [""]
+    return f"exit {done.returncode}: {last[0]}"
+
+
+def artifacts(out: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "run_meta.json"
+    }
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.split("\n\n")[2], file=sys.stderr)
+        return 2
+    before = Path(argv[0]).resolve()
+    after = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent).resolve()
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        cohort = Path(tmp) / "cohort.csv"
+        write_cohort(after, cohort)
+        for i, (name, overrides) in enumerate(CONFIGS):
+            pairs = [p.replace(COHORT, str(cohort)) for p in overrides]
+            outs = [Path(tmp) / f"{i}-{side}" for side in ("before", "after")]
+            errors = [run(tree, pairs, out) for tree, out in zip((before, after), outs)]
+            a, b = (artifacts(out) for out in outs)
+            differing = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+            if any(errors):
+                verdict = "; ".join(
+                    f"{side} failed with {err}" for side, err in zip(("before", "after"), errors) if err
+                )
+            elif differing:
+                verdict = f"{len(a)} files, these differ: {', '.join(differing)}"
+            else:
+                verdict = f"{len(a)} files identical"
+            failed += bool(any(errors) or differing)
+            print(f"{name}: {verdict}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
