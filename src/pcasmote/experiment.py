@@ -18,12 +18,14 @@ cross-validates each of the five datasets on its own, while
 ``train-folds-only`` resamples inside each training fold and tests only on
 original samples.  There one function scores the SMOTE stages fold by fold:
 they share each fold's split and one SMOTE chain; SMOTEi is the first i
-stages of that chain.  With the global PCA the data is reduced once, PCA is
-scored as a fixed dataset, each training fold is a row slice of the
-reduction, and each class's neighbours are ranked once per run, so a fold's
-neighbour table is a masked read of that ranking.  Under
-``pca.fit_within_fold`` each fold refits PCA, scores it and ranks its own
-neighbours; the reported ``n_features`` is then the last fold's.
+stages of that chain.  Each fold fits naive Bayes twice, on its training
+rows and on the chain's last set, and scores PCA and every stage from the
+two (``naive_bayes.chain_predict``).  With the global PCA the data is
+reduced once, each training fold is a row slice of it, and each class's
+neighbours are ranked once per run, so a fold's neighbour table is a masked
+read of that ranking.  Under ``pca.fit_within_fold`` each fold refits PCA
+and ranks its own neighbours; the reported ``n_features`` is then the last
+fold's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .dataset import (
 )
 from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
-from .naive_bayes import cross_val_predict, fit_nb, predict_matrix
+from .naive_bayes import chain_predict, cross_val_predict
 from .pca import fit_pca, transform
 from .rng import derive_seed
 from .smote import balance_sequence, neighbor_ranking, restrict_ranking
@@ -190,16 +192,15 @@ def _leak_free_predictions(
     first, and the last fold's retained count.  Each method is trained on
     the fold's training rows and scored on its original test rows: rows of
     ``reduced``, with each class's neighbour table read from its ranking in
-    ``rankings`` and PCA scored by ``cross_val_predict``, or under
-    ``pca.fit_within_fold`` reduced by a refit on the training fold.  The
-    SMOTE chain runs once over the full order and stage i is SMOTE(i+1).
-    The training fold's provenance names the fold (counted from 1) and the
-    seed, so an error raised on it says its counts are the fold's.
+    ``rankings``, or under ``pca.fit_within_fold`` reduced by a refit on the
+    training fold.  The SMOTE chain runs once over the full order;
+    ``chain_predict`` scores PCA and stage i, SMOTE(i+1), from the training
+    fold and the chain's last set.  The training fold's provenance names the
+    fold (counted from 1) and the seed, so an error raised on it says its
+    counts are the fold's.
     """
     refit = cfg.pca.fit_within_fold
     predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
-    if not refit:
-        predicted[0] = cross_val_predict(reduced, fold_of)
     for fold in range(int(fold_of.max()) + 1):
         test_idx = np.flatnonzero(fold_of == fold)
         in_train = fold_of != fold
@@ -213,7 +214,7 @@ def _leak_free_predictions(
             model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
             train = transform(model, train)
             test_x = transform(model, base.subset(test_idx)).features
-        train_sets = ([train] if refit else []) + balance_sequence(
+        final = ([train] + balance_sequence(
             train,
             order_idx,
             cfg.smote.per_class_target,
@@ -222,10 +223,9 @@ def _leak_free_predictions(
             neighbors=None if refit else (
                 lambda cls, k: restrict_ranking(rankings[cls], in_train[base.labels == cls], k)
             ),
-        )
-        del train  # each set is dropped once scored, to keep the memory peak low
-        for method_predicted in predicted[len(predicted) - len(train_sets) :]:
-            method_predicted[test_idx] = predict_matrix(fit_nb(train_sets.pop(0)), test_x)
+        ))[-1]
+        predicted[:, test_idx] = chain_predict(train, final, order_idx, test_x)
+        del train, final  # else they outlive the next fold's chain and raise the memory peak
     return predicted, test_x.shape[1]
 
 

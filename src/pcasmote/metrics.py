@@ -53,15 +53,21 @@ def confusion_matrix(actual, predicted, n_classes: int) -> ConfusionMatrix:
     return ConfusionMatrix(counts=counts)
 
 
+def _one_vs_rest_all(cm: ConfusionMatrix) -> list[tuple[int, int, int, int]]:
+    """(TP, FP, FN, TN) of every class as positive, from one read of the counts."""
+    rows = cm.counts.tolist()
+    total = sum(map(sum, rows))
+    return [
+        (row[c], sum(column) - row[c], sum(row) - row[c], total - sum(row) - sum(column) + row[c])
+        for c, (row, column) in enumerate(zip(rows, zip(*rows)))
+    ]
+
+
 def one_vs_rest(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:
     """(TP, FP, FN, TN) with class ``c`` as positive."""
     if not 0 <= c < cm.n_classes:
         raise ValueError(f"class index {c} out of range")
-    tp = int(cm.counts[c, c])
-    fn = int(cm.counts[c, :].sum()) - tp
-    fp = int(cm.counts[:, c].sum()) - tp
-    tn = cm.total - tp - fn - fp
-    return tp, fp, fn, tn
+    return _one_vs_rest_all(cm)[c]
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -71,35 +77,37 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts)) / cm.total
 
 
+def _rates(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float]:
+    """(FP rate, precision, recall) of one class's one-vs-rest counts."""
+    return (
+        fp / (tn + fp) if tn + fp > 0 else 0.0,
+        tp / (tp + fp) if tp + fp > 0 else 0.0,
+        tp / (tp + fn) if tp + fn > 0 else 0.0,
+    )
+
+
 def fp_rate(cm: ConfusionMatrix, c: int) -> float:
     """FP / (TN + FP) for class ``c``; 0 when no negatives exist."""
-    tp, fp, fn, tn = one_vs_rest(cm, c)
-    return fp / (tn + fp) if tn + fp > 0 else 0.0
+    return _rates(*one_vs_rest(cm, c))[0]
 
 
 def recall(cm: ConfusionMatrix, c: int) -> float:
     """TP / (TP + FN) for class ``c``; 0 when the class never occurs."""
-    tp, fp, fn, tn = one_vs_rest(cm, c)
-    return tp / (tp + fn) if tp + fn > 0 else 0.0
+    return _rates(*one_vs_rest(cm, c))[2]
 
 
 def precision(cm: ConfusionMatrix, c: int) -> float:
     """TP / (TP + FP) for class ``c``; 0 when the class is never predicted."""
-    tp, fp, fn, tn = one_vs_rest(cm, c)
-    return tp / (tp + fp) if tp + fp > 0 else 0.0
+    return _rates(*one_vs_rest(cm, c))[1]
 
 
 def weighted_average(cm: ConfusionMatrix, per_class_metric: Callable) -> float:
     """Average of a per-class metric weighted by actual class frequency."""
-    if cm.total == 0:
+    weights = [sum(row) for row in cm.counts.tolist()]
+    total = sum(weights)
+    if total == 0:
         raise ValueError("empty confusion matrix")
-    row_sums = cm.counts.sum(axis=1)
-    return float(
-        sum(
-            (row_sums[c] / cm.total) * per_class_metric(cm, c)
-            for c in range(cm.n_classes)
-        )
-    )
+    return float(sum(w / total * per_class_metric(cm, c) for c, w in enumerate(weights)))
 
 
 @dataclass(frozen=True)
@@ -129,15 +137,17 @@ class MetricRow:
 
 
 def metric_row(cm: ConfusionMatrix, method_name: str, n_features: int) -> MetricRow:
-    """Summarise a pooled confusion matrix into one record."""
+    """Summarise a pooled confusion matrix into one record; each class's
+    one-vs-rest counts are read once and feed all three weighted averages."""
     correct = int(np.trace(cm.counts))
+    fprs, precisions, recalls = zip(*(_rates(*counts) for counts in _one_vs_rest_all(cm)))
     return MetricRow(
         method_name=method_name,
         n_samples=cm.total,
         n_features=n_features,
         accuracy=accuracy(cm),
-        fp_rate=weighted_average(cm, fp_rate),
-        precision=weighted_average(cm, precision),
-        recall=weighted_average(cm, recall),
+        fp_rate=weighted_average(cm, lambda _, c: fprs[c]),
+        precision=weighted_average(cm, lambda _, c: precisions[c]),
+        recall=weighted_average(cm, lambda _, c: recalls[c]),
         misclassified=cm.total - correct,
     )

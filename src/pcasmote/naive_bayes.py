@@ -17,6 +17,10 @@ to ``0.0``.  numpy adds the rows of a non-innermost axis one after
 another, so each fold's moments equal those of a fit on that fold's rows
 alone, bit for bit.  A lone feature column would be summed pairwise, where
 the inserted zeros regroup the sum, so it is summed beside a copy of itself.
+
+A SMOTE run appends one class's synthetic rows after the originals, so each
+stage of a chain of runs is, class by class, a fit of its first set or of
+its last: :func:`chain_predict` scores every stage from those two fits.
 """
 
 from __future__ import annotations
@@ -120,8 +124,12 @@ def _fit_masked(ds: Dataset, keep: np.ndarray):
             f"{ds.provenance}: the class means or variances of the features "
             "overflow float64"
         )
-    priors = (counts + 1.0) / (counts.sum(axis=1) + ds.n_classes)[:, None]
-    return priors, means, stds
+    return _laplace_priors(counts), means, stds
+
+
+def _laplace_priors(counts: np.ndarray) -> np.ndarray:
+    """(B, C) priors ``(count + 1) / (N + C)`` of the (B, C) class counts."""
+    return (counts + 1.0) / (counts.sum(axis=1) + counts.shape[1])[:, None]
 
 
 def fit_nb(ds: Dataset) -> NbModel:
@@ -164,6 +172,28 @@ def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
     return predicted
 
 
+def chain_predict(train: Dataset, final: Dataset, order, rows) -> np.ndarray:
+    """(1 + len(order), n_rows) int64 predictions of ``rows`` by each stage of
+    the SMOTE chain from ``train`` to its last set ``final``, stage i having
+    grown ``order[:i]``: those classes have ``final``'s moments and counts,
+    bit for bit, the others ``train``'s.  Raises ``ValueError`` where that
+    fails: a class absent from ``train`` (its fallback moments would depend
+    on the stage's rows), or grown but not in ``order``.
+    """
+    counts = [np.bincount(ds.labels, minlength=train.n_classes) for ds in (train, final)]
+    grown = set(np.flatnonzero(counts[0] != counts[1]).tolist())
+    if (counts[0] == 0).any() or not grown <= set(order):
+        raise ValueError("final must grow only classes of order, each present in train")
+    fits = [_fit_masked(ds, np.ones((1, ds.n_samples), dtype=bool)) for ds in (train, final)]
+    densities = [_log_densities(rows, means[0], stds[0]) for _, means, stds in fits]
+    done = np.zeros((1 + len(order), train.n_classes), dtype=bool)   # (stage, class)
+    for i, cls in enumerate(order):
+        done[i + 1 :, cls] = True
+    log_priors = np.log(_laplace_priors(np.where(done, counts[1], counts[0])))
+    scores = log_priors[:, None, :] + np.where(done[:, None, :], densities[1], densities[0])
+    return np.argmax(scores, axis=2).astype(np.int64)
+
+
 def _check_vector(model: NbModel, x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != model.n_features:
@@ -177,10 +207,16 @@ def _log_scores(rows, priors, means, stds) -> np.ndarray:
     """(n_rows, n_classes) log scores of ``rows`` (n, f) against one model's
     ``priors`` (C,), ``means`` and ``stds`` (C, f), or against one model per
     row with a leading axis of n on each."""
+    return np.log(priors) + _log_densities(rows, means, stds)
+
+
+def _log_densities(rows, means, stds) -> np.ndarray:
+    """The scores of ``_log_scores`` without the log priors: per class, the
+    sum of the per-feature Gaussian log densities."""
     x = np.asarray(rows, dtype=np.float64)[:, None, :]      # (n, 1, f)
     z = (x - means) / stds
     log_density = -0.5 * (z * z) - np.log(stds) - 0.5 * _LOG_2PI
-    return np.log(priors) + log_density.sum(axis=2)
+    return log_density.sum(axis=2)
 
 
 def log_posterior(model: NbModel, x) -> np.ndarray:

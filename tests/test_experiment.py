@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pcasmote import experiment
+from pcasmote import experiment, naive_bayes
 from pcasmote.dataset import Dataset, write_dataset_csv
 from pcasmote.errors import DataError
 from pcasmote.pca import fit_pca, transform
@@ -179,20 +179,26 @@ class TestRunExperiment:
         assert method_names(3) == ["Initial", "PCA", "SMOTE1", "SMOTE2", "SMOTE3"]
 
 
-def counted_run(data_file, fit_within_fold, names):
-    """One-seed leak-free experiment, counting calls to ``experiment.<name>``."""
+#: naive Bayes entry points counted in ``naive_bayes`` itself: the one-set
+#: fit and the masked fit that every fit and scorer of the module runs
+NB_FITS = ((naive_bayes, "fit_nb"), (naive_bayes, "_fit_masked"))
+
+
+def counted_run(data_file, fit_within_fold, targets):
+    """One-seed leak-free experiment, counting calls to each ``(module, name)``
+    target by name; a target never called counts 0."""
     cfg = default_config(data_file, seeds=(1,), resample_scope="train-folds-only")
     cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        for name in names:
-            original = getattr(experiment, name)
+        for module, name in targets:
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            mp.setattr(experiment, name, counted)
+            mp.setattr(module, name, counted)
         report = run_experiment(cfg)
     return report, calls
 
@@ -200,7 +206,8 @@ def counted_run(data_file, fit_within_fold, names):
 @pytest.fixture(scope="module")
 def refit_run(data_file):
     """The leak-free refit experiment, counting calls to the per-fold stages."""
-    return counted_run(data_file, True, ("fit_pca", "balance_sequence", "fit_nb"))
+    names = ("fit_pca", "balance_sequence", "chain_predict")
+    return counted_run(data_file, True, [(experiment, name) for name in names] + list(NB_FITS))
 
 
 class TestTrainFoldsOnlyScope:
@@ -242,27 +249,26 @@ class TestTrainFoldsOnlyScope:
     def test_test_folds_hold_only_original_rows(
         self, data_file, lung, monkeypatch, fit_within_fold
     ):
-        """Every matrix scored in a fold is exactly that fold's original test
-        rows: under the global PCA, the rows of the dataset reduced once, for
-        each SMOTE stage (PCA is scored on them by ``cross_val_predict``);
-        under a refit, the fold's test rows reduced by it, for PCA and each
-        stage.  Initial is scored on the same folds beforehand."""
+        """The one matrix that PCA and the SMOTE stages score in a fold is
+        exactly that fold's original test rows: under the global PCA, their
+        rows of the dataset reduced once; under a refit, the fold's test rows
+        reduced by it.  Initial is scored on the same folds beforehand."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
         assignments, scored = [], []
         stratified_folds = experiment.stratified_folds
-        predict_matrix = experiment.predict_matrix
+        chain_predict = experiment.chain_predict
 
         def recording_folds(*args):
             assignments.append(stratified_folds(*args))
             return assignments[-1]
 
-        def recording_predict(model, rows):
+        def recording_chain(train, final, order, rows):
             scored.append(rows)
-            return predict_matrix(model, rows)
+            return chain_predict(train, final, order, rows)
 
         monkeypatch.setattr(experiment, "stratified_folds", recording_folds)
-        monkeypatch.setattr(experiment, "predict_matrix", recording_predict)
+        monkeypatch.setattr(experiment, "chain_predict", recording_chain)
         run_experiment(cfg)
 
         # Initial's folds come first, one per seed, and equal the other methods'
@@ -271,7 +277,6 @@ class TestTrainFoldsOnlyScope:
         for initial_fold_of, fold_of in zip(initial_folds, assignments):
             assert np.array_equal(initial_fold_of, fold_of)
         reduced_once = transform(fit_pca(lung, cfg.pca.threshold, cfg.pca.mode), lung)
-        per_fold = len(cfg.smote.order) + fit_within_fold
         visited = []
         for seed_pos, fold_of in enumerate(assignments):
             for fold in range(int(fold_of.max()) + 1):
@@ -281,12 +286,9 @@ class TestTrainFoldsOnlyScope:
                     train = lung.subset(np.flatnonzero(fold_of != fold))
                     model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
                     reduced = transform(model, lung.subset(test_idx)).features
-                got = scored[len(visited) * per_fold :][:per_fold]
-                assert len(got) == per_fold
-                for test_x in got:
-                    assert np.array_equal(test_x, reduced)
+                assert np.array_equal(scored[len(visited)], reduced)
                 visited.append((seed_pos, fold))
-        assert len(scored) == len(visited) * per_fold
+        assert len(scored) == len(visited)
         assert visited == [(s, f) for s in range(2) for f in range(10)]
 
     @pytest.mark.parametrize(
@@ -349,33 +351,42 @@ class TestTrainFoldsOnlyScope:
 
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run
-        # 2 global fits (both modes) + one per fold; one chain per fold;
-        # naive Bayes fitted for PCA and 3 SMOTE stages per fold, none for Initial
-        assert calls == {"fit_pca": 2 + 10, "balance_sequence": 10, "fit_nb": 4 * 10}
+        # 2 global fits (both modes) + one per fold; one chain per fold; PCA
+        # and the 3 SMOTE stages scored by one call per fold, from two masked
+        # naive Bayes fits (training fold, last set); Initial's 10 folds are
+        # one masked fit (32 x 56 rows fit in one block)
+        assert calls == Counter(
+            fit_pca=2 + 10, balance_sequence=10, chain_predict=10, fit_nb=0,
+            _fit_masked=1 + 2 * 10,
+        )
 
     def test_global_pca_reduces_once_and_chains_once_per_fold(self, data_file):
-        names = ("fit_pca", "transform", "balance_sequence", "fit_nb", "cross_val_predict")
-        _, calls = counted_run(data_file, False, names)
+        names = ("fit_pca", "transform", "balance_sequence", "chain_predict", "cross_val_predict")
+        targets = [(experiment, name) for name in names] + list(NB_FITS)
+        _, calls = counted_run(data_file, False, targets)
         # both modes fitted once; one reduction per run; one chain per fold;
-        # naive Bayes fitted for 3 SMOTE stages per fold; Initial and PCA are
-        # each scored by one cross_val_predict
-        assert calls == {
-            "fit_pca": 2,
-            "transform": 1,
-            "balance_sequence": 10,
-            "fit_nb": 3 * 10,
-            "cross_val_predict": 2,
-        }
+        # PCA and the 3 SMOTE stages scored by one call per fold, from two
+        # masked naive Bayes fits; only Initial is scored by cross_val_predict
+        assert calls == Counter(
+            fit_pca=2, transform=1, balance_sequence=10, chain_predict=10,
+            cross_val_predict=1, fit_nb=0, _fit_masked=1 + 2 * 10,
+        )
 
 
 def per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos):
-    """The leak-free scorer as it was before the global reduction and the
-    class rankings: every fold transforms its own rows and ranks its own
-    neighbours afresh (``balance_sequence`` without ``neighbors``)."""
+    """The leak-free scorer as it was before the global reduction, the class
+    rankings and the two-fit scoring: every fold transforms its own rows by
+    ``model`` (or by a refit on its training rows under
+    ``pca.fit_within_fold``), ranks its own neighbours afresh
+    (``balance_sequence`` without ``neighbors``) and fits one naive Bayes
+    model per stage."""
     predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
     for fold in range(int(fold_of.max()) + 1):
         test_idx = np.flatnonzero(fold_of == fold)
-        train = transform(model, base.subset(np.flatnonzero(fold_of != fold)))
+        train = base.subset(np.flatnonzero(fold_of != fold))
+        if cfg.pca.fit_within_fold:
+            model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
+        train = transform(model, train)
         test_x = transform(model, base.subset(test_idx)).features
         train_sets = [train] + balance_sequence(
             train,
@@ -415,19 +426,28 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
         return path
 
     @pytest.mark.parametrize(
-        "protocol, k, seeds, smote_k",
+        "protocol, k, seeds, smote_k, refit",
         [
-            ("k-fold", 10, (1, 2, 3), 5),
-            ("k-fold", 2, (4,), 5),
-            ("k-fold", 5, (5,), 70),
-            ("leave-one-out", 10, (6,), 5),
+            ("k-fold", 10, (1, 2, 3), 5, False),
+            ("k-fold", 2, (4,), 5, False),
+            ("k-fold", 5, (5,), 70, False),
+            ("leave-one-out", 10, (6,), 5, False),
+            ("k-fold", 10, (1, 2), 5, True),
+            ("k-fold", 2, (4,), 70, True),
+            ("leave-one-out", 10, (6,), 5, True),
         ],
-        ids=["10-fold", "2-fold", "k-above-class-size", "leave-one-out"],
+        ids=[
+            "10-fold", "2-fold", "k-above-class-size", "leave-one-out",
+            "fit-within-fold-10-fold", "fit-within-fold-2-fold-k-above-class-size",
+            "fit-within-fold-leave-one-out",
+        ],
     )
-    def test_predictions_equal(self, cohort_file, monkeypatch, protocol, k, seeds, smote_k):
+    def test_predictions_equal(
+        self, cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit
+    ):
         cfg = ExperimentConfig(
             dataset=str(cohort_file),
-            pca=PcaSettings(threshold=0.8),
+            pca=PcaSettings(threshold=0.8, fit_within_fold=refit),
             smote=SmoteSettings(k=smote_k, order=("c0", "c2", "c1"), per_class_target=100),
             eval=EvalSettings(
                 protocol=protocol, k=k, seeds=seeds, resample_scope="train-folds-only"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcasmote.metrics import (
     ConfusionMatrix,
+    MetricRow,
     accuracy,
     confusion_matrix,
     fp_rate,
@@ -200,3 +203,32 @@ class TestMetricRow:
         assert d["method"] == "method"
         assert d["n_features"] == 7
         assert d["n_samples"] == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 400), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_equals_the_per_class_functions(self, counts):
+        """The one-pass row equals one built from the per-class functions, each
+        average summed as ``sum(row_sum[c] / total * metric(cm, c))``."""
+        cm = ConfusionMatrix(counts=np.array(counts))
+        assume(cm.total > 0)
+        row_sums = cm.counts.sum(axis=1)
+
+        def average(metric):
+            return float(sum(row_sums[c] / cm.total * metric(cm, c) for c in range(cm.n_classes)))
+
+        assert metric_row(cm, "m", 4) == MetricRow(
+            method_name="m",
+            n_samples=cm.total,
+            n_features=4,
+            accuracy=accuracy(cm),
+            fp_rate=average(fp_rate),
+            precision=average(precision),
+            recall=average(recall),
+            misclassified=cm.total - int(np.trace(cm.counts)),
+        )

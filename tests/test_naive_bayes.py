@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from pcasmote import naive_bayes
 from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
+from pcasmote.smote import balance_sequence
 from pcasmote.naive_bayes import (
     NbModel,
     STD_FLOOR,
+    chain_predict,
     cross_val_predict,
     fit_nb,
     load_nb,
@@ -379,3 +382,102 @@ class TestCrossValPredict:
         fold_of = np.array([0, 0, 1, 1, 2, 2])
         with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
             cross_val_predict(ds, fold_of)
+
+
+def check_chain(train: Dataset, order, target: int, k: int, seed: int, rows) -> None:
+    """``chain_predict`` against one ``fit_nb`` per stage of the SMOTE chain
+    that ``balance_sequence`` builds from ``train``: equal predictions, or
+    the same ``DataError`` where a stage's moments overflow."""
+    stages = [train] + balance_sequence(train, order, target, k=k, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rows score -inf
+        try:
+            expected = np.stack([predict_matrix(fit_nb(ds), rows) for ds in stages])
+        except DataError as error:
+            with pytest.raises(DataError, match=f"^{re.escape(str(error))}$"):
+                chain_predict(train, stages[-1], order, rows)
+            return
+        got = chain_predict(train, stages[-1], order, rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()
+
+
+@st.composite
+def chain_problems(draw):
+    """A training set with duplicate rows and classes of one row, a SMOTE
+    order over the classes it can grow, a target, and rows to score."""
+    f = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+    target = max(sizes) + draw(st.integers(0, 5))
+    # in about one problem of four, magnitudes whose squared deviations may overflow
+    huge = [1e150, -2e153, 3e154, -1.2e155] if draw(st.sampled_from([1, 0, 0, 0])) else [0.5]
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        st.sampled_from(huge),
+    )
+    distinct = draw(st.lists(st.lists(value, min_size=f, max_size=f), min_size=1, max_size=12))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=sum(sizes), max_size=sum(sizes)))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    shuffled = draw(st.permutations(range(labels.size)))
+    growable = [c for c, size in enumerate(sizes) if size >= 2 or size == target]
+    growable = draw(st.permutations(growable))
+    order = growable[draw(st.integers(0, len(growable))) :]
+    train = replace(
+        make_dataset(np.array(rows)[shuffled], labels[shuffled], len(sizes)),
+        provenance="chain.csv",
+    )
+    scored = np.array(draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6)))
+    return train, order, target, draw(st.integers(1, 4)), draw(st.integers(0, 99)), scored
+
+
+class TestChainPredict:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=chain_problems())
+    def test_matches_one_fit_per_stage(self, problem):
+        check_chain(*problem)
+
+    @pytest.mark.parametrize(
+        "f, order, target",
+        [(1, [0, 2, 1], 12), (3, [2, 0], 12), (2, [], 7), (2, [1, 0, 2], 9)],
+        ids=["one-feature", "partial-order", "empty-order", "class-at-target"],
+    )
+    def test_stages(self, f, order, target):
+        rng = np.random.default_rng(24)
+        labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 1, 1, 1, 1, 0, 2, 1, 1])
+        train = make_dataset(np.round(rng.normal(size=(16, f)), 1), labels, 3)
+        rows = np.round(rng.normal(size=(10, f)), 1)
+        check_chain(train, order, target, k=3, seed=5, rows=rows)
+
+    def test_tied_scores_break_toward_the_lowest_class(self):
+        # classes 0 and 1 hold the same rows, so only their priors differ
+        column = [[0.0], [1.0], [2.0]] * 2 + [[9.0], [8.0]]
+        train = make_dataset(column, [0, 0, 0, 1, 1, 1, 2, 2], 3)
+        check_chain(train, [2, 1, 0], 5, k=2, seed=3, rows=np.array([[1.0], [0.0]]))
+
+    def test_singleton_class_outside_the_order(self):
+        train = make_dataset([[0.0], [0.5], [3.0], [2.0], [7.0]], [0, 0, 1, 1, 2], 3)
+        check_chain(train, [1, 0], 4, k=1, seed=8, rows=np.array([[7.0], [0.2], [2.5]]))
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1e154, -1e154, 1.5e154, 0.0, 1.0], [1.2e154, 0.0, 1.1e154, 0.0, 1.0]],
+        ids=["training-set", "grown-class"],
+    )
+    def test_overflow_is_the_per_stage_data_error(self, column):
+        train = replace(
+            make_dataset(np.array(column)[:, None], [0, 0, 0, 1, 1]), provenance="huge.csv"
+        )
+        with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
+            chain_predict(train, balance_sequence(train, [0], 40, k=2, seed=1)[-1], [0], [[0.0]])
+        check_chain(train, [0], 40, k=2, seed=1, rows=np.array([[0.0]]))
+
+    def test_class_absent_from_the_training_set_rejected(self):
+        train = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], 3)
+        with pytest.raises(ValueError, match="each present in train"):
+            chain_predict(train, train, [], np.zeros((1, 1)))
+
+    def test_class_outside_the_order_growing_rejected(self):
+        train = make_dataset([[0.0], [1.0], [2.0], [3.0], [2.5]], [0, 0, 1, 1, 1])
+        final = balance_sequence(train, [0], 4, k=1, seed=2)[-1]
+        with pytest.raises(ValueError, match="grow only classes of order"):
+            chain_predict(train, final, [1], np.zeros((1, 1)))

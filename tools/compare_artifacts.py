@@ -52,6 +52,19 @@ CONFIGS = (
         f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.protocol=leave-one-out",
         "eval.seeds=1",
     )),
+    # stages scored from the training fold's and the last set's fits: one
+    # feature, partial and reordered orders, every class grown past its size
+    ("train-folds-only+pca.threshold=0.05", (TFO, "pca.threshold=0.05")),
+    ("train-folds-only+fit_within_fold+pca.threshold=0.05", (
+        TFO, "pca.fit_within_fold=true", "pca.threshold=0.05",
+    )),
+    ("train-folds-only+smote.order=TypeC", (TFO, "smote.order=TypeC")),
+    ("train-folds-only+smote.order=TypeB,TypeA", (TFO, "smote.order=TypeB,TypeA")),
+    ("train-folds-only+smote.per_class_target=40", (TFO, "smote.per_class_target=40")),
+    ("train-folds-only+covariance+fit_within_fold+loo seed 1", (
+        TFO, "pca.mode=covariance", "pca.fit_within_fold=true", "eval.protocol=leave-one-out",
+        "eval.seeds=1",
+    )),
 )
 
 
