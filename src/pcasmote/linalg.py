@@ -1,4 +1,4 @@
-"""Minimal dense linear algebra: column statistics and a symmetric eigensolver.
+"""Minimal dense linear algebra: sample covariance and a symmetric eigensolver.
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order.
 Everything here is deterministic: the eigensolver's output is sorted and
@@ -12,24 +12,12 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-#: Columns whose sample standard deviation falls below this are treated as
-#: constant: their scale becomes 1 and they contribute zero correlation.
-SD_FLOOR = 1e-12
-
 
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     return a
-
-
-def mean_vector(m) -> np.ndarray:
-    """Column means of ``m`` (rows are observations)."""
-    a = _as_matrix(m)
-    if a.shape[0] < 1:
-        raise ValueError("mean_vector needs at least one row")
-    return a.mean(axis=0)
 
 
 def covariance_matrix(m) -> np.ndarray:
@@ -45,30 +33,6 @@ def covariance_matrix(m) -> np.ndarray:
     centered = a - a.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     return (cov + cov.T) / 2.0
-
-
-def column_std(m) -> np.ndarray:
-    """Per-column sample standard deviation (divisor n-1)."""
-    a = _as_matrix(m)
-    if a.shape[0] < 2:
-        raise ValueError("column_std needs at least two rows")
-    return a.std(axis=0, ddof=1)
-
-
-def correlation_matrix(m) -> np.ndarray:
-    """Correlation of the columns of ``m`` as covariance of z-scores.
-
-    Columns with standard deviation below ``SD_FLOOR`` are scaled by 1
-    instead, which zeroes their row and column (constant features carry no
-    correlation information).
-    """
-    a = _as_matrix(m)
-    if a.shape[0] < 2:
-        raise ValueError("correlation needs at least two rows")
-    sd = column_std(a)
-    scale = np.where(sd < SD_FLOOR, 1.0, sd)
-    z = (a - a.mean(axis=0)) / scale
-    return covariance_matrix(z)
 
 
 @dataclass(frozen=True)

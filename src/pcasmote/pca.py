@@ -16,6 +16,11 @@ from . import linalg, model_io
 from .dataset import Dataset
 from .errors import DataError
 
+#: Correlation mode divides each centred column by its sample standard
+#: deviation (divisor n-1); a column whose sd is below this is constant and
+#: keeps scale 1, so its z-scores are zero and it adds zero correlation.
+SD_FLOOR = 1e-12
+
 #: Eigenvalues below this fraction of the largest one count as zero when
 #: computing coverage, so rank-deficient data reaches coverage 1.0 exactly.
 RANK_TOL = 1e-12
@@ -94,14 +99,7 @@ def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
         raise ValueError("dataset still contains missing cells; impute first")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = linalg.mean_vector(ds.features)
-        if mode == "correlation":
-            sd = linalg.column_std(ds.features)
-            scale = np.where(sd < linalg.SD_FLOOR, 1.0, sd)
-            basis = linalg.correlation_matrix(ds.features)
-        else:
-            scale = np.ones(ds.n_features)
-            basis = linalg.covariance_matrix(ds.features)
+        mean, scale, basis = _basis(ds.features, mode)
     if not all(np.isfinite(a).all() for a in (mean, scale, basis)):
         raise DataError(
             f"{ds.provenance}: the {mode} matrix of the features overflows float64"
@@ -118,6 +116,17 @@ def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
         variance_threshold=threshold,
         mode=mode,
     )
+
+
+def _basis(features: np.ndarray, mode: str):
+    """(column mean, scale, matrix to decompose) of ``features`` under ``mode``:
+    the covariance of the features, or of their z-scores (see ``SD_FLOOR``)."""
+    mean = features.mean(axis=0)
+    if mode == "covariance":
+        return mean, np.ones(features.shape[1]), linalg.covariance_matrix(features)
+    sd = features.std(axis=0, ddof=1)
+    scale = np.where(sd < SD_FLOOR, 1.0, sd)
+    return mean, scale, linalg.covariance_matrix((features - mean) / scale)
 
 
 def transform(model: PcaModel, ds: Dataset) -> Dataset:

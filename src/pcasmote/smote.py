@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset, class_counts
 from .errors import DataError, ResampleError
-from .rng import Rng, derive_seed, next_u64_array
+from .rng import derive_seed, next_u64_array
 
 #: float64 elements in one block's (rows, n, features) difference temporary
 _BLOCK_ELEMENTS = 1 << 14
@@ -100,15 +100,6 @@ def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int
     if k < 1:
         raise ValueError("k must be at least 1")
     return _neighbor_table(pts, min(k, n - 1))[idx].tolist()
-
-
-def synthesize(sample: np.ndarray, neighbor: np.ndarray, rng: Rng) -> np.ndarray:
-    """One synthetic point on the segment from ``sample`` toward ``neighbor``."""
-    s = np.asarray(sample, dtype=np.float64)
-    nb = np.asarray(neighbor, dtype=np.float64)
-    if s.shape != nb.shape:
-        raise ValueError(f"length mismatch: {s.shape} vs {nb.shape}")
-    return _interpolate(s, nb, rng.random())
 
 
 def _interpolate(sample, neighbor, u):

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcasmote.dataset import (
+    LUNG_N_FEATURES,
     Dataset,
     class_counts,
     impute_missing,
@@ -203,6 +205,110 @@ class TestCsvRoundTrip:
         write_dataset_csv(lung, path)
         first_row = path.read_text().splitlines()[1]
         assert first_row.rsplit(",", 1)[1] in ("TypeA", "TypeB", "TypeC")
+
+
+#: cells the CSV writer and reader must carry bit for bit: signed zero,
+#: subnormals, the largest finite floats, and NaN (written as a missing cell)
+AWKWARD_FLOATS = (
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, math.nan,
+)
+CSV_NAMES = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
+
+
+@st.composite
+def csv_datasets(draw):
+    """A dataset of 1-5 features and 1-30 rows whose sorted class names all occur."""
+    n_features = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 30))
+    cell = st.one_of(
+        st.sampled_from(AWKWARD_FLOATS), st.floats(allow_infinity=False, allow_nan=False)
+    )
+    row = st.lists(cell, min_size=n_features, max_size=n_features)
+    class_names = sorted(draw(st.sets(CSV_NAMES, min_size=1, max_size=min(4, n_rows))))
+    extra = st.integers(0, len(class_names) - 1)
+    labels = list(range(len(class_names)))
+    labels += draw(st.lists(extra, min_size=n_rows - len(labels), max_size=n_rows - len(labels)))
+    return Dataset(
+        features=np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows))),
+        labels=np.array(draw(st.permutations(labels))),
+        class_names=tuple(class_names),
+        feature_names=tuple(draw(st.lists(CSV_NAMES, min_size=n_features, max_size=n_features))),
+    )
+
+
+@st.composite
+def uci_files(draw):
+    """(lines, line endings, labels, cells with None for '?', line number of
+    each data line) of a UCI file.
+
+    Every label 1-3 occurs; cells are integers within 2**53 of zero; blank
+    lines and CRLF endings are mixed in.
+    """
+    labels = [1, 2, 3] + draw(st.lists(st.sampled_from([1, 2, 3]), max_size=5))
+    labels = draw(st.permutations(labels))
+    cell = st.one_of(st.integers(-(2**53), 2**53), st.none())
+    rows = [
+        draw(st.lists(cell, min_size=LUNG_N_FEATURES, max_size=LUNG_N_FEATURES))
+        for _ in labels
+    ]
+    lines, data_lines = [], []
+    for label, row in zip(labels, rows):
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(",".join([str(label)] + ["?" if c is None else str(c) for c in row]))
+        data_lines.append(len(lines))
+    lines += [""] * draw(st.integers(0, 2))
+    ending = st.sampled_from(["\n", "\r\n"])
+    endings = draw(st.lists(ending, min_size=len(lines), max_size=len(lines)))
+    return lines, endings, labels, rows, data_lines
+
+
+def write_uci(folder, lines, endings):
+    path = folder / "lung.data"
+    path.write_bytes("".join(line + end for line, end in zip(lines, endings)).encode("ascii"))
+    return path
+
+
+class TestLoaderProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(ds=csv_datasets())
+    def test_csv_round_trip_is_bit_exact(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("csv") / "round.csv"
+        write_dataset_csv(ds, path)
+        back = read_dataset_csv(path)
+        # bytes, not Dataset.equals: -0.0 must stay -0.0, and NaN stay missing
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tolist() == ds.labels.tolist()
+        assert back.class_names == ds.class_names
+        assert back.feature_names == ds.feature_names
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=uci_files())
+    def test_uci_loader_reads_every_cell(self, tmp_path_factory, case):
+        lines, endings, labels, rows, _ = case
+        path = write_uci(tmp_path_factory.mktemp("uci"), lines, endings)
+        ds = load_uci_lung_cancer(path)
+        expected = np.array([[math.nan if c is None else float(c) for c in r] for r in rows])
+        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.labels.tolist() == [label - 1 for label in labels]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=uci_files(), data=st.data())
+    def test_uci_loader_names_the_corrupt_line(self, tmp_path_factory, case, data):
+        lines, endings, _, _, data_lines = case
+        lineno = data.draw(st.sampled_from(data_lines))
+        fields = lines[lineno - 1].split(",")
+        fault = data.draw(st.sampled_from(["drop a field", "1.5", "x", "label 4"]))
+        if fault == "drop a field":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+        elif fault == "label 4":
+            fields[0] = "4"
+        else:
+            fields[data.draw(st.integers(0, len(fields) - 1))] = fault
+        lines[lineno - 1] = ",".join(fields)
+        path = write_uci(tmp_path_factory.mktemp("uci"), lines, endings)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {lineno}: ")):
+            load_uci_lung_cancer(path)
 
 
 class TestStratifiedFolds:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcasmote import linalg
+from pcasmote import linalg, pca
 from pcasmote.errors import ConvergenceError
 
 
@@ -37,25 +37,6 @@ def naive_covariance(m):
     return np.array(cov)
 
 
-class TestMeanVector:
-    def test_two_by_two(self):
-        assert linalg.mean_vector([[1, 3], [3, 5]]).tolist() == [2, 4]
-
-    def test_single_row_is_identity(self):
-        row = [[7.0, -2.0, 0.5]]
-        assert linalg.mean_vector(row).tolist() == [7.0, -2.0, 0.5]
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.mean_vector(np.empty((0, 3)))
-
-    def test_matches_naive_oracle_on_lung_features(self, lung):
-        means = linalg.mean_vector(lung.features)
-        assert means.shape == (56,)
-        oracle = naive_column_means(lung.features)
-        assert np.allclose(means, oracle, atol=1e-12)
-
-
 class TestCovariance:
     def test_hand_case(self):
         cov = linalg.covariance_matrix([[0, 0], [2, 2]])
@@ -78,15 +59,20 @@ class TestCovariance:
             linalg.covariance_matrix([[1.0, 2.0]])
 
 
+def correlation_basis(m):
+    """The matrix ``fit_pca`` decomposes in correlation mode."""
+    return pca._basis(np.asarray(m, dtype=np.float64), "correlation")[2]
+
+
 class TestCorrelation:
     def test_perfectly_correlated_columns(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        assert np.allclose(linalg.correlation_matrix(m), [[1, 1], [1, 1]])
+        assert np.allclose(correlation_basis(m), [[1, 1], [1, 1]])
 
     def test_orthogonal_columns_uncorrelated(self):
         # columns constructed orthogonal after centering
         m = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        corr = linalg.correlation_matrix(m)
+        corr = correlation_basis(m)
         assert abs(corr[0, 1]) < 1e-12
         assert np.allclose(np.diag(corr), 1.0)
 
@@ -101,16 +87,16 @@ class TestCorrelation:
         z = np.array(
             [[(float(m[i, j]) - means[j]) / sds[j] for j in range(4)] for i in range(6)]
         )
-        assert np.abs(linalg.correlation_matrix(m) - naive_covariance(z)).max() < 1e-10
+        assert np.abs(correlation_basis(m) - naive_covariance(z)).max() < 1e-10
 
     def test_entries_bounded(self):
         m = np.random.default_rng(3).normal(size=(9, 5))
-        corr = linalg.correlation_matrix(m)
+        corr = correlation_basis(m)
         assert (np.abs(corr) <= 1.0 + 1e-12).all()
 
     def test_constant_column_contributes_zero(self):
         m = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        corr = linalg.correlation_matrix(m)
+        corr = correlation_basis(m)
         assert corr[0, 1] == 0.0 and corr[1, 1] == 0.0
 
 
@@ -162,7 +148,7 @@ class TestJacobi:
     def test_covariance_eigenvalues_nonnegative(self, lung):
         for basis in (
             linalg.covariance_matrix(lung.features),
-            linalg.correlation_matrix(lung.features),
+            correlation_basis(lung.features),
         ):
             values = linalg.symmetric_eigen(basis).eigenvalues
             assert (values >= -1e-10).all()
@@ -228,14 +214,14 @@ def test_sign_fix_matches_column_loop(n):
 
 _HASH_EIGEN_SCRIPT = """
 import hashlib, sys
-from pcasmote import linalg
 from pcasmote.dataset import impute_missing, load_uci_lung_cancer
+from pcasmote.pca import fit_pca
 ds = impute_missing(load_uci_lung_cancer(sys.argv[1]), "mode")
 h = hashlib.sha256()
-for basis in (linalg.correlation_matrix(ds.features), linalg.covariance_matrix(ds.features)):
-    eig = linalg.symmetric_eigen(basis)
-    h.update(eig.eigenvalues.tobytes())
-    h.update(eig.eigenvectors.tobytes())
+for mode in ("correlation", "covariance"):
+    model = fit_pca(ds, 1.0, mode)
+    for a in (model.eigenvalues, model.components, model.mean, model.scale):
+        h.update(a.tobytes())
 print(h.hexdigest())
 """
 

@@ -12,24 +12,14 @@ from pcasmote.pca import fit_pca, transform
 from pcasmote.rng import Rng
 from pcasmote.smote import (
     SmoteConfig,
+    _interpolate,
     _neighbor_table,
     balance_sequence,
     nearest_minority_neighbors,
     neighbor_ranking,
     oversample_class,
     restrict_ranking,
-    synthesize,
 )
-
-
-class FixedRng:
-    """Test double feeding a scripted sequence of uniform draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
 
 
 def make_dataset(features, labels, n_classes=3):
@@ -87,15 +77,17 @@ class TestNearestNeighbors:
 
 
 class TestSynthesize:
+    """The SMOTE formula, ``smote._interpolate``."""
+
     def test_u_zero_returns_sample(self):
         sample = np.array([1.0, 2.0])
         neighbor = np.array([5.0, -2.0])
-        out = synthesize(sample, neighbor, FixedRng([0.0]))
+        out = _interpolate(sample, neighbor, 0.0)
         assert np.array_equal(out, sample)
 
     def test_identical_points_fixed(self):
         p = np.array([3.0, 3.0])
-        out = synthesize(p, p.copy(), FixedRng([0.7]))
+        out = _interpolate(p, p.copy(), 0.7)
         assert np.array_equal(out, p)
 
     def test_convexity_per_coordinate(self):
@@ -103,14 +95,10 @@ class TestSynthesize:
         sample = np.array([0.0, 10.0, -3.0])
         neighbor = np.array([1.0, -10.0, 4.0])
         for _ in range(50):
-            out = synthesize(sample, neighbor, rng)
+            out = _interpolate(sample, neighbor, rng.random())
             low = np.minimum(sample, neighbor)
             high = np.maximum(sample, neighbor)
             assert ((out >= low) & (out <= high)).all()
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize(np.zeros(2), np.zeros(3), FixedRng([0.5]))
 
 
 def recover_interpolation(row, originals, tol=1e-9):
@@ -214,7 +202,8 @@ def reference_synthetic(minority, k, seed, needed):
         base = j % n
         choices = neighbor_lists[base]
         neighbor = choices[rng.randrange(len(choices))]
-        synthetic[j] = synthesize(minority[base], minority[neighbor], rng)
+        u = rng.random()
+        synthetic[j] = minority[base] + u * (minority[neighbor] - minority[base])
     return neighbor_lists, synthetic
 
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Compare the artifacts of ``pcasmote experiment`` from two source trees.
+"""Compare the artifacts of ``pcasmote`` runs from two source trees.
 
 Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
 experiment --config configs/default.cfg`` is run in that tree under every
-override set in ``CONFIGS``.  Every output file but ``run_meta.json`` (which
-holds timings and the command line) is compared byte for byte, and one line
-per config says whether the two runs agree and, if not, which files differ.
+override set in ``CONFIGS``, then ``reduce`` and ``train`` under every set in
+``MODEL_CONFIGS``.  Every output file but ``run_meta.json`` (which holds
+timings and the command line) is compared byte for byte: the reports and
+figure CSVs, ``pca_model.txt``, ``reduced.csv`` and ``nb_model.txt``.  One
+line per config says whether the two runs agree and, if not, which files
+differ.
 The generated cohort of the ``large-cohort`` benchmark workload (workload
 seed 0) is written once, from the second tree's ``perfbench/cohort.py``, and
 read by both.
@@ -67,6 +70,26 @@ CONFIGS = (
     )),
 )
 
+#: (name, subcommand, ``--set`` overrides) of the runs that write model files:
+#: the reducer under both modes, at the default threshold and at full rank
+MODEL_CONFIGS = (
+    ("reduce correlation", "reduce", ()),
+    ("reduce correlation+pca.threshold=1.0", "reduce", ("pca.threshold=1.0",)),
+    ("reduce covariance", "reduce", ("pca.mode=covariance",)),
+    ("reduce covariance+pca.threshold=1.0", "reduce", (
+        "pca.mode=covariance", "pca.threshold=1.0",
+    )),
+    ("reduce cohort correlation", "reduce", (f"dataset={COHORT}",)),
+    ("reduce cohort correlation+pca.threshold=1.0", "reduce", (
+        f"dataset={COHORT}", "pca.threshold=1.0",
+    )),
+    ("reduce cohort covariance", "reduce", (f"dataset={COHORT}", "pca.mode=covariance")),
+    ("reduce cohort covariance+pca.threshold=1.0", "reduce", (
+        f"dataset={COHORT}", "pca.mode=covariance", "pca.threshold=1.0",
+    )),
+    ("train", "train", ()),
+)
+
 
 def write_cohort(tree: Path, path: Path) -> None:
     code = (
@@ -77,10 +100,10 @@ def write_cohort(tree: Path, path: Path) -> None:
     subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
 
 
-def run(tree: Path, overrides: list[str], out: Path) -> str:
-    """Run one experiment; returns "" on success, else the exit status and
+def run(tree: Path, command: str, overrides: list[str], out: Path) -> str:
+    """Run one subcommand; returns "" on success, else the exit status and
     the last line of stderr."""
-    argv = ["experiment", "--config", "configs/default.cfg", "--output-dir", str(out)]
+    argv = [command, "--config", "configs/default.cfg", "--output-dir", str(out)]
     for pair in overrides:
         argv += ["--set", pair]
     code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -113,10 +136,13 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cohort = Path(tmp) / "cohort.csv"
         write_cohort(after, cohort)
-        for i, (name, overrides) in enumerate(CONFIGS):
+        runs = [(name, "experiment", overrides) for name, overrides in CONFIGS]
+        for i, (name, command, overrides) in enumerate(runs + list(MODEL_CONFIGS)):
             pairs = [p.replace(COHORT, str(cohort)) for p in overrides]
             outs = [Path(tmp) / f"{i}-{side}" for side in ("before", "after")]
-            errors = [run(tree, pairs, out) for tree, out in zip((before, after), outs)]
+            errors = [
+                run(tree, command, pairs, out) for tree, out in zip((before, after), outs)
+            ]
             a, b = (artifacts(out) for out in outs)
             differing = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
             if any(errors):
