@@ -10,6 +10,7 @@ comma-separated integers or an inclusive, ascending range like ``1..20``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .errors import ConfigError
 from .experiment import (
@@ -181,6 +182,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("eval.seeds must be nonempty")
     if any(s < 0 for s in cfg.eval.seeds):
         raise ConfigError("eval.seeds must be nonnegative")
+    repeated = [s for s, count in Counter(cfg.eval.seeds).items() if count > 1]
+    if repeated:
+        raise ConfigError(
+            f"eval.seeds lists seed {repeated[0]} more than once; each seed is "
+            "one repetition of the cross-validation"
+        )
     if cfg.eval.resample_scope not in RESAMPLE_SCOPES:
         raise ConfigError(f"eval.resample_scope must be one of {RESAMPLE_SCOPES}")
     if (

@@ -270,15 +270,25 @@ def class_counts(ds: Dataset) -> list[int]:
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
     """Deterministic, stratified k-fold assignment: a read-only int64 array
-    whose entry i is row i's fold, in 0..k-1.
+    whose entry i is row i's fold, in 0..k-1; the one-seed row of
+    :func:`stratified_fold_stack`."""
+    return stratified_fold_stack(ds, k, (seed,))[0]
+
+
+def stratified_fold_stack(ds: Dataset, k: int, seeds) -> np.ndarray:
+    """Stratified k-fold assignments for every seed at once: a read-only
+    ``(len(seeds), n)`` int64 array whose entry (s, i) is row i's fold under
+    ``seeds[s]``, in 0..k-1.
 
     Per class in turn, samples are shuffled as ``Rng(seed).shuffle`` would,
     from one array holding each class's n - 1 draws, and dealt so per-class
     fold counts differ by at most one; leftover samples go to the lightest
     folds (ties to the lowest fold index), keeping fold sizes balanced too.
+    The members and fold quotas of a class do not depend on the seed, so
+    only the shuffle runs per seed.
 
     Raises:
-        ValueError: ``k`` is below 2.
+        ValueError: ``k`` is below 2, or a class has no samples.
         DataError:  ``k`` exceeds the number of samples.
     """
     if k < 2:
@@ -291,18 +301,32 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
     if 0 in counts:
         raise ValueError(f"class {ds.class_names[counts.index(0)]} has no samples")
 
-    draws = iter(next_u64_array(seed, ds.n_samples - ds.n_classes).tolist())
+    grouped = np.argsort(ds.labels, kind="stable").tolist()  # each class's rows, in order
+    dealt = np.empty(ds.n_samples, dtype=np.int64)           # fold of each place in grouped
     loads = np.zeros(k, dtype=np.int64)
-    fold_of = np.empty(ds.n_samples, dtype=np.int64)
-    for cls in range(ds.n_classes):
-        members = np.flatnonzero(ds.labels == cls).tolist()
-        for i, draw in zip(range(len(members) - 1, 0, -1), draws):  # Fisher-Yates
-            members[i], members[draw % (i + 1)] = members[draw % (i + 1)], members[i]
-        base, extra = divmod(len(members), k)
+    swap_at, span, first = [], [], []                        # one entry per draw
+    lo = 0
+    for size in counts:
+        base, extra = divmod(size, k)
         quota = np.full(k, base)
         # the remainder goes onto the lightest folds, ties to the lowest index
         quota[np.argsort(loads, kind="stable")[:extra]] += 1
-        fold_of[members] = np.repeat(np.arange(k), quota)
+        dealt[lo : lo + size] = np.repeat(np.arange(k), quota)
         loads += quota
+        # Fisher-Yates within the class: place lo + i swaps with one of lo..lo + i
+        swap_at += range(lo + size - 1, lo, -1)
+        span += range(size, 1, -1)
+        first += [lo] * (size - 1)
+        lo += size
+    draws = next_u64_array(seeds, len(swap_at))
+    partners = (draws % np.array(span, dtype=np.uint64)).astype(np.int64) + first
+    shuffled = []
+    for row in partners.tolist():
+        members = grouped.copy()
+        for i, j in zip(swap_at, row):
+            members[i], members[j] = members[j], members[i]
+        shuffled.append(members)
+    fold_of = np.empty((len(shuffled), ds.n_samples), dtype=np.int64)
+    fold_of[np.arange(len(shuffled))[:, None], shuffled] = dealt
     fold_of.flags.writeable = False
     return fold_of

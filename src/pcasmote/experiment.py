@@ -2,13 +2,14 @@
 
 The default flow evaluates, in order: the imputed raw dataset (Initial), its
 PCA reduction (PCA), and the chained oversampling stages (SMOTE1..n), each
-under seeded stratified cross-validation with naive Bayes.  One loop runs
-over the seeds: per seed it draws the fold assignment, asks a scorer for one
-held-out prediction per row and method, and pools each method's predictions
-into one confusion matrix; the reported row is the mean over seeds with
-min/max and medians retained.  A fixed dataset, Initial in every scope, is
-scored once per seed with every fold's model fitted at once
-(``naive_bayes.cross_val_predict``).  Leave-one-out gives every seed the
+under seeded stratified cross-validation with naive Bayes.  A
+cross-validation draws every seed's fold assignment in one call, as one
+``(seeds, rows)`` stack, and asks a scorer for one held-out prediction per
+seed, row and method; each seed's predictions of a method are pooled into one
+confusion matrix, and the reported row is the mean over seeds with min/max
+and medians retained.  A fixed dataset, Initial in every scope, is scored by
+one ``naive_bayes.cross_val_predict`` call for all seeds, which fits the
+(seed, fold) models in shared blocks.  Leave-one-out gives every seed the
 same folds, so under ``whole-dataset`` a config may give it only one seed.
 
 ``resample_scope`` controls where oversampling happens: ``whole-dataset``
@@ -24,8 +25,8 @@ two (``naive_bayes.chain_predict``).  With the global PCA the data is
 reduced once, each training fold is a row slice of it, and each class's
 neighbours are ranked once per run, so a fold's neighbour table is a masked
 read of that ranking.  Under ``pca.fit_within_fold`` each fold refits PCA
-and ranks its own neighbours; the reported ``n_features`` is then the last
-fold's.
+and ranks its own neighbours; each seed's reported ``n_features`` is then
+its last fold's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import statistics
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from .dataset import (
     class_counts,
     impute_missing,
     load_dataset,
-    stratified_folds,
+    stratified_fold_stack,
 )
 from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
@@ -143,13 +143,14 @@ def _summarise(rows: list[tuple[int, MetricRow]]) -> EvalSummary:
 def _cross_validate(
     base: Dataset, protocol: str, k: int, seeds, names: list[str], scorer
 ) -> list[EvalSummary]:
-    """The one seeded cross-validation loop: every method scored per seed.
+    """The one seeded cross-validation driver: every method scored for every seed.
 
-    ``scorer(fold_of, seed_pos)`` returns ``(predictions, width)``: an int64
-    array with one row per name in ``names`` and one held-out prediction per
-    row of ``base``, and the feature count the methods were scored with.
-    Each method's predictions are pooled into one confusion matrix per seed;
-    its summary's ``n_features`` is the last seed's width.
+    ``scorer(stack)`` takes the ``(len(seeds), n)`` stack of fold
+    assignments and returns ``(predictions, widths)``: int64 predictions of
+    shape ``(len(seeds), len(names), n)``, one held-out prediction per seed,
+    method and row of ``base``, and each seed's feature count.  Each
+    method's predictions are pooled into one confusion matrix per seed; its
+    summary's ``n_features`` is the last seed's width.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -159,25 +160,25 @@ def _cross_validate(
                 f"{base.provenance}: class {name} has {count} sample(s); "
                 "need at least 2"
             )
-    n_folds = _n_folds(base, protocol, k)
-    rows: list[list] = [[] for _ in names]
-    for seed_pos, seed in enumerate(seeds):
-        fold_of = stratified_folds(base, n_folds, seed)
-        predicted, width = scorer(fold_of, seed_pos)
-        for name, method_predicted, method_rows in zip(names, predicted, rows):
-            cm = confusion_matrix(base.labels, method_predicted, base.n_classes)
-            method_rows.append((seed, metric_row(cm, name, width)))
-    return [_summarise(method_rows) for method_rows in rows]
+    stack = stratified_fold_stack(base, _n_folds(base, protocol, k), seeds)
+    predicted, widths = scorer(stack)
+    return [
+        _summarise([
+            (seed, metric_row(confusion_matrix(base.labels, row, base.n_classes), name, width))
+            for seed, row, width in zip(seeds, predicted[:, m], widths)
+        ])
+        for m, name in enumerate(names)
+    ]
 
 
 def evaluate_dataset(
     ds: Dataset, protocol: str, k: int, seeds, method_name: str = ""
 ) -> EvalSummary:
     """Seeded cross-validation of naive Bayes on one fixed dataset; every
-    fold of a seed is fitted and scored at once."""
+    (seed, fold) model is fitted and scored by one ``cross_val_predict`` call."""
 
-    def scorer(fold_of, seed_pos: int):
-        return cross_val_predict(ds, fold_of)[None], ds.n_features
+    def scorer(stack):
+        return cross_val_predict(ds, stack)[:, None], [ds.n_features] * len(stack)
 
     return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
 
@@ -186,7 +187,8 @@ def _leak_free_predictions(
     base: Dataset, cfg: ExperimentConfig, reduced: Dataset, rankings: dict,
     order_idx: list[int], fold_of: np.ndarray, seed_pos: int,
 ):
-    """Scorer for ``train-folds-only``: PCA, then each SMOTE stage, per fold.
+    """One seed's scoring for ``train-folds-only``: PCA, then each SMOTE
+    stage, per fold of ``fold_of``, row ``seed_pos`` of the fold stack.
 
     Returns a ``(1 + len(order_idx), n)`` int64 prediction array, PCA's row
     first, and the last fold's retained count.  Each method is trained on
@@ -285,7 +287,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             pts = reduced.features[reduced.labels == cls]
             width = cfg.smote.k + 1 - (-len(pts) // n_folds)
             rankings[cls] = neighbor_ranking(pts, min(len(pts), width))
-        scorer = partial(_leak_free_predictions, imputed, cfg, reduced, rankings, order_idx)
+
+        def scorer(stack):
+            predicted, widths = zip(*(
+                _leak_free_predictions(
+                    imputed, cfg, reduced, rankings, order_idx, fold_of, seed_pos
+                )
+                for seed_pos, fold_of in enumerate(stack)
+            ))
+            return np.stack(predicted), widths
+
         summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names[1:], scorer)
         scored += [(imputed, summary) for summary in summaries]
     else:

@@ -8,15 +8,17 @@ even in degenerate training splits.
 
 One estimator fits a batch of training sets that are row masks of one
 matrix: :func:`fit_nb` is the batch of one (every row kept), and
-:func:`cross_val_predict` fits every fold of a fold assignment at once.  The
-rows are grouped by class and stacked once per training set, each left-out
-row replaced by ``-0.0``, the exact additive identity (``s + -0.0 == s`` for
-every ``s``, signed zeros included).  Each class's run of rows is summed
-over the row axis, and so are its squared deviations with left-out rows set
-to ``0.0``.  numpy adds the rows of a non-innermost axis one after
-another, so each fold's moments equal those of a fit on that fold's rows
-alone, bit for bit.  A lone feature column would be summed pairwise, where
-the inserted zeros regroup the sum, so it is summed beside a copy of itself.
+:func:`cross_val_predict` fits the (seed, fold) models of every seed's fold
+assignment in shared blocks, which may span seeds.  The rows are grouped by
+class and stacked once per training set, each left-out row replaced by
+``-0.0``, the exact additive identity (``s + -0.0 == s`` for every ``s``,
+signed zeros included).  Each class's run of rows is summed over the row
+axis, and so are its squared deviations with left-out rows set to ``0.0``.
+numpy adds the rows of a non-innermost axis one after another, so each
+model's moments equal those of a fit on its training rows alone, bit for
+bit, whatever block it shares.  A lone feature column would be summed
+pairwise, where the inserted zeros regroup the sum, so it is summed beside
+a copy of itself.
 
 A SMOTE run appends one class's synthetic rows after the originals, so each
 stage of a chain of runs is, class by class, a fit of its first set or of
@@ -154,22 +156,30 @@ def fit_nb(ds: Dataset) -> NbModel:
 def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
     """Predict each row of ``ds`` with the model fitted on the rows of the other folds.
 
-    ``fold_of[i]`` is row i's fold, in 0..k-1.  The models of a block of
-    folds are fitted at once, the block sized so its stacked training rows
-    stay near ``_BLOCK_ELEMENTS`` floats; each row is then scored against
-    its own fold's model.
+    ``fold_of[i]`` is row i's fold, in 0..k-1; a ``(S, n)`` stack of such
+    assignments, one per seed, gives one row of predictions per seed.  The
+    (seed, fold) models are fitted in blocks of consecutive models, seed by
+    seed, so a block may span seeds; each is sized so its stacked training
+    rows stay near ``_BLOCK_ELEMENTS`` floats.  Each row is then scored
+    against its own seed's and fold's model.
     """
-    k = int(fold_of.max()) + 1
-    predicted = np.empty(ds.n_samples, dtype=np.int64)
+    stack = np.atleast_2d(fold_of)
+    k = int(stack.max()) + 1
+    n_models = len(stack) * k
+    model_of = stack + k * np.arange(len(stack))[:, None]   # model s * k + fold of each row
+    predicted = np.empty(stack.shape, dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // (ds.n_samples * ds.n_features))
-    for lo in range(0, k, step):
-        block = np.arange(lo, min(lo + step, k))
-        priors, means, stds = _fit_masked(ds, fold_of[None, :] != block[:, None])
-        rows = np.flatnonzero((fold_of >= lo) & (fold_of < lo + step))
-        model = fold_of[rows] - lo
-        scores = _log_scores(ds.features[rows], priors[model], means[model], stds[model])
-        predicted[rows] = np.argmax(scores, axis=1)
-    return predicted
+    for lo in range(0, n_models, step):
+        hi = min(lo + step, n_models)
+        block = np.arange(lo, hi)
+        priors, means, stds = _fit_masked(ds, stack[block // k] != (block % k)[:, None])
+        first = lo // k   # the block's first seed
+        spanned = model_of[first : (hi - 1) // k + 1]
+        seed, rows = np.nonzero((spanned >= lo) & (spanned < hi))
+        model = spanned[seed, rows] - lo
+        scores = _log_scores(ds.features[rows], priors, means, stds, model)
+        predicted[first + seed, rows] = np.argmax(scores, axis=1)
+    return predicted.reshape(np.shape(fold_of))
 
 
 def chain_predict(train: Dataset, final: Dataset, order, rows) -> np.ndarray:
@@ -203,19 +213,26 @@ def _check_vector(model: NbModel, x) -> np.ndarray:
     return v
 
 
-def _log_scores(rows, priors, means, stds) -> np.ndarray:
+def _log_scores(rows, priors, means, stds, model=None) -> np.ndarray:
     """(n_rows, n_classes) log scores of ``rows`` (n, f) against one model's
-    ``priors`` (C,), ``means`` and ``stds`` (C, f), or against one model per
-    row with a leading axis of n on each."""
-    return np.log(priors) + _log_densities(rows, means, stds)
+    ``priors`` (C,), ``means`` and ``stds`` (C, f), or, given ``model``, of
+    row i against model ``model[i]`` of a leading model axis on each."""
+    log_priors = np.log(priors)
+    if model is not None:
+        log_priors = log_priors[model]
+    return log_priors + _log_densities(rows, means, stds, model)
 
 
-def _log_densities(rows, means, stds) -> np.ndarray:
+def _log_densities(rows, means, stds, model=None) -> np.ndarray:
     """The scores of ``_log_scores`` without the log priors: per class, the
-    sum of the per-feature Gaussian log densities."""
+    sum of the per-feature Gaussian log densities.  The logs of the stds are
+    taken once per model, not once per row."""
     x = np.asarray(rows, dtype=np.float64)[:, None, :]      # (n, 1, f)
+    log_stds = np.log(stds)
+    if model is not None:
+        means, stds, log_stds = means[model], stds[model], log_stds[model]
     z = (x - means) / stds
-    log_density = -0.5 * (z * z) - np.log(stds) - 0.5 * _LOG_2PI
+    log_density = -0.5 * (z * z) - log_stds - 0.5 * _LOG_2PI
     return log_density.sum(axis=2)
 
 

@@ -298,6 +298,14 @@ _FOLDS_ONLY = (
         ),
         *(
             pytest.param(
+                command, None, None, "eval.seeds = 3,3,4\n", 2,
+                ["error[usage]", "eval.seeds lists seed 3 more than once"],
+                id=f"repeated-seed-{command}",
+            )
+            for command in ("inspect", "experiment", "evaluate")
+        ),
+        *(
+            pytest.param(
                 command, None, None, "eval.k = 40\n", 3,
                 ["error[data]", "{data}: eval.k=40 exceeds the number of samples (32)"],
                 id=f"k-above-sample-count-{command}",

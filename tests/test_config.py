@@ -43,7 +43,7 @@ def config_settings(draw):
         "smote.seed": draw(st.integers(0, 2**64)),
         "eval.protocol": draw(st.sampled_from(PROTOCOLS)),
         "eval.k": draw(st.integers(2, 50)),
-        "eval.seeds": draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5)),
+        "eval.seeds": draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5, unique=True)),
         "eval.resample_scope": draw(st.sampled_from(RESAMPLE_SCOPES)),
     }
     present = {"dataset"} | {key for key in KEYS if draw(st.booleans())}
@@ -92,6 +92,17 @@ class TestConfigProperties:
         text = f"{hi + gap}..{hi}"
         with pytest.raises(ConfigError, match=re.escape(repr(text))):
             KEYS["eval.seeds"](text)
+
+
+@pytest.mark.parametrize(
+    "seeds, repeated",
+    [("3,3,4", 3), ("1, 2, 1", 1), ("5,7,7,5", 5), ("0,0", 0), (f"{2**64},{2**64}", 2**64)],
+)
+def test_repeated_seed_rejected(seeds, repeated):
+    """A seed listed twice would count twice in every mean over seeds."""
+    values = {"dataset": "data/lung-cancer.data", "eval.seeds": seeds}
+    with pytest.raises(ConfigError, match=rf"eval\.seeds lists seed {repeated} more than once"):
+        build_config(values)
 
 
 def test_readme_table_default_config_and_dataclasses_agree():

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pcasmote.dataset import (
@@ -15,6 +15,7 @@ from pcasmote.dataset import (
     impute_missing,
     load_uci_lung_cancer,
     read_dataset_csv,
+    stratified_fold_stack,
     stratified_folds,
     write_dataset_csv,
 )
@@ -292,7 +293,8 @@ class TestLoaderProperties:
         assert ds.features.tobytes() == expected.tobytes()
         assert ds.labels.tolist() == [label - 1 for label in labels]
 
-    @settings(max_examples=40, deadline=None)
+    # no shrinking: shrinking the 56-cell rows of a failing file takes minutes
+    @settings(max_examples=40, deadline=None, phases=set(Phase) - {Phase.shrink})
     @given(case=uci_files(), data=st.data())
     def test_uci_loader_names_the_corrupt_line(self, tmp_path_factory, case, data):
         lines, endings, _, _, data_lines = case
@@ -410,6 +412,25 @@ def dealt_one_by_one(ds: Dataset, k: int, seed: int) -> tuple[int, ...]:
 
 
 class TestStratifiedFoldsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=fold_cases(),
+        leave_one_out=st.booleans(),
+        seeds=st.lists(st.integers(-(2**64), 2**65), min_size=1, max_size=6),
+    )
+    def test_stack_equals_one_draw_per_seed(self, case, leave_one_out, seeds):
+        """The stacked draw's row s is ``seeds[s]``'s assignment, under k-fold
+        and leave-one-out: both the one-seed call and the reference dealing."""
+        ds, k, _ = case
+        k = ds.n_samples if leave_one_out else k
+        stack = stratified_fold_stack(ds, k, seeds)
+        assert stack.dtype == np.int64 and stack.shape == (len(seeds), ds.n_samples)
+        assert not stack.flags.writeable
+        assert stack.tolist() == [stratified_folds(ds, k, seed).tolist() for seed in seeds]
+        assert [tuple(row) for row in stack.tolist()] == [
+            dealt_one_by_one(ds, k, seed) for seed in seeds
+        ]
+
     @settings(max_examples=150, deadline=None)
     @given(case=fold_cases())
     def test_matches_dealing_one_sample_at_a_time(self, case):

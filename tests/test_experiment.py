@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcasmote import experiment, naive_bayes
-from pcasmote.dataset import Dataset, write_dataset_csv
+from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
 from pcasmote.errors import DataError
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
@@ -174,6 +174,29 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert [s.method_name for s in report.steps] == ["Initial", "PCA"]
 
+    def test_one_fold_draw_and_one_scorer_call_per_dataset(self, data_file, monkeypatch):
+        """A 20-seed ``whole-dataset`` run draws each of its five datasets'
+        folds once, for all seeds, and scores all their (seed, fold) models
+        with one ``cross_val_predict`` call."""
+        draws, scored = [], []
+        stratified_fold_stack = experiment.stratified_fold_stack
+        cross_val_predict = experiment.cross_val_predict
+
+        def recording_draw(ds, k, seeds):
+            draws.append((ds.n_samples, k, tuple(seeds)))
+            return stratified_fold_stack(ds, k, seeds)
+
+        def recording_scorer(ds, stack):
+            scored.append(stack.shape)
+            return cross_val_predict(ds, stack)
+
+        monkeypatch.setattr(experiment, "stratified_fold_stack", recording_draw)
+        monkeypatch.setattr(experiment, "cross_val_predict", recording_scorer)
+        run_experiment(default_config(data_file))
+        sizes = [32, 32, 41, 49, 54]
+        assert draws == [(n, 10, tuple(range(1, 21))) for n in sizes]
+        assert scored == [(20, n) for n in sizes]
+
     def test_method_names_helper(self):
         assert method_names(0) == ["Initial", "PCA"]
         assert method_names(3) == ["Initial", "PCA", "SMOTE1", "SMOTE2", "SMOTE3"]
@@ -256,18 +279,19 @@ class TestTrainFoldsOnlyScope:
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
         assignments, scored = [], []
-        stratified_folds = experiment.stratified_folds
+        stratified_fold_stack = experiment.stratified_fold_stack
         chain_predict = experiment.chain_predict
 
         def recording_folds(*args):
-            assignments.append(stratified_folds(*args))
-            return assignments[-1]
+            stack = stratified_fold_stack(*args)
+            assignments.extend(stack)   # one fold assignment per seed
+            return stack
 
         def recording_chain(train, final, order, rows):
             scored.append(rows)
             return chain_predict(train, final, order, rows)
 
-        monkeypatch.setattr(experiment, "stratified_folds", recording_folds)
+        monkeypatch.setattr(experiment, "stratified_fold_stack", recording_folds)
         monkeypatch.setattr(experiment, "chain_predict", recording_chain)
         run_experiment(cfg)
 
@@ -290,6 +314,25 @@ class TestTrainFoldsOnlyScope:
                 visited.append((seed_pos, fold))
         assert len(scored) == len(visited)
         assert visited == [(s, f) for s in range(2) for f in range(10)]
+
+    def test_refit_width_is_each_seeds_last_fold(self, data_file, lung):
+        """Under ``pca.fit_within_fold`` each seed's row reports the count its
+        own last fold retained, not the last seed's."""
+        seeds = (1, 2, 3)
+        cfg = default_config(data_file, seeds=seeds, resample_scope="train-folds-only")
+        cfg.pca = PcaSettings(fit_within_fold=True)
+        report = run_experiment(cfg)
+        expected = [
+            fit_pca(
+                lung.subset(np.flatnonzero(stratified_folds(lung, 10, seed) != 9)),
+                cfg.pca.threshold,
+                cfg.pca.mode,
+            ).retained
+            for seed in seeds
+        ]
+        assert expected[1] != expected[2]
+        for step in report.steps[1:]:
+            assert [row.n_features for _, row in step.summary.per_seed] == expected
 
     @pytest.mark.parametrize(
         "fit_within_fold, table",

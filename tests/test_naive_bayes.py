@@ -331,11 +331,46 @@ def fold_problems(draw):
     return ds, np.array(fold_of), block
 
 
+@st.composite
+def fold_stacks(draw):
+    """A dataset, a (seeds, rows) stack of fold assignments with at least two
+    folds per seed, and a block of ``step`` models that spans seeds (``step``
+    does not divide the fold count) and leaves a partial last block."""
+    n = draw(st.integers(4, 30))
+    f = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 3))
+    value = st.one_of(st.integers(-3, 3).map(float), st.just(-0.0), st.floats(-1e3, 1e3))
+    rows = draw(st.lists(st.lists(value, min_size=f, max_size=f), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    k = draw(st.integers(2, n))
+    assignment = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).filter(
+        lambda fold_of: len(set(fold_of)) >= 2  # every training set keeps a row
+    )
+    stack = np.array(draw(st.lists(assignment, min_size=2, max_size=5)))
+    n_models = len(stack) * (int(stack.max()) + 1)
+    step = draw(st.integers(2, n_models - 1))
+    assume(n_models % step and (int(stack.max()) + 1) % step)
+    return make_dataset(rows, labels, n_classes), stack, step
+
+
 class TestCrossValPredict:
     @settings(max_examples=100, deadline=None)
     @given(problem=fold_problems())
     def test_matches_one_fit_per_fold(self, problem):
         check_fold_batch(*problem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=fold_stacks())
+    def test_stack_matches_one_call_per_seed(self, problem):
+        """Blocks that share (seed, fold) models across seeds give each seed's
+        predictions bit for bit as its own call does."""
+        ds, stack, step = problem
+        expected = [cross_val_predict(ds, fold_of) for fold_of in stack]
+        assert all(row.shape == (ds.n_samples,) for row in expected)
+        with mock.patch.object(naive_bayes, "_BLOCK_ELEMENTS", step * ds.n_samples * ds.n_features):
+            predicted = cross_val_predict(ds, stack)
+        assert predicted.dtype == np.int64 and predicted.shape == stack.shape
+        assert predicted.tolist() == [row.tolist() for row in expected]
 
     @pytest.mark.parametrize("f", [1, 3])
     def test_class_absent_from_a_training_fold(self, f):

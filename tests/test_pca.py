@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from pcasmote import linalg
+from pcasmote.cli import main
 from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
 from pcasmote.pca import (
@@ -214,3 +217,38 @@ class TestSerialization:
         path = tmp_path / "pca_model.txt"
         save_pca(model, path)
         assert path.read_text().splitlines()[0] == "pcasmote-model v1"
+
+
+#: numpy version under which ``PINNED_REDUCE`` was taken
+PINNED_NUMPY = "2.4.6"
+
+#: mode -> SHA-256 of ``reduce``'s (pca_model.txt, reduced.csv) for the
+#: bundled file and configs/default.cfg
+PINNED_REDUCE = {
+    "correlation": (
+        "323fcdef8c94925e97b5e787a3624566cc393d68933df2240fe62ced21196183",
+        "af58911162484bfd96f82b230d0cf85fe820e2476353c404ff0e78b1769be270",
+    ),
+    "covariance": (
+        "89c0d493ec735143d5dc26d1702e301640cddde5d3dd17894e3a5af740d40257",
+        "543b84dbd2c7ea3000c7d7ab3991a75bdf763af712e4f9e462c7cbe52041e707",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_REDUCE))
+def test_reduce_artifacts_pinned(tmp_path, default_config, mode):
+    """The reducer's files for the bundled data, byte for byte: a last-bit
+    change in the basis, the mean or the scale shows here even when no
+    prediction of the experiment moves.  The bytes depend on numpy's
+    LAPACK, so the pin holds only under the numpy version it was taken with."""
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"hashes taken under numpy {PINNED_NUMPY}, running numpy {np.__version__}")
+    out = tmp_path / "out"
+    argv = ["reduce", "--config", str(default_config), "--set", f"pca.mode={mode}"]
+    assert main(argv + ["-o", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("pca_model.txt", "reduced.csv")
+    )
+    assert digests == PINNED_REDUCE[mode]

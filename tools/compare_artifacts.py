@@ -68,6 +68,13 @@ CONFIGS = (
         TFO, "pca.mode=covariance", "pca.fit_within_fold=true", "eval.protocol=leave-one-out",
         "eval.seeds=1",
     )),
+    # naive Bayes blocks of (seed, fold) models that span seeds; per-seed
+    # widths: seed 3's last fold retains 12 components, the last seed's 13
+    ("whole-dataset+eval.k=3 seeds 1..50", ("eval.k=3", "eval.seeds=1..50")),
+    ("train-folds-only+covariance+fit_within_fold+pca.threshold=0.8 seeds 1..5", (
+        TFO, "pca.mode=covariance", "pca.fit_within_fold=true", "pca.threshold=0.8",
+        "eval.seeds=1..5",
+    )),
 )
 
 #: (name, subcommand, ``--set`` overrides) of the runs that write model files:
