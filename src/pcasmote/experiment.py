@@ -17,16 +17,21 @@ resamples once up front (synthetic neighbours of test points may then appear
 in training — the historical protocol this harness reproduces) and
 cross-validates each of the five datasets on its own, while
 ``train-folds-only`` resamples inside each training fold and tests only on
-original samples.  There one function scores the SMOTE stages fold by fold:
-they share each fold's split and one SMOTE chain; SMOTEi is the first i
-stages of that chain.  Each fold fits naive Bayes twice, on its training
-rows and on the chain's last set, and scores PCA and every stage from the
-two (``naive_bayes.chain_predict``).  With the global PCA the data is
-reduced once, each training fold is a row slice of it, and each class's
-neighbours are ranked once per run, so a fold's neighbour table is a masked
-read of that ranking.  Under ``pca.fit_within_fold`` each fold refits PCA
-and ranks its own neighbours; each seed's reported ``n_features`` is then
-its last fold's.
+original samples.  There one scorer call handles every (seed, fold) model:
+each model runs one SMOTE chain on its training fold, so SMOTEi is the
+first i stages of that chain, and needs two naive Bayes fits, of the
+training fold and of the chain's last set, from which
+``naive_bayes.chain_predict`` scores PCA and every stage.  With the global
+PCA the data is reduced once, each class's neighbours are ranked once per
+run, and consecutive models share the reduced rows in blocks: one
+``smote.synthetic_rows`` call grows every model's classes, one
+``naive_bayes.stack_moments`` pass gives both fits of every model, and each
+test row is scored against its own model.  A failing model is rerun alone
+by the per-fold path (``balance_sequence``, then ``fit_nb``), so the error
+raised is the first failing model's first, as fold after fold.  Under
+``pca.fit_within_fold`` each fold refits PCA, ranks its own training rows
+and is a block of one; each seed's reported ``n_features`` is then its last
+fold's.
 """
 
 from __future__ import annotations
@@ -48,15 +53,19 @@ from .dataset import (
 )
 from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
-from .naive_bayes import chain_predict, cross_val_predict
+from .naive_bayes import chain_predict, cross_val_predict, finite_fits, fit_nb, stack_moments
 from .pca import fit_pca, transform
 from .rng import derive_seed
-from .smote import balance_sequence, neighbor_ranking, restrict_ranking
+from .smote import balance_sequence, neighbor_ranking, synthetic_rows
 
 PROTOCOLS = ("k-fold", "leave-one-out")
 RESAMPLE_SCOPES = ("whole-dataset", "train-folds-only")
 
 RATE_FIELDS = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
+
+#: float64 elements in one block of leak-free models' stacked rows (models x
+#: rows x features): each model stacks its rows and its chain's last classes
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -183,52 +192,197 @@ def evaluate_dataset(
     return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
 
 
-def _leak_free_predictions(
-    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, rankings: dict,
-    order_idx: list[int], fold_of: np.ndarray, seed_pos: int,
-):
-    """One seed's scoring for ``train-folds-only``: PCA, then each SMOTE
-    stage, per fold of ``fold_of``, row ``seed_pos`` of the fold stack.
+def _fold_provenance(base: Dataset, cfg: ExperimentConfig, seed_pos: int, fold: int) -> str:
+    """Names a training fold (counted from 1) and its seed, so an error
+    raised on it says its counts are the fold's."""
+    return f"{base.provenance}, training fold {fold + 1} of seed {cfg.eval.seeds[seed_pos]}"
 
-    Returns a ``(1 + len(order_idx), n)`` int64 prediction array, PCA's row
-    first, and the last fold's retained count.  Each method is trained on
-    the fold's training rows and scored on its original test rows: rows of
-    ``reduced``, with each class's neighbour table read from its ranking in
-    ``rankings``, or under ``pca.fit_within_fold`` reduced by a refit on the
-    training fold.  The SMOTE chain runs once over the full order;
-    ``chain_predict`` scores PCA and stage i, SMOTE(i+1), from the training
-    fold and the chain's last set.  The training fold's provenance names the
-    fold (counted from 1) and the seed, so an error raised on it says its
-    counts are the fold's.
+
+def _leak_free_predictions(
+    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
+    stack: np.ndarray,
+):
+    """Every seed's scoring for ``train-folds-only``: PCA, then each SMOTE stage.
+
+    Model ``s * n_folds + fold`` is trained on seed s's training fold and
+    scored on its original test rows.  Returns int64 predictions of shape
+    ``(len(stack), 1 + len(order_idx), n)``, PCA's row first, and each
+    seed's feature count.  Under the global PCA the models share the rows
+    of ``reduced`` and each class of the order is ranked once, so
+    consecutive models are scored in blocks whose stacked rows stay near
+    ``_BLOCK_ELEMENTS`` floats.  Under ``pca.fit_within_fold`` each model is
+    a block of one on its own refit's rows, with only its training rows
+    ranked, and a seed's feature count is its last fold's.
     """
-    refit = cfg.pca.fit_within_fold
-    predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
-    for fold in range(int(fold_of.max()) + 1):
-        test_idx = np.flatnonzero(fold_of == fold)
-        in_train = fold_of != fold
-        train = replace(
-            (base if refit else reduced).subset(np.flatnonzero(in_train)),
-            provenance=f"{base.provenance}, training fold {fold + 1} "
-            f"of seed {cfg.eval.seeds[seed_pos]}",
-        )
-        test_x = reduced.features[test_idx]
-        if refit:
+    n_folds = int(stack.max()) + 1
+    predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
+    if not cfg.pca.fit_within_fold:
+        ranking = _class_ranking(reduced.features, base.labels, order_idx, cfg.smote.k, n_folds)
+        per_model = 2 * base.n_samples + len(order_idx) * cfg.smote.per_class_target
+        step = max(1, _BLOCK_ELEMENTS // (per_model * reduced.n_features))
+        n_models = len(stack) * n_folds
+        for lo in range(0, n_models, step):
+            seed, rows, block = _score_models(
+                base, cfg, reduced, ranking, order_idx, stack, lo, min(lo + step, n_models)
+            )
+            predicted[seed, :, rows] = block
+        return predicted, [reduced.n_features] * len(stack)
+    widths = []
+    for seed_pos, fold_of in enumerate(stack):
+        for fold in range(n_folds):
+            in_train = fold_of != fold
+            train = replace(
+                base.subset(np.flatnonzero(in_train)),
+                provenance=_fold_provenance(base, cfg, seed_pos, fold),
+            )
             model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
             train = transform(model, train)
-            test_x = transform(model, base.subset(test_idx)).features
-        final = ([train] + balance_sequence(
-            train,
-            order_idx,
-            cfg.smote.per_class_target,
-            k=cfg.smote.k,
-            seed=derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold),
-            neighbors=None if refit else (
-                lambda cls, k: restrict_ranking(rankings[cls], in_train[base.labels == cls], k)
-            ),
-        ))[-1]
-        predicted[:, test_idx] = chain_predict(train, final, order_idx, test_x)
-        del train, final  # else they outlive the next fold's chain and raise the memory peak
-    return predicted, test_x.shape[1]
+            features = np.empty((base.n_samples, model.retained))
+            features[in_train] = train.features
+            features[~in_train] = transform(model, base.subset(np.flatnonzero(~in_train))).features
+            ranking = _class_ranking(
+                features, np.where(in_train, base.labels, -1), order_idx, cfg.smote.k, None
+            )
+            lo = seed_pos * n_folds + fold
+            seed, rows, block = _score_models(
+                base, cfg, replace(train, features=features, labels=base.labels),
+                ranking, order_idx, stack, lo, lo + 1,
+            )
+            predicted[seed, :, rows] = block
+        widths.append(model.retained)
+    return predicted, widths
+
+
+def _class_ranking(features, labels, order_idx, k, n_folds) -> np.ndarray:
+    """Each row's ``neighbor_ranking`` within its class, for the classes of
+    the order, as row indices of ``features``, padded with -1 (rows of a
+    label outside the order are all -1).
+
+    A class is ranked to width ``k + 1``, all that a run over all its rows
+    reads, or, given ``n_folds``, wide enough for any training fold of a
+    stratified assignment: a test fold removes at most ``ceil(n / n_folds)``
+    of a class's n rows.
+    """
+    widths = {}
+    for cls in order_idx:
+        size = int(np.count_nonzero(labels == cls))
+        widths[cls] = min(size, k + 1 + (0 if n_folds is None else -(-size // n_folds)))
+    ranking = np.full((len(features), max(widths.values(), default=0)), -1)
+    for cls, width in widths.items():
+        members = np.flatnonzero(labels == cls)
+        ranking[members, :width] = members[neighbor_ranking(features[members], width)]
+    return ranking
+
+
+def _score_models(
+    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, ranking: np.ndarray,
+    order_idx: list[int], stack: np.ndarray, lo: int, hi: int,
+):
+    """PCA's and every SMOTE stage's predictions by the models ``lo..hi-1``.
+
+    One ``synthetic_rows`` call grows every model's classes of the order,
+    from the rows of ``reduced`` and their class ``ranking``; run i of model
+    b draws from ``derive_seed(chain seed, i)``, as ``balance_sequence``
+    does.  ``_chain_fits`` fits each model's training fold and its chain's
+    last set, and ``chain_predict`` scores every test row against its own
+    model from the two.  Returns the seed and row indices of the scored
+    rows and their ``(rows, 1 + len(order_idx))`` predictions.  A model that
+    fails (a class below two rows, a target below the largest class,
+    moments that overflow) is rerun by the per-fold path to raise its
+    error, the first model's first.
+    """
+    n_folds = int(stack.max()) + 1
+    seed_pos, fold = np.divmod(np.arange(lo, hi), n_folds)
+    keep = stack[seed_pos] != fold[:, None]
+    labels = base.labels
+    counts = keep @ np.eye(base.n_classes, dtype=np.int64)[labels]    # (models, classes)
+    target = cfg.smote.per_class_target
+    needed = target - counts[:, order_idx]                              # (models, order)
+    failed = np.zeros(hi - lo, dtype=bool)
+    if order_idx:
+        below_two = (needed > 0) & (counts[:, order_idx] < 2)
+        failed = (counts.max(axis=1) > target) | below_two.any(axis=1)
+    needed[failed] = 0
+    chain_seeds = [
+        derive_seed(derive_seed(cfg.smote.seed, s), f)
+        for s, f in zip(seed_pos.tolist(), fold.tolist())
+    ]
+    synthetic = synthetic_rows(
+        reduced.features,
+        ranking,
+        (keep[:, None, :] & (labels == np.array(order_idx)[:, None])).reshape(-1, len(labels)),
+        needed.reshape(-1),
+        cfg.smote.k,
+        [derive_seed(seed, i) for seed in chain_seeds for i in range(len(order_idx))],
+    )
+    first, last = _chain_fits(reduced, keep, order_idx, synthetic, needed)
+    failed |= ~(finite_fits(*first[1:]) & finite_fits(*last[1:]))
+    if failed.any():
+        b = int(np.argmax(failed))
+        _raise_fold_error(base, cfg, reduced, order_idx, keep[b], seed_pos[b], fold[b], chain_seeds[b])
+
+    spanned = stack[seed_pos[0] : seed_pos[-1] + 1]
+    spanned = spanned + n_folds * np.arange(seed_pos[0], seed_pos[-1] + 1)[:, None]
+    seed, test_rows = np.nonzero((spanned >= lo) & (spanned < hi))
+    model = spanned[seed, test_rows] - lo
+    predicted = chain_predict(reduced.features[test_rows], model, first, last, order_idx)
+    return seed_pos[0] + seed, test_rows, predicted
+
+
+def _chain_fits(reduced: Dataset, keep, order_idx: list[int], synthetic, needed):
+    """``class_moments`` of each model's training fold ``reduced`` rows
+    ``keep[b]`` and of its chain's last set, from one ``stack_moments`` pass.
+
+    ``synthetic`` holds ``synthetic_rows`` of the runs (model b, order
+    position i), ``needed[b, i]`` rows each.  The last set keeps the other
+    classes' moments; a grown class's are those of its kept rows followed
+    by its synthetic rows, which is its run of rows in that set.
+    """
+    models, n_classes, width = len(keep), reduced.n_classes, synthetic.shape[1]
+    synthetic = synthetic.reshape(models, len(order_idx), width, reduced.n_features)
+    by_class = np.argsort(reduced.labels, kind="stable")
+    sizes = np.bincount(reduced.labels, minlength=n_classes).tolist()
+    parts = [(reduced.features[by_class], keep[:, by_class])]
+    for i, cls in enumerate(order_idx):
+        members = np.flatnonzero(reduced.labels == cls)
+        parts += [
+            (reduced.features[members], keep[:, members]),
+            (synthetic[:, i], np.arange(width) < needed[:, i, None]),
+        ]
+        sizes.append(len(members) + width)
+    sets = np.empty((models, sum(sizes), reduced.n_features))
+    kept = np.empty(sets.shape[:2], dtype=bool)
+    lo = 0
+    for rows, mask in parts:
+        hi = lo + mask.shape[1]
+        sets[:, lo:hi], kept[:, lo:hi] = rows, mask
+        lo = hi
+    del parts, synthetic   # else they stay beside the stacked sets and raise the memory peak
+    moments = stack_moments(sets, kept, sizes)
+    first = [a[:, :n_classes] for a in moments]
+    last = [a.copy() for a in first]
+    for whole, grown in zip(last, moments):
+        whole[:, order_idx] = grown[:, n_classes:]
+    return first, last
+
+
+def _raise_fold_error(
+    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
+    in_train: np.ndarray, seed_pos: int, fold: int, chain_seed: int,
+):
+    """Rerun one failed model by the per-fold path: its SMOTE chain, then a
+    naive Bayes fit of its training fold and of the chain's last set, which
+    raises the error the model's fold meets first."""
+    train = replace(
+        reduced.subset(np.flatnonzero(in_train)),
+        provenance=_fold_provenance(base, cfg, seed_pos, fold),
+    )
+    final = ([train] + balance_sequence(
+        train, order_idx, cfg.smote.per_class_target, k=cfg.smote.k, seed=chain_seed
+    ))[-1]
+    fit_nb(train)
+    fit_nb(final)
+    raise AssertionError(f"{train.provenance}: the per-fold path raised no error")
 
 
 def _n_folds(ds: Dataset, protocol: str, k: int) -> int:
@@ -237,7 +391,10 @@ def _n_folds(ds: Dataset, protocol: str, k: int) -> int:
 
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
     """Map class names from the config onto label indices; a name that is
-    not a class of ``ds`` raises ``DataError`` naming its provenance."""
+    not a class of ``ds`` raises ``DataError`` naming its provenance, and a
+    repeated name ``ValueError``."""
+    if len(set(order)) != len(order):
+        raise ValueError("order must list distinct classes")
     indices = []
     for name in order:
         if name not in ds.class_names:
@@ -280,22 +437,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for ds, name in zip(datasets, names[1:])
         ]
     elif ev.resample_scope == "train-folds-only":
-        # wide enough for any training fold: a test fold holds <= ceil(n / n_folds) of n rows
-        n_folds = _n_folds(imputed, ev.protocol, ev.k)
-        rankings = {}
-        for cls in [] if cfg.pca.fit_within_fold else order_idx:
-            pts = reduced.features[reduced.labels == cls]
-            width = cfg.smote.k + 1 - (-len(pts) // n_folds)
-            rankings[cls] = neighbor_ranking(pts, min(len(pts), width))
-
         def scorer(stack):
-            predicted, widths = zip(*(
-                _leak_free_predictions(
-                    imputed, cfg, reduced, rankings, order_idx, fold_of, seed_pos
-                )
-                for seed_pos, fold_of in enumerate(stack)
-            ))
-            return np.stack(predicted), widths
+            return _leak_free_predictions(imputed, cfg, reduced, order_idx, stack)
 
         summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names[1:], scorer)
         scored += [(imputed, summary) for summary in summaries]

@@ -48,14 +48,12 @@ def confusion_matrix(actual, predicted, n_classes: int) -> ConfusionMatrix:
         raise ValueError("actual label out of range")
     if p.size and (p.min() < 0 or p.max() >= n_classes):
         raise ValueError("predicted label out of range")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (a, p), 1)
-    return ConfusionMatrix(counts=counts)
+    counts = np.bincount(a * n_classes + p, minlength=n_classes * n_classes)
+    return ConfusionMatrix(counts=counts.reshape(n_classes, n_classes))
 
 
-def _one_vs_rest_all(cm: ConfusionMatrix) -> list[tuple[int, int, int, int]]:
-    """(TP, FP, FN, TN) of every class as positive, from one read of the counts."""
-    rows = cm.counts.tolist()
+def _one_vs_rest_all(rows: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """(TP, FP, FN, TN) of every class as positive, from the counts as lists."""
     total = sum(map(sum, rows))
     return [
         (row[c], sum(column) - row[c], sum(row) - row[c], total - sum(row) - sum(column) + row[c])
@@ -67,7 +65,7 @@ def one_vs_rest(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:
     """(TP, FP, FN, TN) with class ``c`` as positive."""
     if not 0 <= c < cm.n_classes:
         raise ValueError(f"class index {c} out of range")
-    return _one_vs_rest_all(cm)[c]
+    return _one_vs_rest_all(cm.counts.tolist())[c]
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -103,11 +101,16 @@ def precision(cm: ConfusionMatrix, c: int) -> float:
 
 def weighted_average(cm: ConfusionMatrix, per_class_metric: Callable) -> float:
     """Average of a per-class metric weighted by actual class frequency."""
-    weights = [sum(row) for row in cm.counts.tolist()]
+    return _weighted(cm.counts.tolist(), lambda c: per_class_metric(cm, c))
+
+
+def _weighted(rows: list[list[int]], value: Callable) -> float:
+    """``value(c)`` of each class c weighted by the row sums of ``rows``."""
+    weights = [sum(row) for row in rows]
     total = sum(weights)
     if total == 0:
         raise ValueError("empty confusion matrix")
-    return float(sum(w / total * per_class_metric(cm, c) for c, w in enumerate(weights)))
+    return float(sum(w / total * value(c) for c, w in enumerate(weights)))
 
 
 @dataclass(frozen=True)
@@ -137,17 +140,22 @@ class MetricRow:
 
 
 def metric_row(cm: ConfusionMatrix, method_name: str, n_features: int) -> MetricRow:
-    """Summarise a pooled confusion matrix into one record; each class's
-    one-vs-rest counts are read once and feed all three weighted averages."""
-    correct = int(np.trace(cm.counts))
-    fprs, precisions, recalls = zip(*(_rates(*counts) for counts in _one_vs_rest_all(cm)))
+    """Summarise a pooled confusion matrix into one record; the counts are
+    read once, and each class's one-vs-rest counts feed all three weighted
+    averages."""
+    rows = cm.counts.tolist()
+    total = sum(map(sum, rows))
+    if total == 0:
+        raise ValueError("empty confusion matrix")
+    correct = sum(row[c] for c, row in enumerate(rows))
+    fprs, precisions, recalls = zip(*(_rates(*counts) for counts in _one_vs_rest_all(rows)))
     return MetricRow(
         method_name=method_name,
-        n_samples=cm.total,
+        n_samples=total,
         n_features=n_features,
-        accuracy=accuracy(cm),
-        fp_rate=weighted_average(cm, lambda _, c: fprs[c]),
-        precision=weighted_average(cm, lambda _, c: precisions[c]),
-        recall=weighted_average(cm, lambda _, c: recalls[c]),
-        misclassified=cm.total - correct,
+        accuracy=float(correct) / total,
+        fp_rate=_weighted(rows, fprs.__getitem__),
+        precision=_weighted(rows, precisions.__getitem__),
+        recall=_weighted(rows, recalls.__getitem__),
+        misclassified=total - correct,
     )

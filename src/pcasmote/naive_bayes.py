@@ -6,23 +6,27 @@ standard deviations estimated from the training data.  Priors are Laplace
 smoothed, ``(count + 1) / (N + n_classes)``, which keeps every class defined
 even in degenerate training splits.
 
-One estimator fits a batch of training sets that are row masks of one
-matrix: :func:`fit_nb` is the batch of one (every row kept), and
+One statement of the moments, :func:`stack_moments`, fits a batch of
+stacked training sets: set b is the slice b of a ``(sets, rows, features)``
+stack, cut into segments, with a mask of the rows it keeps.  Each left-out
+row is replaced by ``-0.0``, the exact additive identity (``s + -0.0 == s``
+for every ``s``, signed zeros included).  Each segment's run of rows is
+summed over the row axis, and so are its squared deviations with left-out
+rows set to ``0.0``.  numpy adds the rows of a non-innermost axis one after
+another, so each set's moments equal those of a fit on its kept rows alone,
+bit for bit, whatever block it shares.  A lone feature column would be
+summed pairwise, where the inserted zeros regroup the sum, so it is summed
+beside a copy of itself.
+
+:func:`class_moments` stacks row masks of one matrix, grouped by class:
+:func:`fit_nb` is the batch of one (every row kept), and
 :func:`cross_val_predict` fits the (seed, fold) models of every seed's fold
-assignment in shared blocks, which may span seeds.  The rows are grouped by
-class and stacked once per training set, each left-out row replaced by
-``-0.0``, the exact additive identity (``s + -0.0 == s`` for every ``s``,
-signed zeros included).  Each class's run of rows is summed over the row
-axis, and so are its squared deviations with left-out rows set to ``0.0``.
-numpy adds the rows of a non-innermost axis one after another, so each
-model's moments equal those of a fit on its training rows alone, bit for
-bit, whatever block it shares.  A lone feature column would be summed
-pairwise, where the inserted zeros regroup the sum, so it is summed beside
-a copy of itself.
+assignment in shared blocks, which may span seeds.
 
 A SMOTE run appends one class's synthetic rows after the originals, so each
 stage of a chain of runs is, class by class, a fit of its first set or of
-its last: :func:`chain_predict` scores every stage from those two fits.
+its last: :func:`chain_predict` scores every stage of a batch of chains
+from those two fits.
 """
 
 from __future__ import annotations
@@ -69,59 +73,68 @@ def _segment_sums(stack: np.ndarray, bounds: list[int], initial: float) -> np.nd
     return sums
 
 
-def _segment_moments(features: np.ndarray, order: np.ndarray, keep: np.ndarray, sizes):
-    """Counts (B, S), means and floored stds (B, S, f) per row mask and segment.
+def stack_moments(stack: np.ndarray, keep: np.ndarray, sizes):
+    """Counts (B, S), means and floored stds (B, S, f) of B stacked sets.
 
-    The rows ``features[order]`` are cut into S consecutive segments of
+    The rows of ``stack`` (B, L, f) are cut into S consecutive segments of
     ``sizes`` rows; entry (b, s) describes the rows of segment s that the
-    mask ``keep[b]`` (over ``features``' rows) keeps.  The std uses divisor
-    ``count - 1`` and is the floor below two rows; a segment with no kept
-    row has a NaN mean.  Run under ``np.errstate`` ignoring divide and
-    invalid.
+    mask ``keep[b]`` (B, L) keeps.  The std uses divisor ``count - 1`` and
+    is the floor below two rows; a segment with no kept row has a NaN mean.
+    ``stack`` is overwritten.
     """
-    n_features = features.shape[1]
+    n_features = stack.shape[2]
     if n_features == 1:
-        features = features[:, [0, 0]]   # two columns: summed row after row
+        stack = np.concatenate([stack, stack], axis=2)   # two columns: summed row after row
     bounds = [0, *np.cumsum(sizes).tolist()]
-    keep = keep[:, order]
     left_out = ~keep
-    stack = features[order[None].repeat(keep.shape[0], axis=0)]    # (B, n, f)
     stack[left_out] = -0.0
     counts = keep @ np.repeat(np.eye(len(sizes)), sizes, axis=0)   # whole numbers
-    # summed from -0.0, a lone row is its own mean, -0.0 included; adding
-    # +0.0 gives a longer run the +0.0 start that np.mean's sum has
-    sums = _segment_sums(stack, bounds, -0.0)
-    means = np.where(counts[:, :, None] == 1, sums, sums + 0.0) / counts[:, :, None]
-    np.subtract(stack, np.repeat(means, sizes, axis=1), out=stack)
-    np.square(stack, out=stack)
-    stack[left_out] = 0.0
-    stds = np.sqrt(_segment_sums(stack, bounds, 0.0) / (counts - 1)[:, :, None])
-    stds = np.maximum(stds, STD_FLOOR)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # summed from -0.0, a lone row is its own mean, -0.0 included; adding
+        # +0.0 gives a longer run the +0.0 start that np.mean's sum has
+        sums = _segment_sums(stack, bounds, -0.0)
+        means = np.where(counts[:, :, None] == 1, sums, sums + 0.0) / counts[:, :, None]
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            stack[:, lo:hi] -= means[:, s, None]
+        np.square(stack, out=stack)
+        stack[left_out] = 0.0
+        stds = np.sqrt(_segment_sums(stack, bounds, 0.0) / (counts - 1)[:, :, None])
+        stds = np.maximum(stds, STD_FLOOR)
     stds[counts < 2] = STD_FLOOR
     return counts, means[:, :, :n_features], stds[:, :, :n_features]
+
+
+def class_moments(ds: Dataset, keep: np.ndarray):
+    """``stack_moments`` of the classes of each ``ds`` row mask ``keep[b]``:
+    the rows are grouped by class, in their order within each class, so a
+    class is one segment.  A class with no kept row has a NaN mean."""
+    order = np.argsort(ds.labels, kind="stable")
+    sizes = np.bincount(ds.labels, minlength=ds.n_classes)
+    stack = np.repeat(ds.features[order][None], len(keep), axis=0)
+    return stack_moments(stack, keep[:, order], sizes)
+
+
+def finite_fits(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """(B,) whether each of B fits' means and stds (B, C, f) fit in float64."""
+    return np.isfinite(means).all(axis=(1, 2)) & np.isfinite(stds).all(axis=(1, 2))
 
 
 def _fit_masked(ds: Dataset, keep: np.ndarray):
     """Priors (B, C) and means and stds (B, C, f) fitted on each ``ds`` row mask ``keep[b]``.
 
-    The rows are grouped by class, in their order within each class, so a
-    class is one segment.  A class absent from a training set takes that
-    set's global column mean and std.  Raises ``DataError`` naming the
-    provenance when a mean or a variance in use overflows float64.
+    A class absent from a training set takes that set's global column mean
+    and std.  Raises ``DataError`` naming the provenance when a mean or a
+    variance in use overflows float64.
     """
-    order = np.argsort(ds.labels, kind="stable")
-    sizes = np.bincount(ds.labels, minlength=ds.n_classes)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        counts, means, stds = _segment_moments(ds.features, order, keep, sizes)
-        absent = (counts == 0)[:, :, None]
-        if absent.any():
-            _, global_means, global_stds = _segment_moments(
-                ds.features, np.arange(ds.n_samples), keep, [ds.n_samples]
-            )
-            # + 0.0: the global mean of a lone row is np.mean's, from +0.0
-            means = np.where(absent, global_means + 0.0, means)
-            stds = np.where(absent, global_stds, stds)
-    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+    counts, means, stds = class_moments(ds, keep)
+    absent = (counts == 0)[:, :, None]
+    if absent.any():
+        stack = np.repeat(ds.features[None], len(keep), axis=0)
+        _, global_means, global_stds = stack_moments(stack, keep, [ds.n_samples])
+        # + 0.0: the global mean of a lone row is np.mean's, from +0.0
+        means = np.where(absent, global_means + 0.0, means)
+        stds = np.where(absent, global_stds, stds)
+    if not finite_fits(means, stds).all():
         raise DataError(
             f"{ds.provenance}: the class means or variances of the features "
             "overflow float64"
@@ -130,8 +143,8 @@ def _fit_masked(ds: Dataset, keep: np.ndarray):
 
 
 def _laplace_priors(counts: np.ndarray) -> np.ndarray:
-    """(B, C) priors ``(count + 1) / (N + C)`` of the (B, C) class counts."""
-    return (counts + 1.0) / (counts.sum(axis=1) + counts.shape[1])[:, None]
+    """Priors ``(count + 1) / (N + C)`` of class counts (..., C)."""
+    return (counts + 1.0) / (counts.sum(axis=-1) + counts.shape[-1])[..., None]
 
 
 def fit_nb(ds: Dataset) -> NbModel:
@@ -182,26 +195,29 @@ def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
     return predicted.reshape(np.shape(fold_of))
 
 
-def chain_predict(train: Dataset, final: Dataset, order, rows) -> np.ndarray:
-    """(1 + len(order), n_rows) int64 predictions of ``rows`` by each stage of
-    the SMOTE chain from ``train`` to its last set ``final``, stage i having
-    grown ``order[:i]``: those classes have ``final``'s moments and counts,
-    bit for bit, the others ``train``'s.  Raises ``ValueError`` where that
-    fails: a class absent from ``train`` (its fallback moments would depend
-    on the stage's rows), or grown but not in ``order``.
+def chain_predict(rows, model, first, last, order) -> np.ndarray:
+    """(n_rows, 1 + len(order)) int64 predictions of row i by each stage of
+    the SMOTE chain of model ``model[i]``, stage j having grown ``order[:j]``.
+
+    ``first`` and ``last`` are ``class_moments`` (counts, means, stds) of
+    every model's training set and of its chain's last set.  A grown class
+    takes ``last``'s counts and moments, the others ``first``'s, which is
+    bit for bit a fit per stage.  Raises ``ValueError`` where that fails: a
+    class absent from a training set (its fallback moments would depend on
+    the stage's rows), or grown but not in ``order``.
     """
-    counts = [np.bincount(ds.labels, minlength=train.n_classes) for ds in (train, final)]
-    grown = set(np.flatnonzero(counts[0] != counts[1]).tolist())
-    if (counts[0] == 0).any() or not grown <= set(order):
-        raise ValueError("final must grow only classes of order, each present in train")
-    fits = [_fit_masked(ds, np.ones((1, ds.n_samples), dtype=bool)) for ds in (train, final)]
-    densities = [_log_densities(rows, means[0], stds[0]) for _, means, stds in fits]
-    done = np.zeros((1 + len(order), train.n_classes), dtype=bool)   # (stage, class)
+    counts = (first[0], last[0])
+    outside = np.ones(counts[0].shape[1], dtype=bool)
+    outside[list(order)] = False
+    if (counts[0] == 0).any() or (counts[0] != counts[1])[:, outside].any():
+        raise ValueError("last must grow only classes of order, each present in first")
+    densities = [_log_densities(rows, means, stds, model) for _, means, stds in (first, last)]
+    done = np.zeros((1 + len(order), len(outside)), dtype=bool)   # (stage, class)
     for i, cls in enumerate(order):
         done[i + 1 :, cls] = True
-    log_priors = np.log(_laplace_priors(np.where(done, counts[1], counts[0])))
-    scores = log_priors[:, None, :] + np.where(done[:, None, :], densities[1], densities[0])
-    return np.argmax(scores, axis=2).astype(np.int64)
+    log_priors = np.log(_laplace_priors(np.where(done, counts[1][:, None], counts[0][:, None])))
+    scores = log_priors[model] + np.where(done, densities[1][:, None], densities[0][:, None])
+    return np.argmax(scores, axis=2)
 
 
 def _check_vector(model: NbModel, x) -> np.ndarray:

@@ -5,15 +5,17 @@ one of the base sample's k nearest same-class neighbours and u is uniform in
 [0, 1).  Generation cycles over the minority samples in index order, drawing
 the neighbour choice and then u for each synthetic row, so a run is fully
 determined by its seed.  Synthetic rows are appended after the originals.
-All of a class's draws are taken at once as one array of the seed's stream,
-and all of its synthetic rows are built by one array expression.
+``synthetic_rows`` states that rule once, for a batch of runs that each
+grow a kept subset of one class's rows: all the runs' draws come from one
+array of their streams, and all their synthetic rows from one array
+expression; ``oversample_class`` is its batch of one.
 
 A class's neighbour table comes from its ranking: one n x n squared-distance
 matrix and one stable row-wise sort, so ties go to the lower index; memory
 is quadratic in the class size.  The matrix is filled in blocks of rows whose
 broadcast temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class
-size.  ``restrict_ranking`` reads the table of a subset of the rows from
-their ranking, so a cross-validation ranks each class once per run.
+size.  A subset's table is read from the ranking of all the rows, so a
+cross-validation ranks each class once per run.
 """
 
 from __future__ import annotations
@@ -69,21 +71,6 @@ def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
     return neighbor_ranking(pts, k + 1)[:, 1:]
 
 
-def restrict_ranking(ranking: np.ndarray, kept: np.ndarray, k: int) -> np.ndarray:
-    """``_neighbor_table(pts[kept], k)``, read from ``neighbor_ranking(pts, w)``.
-
-    Each kept row takes its first ``k + 1`` kept entries, itself first: a
-    stable order restricted to an increasing index subset keeps its order.
-    A row whose ``w`` entries hold fewer kept ones raises ``ValueError``.
-    """
-    rows = ranking[kept]
-    hits = kept[rows]
-    hits &= np.cumsum(hits, axis=1) <= k + 1
-    if not (hits.sum(axis=1) == k + 1).all():
-        raise ValueError(f"ranking of width {ranking.shape[1]} holds too few kept rows")
-    return (np.cumsum(kept) - 1)[rows[hits].reshape(-1, k + 1)[:, 1:]]
-
-
 def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int]:
     """Indices of the ``min(k, rows-1)`` nearest rows to ``points[idx]``.
 
@@ -107,13 +94,55 @@ def _interpolate(sample, neighbor, u):
     return sample + u * (neighbor - sample)
 
 
-def oversample_class(ds: Dataset, cfg: SmoteConfig, neighbors=None) -> Dataset:
+def synthetic_rows(pts, ranking, kept, needed, k, seeds) -> np.ndarray:
+    """Synthetic rows of a batch of SMOTE runs over rows of ``pts``.
+
+    Run b grows the rows ``pts[kept[b]]`` of one class, in order, by
+    ``needed[b]`` rows from the stream of ``seeds[b]``: row j has base
+    ``j % count``, neighbour choice ``draw(2j) % k_eff`` and
+    ``u = draw(2j + 1)`` as ``Rng.random`` reads it, with
+    ``k_eff = min(k, count - 1)``.  ``ranking[i]`` lists rows of ``pts``
+    as ``neighbor_ranking`` ranks row i's class, itself first; entries of
+    -1 pad it.  The neighbour is the base's ``choice + 1``-th kept entry
+    after itself: a stable order restricted to an increasing index subset
+    keeps its order, so that is the kept rows' own table.  A run that needs
+    a row must keep at least two.
+
+    Returns a ``(B, max(needed), f)`` array, padded with ``-0.0`` past each
+    run's ``needed[b]`` rows.  Raises ``ValueError`` if a base's ranking
+    holds too few kept rows.
+    """
+    needed = np.asarray(needed, dtype=np.int64)
+    width = int(needed.max(initial=0))
+    out = np.full((len(kept), width, pts.shape[1]), -0.0)
+    grown = np.arange(width) < needed[:, None]
+    run, j = np.nonzero(grown)
+    if not run.size:
+        return out
+    counts = kept.sum(axis=1)[run]
+    k_eff = np.minimum(k, counts - 1)
+    # draws 2j and 2j+1 of a stream are row j's Rng.randrange(k_eff) and
+    # Rng.random(), as the rng module defines them
+    draws = next_u64_array(seeds, 2 * width)
+    choice = (draws[run, 2 * j] % k_eff.astype(np.uint64)).astype(np.int64)
+    u = (draws[run, 2 * j + 1] >> 11) * 2.0**-53
+    base = np.argsort(~kept, axis=1, kind="stable")[run, j % counts]   # kept rows first
+    ranked = ranking[base]
+    seen = np.cumsum(kept[run[:, None], ranked] & (ranked >= 0), axis=1)
+    if (seen[:, -1] <= k_eff).any():
+        raise ValueError(f"ranking of width {ranking.shape[1]} holds too few kept rows")
+    neighbor = ranked[np.arange(run.size), np.argmax(seen > choice[:, None] + 1, axis=1)]
+    out[grown] = _interpolate(pts[base], pts[neighbor], u[:, None])
+    return out
+
+
+def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
     """Append synthetic rows until ``target_class`` has ``target_count`` samples.
 
     Original rows are preserved in order; ``k`` is clamped to the class size
-    minus one; ``neighbors(class index, k)``, if given, supplies the class's
-    neighbour table.  Returns the input unchanged when the class already has
-    the target count.
+    minus one; the rows are ``synthetic_rows`` for a batch of one that keeps
+    every row of the class.  Returns the input unchanged when the class
+    already has the target count.
 
     Raises:
         ResampleError: the target class has fewer than two samples; the
@@ -137,21 +166,15 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig, neighbors=None) -> Dataset:
         )
 
     minority = ds.features[member_idx]
-    k_eff = min(cfg.k, current - 1)
-    if neighbors is None:
-        table = _neighbor_table(minority, k_eff)
-    else:
-        table = neighbors(cfg.target_class, k_eff)
-
-    # draws 2j and 2j+1 of the stream are row j's Rng.randrange(k_eff) and
-    # Rng.random(), as the rng module defines them
     needed = cfg.target_count - current
-    draws = next_u64_array(cfg.seed, 2 * needed)
-    base = np.arange(needed) % current
-    neighbor = table[base, draws[0::2] % k_eff]
-    u = (draws[1::2] >> 11) * 2.0**-53
-    synthetic = _interpolate(minority[base], minority[neighbor], u[:, None])
-
+    synthetic = synthetic_rows(
+        minority,
+        neighbor_ranking(minority, min(cfg.k, current - 1) + 1),
+        np.ones((1, current), dtype=bool),
+        [needed],
+        cfg.k,
+        [cfg.seed],
+    )[0]
     features = np.vstack([ds.features, synthetic])
     labels = np.concatenate(
         [ds.labels, np.full(needed, cfg.target_class, dtype=np.int64)]
@@ -160,12 +183,11 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig, neighbors=None) -> Dataset:
 
 
 def balance_sequence(
-    ds: Dataset, order: list[int], per_class_target: int, k: int, seed: int, neighbors=None
+    ds: Dataset, order: list[int], per_class_target: int, k: int, seed: int
 ) -> list[Dataset]:
     """Run one oversampling pass per class in ``order``, chaining outputs.
 
-    Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)`` and
-    ``neighbors`` (see ``oversample_class``).  Returns every intermediate
+    Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)``.  Returns every intermediate
     dataset (empty list for an empty order).  Raises ``DataError`` naming
     the provenance if ``per_class_target`` is below the largest class.
     """
@@ -188,6 +210,6 @@ def balance_sequence(
             k=k,
             seed=derive_seed(seed, i),
         )
-        current = oversample_class(current, cfg, neighbors)
+        current = oversample_class(current, cfg)
         results.append(current)
     return results

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pcasmote import experiment, naive_bayes
+from pcasmote.cli import main
 from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
-from pcasmote.errors import DataError
+from pcasmote.errors import DataError, ResampleError
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
     EvalSettings,
@@ -229,7 +230,10 @@ def counted_run(data_file, fit_within_fold, targets):
 @pytest.fixture(scope="module")
 def refit_run(data_file):
     """The leak-free refit experiment, counting calls to the per-fold stages."""
-    names = ("fit_pca", "balance_sequence", "chain_predict")
+    names = (
+        "fit_pca", "neighbor_ranking", "balance_sequence", "synthetic_rows", "stack_moments",
+        "chain_predict",
+    )
     return counted_run(data_file, True, [(experiment, name) for name in names] + list(NB_FITS))
 
 
@@ -272,10 +276,11 @@ class TestTrainFoldsOnlyScope:
     def test_test_folds_hold_only_original_rows(
         self, data_file, lung, monkeypatch, fit_within_fold
     ):
-        """The one matrix that PCA and the SMOTE stages score in a fold is
-        exactly that fold's original test rows: under the global PCA, their
-        rows of the dataset reduced once; under a refit, the fold's test rows
-        reduced by it.  Initial is scored on the same folds beforehand."""
+        """The rows that PCA and the SMOTE stages score for a (seed, fold)
+        model are exactly that fold's original test rows: under the global
+        PCA, their rows of the dataset reduced once; under a refit, the
+        fold's test rows reduced by it.  Initial is scored on the same folds
+        beforehand."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
         assignments, scored = [], []
@@ -287,9 +292,9 @@ class TestTrainFoldsOnlyScope:
             assignments.extend(stack)   # one fold assignment per seed
             return stack
 
-        def recording_chain(train, final, order, rows):
-            scored.append(rows)
-            return chain_predict(train, final, order, rows)
+        def recording_chain(rows, model, first, last, order):
+            scored.append((rows, model))
+            return chain_predict(rows, model, first, last, order)
 
         monkeypatch.setattr(experiment, "stratified_fold_stack", recording_folds)
         monkeypatch.setattr(experiment, "chain_predict", recording_chain)
@@ -300,20 +305,23 @@ class TestTrainFoldsOnlyScope:
         assert len(assignments) == 2
         for initial_fold_of, fold_of in zip(initial_folds, assignments):
             assert np.array_equal(initial_fold_of, fold_of)
+        # the 20 models in order, in one block under the global PCA, one per
+        # call under a refit; a block's models are numbered from 0
+        assert len(scored) == (20 if fit_within_fold else 1)
+        by_model = []
+        for rows, model in scored:
+            by_model += [rows[model == m] for m in range(int(model.max()) + 1)]
+        assert len(by_model) == 20
         reduced_once = transform(fit_pca(lung, cfg.pca.threshold, cfg.pca.mode), lung)
-        visited = []
         for seed_pos, fold_of in enumerate(assignments):
-            for fold in range(int(fold_of.max()) + 1):
+            for fold in range(10):
                 test_idx = np.flatnonzero(fold_of == fold)
                 reduced = reduced_once.features[test_idx]
                 if fit_within_fold:
                     train = lung.subset(np.flatnonzero(fold_of != fold))
                     model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
                     reduced = transform(model, lung.subset(test_idx)).features
-                assert np.array_equal(scored[len(visited)], reduced)
-                visited.append((seed_pos, fold))
-        assert len(scored) == len(visited)
-        assert visited == [(s, f) for s in range(2) for f in range(10)]
+                assert np.array_equal(by_model[seed_pos * 10 + fold], reduced)
 
     def test_refit_width_is_each_seeds_last_fold(self, data_file, lung):
         """Under ``pca.fit_within_fold`` each seed's row reports the count its
@@ -394,35 +402,56 @@ class TestTrainFoldsOnlyScope:
 
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run
-        # 2 global fits (both modes) + one per fold; one chain per fold; PCA
-        # and the 3 SMOTE stages scored by one call per fold, from two masked
-        # naive Bayes fits (training fold, last set); Initial's 10 folds are
-        # one masked fit (32 x 56 rows fit in one block)
+        # 2 global fits (both modes) + one per fold; per fold, one ranking of
+        # each class's training rows, one synthesis of the chain, one moment
+        # pass and one scoring of PCA and the 3 SMOTE stages; no per-stage
+        # set is built; Initial's 10 folds are one masked fit (32 x 56 rows
+        # fit in one block)
         assert calls == Counter(
-            fit_pca=2 + 10, balance_sequence=10, chain_predict=10, fit_nb=0,
-            _fit_masked=1 + 2 * 10,
+            fit_pca=2 + 10, neighbor_ranking=3 * 10, balance_sequence=0, synthetic_rows=10,
+            stack_moments=10, chain_predict=10, fit_nb=0, _fit_masked=1,
         )
 
     def test_global_pca_reduces_once_and_chains_once_per_fold(self, data_file):
-        names = ("fit_pca", "transform", "balance_sequence", "chain_predict", "cross_val_predict")
+        names = (
+            "fit_pca", "transform", "neighbor_ranking", "balance_sequence", "synthetic_rows",
+            "stack_moments", "chain_predict", "cross_val_predict",
+        )
         targets = [(experiment, name) for name in names] + list(NB_FITS)
         _, calls = counted_run(data_file, False, targets)
-        # both modes fitted once; one reduction per run; one chain per fold;
-        # PCA and the 3 SMOTE stages scored by one call per fold, from two
-        # masked naive Bayes fits; only Initial is scored by cross_val_predict
+        # both modes fitted once; one reduction and one ranking per class per
+        # run; the 10 folds' chains are one block: one synthesis, one moment
+        # pass and one scoring of PCA and the 3 SMOTE stages; only Initial is
+        # scored by cross_val_predict
         assert calls == Counter(
-            fit_pca=2, transform=1, balance_sequence=10, chain_predict=10,
-            cross_val_predict=1, fit_nb=0, _fit_masked=1 + 2 * 10,
+            fit_pca=2, transform=1, neighbor_ranking=3, balance_sequence=0, synthetic_rows=1,
+            stack_moments=1, chain_predict=1, cross_val_predict=1, fit_nb=0, _fit_masked=1,
         )
+
+    def test_blocks_follow_the_element_budget(self, data_file, monkeypatch):
+        """A 20-seed run's 200 (seed, fold) models are scored in consecutive
+        blocks of as many models as the budget holds."""
+        blocks = []
+        score_models = experiment._score_models
+
+        def recording(*args):
+            blocks.append(args[-2:])
+            return score_models(*args)
+
+        monkeypatch.setattr(experiment, "_score_models", recording)
+        # a model stacks (2 * 32 + 3 * 18) rows of 18 features: 7 fit in the budget
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 7 * 118 * 18 + 5)
+        run_experiment(default_config(data_file, resample_scope="train-folds-only"))
+        assert blocks == [(lo, min(lo + 7, 200)) for lo in range(0, 200, 7)]
 
 
 def per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos):
     """The leak-free scorer as it was before the global reduction, the class
-    rankings and the two-fit scoring: every fold transforms its own rows by
-    ``model`` (or by a refit on its training rows under
-    ``pca.fit_within_fold``), ranks its own neighbours afresh
-    (``balance_sequence`` without ``neighbors``) and fits one naive Bayes
-    model per stage."""
+    rankings, the two-fit scoring and the blocks: every fold transforms its
+    own rows by ``model`` (or by a refit on its training rows under
+    ``pca.fit_within_fold``), builds its SMOTE chain with
+    ``balance_sequence``, which ranks its own neighbours afresh, and fits one
+    naive Bayes model per stage."""
     predicted = np.empty((1 + len(order_idx), base.n_samples), dtype=np.int64)
     for fold in range(int(fold_of.max()) + 1):
         test_idx = np.flatnonzero(fold_of == fold)
@@ -469,24 +498,28 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
         return path
 
     @pytest.mark.parametrize(
-        "protocol, k, seeds, smote_k, refit",
+        "protocol, k, seeds, smote_k, refit, budget",
         [
-            ("k-fold", 10, (1, 2, 3), 5, False),
-            ("k-fold", 2, (4,), 5, False),
-            ("k-fold", 5, (5,), 70, False),
-            ("leave-one-out", 10, (6,), 5, False),
-            ("k-fold", 10, (1, 2), 5, True),
-            ("k-fold", 2, (4,), 70, True),
-            ("leave-one-out", 10, (6,), 5, True),
+            ("k-fold", 10, (1, 2, 3), 5, False, None),
+            ("k-fold", 10, (1, 2, 3), 5, False, 1),
+            ("k-fold", 2, (4,), 5, False, None),
+            ("k-fold", 5, (5,), 70, False, None),
+            ("k-fold", 3, (7, 8), 70, False, 1),
+            ("leave-one-out", 10, (6,), 5, False, None),
+            ("leave-one-out", 10, (6,), 5, False, 1),
+            ("k-fold", 10, (1, 2), 5, True, None),
+            ("k-fold", 2, (4,), 70, True, None),
+            ("leave-one-out", 10, (6,), 5, True, None),
         ],
         ids=[
-            "10-fold", "2-fold", "k-above-class-size", "leave-one-out",
-            "fit-within-fold-10-fold", "fit-within-fold-2-fold-k-above-class-size",
-            "fit-within-fold-leave-one-out",
+            "10-fold", "10-fold-one-model-per-block", "2-fold", "k-above-class-size",
+            "k-above-class-size-one-model-per-block", "leave-one-out",
+            "leave-one-out-one-model-per-block", "fit-within-fold-10-fold",
+            "fit-within-fold-2-fold-k-above-class-size", "fit-within-fold-leave-one-out",
         ],
     )
     def test_predictions_equal(
-        self, cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit
+        self, cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit, budget
     ):
         cfg = ExperimentConfig(
             dataset=str(cohort_file),
@@ -501,19 +534,100 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
 
         def recording(*args):
             result = scorer(*args)
-            calls.append((args[-2], args[-1], result[0]))
+            calls.append((args[-1], result[0]))
             return result
 
         monkeypatch.setattr(experiment, "_leak_free_predictions", recording)
+        if budget is not None:
+            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
         run_experiment(cfg)
         base = experiment.load_dataset(cfg.dataset)
         model = fit_pca(base, cfg.pca.threshold, cfg.pca.mode)
         assert 1 < model.retained < base.n_features
         order_idx = [0, 2, 1]
-        assert [seed_pos for _, seed_pos, _ in calls] == list(range(len(seeds)))
-        for fold_of, seed_pos, predicted in calls:
+        (stack, predicted), = calls   # one scorer call for every seed
+        assert predicted.shape == (len(seeds), 4, base.n_samples)
+        for seed_pos, fold_of in enumerate(stack):
             expected = per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos)
-            assert np.array_equal(predicted, expected), seed_pos
+            assert np.array_equal(predicted[seed_pos], expected), seed_pos
+
+
+#: three ``a`` rows and six ``b`` rows; SMOTE grows ``a`` to 5 rows
+_ERROR_ROWS = b"x,y,class\n" + b"".join(
+    b"%.1f,%.1f,%s\n" % (i + 0.5 * (i % 3), 0.3 * i * i, cls)
+    for i, cls in enumerate([b"a"] * 3 + [b"b"] * 6)
+)
+#: seed 4's fold of each row a0..a2, b0..b5: every training fold is sound
+_SOUND = [0, 1, 2, 0, 0, 1, 1, 2, 2]
+#: test rows a0, a1 and b0: the training fold keeps one ``a`` row to grow,
+#: a ResampleError
+_SINGLETON = (0, 1, 3)
+#: test row a2: the training fold keeps six ``b`` rows, above the target of
+#: 5, a DataError
+_ABOVE_TARGET = (2,)
+
+
+def _folds(first: tuple, second: tuple) -> list[int]:
+    """Seed 9's folds: fold 0 tests the rows ``first``, fold 1 the rows
+    ``second``, fold 2 the rest."""
+    fold_of = [2] * 9
+    for fold, rows in ((0, first), (1, second)):
+        for row in rows:
+            fold_of[row] = fold
+    return fold_of
+
+
+class TestLeakFreeErrorOrder:
+    """Under ``train-folds-only`` the first failing (seed, fold) model, in
+    the order the per-fold loop visited them, names its fold, whichever
+    check its error comes from and however the models are blocked."""
+
+    @pytest.mark.parametrize("refit", [False, True], ids=["global-pca", "fit-within-fold"])
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one-block", "one-model-per-block"])
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (_SINGLETON, _ABOVE_TARGET, "training fold 1 of seed 9: class a has 1 sample(s)"),
+            (_ABOVE_TARGET, _SINGLETON,
+             "training fold 1 of seed 9: smote.per_class_target=5 is below the largest class"),
+        ],
+        ids=["singleton-first", "target-first"],
+    )
+    def test_the_earlier_fold_is_named(
+        self, tmp_path, monkeypatch, capsys, refit, budget, first, second, message
+    ):
+        data = tmp_path / "nine.csv"
+        data.write_bytes(_ERROR_ROWS)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"dataset = {data}\nsmote.order = a\nsmote.k = 2\nsmote.per_class_target = 5\n"
+            f"eval.k = 3\neval.seeds = 4,9\neval.resample_scope = train-folds-only\n"
+            f"pca.fit_within_fold = {str(refit).lower()}\n"
+        )
+        stack = np.array([_SOUND, _folds(first, second)])
+        monkeypatch.setattr(experiment, "stratified_fold_stack", lambda ds, k, seeds: stack)
+        if budget is not None:
+            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
+        assert main(["experiment", "--config", str(config), "-o", str(tmp_path / "out")]) == 3
+        assert f"error[data]: {data}, {message}" in capsys.readouterr().err
+
+    def test_the_error_types(self, tmp_path, monkeypatch):
+        data = tmp_path / "nine.csv"
+        data.write_bytes(_ERROR_ROWS)
+        cfg = ExperimentConfig(
+            dataset=str(data),
+            smote=SmoteSettings(k=2, order=("a",), per_class_target=5),
+            eval=EvalSettings(k=3, seeds=(4, 9), resample_scope="train-folds-only"),
+        )
+        for first, second, error in [
+            (_SINGLETON, _ABOVE_TARGET, ResampleError),
+            (_ABOVE_TARGET, _SINGLETON, DataError),
+        ]:
+            stack = np.array([_SOUND, _folds(first, second)])
+            monkeypatch.setattr(experiment, "stratified_fold_stack", lambda ds, k, seeds: stack)
+            with pytest.raises(error) as raised:
+                run_experiment(cfg)
+            assert type(raised.value) is error
 
 
 class TestMisclassified:

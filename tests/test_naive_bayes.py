@@ -16,7 +16,9 @@ from pcasmote.naive_bayes import (
     NbModel,
     STD_FLOOR,
     chain_predict,
+    class_moments,
     cross_val_predict,
+    finite_fits,
     fit_nb,
     load_nb,
     log_posterior,
@@ -419,21 +421,28 @@ class TestCrossValPredict:
             cross_val_predict(ds, fold_of)
 
 
+def set_fit(ds: Dataset):
+    """``class_moments`` of every row of ``ds``, a batch of one."""
+    return class_moments(ds, np.ones((1, ds.n_samples), dtype=bool))
+
+
 def check_chain(train: Dataset, order, target: int, k: int, seed: int, rows) -> None:
-    """``chain_predict`` against one ``fit_nb`` per stage of the SMOTE chain
-    that ``balance_sequence`` builds from ``train``: equal predictions, or
-    the same ``DataError`` where a stage's moments overflow."""
+    """``chain_predict`` from the fits of ``train`` and of the last set of
+    the SMOTE chain that ``balance_sequence`` builds from it, against one
+    ``fit_nb`` per stage: equal predictions, or, where a stage's fit raises
+    the overflow ``DataError``, one of the two fits not finite."""
     stages = [train] + balance_sequence(train, order, target, k=k, seed=seed)
+    fits = [set_fit(ds) for ds in (train, stages[-1])]
+    finite = all(finite_fits(*fit[1:])[0] for fit in fits)
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows score -inf
         try:
             expected = np.stack([predict_matrix(fit_nb(ds), rows) for ds in stages])
-        except DataError as error:
-            with pytest.raises(DataError, match=f"^{re.escape(str(error))}$"):
-                chain_predict(train, stages[-1], order, rows)
+        except DataError:
+            assert not finite
             return
-        got = chain_predict(train, stages[-1], order, rows)
-    assert got.dtype == np.int64
-    assert got.tolist() == expected.tolist()
+        assert finite
+        got = chain_predict(rows, np.zeros(len(rows), dtype=np.int64), *fits, order)
+    assert got.tolist() == expected.T.tolist()
 
 
 @st.composite
@@ -494,25 +503,52 @@ class TestChainPredict:
         check_chain(train, [1, 0], 4, k=1, seed=8, rows=np.array([[7.0], [0.2], [2.5]]))
 
     @pytest.mark.parametrize(
-        "column",
-        [[1e154, -1e154, 1.5e154, 0.0, 1.0], [1.2e154, 0.0, 1.1e154, 0.0, 1.0]],
+        "column, finite",
+        [
+            ([1e154, -1e154, 1.5e154, 0.0, 1.0], [False, False]),
+            ([1.2e154, 0.0, 1.1e154, 0.0, 1.0], [True, False]),
+        ],
         ids=["training-set", "grown-class"],
     )
-    def test_overflow_is_the_per_stage_data_error(self, column):
+    def test_overflow_is_the_per_stage_data_error(self, column, finite):
+        """A fit is flagged not finite exactly where ``fit_nb`` on its set
+        raises the overflow ``DataError``."""
         train = replace(
             make_dataset(np.array(column)[:, None], [0, 0, 0, 1, 1]), provenance="huge.csv"
         )
-        with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
-            chain_predict(train, balance_sequence(train, [0], 40, k=2, seed=1)[-1], [0], [[0.0]])
+        final = balance_sequence(train, [0], 40, k=2, seed=1)[-1]
+        for ds, flag in zip((train, final), finite):
+            assert finite_fits(*set_fit(ds)[1:]).tolist() == [flag]
+            if not flag:
+                with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
+                    fit_nb(ds)
         check_chain(train, [0], 40, k=2, seed=1, rows=np.array([[0.0]]))
 
     def test_class_absent_from_the_training_set_rejected(self):
         train = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], 3)
-        with pytest.raises(ValueError, match="each present in train"):
-            chain_predict(train, train, [], np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="each present in first"):
+            chain_predict(np.zeros((1, 1)), [0], set_fit(train), set_fit(train), [])
 
     def test_class_outside_the_order_growing_rejected(self):
         train = make_dataset([[0.0], [1.0], [2.0], [3.0], [2.5]], [0, 0, 1, 1, 1])
         final = balance_sequence(train, [0], 4, k=1, seed=2)[-1]
         with pytest.raises(ValueError, match="grow only classes of order"):
-            chain_predict(train, final, [1], np.zeros((1, 1)))
+            chain_predict(np.zeros((1, 1)), [0], set_fit(train), set_fit(final), [1])
+
+    def test_each_row_scored_by_its_own_model(self):
+        """A batch of two chains: each row's predictions equal those of its
+        own chain scored alone."""
+        rng = np.random.default_rng(25)
+        labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 1, 1, 0, 2])
+        trains = [make_dataset(np.round(rng.normal(size=(12, 2)), 1), labels, 3) for _ in range(2)]
+        fits = [
+            [set_fit(ds) for ds in (train, balance_sequence(train, [2, 0], 6, k=2, seed=s)[-1])]
+            for s, train in enumerate(trains)
+        ]
+        first, last = ([np.concatenate(parts) for parts in zip(*(f[i] for f in fits))] for i in (0, 1))
+        rows = np.round(rng.normal(size=(8, 2)), 1)
+        model = np.array([0, 1, 1, 0, 0, 1, 0, 1])
+        got = chain_predict(rows, model, first, last, [2, 0])
+        for m in (0, 1):
+            alone = chain_predict(rows[model == m], np.zeros((model == m).sum(), dtype=int), *fits[m], [2, 0])
+            assert np.array_equal(got[model == m], alone)

@@ -18,7 +18,7 @@ from pcasmote.smote import (
     nearest_minority_neighbors,
     neighbor_ranking,
     oversample_class,
-    restrict_ranking,
+    synthetic_rows,
 )
 
 
@@ -207,10 +207,10 @@ def reference_synthetic(minority, k, seed, needed):
     return neighbor_lists, synthetic
 
 
-def random_class(rng, trial):
+def random_class(rng, trial, f=None):
     """A seeded minority class; the kinds cycle through tie-heavy layouts."""
     n = int(rng.integers(2, 25))
-    f = int(rng.integers(1, 6))
+    f = int(rng.integers(1, 6)) if f is None else f
     kind = trial % 5
     if kind == 0:
         return rng.normal(size=(n, f))
@@ -251,70 +251,125 @@ class TestNeighborTableMatchesReference:
                 assert nearest_minority_neighbors(members, i, k) == lists[i], trial
 
 
-@st.composite
-def restricted_classes(draw):
-    """A class, ``k``, the fold count and the rows one test fold removes.
+def appended_rows(ds: Dataset, cls: int, needed: int, k: int, seed: int) -> np.ndarray:
+    """The rows ``oversample_class`` appends to grow class ``cls`` of ``ds`` by ``needed``."""
+    current = int((ds.labels == cls).sum())
+    return oversample_class(ds, SmoteConfig(cls, current + needed, k, seed)).features[ds.n_samples :]
 
-    The rows come in the tie-heavy layouts of ``random_class``: duplicates,
-    an integer grid, identical rows and magnitudes near 1e200 whose squared
-    distances are infinite.  ``k`` often reaches the class size.  A test
-    fold of a stratified assignment removes at most ``ceil(n / n_folds)``
-    rows of the class; leave-one-out removes one.
+
+def class_ranking(features, labels, widths) -> np.ndarray:
+    """Each row's ``neighbor_ranking`` within its class, as row indices of
+    ``features`` padded with -1; ``widths[c]`` is class c's width."""
+    ranking = np.full((len(features), max(widths)), -1)
+    for cls, width in enumerate(widths):
+        members = np.flatnonzero(labels == cls)
+        ranking[members, :width] = members[neighbor_ranking(features[members], width)]
+    return ranking
+
+
+@st.composite
+def synthesis_batches(draw):
+    """Two classes of tie-heavy rows, ``k``, and a batch of SMOTE runs.
+
+    Each run grows one class of one model's training fold; a model's test
+    fold removes at most ``ceil(n / n_folds)`` rows of a class of n, as a
+    stratified assignment does, so the class ranking is that wide beyond
+    ``k + 1``.  ``k`` often reaches a class's size, so ``k_eff`` differs
+    between the runs of one batch; a run whose class keeps one row needs
+    none, as in the leak-free scorer.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pts = random_class(rng, draw(st.integers(0, 4)))
-    n = pts.shape[0]
-    k = draw(st.integers(1, n + 2))
-    n_folds = n if draw(st.booleans()) else draw(st.integers(2, n))
-    most = -(-n // n_folds)
-    removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=most))
-    kept = np.ones(n, dtype=bool)
-    kept[sorted(removed)] = False
-    return pts, k, n_folds, kept
+    f = draw(st.integers(1, 4))
+    classes = [random_class(rng, draw(st.integers(0, 4)), f) for _ in range(2)]
+    sizes = [len(rows) for rows in classes]
+    labels = np.repeat([0, 1], sizes)
+    order = rng.permutation(labels.size)   # interleave the classes
+    features, labels = np.vstack(classes)[order], labels[order]
+    k = draw(st.integers(1, max(sizes) + 2))
+    n_folds = draw(st.integers(2, max(sizes)))
+    widths = [min(n, k + 1 - (-n // n_folds)) for n in sizes]
+    masks, runs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        mask = np.ones(labels.size, dtype=bool)
+        for cls, n in enumerate(sizes):
+            members = np.flatnonzero(labels == cls)
+            removed = draw(st.sets(st.integers(0, n - 1), max_size=-(-n // n_folds)))
+            mask[members[sorted(removed)]] = False
+        masks.append(mask)
+        for cls in draw(st.permutations([0, 1])):
+            count = int((mask & (labels == cls)).sum())
+            needed = draw(st.integers(0, 3 * sizes[cls])) if count >= 2 else 0
+            runs.append((len(masks) - 1, cls, needed, draw(st.integers(0, 2**64 - 1))))
+    return features, labels, k, class_ranking(features, labels, widths), masks, runs
+
+
+class TestSyntheticRows:
+    """One ``synthetic_rows`` call for a batch of runs against
+    ``oversample_class`` on each run's own training rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=synthesis_batches())
+    def test_batch_equals_oversample_on_each_subset(self, batch):
+        features, labels, k, ranking, masks, runs = batch
+        kept = np.array([masks[m] & (labels == cls) for m, cls, _, _ in runs])
+        got = synthetic_rows(
+            features, ranking, kept, [r[2] for r in runs], k, [r[3] for r in runs]
+        )
+        assert got.shape == (len(runs), max(r[2] for r in runs), features.shape[1])
+        ds = make_dataset(features, labels, 2)
+        for rows, (m, cls, needed, seed) in zip(got, runs):
+            if needed:
+                expected = appended_rows(ds.subset(np.flatnonzero(masks[m])), cls, needed, k, seed)
+                assert np.array_equal(rows[:needed], expected)
+            pad = rows[needed:]
+            assert (pad == 0).all() and np.signbit(pad).all()
+
+    def test_runs_with_different_k_eff_in_one_batch(self):
+        # k = 6 reaches every kept class: k_eff is 5, 4 and 3 in the three runs
+        rng = np.random.default_rng(31)
+        pts = np.round(rng.normal(size=(7, 2)), 1)
+        kept = np.ones((3, 7), dtype=bool)
+        kept[1, 2] = kept[2, [0, 5]] = False
+        ds = make_dataset(pts, [0] * 7, 1)
+        got = synthetic_rows(pts, neighbor_ranking(pts, 7), kept, [9, 9, 9], 6, [1, 2, 3])
+        for rows, mask, seed in zip(got, kept, [1, 2, 3]):
+            assert np.array_equal(rows, appended_rows(ds.subset(np.flatnonzero(mask)), 0, 9, 6, seed))
 
 
 class TestRestrictRanking:
+    """A run reads its neighbours from a ranking of more rows than it keeps."""
+
     @settings(max_examples=300, deadline=None)
-    @given(case=restricted_classes())
-    def test_equals_the_table_of_the_kept_rows(self, case):
-        pts, k, n_folds, kept = case
-        n = pts.shape[0]
-        ranking = neighbor_ranking(pts, min(n, k + 1 - (-n // n_folds)))
-        k_eff = min(k, int(kept.sum()) - 1)
-        got = restrict_ranking(ranking, kept, k_eff)
-        expected = _neighbor_table(pts[kept], k_eff)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+    @given(batch=synthesis_batches())
+    def test_equals_the_table_of_the_kept_rows(self, batch):
+        # the same run, read from the class ranking or from its own rows' table
+        features, labels, k, ranking, masks, runs = batch
+        m, cls, needed, seed = runs[0]
+        kept = masks[m] & (labels == cls)
+        own = features[kept]
+        got = synthetic_rows(features, ranking, kept[None], [needed], k, [seed])[0]
+        count = len(own)
+        table = neighbor_ranking(own, min(count, k + 1))
+        expected = synthetic_rows(own, table, np.ones((1, count), dtype=bool), [needed], k, [seed])
+        assert np.array_equal(got, expected[0])
 
     def test_full_ranking_restricted_to_every_row_is_the_table(self):
         pts = random_class(np.random.default_rng(3), 2)
         n = pts.shape[0]
-        kept = np.ones(n, dtype=bool)
-        table = restrict_ranking(neighbor_ranking(pts, n), kept, min(5, n - 1))
-        assert np.array_equal(table, _neighbor_table(pts, min(5, n - 1)))
+        every = np.ones((1, n), dtype=bool)
+        wide = synthetic_rows(pts, neighbor_ranking(pts, n), every, [2 * n], 5, [11])
+        narrow = synthetic_rows(pts, neighbor_ranking(pts, min(6, n)), every, [2 * n], 5, [11])
+        assert np.array_equal(wide, narrow)
+        ds = make_dataset(pts, [0] * n, 1)
+        assert np.array_equal(wide[0], appended_rows(ds, 0, 2 * n, 5, 11))
 
     def test_a_ranking_too_narrow_raises(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         ranking = neighbor_ranking(pts, 2)  # each row and its nearest
-        kept = np.array([True, False, True, True])
-        # row 0's only neighbour in the ranking, row 1, is not kept
+        kept = np.array([[True, False, True, True]])
+        # row 0, the first base, has only row 1 as a neighbour in the ranking, and it is not kept
         with pytest.raises(ValueError, match="width 2 holds too few kept rows"):
-            restrict_ranking(ranking, kept, 1)
-
-    def test_oversample_reads_the_given_table(self, lung_pca):
-        members = lung_pca.labels == 0
-        ranking = neighbor_ranking(lung_pca.features[members], int(members.sum()))
-        calls = []
-
-        def neighbors(cls, k):
-            calls.append((cls, k))
-            return restrict_ranking(ranking, np.ones(members.sum(), dtype=bool), k)
-
-        cfg = SmoteConfig(0, 18, 5, seed=3)
-        assert oversample_class(lung_pca, cfg, neighbors).equals(
-            oversample_class(lung_pca, cfg)
-        )
-        assert calls == [(0, 5)]
+            synthetic_rows(pts, ranking, kept, [1], 1, [0])
 
 
 class TestOversampleLargeClassMatchesReference:

@@ -75,6 +75,12 @@ CONFIGS = (
         TFO, "pca.mode=covariance", "pca.fit_within_fold=true", "pca.threshold=0.8",
         "eval.seeds=1..5",
     )),
+    # leak-free blocks of (seed, fold) models that span seeds, under the
+    # global PCA: 150 models in blocks of 61; 50 cohort models in blocks of 3
+    ("train-folds-only+eval.k=3 seeds 1..50", (TFO, "eval.k=3", "eval.seeds=1..50")),
+    ("cohort train-folds-only+smote.k=12", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..5", "smote.k=12",
+    )),
 )
 
 #: (name, subcommand, ``--set`` overrides) of the runs that write model files:
