@@ -21,17 +21,21 @@ original samples.  There one scorer call handles every (seed, fold) model:
 each model runs one SMOTE chain on its training fold, so SMOTEi is the
 first i stages of that chain, and needs two naive Bayes fits, of the
 training fold and of the chain's last set, from which
-``naive_bayes.chain_predict`` scores PCA and every stage.  With the global
-PCA the data is reduced once, each class's neighbours are ranked once per
-run, and consecutive models share the reduced rows in blocks: one
+``naive_bayes.chain_predict`` scores PCA and every stage.  Models that
+retain the same number of components are scored in blocks: one
 ``smote.synthetic_rows`` call grows every model's classes, one
 ``naive_bayes.stack_moments`` pass gives both fits of every model, and each
-test row is scored against its own model.  A failing model is rerun alone
-by the per-fold path (``balance_sequence``, then ``fit_nb``), so the error
-raised is the first failing model's first, as fold after fold.  Under
-``pca.fit_within_fold`` each fold refits PCA, ranks its own training rows
-and is a block of one; each seed's reported ``n_features`` is then its last
-fold's.
+test row is scored against its own model.  With the global PCA the data is
+reduced once, each class's neighbours are ranked once per run, and a block
+is a run of consecutive models that share the reduced rows.  Under
+``pca.fit_within_fold`` one ``pca.fit_pca_subsets`` call refits every
+fold's PCA, a stack of training folds at a time; a block holds each of its
+models' rows reduced by the model's own refit, and one ranking of each
+class per model, made for the whole block at once.  Each seed's reported
+``n_features`` is its last fold's.  Once every block is scored, the first
+failing model is rerun alone by the per-fold path (its PCA refit,
+``balance_sequence``, then ``fit_nb``), so the error raised is the first
+failing model's first, as fold after fold.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .dataset import (
 from .errors import DataError
 from .metrics import MetricRow, confusion_matrix, metric_row
 from .naive_bayes import chain_predict, cross_val_predict, finite_fits, fit_nb, stack_moments
-from .pca import fit_pca, transform
+from .pca import fit_pca, fit_pca_subsets, project, transform
 from .rng import derive_seed
 from .smote import balance_sequence, neighbor_ranking, synthetic_rows
 
@@ -198,6 +202,11 @@ def _fold_provenance(base: Dataset, cfg: ExperimentConfig, seed_pos: int, fold: 
     return f"{base.provenance}, training fold {fold + 1} of seed {cfg.eval.seeds[seed_pos]}"
 
 
+def _chain_seed(cfg: ExperimentConfig, seed_pos: int, fold: int) -> int:
+    """The seed of the SMOTE chain of seed ``seed_pos``'s fold ``fold``."""
+    return derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold)
+
+
 def _leak_free_predictions(
     base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
     stack: np.ndarray,
@@ -207,150 +216,158 @@ def _leak_free_predictions(
     Model ``s * n_folds + fold`` is trained on seed s's training fold and
     scored on its original test rows.  Returns int64 predictions of shape
     ``(len(stack), 1 + len(order_idx), n)``, PCA's row first, and each
-    seed's feature count.  Under the global PCA the models share the rows
-    of ``reduced`` and each class of the order is ranked once, so
-    consecutive models are scored in blocks whose stacked rows stay near
-    ``_BLOCK_ELEMENTS`` floats.  Under ``pca.fit_within_fold`` each model is
-    a block of one on its own refit's rows, with only its training rows
-    ranked, and a seed's feature count is its last fold's.
+    seed's feature count, its last fold's.  Each model reduces the rows by
+    the global PCA (``reduced``) or, under ``pca.fit_within_fold``, by its
+    own refit, all folds' refits fitted by ``fit_pca_subsets``.  Models with
+    the same retained count are scored in blocks whose stacked rows, counted
+    as ``2n + len(order_idx) * per_class_target`` a model, stay near
+    ``_BLOCK_ELEMENTS`` floats; under the global PCA the blocks are runs of
+    consecutive models that share the rows of ``reduced`` and one ranking
+    of each class of the order.  Once every block is scored, the first
+    model that failed, in model order, is rerun alone to raise its error.
     """
     n_folds = int(stack.max()) + 1
-    predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
-    if not cfg.pca.fit_within_fold:
-        ranking = _class_ranking(reduced.features, base.labels, order_idx, cfg.smote.k, n_folds)
-        per_model = 2 * base.n_samples + len(order_idx) * cfg.smote.per_class_target
-        step = max(1, _BLOCK_ELEMENTS // (per_model * reduced.n_features))
-        n_models = len(stack) * n_folds
-        for lo in range(0, n_models, step):
-            seed, rows, block = _score_models(
-                base, cfg, reduced, ranking, order_idx, stack, lo, min(lo + step, n_models)
-            )
-            predicted[seed, :, rows] = block
-        return predicted, [reduced.n_features] * len(stack)
-    widths = []
-    for seed_pos, fold_of in enumerate(stack):
-        for fold in range(n_folds):
-            in_train = fold_of != fold
-            train = replace(
-                base.subset(np.flatnonzero(in_train)),
-                provenance=_fold_provenance(base, cfg, seed_pos, fold),
-            )
-            model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
-            train = transform(model, train)
-            features = np.empty((base.n_samples, model.retained))
-            features[in_train] = train.features
-            features[~in_train] = transform(model, base.subset(np.flatnonzero(~in_train))).features
-            ranking = _class_ranking(
-                features, np.where(in_train, base.labels, -1), order_idx, cfg.smote.k, None
-            )
-            lo = seed_pos * n_folds + fold
-            seed, rows, block = _score_models(
-                base, cfg, replace(train, features=features, labels=base.labels),
-                ranking, order_idx, stack, lo, lo + 1,
-            )
-            predicted[seed, :, rows] = block
-        widths.append(model.retained)
-    return predicted, widths
-
-
-def _class_ranking(features, labels, order_idx, k, n_folds) -> np.ndarray:
-    """Each row's ``neighbor_ranking`` within its class, for the classes of
-    the order, as row indices of ``features``, padded with -1 (rows of a
-    label outside the order are all -1).
-
-    A class is ranked to width ``k + 1``, all that a run over all its rows
-    reads, or, given ``n_folds``, wide enough for any training fold of a
-    stratified assignment: a test fold removes at most ``ceil(n / n_folds)``
-    of a class's n rows.
-    """
-    widths = {}
-    for cls in order_idx:
-        size = int(np.count_nonzero(labels == cls))
-        widths[cls] = min(size, k + 1 + (0 if n_folds is None else -(-size // n_folds)))
-    ranking = np.full((len(features), max(widths.values(), default=0)), -1)
-    for cls, width in widths.items():
-        members = np.flatnonzero(labels == cls)
-        ranking[members, :width] = members[neighbor_ranking(features[members], width)]
-    return ranking
-
-
-def _score_models(
-    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, ranking: np.ndarray,
-    order_idx: list[int], stack: np.ndarray, lo: int, hi: int,
-):
-    """PCA's and every SMOTE stage's predictions by the models ``lo..hi-1``.
-
-    One ``synthetic_rows`` call grows every model's classes of the order,
-    from the rows of ``reduced`` and their class ``ranking``; run i of model
-    b draws from ``derive_seed(chain seed, i)``, as ``balance_sequence``
-    does.  ``_chain_fits`` fits each model's training fold and its chain's
-    last set, and ``chain_predict`` scores every test row against its own
-    model from the two.  Returns the seed and row indices of the scored
-    rows and their ``(rows, 1 + len(order_idx))`` predictions.  A model that
-    fails (a class below two rows, a target below the largest class,
-    moments that overflow) is rerun by the per-fold path to raise its
-    error, the first model's first.
-    """
-    n_folds = int(stack.max()) + 1
-    seed_pos, fold = np.divmod(np.arange(lo, hi), n_folds)
-    keep = stack[seed_pos] != fold[:, None]
-    labels = base.labels
-    counts = keep @ np.eye(base.n_classes, dtype=np.int64)[labels]    # (models, classes)
+    seed_pos, fold = np.divmod(np.arange(len(stack) * n_folds), n_folds)
+    keep = stack[seed_pos] != fold[:, None]                              # (models, n)
+    counts = keep @ np.eye(base.n_classes, dtype=np.int64)[base.labels]  # (models, classes)
     target = cfg.smote.per_class_target
-    needed = target - counts[:, order_idx]                              # (models, order)
-    failed = np.zeros(hi - lo, dtype=bool)
+    needed = target - counts[:, order_idx]                               # (models, order)
+    failed = np.zeros(len(keep), dtype=bool)
     if order_idx:
         below_two = (needed > 0) & (counts[:, order_idx] < 2)
         failed = (counts.max(axis=1) > target) | below_two.any(axis=1)
     needed[failed] = 0
-    chain_seeds = [
-        derive_seed(derive_seed(cfg.smote.seed, s), f)
-        for s, f in zip(seed_pos.tolist(), fold.tolist())
-    ]
+    if cfg.pca.fit_within_fold:
+        fits = fit_pca_subsets(base.features, keep, cfg.pca.threshold, cfg.pca.mode)
+        widths = np.array([0 if fit is None else fit.retained for fit in fits])
+        failed |= widths == 0
+    else:
+        widths = np.full(len(keep), reduced.n_features)
+        ranking = _class_ranking(reduced.features, base.labels, order_idx, cfg.smote.k, n_folds)
+    per_model = 2 * base.n_samples + len(order_idx) * target
+    predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
+    for width in sorted(set(widths[~failed].tolist())):
+        members = np.flatnonzero((widths == width) & ~failed)
+        step = max(1, _BLOCK_ELEMENTS // (per_model * width))
+        for lo in range(0, members.size, step):
+            models = members[lo : lo + step]
+            features = reduced.features
+            if cfg.pca.fit_within_fold:
+                features, ranking = _refit_rows(
+                    base, [fits[b] for b in models.tolist()], keep[models], order_idx, cfg.smote.k,
+                    n_folds,
+                )
+            failed[models] = ~_score_models(
+                base, cfg, features, ranking, order_idx, keep[models], needed[models],
+                seed_pos[models], fold[models], predicted,
+            )
+    if failed.any():
+        b = int(np.argmax(failed))
+        _raise_fold_error(base, cfg, reduced, order_idx, keep[b], *divmod(b, n_folds))
+    return predicted, widths[n_folds - 1 :: n_folds].tolist()
+
+
+def _refit_rows(base: Dataset, fits, keep, order_idx: list[int], k: int, n_folds: int):
+    """Each model's rows reduced by its own PCA ``fits[b]``, as a
+    ``(models, n, retained)`` stack, and their ``_class_ranking``s, stacked
+    as ``(models * n, width)``.  A model's training rows and test rows are
+    projected apart, as ``transform`` of each set would."""
+    features = np.empty((len(fits), base.n_samples, fits[0].retained))
+    for reduced, fit, in_train in zip(features, fits, keep):
+        reduced[in_train] = project(fit, base.features[in_train])
+        reduced[~in_train] = project(fit, base.features[~in_train])
+    ranking = _class_ranking(features, base.labels, order_idx, k, n_folds)
+    return features, ranking.reshape(-1, ranking.shape[-1])
+
+
+def _class_ranking(features, labels, order_idx, k, n_folds) -> np.ndarray:
+    """Each row's ``neighbor_ranking`` within its class, for the classes of
+    the order, as row indices of ``features`` (n, f), padded with -1 (rows
+    of a label outside the order are all -1); of a stack (models, n, f),
+    each matrix's ranking.
+
+    A class is ranked wide enough for any training fold of a stratified
+    assignment into ``n_folds``: a test fold removes at most
+    ``ceil(n / n_folds)`` of a class's n rows, and a run reads ``k + 1``.
+    """
+    widths = {}
+    for cls in order_idx:
+        size = int(np.count_nonzero(labels == cls))
+        widths[cls] = min(size, k + 1 - (-size // n_folds))
+    ranking = np.full((*features.shape[:-1], max(widths.values(), default=0)), -1)
+    for cls, width in widths.items():
+        members = np.flatnonzero(labels == cls)
+        ranking[..., members, :width] = members[neighbor_ranking(features[..., members, :], width)]
+    return ranking
+
+
+def _score_models(
+    base: Dataset, cfg: ExperimentConfig, features: np.ndarray, ranking: np.ndarray,
+    order_idx: list[int], keep: np.ndarray, needed: np.ndarray, seed_pos: np.ndarray,
+    fold: np.ndarray, predicted: np.ndarray,
+) -> np.ndarray:
+    """PCA's and every SMOTE stage's predictions by a block of models,
+    written to ``predicted``; returns whether each model's fits are finite.
+
+    Model b is seed ``seed_pos[b]``'s fold ``fold[b]``: it trains on the
+    rows ``keep[b]`` of ``features``, one (n, f) matrix that every model
+    shares or a (models, n, f) stack of one per model, and grows class
+    ``order_idx[i]`` by ``needed[b, i]`` rows.  ``ranking`` ranks each class
+    of the order within the shared matrix, or, stacked, within each model's
+    own.  One ``synthetic_rows`` call grows every model's classes; run i of
+    model b draws from ``derive_seed(chain seed, i)``, as
+    ``balance_sequence`` does.  ``_chain_fits`` fits each model's training
+    fold and its chain's last set, and ``chain_predict`` scores every test
+    row against its own model from the two.  Nothing is written if a fit
+    overflows.
+    """
+    n = base.n_samples
+    at = np.arange(len(keep)) * n if features.ndim == 3 else np.zeros(len(keep), dtype=np.int64)
+    flat = features.reshape(-1, features.shape[-1])
+    chain_seeds = [_chain_seed(cfg, s, f) for s, f in zip(seed_pos.tolist(), fold.tolist())]
     synthetic = synthetic_rows(
-        reduced.features,
+        flat,
         ranking,
-        (keep[:, None, :] & (labels == np.array(order_idx)[:, None])).reshape(-1, len(labels)),
+        (keep[:, None, :] & (base.labels == np.array(order_idx)[:, None])).reshape(-1, n),
         needed.reshape(-1),
         cfg.smote.k,
         [derive_seed(seed, i) for seed in chain_seeds for i in range(len(order_idx))],
+        np.repeat(at, len(order_idx)),
     )
-    first, last = _chain_fits(reduced, keep, order_idx, synthetic, needed)
-    failed |= ~(finite_fits(*first[1:]) & finite_fits(*last[1:]))
-    if failed.any():
-        b = int(np.argmax(failed))
-        _raise_fold_error(base, cfg, reduced, order_idx, keep[b], seed_pos[b], fold[b], chain_seeds[b])
-
-    spanned = stack[seed_pos[0] : seed_pos[-1] + 1]
-    spanned = spanned + n_folds * np.arange(seed_pos[0], seed_pos[-1] + 1)[:, None]
-    seed, test_rows = np.nonzero((spanned >= lo) & (spanned < hi))
-    model = spanned[seed, test_rows] - lo
-    predicted = chain_predict(reduced.features[test_rows], model, first, last, order_idx)
-    return seed_pos[0] + seed, test_rows, predicted
+    first, last = _chain_fits(features, base, keep, order_idx, synthetic, needed)
+    finite = finite_fits(*first[1:]) & finite_fits(*last[1:])
+    if finite.all():
+        model, test_rows = np.nonzero(~keep)
+        predicted[seed_pos[model], :, test_rows] = chain_predict(
+            flat[at[model] + test_rows], model, first, last, order_idx
+        )
+    return finite
 
 
-def _chain_fits(reduced: Dataset, keep, order_idx: list[int], synthetic, needed):
-    """``class_moments`` of each model's training fold ``reduced`` rows
-    ``keep[b]`` and of its chain's last set, from one ``stack_moments`` pass.
+def _chain_fits(features: np.ndarray, base: Dataset, keep, order_idx: list[int], synthetic, needed):
+    """``class_moments`` of each model's training fold, the rows ``keep[b]``
+    of ``features`` (shared, or its own of a stack), and of its chain's
+    last set, from one ``stack_moments`` pass.
 
     ``synthetic`` holds ``synthetic_rows`` of the runs (model b, order
     position i), ``needed[b, i]`` rows each.  The last set keeps the other
     classes' moments; a grown class's are those of its kept rows followed
     by its synthetic rows, which is its run of rows in that set.
     """
-    models, n_classes, width = len(keep), reduced.n_classes, synthetic.shape[1]
-    synthetic = synthetic.reshape(models, len(order_idx), width, reduced.n_features)
-    by_class = np.argsort(reduced.labels, kind="stable")
-    sizes = np.bincount(reduced.labels, minlength=n_classes).tolist()
-    parts = [(reduced.features[by_class], keep[:, by_class])]
+    models, n_classes, width = len(keep), base.n_classes, synthetic.shape[1]
+    n_features = features.shape[-1]
+    synthetic = synthetic.reshape(models, len(order_idx), width, n_features)
+    by_class = np.argsort(base.labels, kind="stable")
+    sizes = np.bincount(base.labels, minlength=n_classes).tolist()
+    parts = [(features[..., by_class, :], keep[:, by_class])]
     for i, cls in enumerate(order_idx):
-        members = np.flatnonzero(reduced.labels == cls)
+        members = np.flatnonzero(base.labels == cls)
         parts += [
-            (reduced.features[members], keep[:, members]),
+            (features[..., members, :], keep[:, members]),
             (synthetic[:, i], np.arange(width) < needed[:, i, None]),
         ]
         sizes.append(len(members) + width)
-    sets = np.empty((models, sum(sizes), reduced.n_features))
+    sets = np.empty((models, sum(sizes), n_features))
     kept = np.empty(sets.shape[:2], dtype=bool)
     lo = 0
     for rows, mask in parts:
@@ -368,17 +385,22 @@ def _chain_fits(reduced: Dataset, keep, order_idx: list[int], synthetic, needed)
 
 def _raise_fold_error(
     base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
-    in_train: np.ndarray, seed_pos: int, fold: int, chain_seed: int,
+    in_train: np.ndarray, seed_pos: int, fold: int,
 ):
-    """Rerun one failed model by the per-fold path: its SMOTE chain, then a
-    naive Bayes fit of its training fold and of the chain's last set, which
-    raises the error the model's fold meets first."""
-    train = replace(
-        reduced.subset(np.flatnonzero(in_train)),
-        provenance=_fold_provenance(base, cfg, seed_pos, fold),
-    )
+    """Rerun one failed model by the per-fold path: its PCA refit under
+    ``pca.fit_within_fold``, its SMOTE chain, then a naive Bayes fit of its
+    training fold and of the chain's last set, which raises the error the
+    model's fold meets first."""
+    rows = np.flatnonzero(in_train)
+    provenance = _fold_provenance(base, cfg, seed_pos, fold)
+    if cfg.pca.fit_within_fold:
+        train = replace(base.subset(rows), provenance=provenance)
+        train = transform(fit_pca(train, cfg.pca.threshold, cfg.pca.mode), train)
+    else:
+        train = replace(reduced.subset(rows), provenance=provenance)
     final = ([train] + balance_sequence(
-        train, order_idx, cfg.smote.per_class_target, k=cfg.smote.k, seed=chain_seed
+        train, order_idx, cfg.smote.per_class_target, k=cfg.smote.k,
+        seed=_chain_seed(cfg, seed_pos, fold),
     ))[-1]
     fit_nb(train)
     fit_nb(final)

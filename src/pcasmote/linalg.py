@@ -1,9 +1,11 @@
 """Minimal dense linear algebra: sample covariance and a symmetric eigensolver.
 
-Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order.
-Everything here is deterministic: the eigensolver's output is sorted and
-sign-fixed, so identical input bits give identical output bits on reruns and
-across BLAS thread counts (a test pins 1 against 2 threads).
+Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order; a
+stack of them (G, rows, cols) is taken in one call, with the bits each
+matrix gets alone.  Everything here is deterministic: the eigensolver's
+output is sorted and sign-fixed, so identical input bits give identical
+output bits on reruns and across BLAS thread counts (a test pins 1 against
+2 threads).
 """
 
 from dataclasses import dataclass
@@ -15,24 +17,28 @@ from .errors import ConvergenceError
 
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D matrix or a stack of them, got ndim={a.ndim}")
     return a
 
 
 def covariance_matrix(m) -> np.ndarray:
-    """Sample covariance (divisor n-1) of the columns of ``m``.
+    """Sample covariance (divisor n-1) of the columns of ``m`` (n, f), or of
+    each matrix of a stack (G, n, f), with the bits of one at a time.
 
     The result is symmetrised explicitly so downstream symmetry checks hold
     to machine precision.
     """
     a = _as_matrix(m)
-    n = a.shape[0]
+    n = a.shape[-2]
     if n < 2:
         raise ValueError("covariance needs at least two rows")
-    centered = a - a.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    return (cov + cov.T) / 2.0
+    centered = a - a.mean(axis=-2, keepdims=True)
+    cov = np.swapaxes(centered, -1, -2) @ centered
+    cov /= n - 1   # in place, here and below: a stack's temporaries are large
+    cov = cov + np.swapaxes(cov, -1, -2)
+    cov /= 2.0
+    return cov
 
 
 @dataclass(frozen=True)
@@ -49,30 +55,38 @@ class EigenDecomposition:
 
 
 def _check_symmetric(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix is not square: {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric within 1e-9")
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"matrix is not square: {a.shape[-2:]}")
+    if a.size:
+        axes = (-2, -1)
+        scale = np.maximum(1.0, np.maximum(a.max(axis=axes), -a.min(axis=axes)))
+        gap = a - np.swapaxes(a, -1, -2)
+        if (np.abs(gap, out=gap).max(axis=axes) > 1e-9 * scale).any():
+            raise ValueError("matrix is not symmetric within 1e-9")
 
 
-def symmetric_eigen(a) -> EigenDecomposition:
-    """Eigenpairs of a finite symmetric matrix via ``numpy.linalg.eigh``.
+def symmetric_eigen(a):
+    """Eigenpairs of a finite symmetric matrix (f, f), or, for a stack of
+    them (G, f, f), a list of each matrix's.  One ``numpy.linalg.eigh`` call
+    runs LAPACK once per matrix, so each has the bits it has alone.
 
     Raises ``ValueError`` on non-finite entries (``eigh`` silently returns
-    NaN for them) and ``ConvergenceError`` if LAPACK does not converge.
+    NaN for them) and ``ConvergenceError`` if LAPACK does not converge on
+    some matrix.
     """
     a = _as_matrix(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     _check_symmetric(a)
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("cannot decompose an empty matrix")
     try:
         values, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
-    return _finish(values, vecs)
+    if a.ndim == 2:
+        return _finish(values, vecs)
+    return [_finish(v, m) for v, m in zip(values, vecs)]
 
 
 def _finish(values: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:

@@ -3,7 +3,11 @@
 ``fit_pca`` eigendecomposes the covariance or correlation matrix of the
 training features and keeps the smallest number of leading components whose
 cumulative eigenvalue share reaches the requested threshold.  ``transform``
-projects rows through ``(x - mean) / scale @ components``.
+projects rows through ``(x - mean) / scale @ components``.  The fit is stated
+once, for a stack of matrices: ``fit_pca`` is its stack of one, and
+``fit_pca_subsets`` fits many row subsets of one matrix (the training folds
+of a cross-validation) a stack at a time, each with the bits of its own
+``fit_pca``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import linalg, model_io
 from .dataset import Dataset
-from .errors import DataError
+from .errors import ConvergenceError, DataError
 
 #: Correlation mode divides each centred column by its sample standard
 #: deviation (divisor n-1); a column whose sd is below this is constant and
@@ -24,6 +28,11 @@ SD_FLOOR = 1e-12
 #: Eigenvalues below this fraction of the largest one count as zero when
 #: computing coverage, so rank-deficient data reaches coverage 1.0 exactly.
 RANK_TOL = 1e-12
+
+#: float64 elements in one stack of row subsets fitted together: a subset of
+#: n rows of f features stacks n x f and decomposes an f x f matrix, so
+#: counts (n + f) x f; the stack's temporaries are a few times that
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> int:
 
 
 def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
-    """Fit the reducer on a complete dataset.
+    """Fit the reducer on a complete dataset: ``_fit_stack`` of one matrix.
 
     Args:
         ds:        dataset with no missing cells.
@@ -98,35 +107,101 @@ def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
     if ds.has_missing():
         raise ValueError("dataset still contains missing cells; impute first")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, scale, basis = _basis(ds.features, mode)
-    if not all(np.isfinite(a).all() for a in (mean, scale, basis)):
+    model, = _fit_stack(ds.features[None], threshold, mode)
+    if model is None:
         raise DataError(
             f"{ds.provenance}: the {mode} matrix of the features overflows float64"
         )
+    return model
 
-    eig = linalg.symmetric_eigen(basis)
-    retained = retained_for_threshold(eig.eigenvalues, threshold)
-    return PcaModel(
-        mean=mean,
-        scale=scale,
-        components=eig.eigenvectors[:, :retained].copy(),
-        eigenvalues=eig.eigenvalues.copy(),
-        retained=retained,
-        variance_threshold=threshold,
-        mode=mode,
+
+def fit_pca_subsets(
+    features: np.ndarray, keep: np.ndarray, threshold: float, mode: str
+) -> list[PcaModel | None]:
+    """``fit_pca`` of each row subset ``features[keep[b]]``, or None where it
+    would raise (fewer than two rows, an overflow, an eigensolver failure),
+    so that the caller can rerun ``fit_pca`` on the first such subset to
+    raise its error.  ``features`` is complete; ``threshold`` and ``mode``
+    are ones ``fit_pca`` accepts.
+
+    Subsets with the same row count are stacked as (G, rows, f), G as large
+    as ``_BLOCK_ELEMENTS`` allows, and fitted by one ``_fit_stack`` call,
+    with the bits each subset's ``fit_pca`` gives.  If the eigensolver fails on
+    a stack, its subsets are refitted one at a time to find which.
+    """
+    models: list[PcaModel | None] = [None] * len(keep)
+    sizes = keep.sum(axis=1)
+    for size in sorted(set(sizes[sizes >= 2].tolist())):
+        members = np.flatnonzero(sizes == size)
+        step = max(1, _BLOCK_ELEMENTS // ((size + features.shape[1]) * features.shape[1]))
+        for lo in range(0, members.size, step):
+            group = members[lo : lo + step]
+            stack = features[np.nonzero(keep[group])[1].reshape(group.size, size)]
+            try:
+                fits = _fit_stack(stack, threshold, mode)
+            except ConvergenceError:
+                fits = [_fit_alone(one, threshold, mode) for one in stack]
+            del stack   # the next group's stack would otherwise sit beside it
+            for b, model in zip(group.tolist(), fits):
+                models[b] = model
+    return models
+
+
+def _fit_alone(features: np.ndarray, threshold: float, mode: str) -> PcaModel | None:
+    """``_fit_stack`` of one matrix, None where the eigensolver fails."""
+    try:
+        return _fit_stack(features[None], threshold, mode)[0]
+    except ConvergenceError:
+        return None
+
+
+def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel | None]:
+    """The reducer of each (n, f) matrix of ``stack`` (G, n, f), or None where
+    its column statistics or its ``mode`` matrix overflow float64.  One
+    ``linalg.symmetric_eigen`` call decomposes every finite matrix; it
+    raises ``ConvergenceError`` if LAPACK fails on any."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, scale, basis = _basis(stack, mode)
+    finite = (
+        np.isfinite(mean).all(axis=1)
+        & np.isfinite(scale).all(axis=1)
+        & np.isfinite(basis).all(axis=(1, 2))
     )
+    models: list[PcaModel | None] = [None] * len(stack)
+    if not finite.all():
+        basis = basis[finite]
+    for g, eig in zip(np.flatnonzero(finite).tolist(), linalg.symmetric_eigen(basis)):
+        retained = retained_for_threshold(eig.eigenvalues, threshold)
+        models[g] = PcaModel(
+            mean=mean[g],
+            scale=scale[g],
+            components=eig.eigenvectors[:, :retained].copy(),
+            eigenvalues=eig.eigenvalues.copy(),
+            retained=retained,
+            variance_threshold=threshold,
+            mode=mode,
+        )
+    return models
 
 
 def _basis(features: np.ndarray, mode: str):
-    """(column mean, scale, matrix to decompose) of ``features`` under ``mode``:
-    the covariance of the features, or of their z-scores (see ``SD_FLOOR``)."""
-    mean = features.mean(axis=0)
+    """(column means, scales, matrices to decompose) of ``features`` (n, f),
+    or of each matrix of a stack (..., n, f), under ``mode``: the covariance
+    of the features, or of their z-scores (see ``SD_FLOOR``)."""
+    mean = features.mean(axis=-2)
     if mode == "covariance":
-        return mean, np.ones(features.shape[1]), linalg.covariance_matrix(features)
-    sd = features.std(axis=0, ddof=1)
+        return mean, np.ones(mean.shape), linalg.covariance_matrix(features)
+    sd = features.std(axis=-2, ddof=1)
     scale = np.where(sd < SD_FLOOR, 1.0, sd)
-    return mean, scale, linalg.covariance_matrix((features - mean) / scale)
+    z = features - mean[..., None, :]
+    z /= scale[..., None, :]
+    return mean, scale, linalg.covariance_matrix(z)
+
+
+def project(model: PcaModel, features: np.ndarray) -> np.ndarray:
+    """The rows of ``features`` (n, f) on the retained components."""
+    z = (features - model.mean) / model.scale
+    return z @ model.components
 
 
 def transform(model: PcaModel, ds: Dataset) -> Dataset:
@@ -139,10 +214,9 @@ def transform(model: PcaModel, ds: Dataset) -> Dataset:
         raise ValueError(
             f"dataset has {ds.n_features} features, model expects {model.n_features}"
         )
-    z = (ds.features - model.mean) / model.scale
     return replace(
         ds,
-        features=z @ model.components,
+        features=project(model, ds.features),
         feature_names=tuple(f"PC{i}" for i in range(1, model.retained + 1)),
     )
 

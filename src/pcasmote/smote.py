@@ -14,8 +14,9 @@ A class's neighbour table comes from its ranking: one n x n squared-distance
 matrix and one stable row-wise sort, so ties go to the lower index; memory
 is quadratic in the class size.  The matrix is filled in blocks of rows whose
 broadcast temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class
-size.  A subset's table is read from the ranking of all the rows, so a
-cross-validation ranks each class once per run.
+size; a stack of matrices is ranked in one call.  A subset's table is read
+from the ranking of all the rows, so a cross-validation ranks each class
+once per run (or once per PCA refit).
 """
 
 from __future__ import annotations
@@ -49,21 +50,22 @@ class SmoteConfig:
 
 
 def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
-    """Row i lists the first ``width`` rows by (distance to ``pts[i]``, index).
+    """Row i lists the first ``width`` rows by (distance to ``pts[i]``, index),
+    for ``pts`` (n, f), or for each matrix of a stack (..., n, f).
 
     Squared Euclidean distances fill an n x n matrix a block of rows at a
     time and a stable sort breaks distance ties toward the lower index.  The
     diagonal is set below every distance, so each row ranks itself first,
     even where distances overflow to infinity.
     """
-    n, f = pts.shape
-    step = max(1, _BLOCK_ELEMENTS // max(1, n * f))
-    dist2 = np.empty((n, n), dtype=np.float64)
+    n = pts.shape[-2]
+    step = max(1, _BLOCK_ELEMENTS // max(1, pts.size))   # a block's temporary: step * pts.size
+    dist2 = np.empty((*pts.shape[:-1], n), dtype=np.float64)
     for lo in range(0, n, step):
-        deltas = pts[None] - pts[lo : lo + step, None]
-        dist2[lo : lo + step] = np.einsum("ijk,ijk->ij", deltas, deltas)
-    np.fill_diagonal(dist2, -1.0)
-    return np.argsort(dist2, axis=1, kind="stable")[:, :width].copy()  # frees the n x n sort
+        deltas = pts[..., None, :, :] - pts[..., lo : lo + step, None, :]
+        dist2[..., lo : lo + step, :] = np.einsum("...ijk,...ijk->...ij", deltas, deltas)
+    dist2[..., np.arange(n), np.arange(n)] = -1.0
+    return np.argsort(dist2, axis=-1, kind="stable")[..., :width].copy()  # frees the n x n sort
 
 
 def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
@@ -94,19 +96,21 @@ def _interpolate(sample, neighbor, u):
     return sample + u * (neighbor - sample)
 
 
-def synthetic_rows(pts, ranking, kept, needed, k, seeds) -> np.ndarray:
+def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset=0) -> np.ndarray:
     """Synthetic rows of a batch of SMOTE runs over rows of ``pts``.
 
-    Run b grows the rows ``pts[kept[b]]`` of one class, in order, by
-    ``needed[b]`` rows from the stream of ``seeds[b]``: row j has base
-    ``j % count``, neighbour choice ``draw(2j) % k_eff`` and
-    ``u = draw(2j + 1)`` as ``Rng.random`` reads it, with
-    ``k_eff = min(k, count - 1)``.  ``ranking[i]`` lists rows of ``pts``
-    as ``neighbor_ranking`` ranks row i's class, itself first; entries of
-    -1 pad it.  The neighbour is the base's ``choice + 1``-th kept entry
-    after itself: a stable order restricted to an increasing index subset
-    keeps its order, so that is the kept rows' own table.  A run that needs
-    a row must keep at least two.
+    Run b reads the n rows of ``pts`` and of ``ranking`` from ``offset[b]``
+    on (a scalar offset holds for every run); ``kept[b]`` (n,) masks them.
+    It grows its kept rows of one class, in order, by ``needed[b]`` rows
+    from the stream of ``seeds[b]``: row j has base ``j % count``,
+    neighbour choice ``draw(2j) % k_eff`` and ``u = draw(2j + 1)`` as
+    ``Rng.random`` reads it, with ``k_eff = min(k, count - 1)``.
+    ``ranking[i]`` lists rows, counted from the run's offset, as
+    ``neighbor_ranking`` ranks row i's class, itself first; entries of -1
+    pad it.  The neighbour is the base's ``choice + 1``-th kept entry after
+    itself: a stable order restricted to an increasing index subset keeps
+    its order, so that is the kept rows' own table.  A run that needs a row
+    must keep at least two.
 
     Returns a ``(B, max(needed), f)`` array, padded with ``-0.0`` past each
     run's ``needed[b]`` rows.  Raises ``ValueError`` if a base's ranking
@@ -127,12 +131,13 @@ def synthetic_rows(pts, ranking, kept, needed, k, seeds) -> np.ndarray:
     choice = (draws[run, 2 * j] % k_eff.astype(np.uint64)).astype(np.int64)
     u = (draws[run, 2 * j + 1] >> 11) * 2.0**-53
     base = np.argsort(~kept, axis=1, kind="stable")[run, j % counts]   # kept rows first
-    ranked = ranking[base]
+    at = np.broadcast_to(offset, needed.shape)[run]
+    ranked = ranking[at + base]
     seen = np.cumsum(kept[run[:, None], ranked] & (ranked >= 0), axis=1)
     if (seen[:, -1] <= k_eff).any():
         raise ValueError(f"ranking of width {ranking.shape[1]} holds too few kept rows")
     neighbor = ranked[np.arange(run.size), np.argmax(seen > choice[:, None] + 1, axis=1)]
-    out[grown] = _interpolate(pts[base], pts[neighbor], u[:, None])
+    out[grown] = _interpolate(pts[at + base], pts[at + neighbor], u[:, None])
     return out
 
 

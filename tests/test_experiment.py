@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pcasmote import experiment, naive_bayes
+from pcasmote import experiment, naive_bayes, pca
 from pcasmote.cli import main
 from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
 from pcasmote.errors import DataError, ResampleError
@@ -231,10 +231,11 @@ def counted_run(data_file, fit_within_fold, targets):
 def refit_run(data_file):
     """The leak-free refit experiment, counting calls to the per-fold stages."""
     names = (
-        "fit_pca", "neighbor_ranking", "balance_sequence", "synthetic_rows", "stack_moments",
-        "chain_predict",
+        "fit_pca", "fit_pca_subsets", "neighbor_ranking", "balance_sequence", "synthetic_rows",
+        "stack_moments", "chain_predict",
     )
-    return counted_run(data_file, True, [(experiment, name) for name in names] + list(NB_FITS))
+    targets = [(experiment, name) for name in names] + [(pca, "_fit_stack")] + list(NB_FITS)
+    return counted_run(data_file, True, targets)
 
 
 class TestTrainFoldsOnlyScope:
@@ -283,8 +284,9 @@ class TestTrainFoldsOnlyScope:
         beforehand."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
-        assignments, scored = [], []
+        assignments, blocks, scored = [], [], []
         stratified_fold_stack = experiment.stratified_fold_stack
+        score_models = experiment._score_models
         chain_predict = experiment.chain_predict
 
         def recording_folds(*args):
@@ -292,11 +294,16 @@ class TestTrainFoldsOnlyScope:
             assignments.extend(stack)   # one fold assignment per seed
             return stack
 
+        def recording_block(*args):
+            blocks.append(list(zip(args[-3].tolist(), args[-2].tolist())))   # (seed, fold)
+            return score_models(*args)
+
         def recording_chain(rows, model, first, last, order):
             scored.append((rows, model))
             return chain_predict(rows, model, first, last, order)
 
         monkeypatch.setattr(experiment, "stratified_fold_stack", recording_folds)
+        monkeypatch.setattr(experiment, "_score_models", recording_block)
         monkeypatch.setattr(experiment, "chain_predict", recording_chain)
         run_experiment(cfg)
 
@@ -305,12 +312,18 @@ class TestTrainFoldsOnlyScope:
         assert len(assignments) == 2
         for initial_fold_of, fold_of in zip(initial_folds, assignments):
             assert np.array_equal(initial_fold_of, fold_of)
-        # the 20 models in order, in one block under the global PCA, one per
-        # call under a refit; a block's models are numbered from 0
-        assert len(scored) == (20 if fit_within_fold else 1)
-        by_model = []
-        for rows, model in scored:
-            by_model += [rows[model == m] for m in range(int(model.max()) + 1)]
+        # the 20 models in order, in one block under the global PCA; under a
+        # refit, 19 folds retain 17 components and seed 2's fold 10 retains
+        # 18, so two blocks; a block's models are numbered from 0
+        if fit_within_fold:
+            in_order = [(s, f) for s in range(2) for f in range(10)]
+            assert blocks == [in_order[:19], in_order[19:]]
+        else:
+            assert blocks == [[(s, f) for s in range(2) for f in range(10)]]
+        assert len(scored) == len(blocks)
+        by_model = {}
+        for models, (rows, model) in zip(blocks, scored):
+            by_model.update((key, rows[model == m]) for m, key in enumerate(models))
         assert len(by_model) == 20
         reduced_once = transform(fit_pca(lung, cfg.pca.threshold, cfg.pca.mode), lung)
         for seed_pos, fold_of in enumerate(assignments):
@@ -321,7 +334,7 @@ class TestTrainFoldsOnlyScope:
                     train = lung.subset(np.flatnonzero(fold_of != fold))
                     model = fit_pca(train, cfg.pca.threshold, cfg.pca.mode)
                     reduced = transform(model, lung.subset(test_idx)).features
-                assert np.array_equal(by_model[seed_pos * 10 + fold], reduced)
+                assert np.array_equal(by_model[seed_pos, fold], reduced)
 
     def test_refit_width_is_each_seeds_last_fold(self, data_file, lung):
         """Under ``pca.fit_within_fold`` each seed's row reports the count its
@@ -402,14 +415,18 @@ class TestTrainFoldsOnlyScope:
 
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run
-        # 2 global fits (both modes) + one per fold; per fold, one ranking of
-        # each class's training rows, one synthesis of the chain, one moment
-        # pass and one scoring of PCA and the 3 SMOTE stages; no per-stage
-        # set is built; Initial's 10 folds are one masked fit (32 x 56 rows
-        # fit in one block)
+        # 2 global fits (both modes), then one batched refit of the 10
+        # folds, 3 to a stack under the budget: the two 28-row training
+        # folds in one stack, the eight 29-row ones in stacks of 3, 3 and 2;
+        # every fold retains 17 components, so the 10 models are one block:
+        # one ranking of each class for all of them, one synthesis of their
+        # chains, one moment pass and one scoring of PCA and the 3 SMOTE
+        # stages; no per-stage set is built; Initial's 10 folds are one
+        # masked fit (32 x 56 rows fit in one block)
         assert calls == Counter(
-            fit_pca=2 + 10, neighbor_ranking=3 * 10, balance_sequence=0, synthetic_rows=10,
-            stack_moments=10, chain_predict=10, fit_nb=0, _fit_masked=1,
+            fit_pca=2, fit_pca_subsets=1, _fit_stack=2 + 4, neighbor_ranking=3,
+            balance_sequence=0, synthetic_rows=1, stack_moments=1, chain_predict=1, fit_nb=0,
+            _fit_masked=1,
         )
 
     def test_global_pca_reduces_once_and_chains_once_per_fold(self, data_file):
@@ -435,15 +452,16 @@ class TestTrainFoldsOnlyScope:
         score_models = experiment._score_models
 
         def recording(*args):
-            blocks.append(args[-2:])
+            blocks.append(args[-3] * 10 + args[-2])   # model seed * 10 + fold
             return score_models(*args)
 
         monkeypatch.setattr(experiment, "_score_models", recording)
         # a model stacks (2 * 32 + 3 * 18) rows of 18 features: 7 fit in the budget
         monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 7 * 118 * 18 + 5)
         run_experiment(default_config(data_file, resample_scope="train-folds-only"))
-        assert blocks == [(lo, min(lo + 7, 200)) for lo in range(0, 200, 7)]
-
+        assert [block.tolist() for block in blocks] == [
+            list(range(lo, min(lo + 7, 200))) for lo in range(0, 200, 7)
+        ]
 
 def per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos):
     """The leak-free scorer as it was before the global reduction, the class
@@ -521,9 +539,56 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
     def test_predictions_equal(
         self, cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit, budget
     ):
+        self.check_scorer(cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit, budget)
+
+    @pytest.mark.parametrize(
+        "protocol, k, seeds, mode, budget, n_widths",
+        [
+            ("k-fold", 10, (1, 2), "correlation", 1, 2),
+            ("k-fold", 10, (1, 2, 3), "correlation", None, 2),
+            ("leave-one-out", 10, (6,), "covariance", None, 1),
+        ],
+        ids=["one-model-per-block", "blocks-split-by-width", "covariance-leave-one-out"],
+    )
+    def test_refit_predictions_equal(
+        self, cohort_file, monkeypatch, protocol, k, seeds, mode, budget, n_widths
+    ):
+        """Under ``pca.fit_within_fold`` the models are blocked by retained
+        count.  On the 10-fold cases the folds retain 4 or 5 components, so
+        with the default budget the blocks split by width and span seeds."""
+        blocks = []
+        score_models = experiment._score_models
+
+        def recording(*args):
+            blocks.append((args[2].shape[-1], set(args[-3].tolist())))   # (width, seeds)
+            return score_models(*args)
+
+        monkeypatch.setattr(experiment, "_score_models", recording)
+        stack = self.check_scorer(
+            cohort_file, monkeypatch, protocol, k, seeds, 5, True, budget, mode
+        )
+        base = experiment.load_dataset(str(cohort_file))
+        widths = [
+            fit_pca(base.subset(np.flatnonzero(fold_of != fold)), 0.8, mode).retained
+            for fold_of in stack
+            for fold in range(int(fold_of.max()) + 1)
+        ]
+        assert len(set(widths)) == n_widths
+        if budget is None:
+            assert {width for width, _ in blocks} == set(widths)
+            assert len(seeds) == 1 or all(len(spanned) > 1 for _, spanned in blocks)
+        else:
+            assert len(blocks) == len(widths)
+
+    @staticmethod
+    def check_scorer(
+        cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit, budget, mode="correlation"
+    ):
+        """Runs the experiment and checks the scorer's predictions against
+        ``per_fold_reference``, seed by seed; returns the fold stack."""
         cfg = ExperimentConfig(
             dataset=str(cohort_file),
-            pca=PcaSettings(threshold=0.8, fit_within_fold=refit),
+            pca=PcaSettings(threshold=0.8, mode=mode, fit_within_fold=refit),
             smote=SmoteSettings(k=smote_k, order=("c0", "c2", "c1"), per_class_target=100),
             eval=EvalSettings(
                 protocol=protocol, k=k, seeds=seeds, resample_scope="train-folds-only"
@@ -550,6 +615,7 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
         for seed_pos, fold_of in enumerate(stack):
             expected = per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos)
             assert np.array_equal(predicted[seed_pos], expected), seed_pos
+        return stack
 
 
 #: three ``a`` rows and six ``b`` rows; SMOTE grows ``a`` to 5 rows
@@ -610,6 +676,42 @@ class TestLeakFreeErrorOrder:
             monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
         assert main(["experiment", "--config", str(config), "-o", str(tmp_path / "out")]) == 3
         assert f"error[data]: {data}, {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "failed_refit, error, message",
+        [
+            (0, AssertionError, "training fold 1 of seed 4: the per-fold path raised no error"),
+            (5, ResampleError, "training fold 1 of seed 9: class a has 1 sample(s)"),
+        ],
+        ids=["refit-first", "refit-after-the-singleton"],
+    )
+    def test_a_failed_refit_takes_its_place_in_model_order(
+        self, tmp_path, monkeypatch, failed_refit, error, message
+    ):
+        """A refit that ``fit_pca_subsets`` could not make (here marked by
+        hand, so its rerun finds no error) is rerun only if no earlier model
+        failed: model 3, seed 9's first fold, holds a singleton class."""
+        data = tmp_path / "nine.csv"
+        data.write_bytes(_ERROR_ROWS)
+        cfg = ExperimentConfig(
+            dataset=str(data),
+            pca=PcaSettings(fit_within_fold=True),
+            smote=SmoteSettings(k=2, order=("a",), per_class_target=5),
+            eval=EvalSettings(k=3, seeds=(4, 9), resample_scope="train-folds-only"),
+        )
+        stack = np.array([_SOUND, _folds(_SINGLETON, _ABOVE_TARGET)])
+        monkeypatch.setattr(experiment, "stratified_fold_stack", lambda ds, k, seeds: stack)
+        fit_pca_subsets = experiment.fit_pca_subsets
+
+        def failing(*args):
+            fits = fit_pca_subsets(*args)
+            fits[failed_refit] = None
+            return fits
+
+        monkeypatch.setattr(experiment, "fit_pca_subsets", failing)
+        with pytest.raises(error) as raised:
+            run_experiment(cfg)
+        assert f"{data}, {message}" in str(raised.value)
 
     def test_the_error_types(self, tmp_path, monkeypatch):
         data = tmp_path / "nine.csv"

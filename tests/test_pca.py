@@ -1,15 +1,20 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcasmote import linalg
+from pcasmote import linalg, pca
 from pcasmote.cli import main
-from pcasmote.dataset import Dataset
-from pcasmote.errors import DataError
+from pcasmote.dataset import Dataset, stratified_fold_stack
+from pcasmote.errors import ConvergenceError, DataError
 from pcasmote.pca import (
     PcaModel,
     fit_pca,
+    fit_pca_subsets,
     load_pca,
     retained_for_threshold,
     save_pca,
@@ -118,6 +123,126 @@ class TestFit:
         ds = dataset_from([[1.0, np.nan], [2.0, 3.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             fit_pca(ds, 0.9, "covariance")
+
+
+def training_folds(ds, k, seeds):
+    """(models, n) masks of the training rows of every (seed, fold)."""
+    stack = stratified_fold_stack(ds, k, seeds)
+    return np.concatenate([[fold_of != fold for fold in range(k)] for fold_of in stack])
+
+
+MODEL_ARRAYS = ("mean", "scale", "eigenvalues", "components")
+
+
+class TestFitSubsets:
+    @pytest.mark.parametrize("mode", ["correlation", "covariance"])
+    @pytest.mark.parametrize("threshold", [0.9, 1.0])
+    @pytest.mark.parametrize("k", [10, 32], ids=["10-fold", "leave-one-out"])
+    def test_bits_equal_fit_pca_per_fold(self, lung, mode, threshold, k):
+        """Every training fold's batched refit, seeds 1..5, is its own
+        ``fit_pca`` bit for bit; the folds have two row counts at k = 10."""
+        keep = training_folds(lung, k, range(1, 6))
+        fits = fit_pca_subsets(lung.features, keep, threshold, mode)
+        assert len(set(keep.sum(axis=1).tolist())) == (2 if k == 10 else 1)
+        for in_train, fit in zip(keep, fits):
+            alone = fit_pca(lung.subset(np.flatnonzero(in_train)), threshold, mode)
+            assert fit.retained == alone.retained
+            for name in MODEL_ARRAYS:
+                assert getattr(fit, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_stacks_follow_the_element_budget(self, lung, monkeypatch):
+        """Leave-one-out's 32 training folds of 31 rows are stacked as many
+        at a time as the budget holds."""
+        stacks = []
+        fit_stack = pca._fit_stack
+
+        def recording(stack, threshold, mode):
+            stacks.append(len(stack))
+            return fit_stack(stack, threshold, mode)
+
+        monkeypatch.setattr(pca, "_fit_stack", recording)
+        # a subset counts its 31 rows and its 56 x 56 matrix, of 56 features
+        monkeypatch.setattr(pca, "_BLOCK_ELEMENTS", 5 * (31 + 56) * 56 + 7)
+        fits = fit_pca_subsets(lung.features, training_folds(lung, 32, [1]), 0.9, "correlation")
+        assert stacks == [5] * 6 + [2]
+        assert all(fit is not None for fit in fits)
+
+    def test_a_failing_subset_is_none(self):
+        """A subset under two rows, or whose covariance overflows, is None,
+        and so is each subset fit_pca would raise on; the others fit."""
+        features = np.array([[1.0, 2.0], [2.0, 0.0], [3.0, 1.0], [1e200, 3.0]])
+        keep = np.array([
+            [True, False, False, False],   # one row
+            [True, True, False, True],     # the square of 1e200 overflows
+            [True, True, True, False],
+            [False, True, True, False],
+        ])
+        fits = fit_pca_subsets(features, keep, 0.9, "covariance")
+        for in_train, fit in zip(keep, fits):
+            rows = dataset_from(features[in_train], labels=[0] * int(in_train.sum()))
+            if fit is None:
+                with pytest.raises(DataError):
+                    fit_pca(rows, 0.9, "covariance")
+            else:
+                alone = fit_pca(rows, 0.9, "covariance")
+                assert fit.components.tobytes() == alone.components.tobytes()
+        assert [fit is None for fit in fits] == [True, True, False, False]
+
+    def test_an_eigensolver_failure_marks_only_its_subset(self, lung, monkeypatch):
+        """LAPACK failing on one fold's matrix fails the stack's ``eigh``;
+        the subsets are then refitted alone, and only that one is None."""
+        keep = training_folds(lung, 10, [1])
+        bad = pca._basis(lung.features[keep[3]], "correlation")[2]
+        eigh = np.linalg.eigh
+
+        def failing(a):
+            if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, *bad.shape))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        fits = fit_pca_subsets(lung.features, keep, 0.9, "correlation")
+        assert [fit is None for fit in fits] == [b == 3 for b in range(10)]
+        for in_train, fit in zip(keep, fits):
+            rows = lung.subset(np.flatnonzero(in_train))
+            if fit is None:
+                with pytest.raises(ConvergenceError, match="did not converge"):
+                    fit_pca(rows, 0.9, "correlation")
+            else:
+                alone = fit_pca(rows, 0.9, "correlation")
+                assert fit.components.tobytes() == alone.components.tobytes()
+
+
+_HASH_SUBSETS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from pcasmote.dataset import impute_missing, load_uci_lung_cancer, stratified_fold_stack
+from pcasmote.pca import fit_pca_subsets
+ds = impute_missing(load_uci_lung_cancer(sys.argv[1]), "mode")
+stack = stratified_fold_stack(ds, 10, range(1, 6))
+keep = np.concatenate([[fold_of != fold for fold in range(10)] for fold_of in stack])
+h = hashlib.sha256()
+for mode in ("correlation", "covariance"):
+    for fit in fit_pca_subsets(ds.features, keep, 1.0, mode):
+        for a in (fit.eigenvalues, fit.components, fit.mean, fit.scale):
+            h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_subset_bits_independent_of_blas_threads(data_file):
+    src = str(Path(pca.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SUBSETS_SCRIPT, str(data_file)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 class TestTransform:

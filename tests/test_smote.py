@@ -225,6 +225,16 @@ def random_class(rng, trial, f=None):
     return rng.choice([-1.0, 1.0], size=(n, f)) * 1e200
 
 
+def test_ranking_of_a_stack_is_each_matrix_ranking():
+    rng = np.random.default_rng(77)
+    for n, f in [(1, 3), (5, 1), (9, 4), (40, 7)]:
+        stack = np.round(rng.normal(size=(3, n, f)), 1)   # rounded: tied distances
+        stack[1] *= 1e200                                   # distances overflow
+        got = neighbor_ranking(stack, n)
+        for pts, ranking in zip(stack, got):
+            assert np.array_equal(ranking, neighbor_ranking(pts, n))
+
+
 class TestNeighborTableMatchesReference:
     def test_sixty_seeded_classes(self):
         rng = np.random.default_rng(2002)
@@ -323,6 +333,33 @@ class TestSyntheticRows:
                 assert np.array_equal(rows[:needed], expected)
             pad = rows[needed:]
             assert (pad == 0).all() and np.signbit(pad).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=synthesis_batches(),
+        scales=st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=1, max_size=3),
+    )
+    def test_runs_over_a_stack_read_their_own_matrix(self, batch, scales):
+        """Runs of several models, each on its own matrix and ranking at an
+        offset of a stack, equal one call per run on that matrix alone."""
+        features, labels, k, _, masks, runs = batch
+        widths = [int((labels == c).sum()) for c in (0, 1)]   # each class ranked in full
+        stack = np.stack([np.round(features * scale, 1) for scale in scales])
+        ranking = np.concatenate([class_ranking(m, labels, widths) for m in stack])
+        owner = [i % len(scales) for i in range(len(runs))]
+        kept = np.array([masks[m] & (labels == cls) for m, cls, _, _ in runs])
+        needed, seeds = [r[2] for r in runs], [r[3] for r in runs]
+        n = len(labels)
+        got = synthetic_rows(
+            stack.reshape(-1, stack.shape[2]), ranking, kept, needed, k, seeds,
+            np.array(owner) * n,
+        )
+        for b, m in enumerate(owner):
+            alone = synthetic_rows(
+                stack[m], ranking[m * n : (m + 1) * n], kept[b : b + 1], needed[b : b + 1], k,
+                seeds[b : b + 1],
+            )[0]
+            assert got[b, : needed[b]].tobytes() == alone[: needed[b]].tobytes()
 
     def test_runs_with_different_k_eff_in_one_batch(self):
         # k = 6 reaches every kept class: k_eff is 5, 4 and 3 in the three runs

@@ -81,6 +81,16 @@ CONFIGS = (
     ("cohort train-folds-only+smote.k=12", (
         f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..5", "smote.k=12",
     )),
+    # batched PCA refits: 150 training folds of two row counts, whose blocks
+    # of models span seeds and split by retained count; and 320 leave-one-out
+    # refits of 319 x 56 rows, where the float budget stacks one at a time
+    ("train-folds-only+fit_within_fold+eval.k=3 seeds 1..50", (
+        TFO, "pca.fit_within_fold=true", "eval.k=3", "eval.seeds=1..50",
+    )),
+    ("cohort train-folds-only+fit_within_fold+loo seed 1", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "pca.fit_within_fold=true",
+        "eval.protocol=leave-one-out", "eval.seeds=1",
+    )),
 )
 
 #: (name, subcommand, ``--set`` overrides) of the runs that write model files:
