@@ -11,17 +11,48 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import dataclass, field
 
-from .errors import ConfigError
-from .experiment import (
-    PROTOCOLS,
-    RESAMPLE_SCOPES,
-    EvalSettings,
-    ExperimentConfig,
-    PcaSettings,
-    SmoteSettings,
-)
 from .dataset import IMPUTE_STRATEGIES
+from .errors import ConfigError
+
+PROTOCOLS = ("k-fold", "leave-one-out")
+RESAMPLE_SCOPES = ("whole-dataset", "train-folds-only")
+
+#: seeds are 64-bit: the random streams would read a larger one mod 2^64
+_SEED_LIMIT = 1 << 64
+
+
+@dataclass
+class PcaSettings:
+    threshold: float = 0.90
+    mode: str = "correlation"
+    fit_within_fold: bool = False
+
+
+@dataclass
+class SmoteSettings:
+    k: int = 5
+    order: tuple[str, ...] = ("TypeA", "TypeC", "TypeB")
+    per_class_target: int = 18
+    seed: int = 7
+
+
+@dataclass
+class EvalSettings:
+    protocol: str = "k-fold"
+    k: int = 10
+    seeds: tuple[int, ...] = tuple(range(1, 21))
+    resample_scope: str = "whole-dataset"
+
+
+@dataclass
+class ExperimentConfig:
+    dataset: str
+    imputation: str = "mode"
+    pca: PcaSettings = field(default_factory=PcaSettings)
+    smote: SmoteSettings = field(default_factory=SmoteSettings)
+    eval: EvalSettings = field(default_factory=EvalSettings)
 
 
 def _parse_bool(text: str) -> bool:
@@ -160,6 +191,8 @@ def build_config(values: dict) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ``ConfigError`` on the first setting of ``cfg`` that is out of
+    range or inconsistent with another; ``run_experiment`` calls it too."""
     if cfg.imputation not in IMPUTE_STRATEGIES:
         raise ConfigError(f"imputation must be one of {IMPUTE_STRATEGIES}")
     if not 0.0 < cfg.pca.threshold <= 1.0:
@@ -188,6 +221,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"eval.seeds lists seed {repeated[0]} more than once; each seed is "
             "one repetition of the cross-validation"
         )
+    seeds = [("smote.seed", cfg.smote.seed)] + [("eval.seeds", s) for s in cfg.eval.seeds]
+    for key, seed in seeds:
+        if seed >= _SEED_LIMIT:
+            alias = seed % _SEED_LIMIT
+            raise ConfigError(f"{key} holds {seed}, not below 2^64: it would act as seed {alias}")
     if cfg.eval.resample_scope not in RESAMPLE_SCOPES:
         raise ConfigError(f"eval.resample_scope must be one of {RESAMPLE_SCOPES}")
     if (

@@ -42,12 +42,16 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
+from .config import (  # the settings are importable from here as well
+    PROTOCOLS, RESAMPLE_SCOPES, EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings,
+    validate_config,
+)
 from .dataset import (
     Dataset,
     class_counts,
@@ -62,46 +66,7 @@ from .pca import fit_pca, fit_pca_subsets, project, transform
 from .rng import derive_seed
 from .smote import balance_sequence, neighbor_ranking, synthetic_rows
 
-PROTOCOLS = ("k-fold", "leave-one-out")
-RESAMPLE_SCOPES = ("whole-dataset", "train-folds-only")
-
 RATE_FIELDS = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
-
-#: float64 elements in one block of leak-free models' stacked rows (models x
-#: rows x features): each model stacks its rows and its chain's last classes
-_BLOCK_ELEMENTS = 1 << 17
-
-
-@dataclass
-class PcaSettings:
-    threshold: float = 0.90
-    mode: str = "correlation"
-    fit_within_fold: bool = False
-
-
-@dataclass
-class SmoteSettings:
-    k: int = 5
-    order: tuple[str, ...] = ("TypeA", "TypeC", "TypeB")
-    per_class_target: int = 18
-    seed: int = 7
-
-
-@dataclass
-class EvalSettings:
-    protocol: str = "k-fold"
-    k: int = 10
-    seeds: tuple[int, ...] = tuple(range(1, 21))
-    resample_scope: str = "whole-dataset"
-
-
-@dataclass
-class ExperimentConfig:
-    dataset: str
-    imputation: str = "mode"
-    pca: PcaSettings = field(default_factory=PcaSettings)
-    smote: SmoteSettings = field(default_factory=SmoteSettings)
-    eval: EvalSettings = field(default_factory=EvalSettings)
 
 
 @dataclass(frozen=True)
@@ -173,7 +138,8 @@ def _cross_validate(
                 f"{base.provenance}: class {name} has {count} sample(s); "
                 "need at least 2"
             )
-    stack = stratified_fold_stack(base, _n_folds(base, protocol, k), seeds)
+    n_folds = base.n_samples if protocol == "leave-one-out" else k
+    stack = stratified_fold_stack(base, n_folds, seeds)
     predicted, widths = scorer(stack)
     return [
         _summarise([
@@ -219,12 +185,12 @@ def _leak_free_predictions(
     seed's feature count, its last fold's.  Each model reduces the rows by
     the global PCA (``reduced``) or, under ``pca.fit_within_fold``, by its
     own refit, all folds' refits fitted by ``fit_pca_subsets``.  Models with
-    the same retained count are scored in blocks whose stacked rows, counted
-    as ``2n + len(order_idx) * per_class_target`` a model, stay near
-    ``_BLOCK_ELEMENTS`` floats; under the global PCA the blocks are runs of
-    consecutive models that share the rows of ``reduced`` and one ranking
-    of each class of the order.  Once every block is scored, the first
-    model that failed, in model order, is rerun alone to raise its error.
+    the same retained count are scored in ``linalg.blocks``, a model
+    counting ``2n + len(order_idx) * per_class_target`` stacked rows of
+    that width; under the global PCA the blocks are runs of consecutive
+    models that share the rows of ``reduced`` and one ranking of each class
+    of the order.  Once every block is scored, the first model that failed,
+    in model order, is rerun alone to raise its error.
     """
     n_folds = int(stack.max()) + 1
     seed_pos, fold = np.divmod(np.arange(len(stack) * n_folds), n_folds)
@@ -246,21 +212,17 @@ def _leak_free_predictions(
         ranking = _class_ranking(reduced.features, base.labels, order_idx, cfg.smote.k, n_folds)
     per_model = 2 * base.n_samples + len(order_idx) * target
     predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
-    for width in sorted(set(widths[~failed].tolist())):
-        members = np.flatnonzero((widths == width) & ~failed)
-        step = max(1, _BLOCK_ELEMENTS // (per_model * width))
-        for lo in range(0, members.size, step):
-            models = members[lo : lo + step]
-            features = reduced.features
-            if cfg.pca.fit_within_fold:
-                features, ranking = _refit_rows(
-                    base, [fits[b] for b in models.tolist()], keep[models], order_idx, cfg.smote.k,
-                    n_folds,
-                )
-            failed[models] = ~_score_models(
-                base, cfg, features, ranking, order_idx, keep[models], needed[models],
-                seed_pos[models], fold[models], predicted,
+    for _, models in linalg.blocks(np.where(failed, 0, widths), lambda w: per_model * w):
+        features = reduced.features
+        if cfg.pca.fit_within_fold:
+            features, ranking = _refit_rows(
+                base, [fits[b] for b in models.tolist()], keep[models], order_idx, cfg.smote.k,
+                n_folds,
             )
+        failed[models] = ~_score_models(
+            base, cfg, features, ranking, order_idx, keep[models], needed[models],
+            seed_pos[models], fold[models], predicted,
+        )
     if failed.any():
         b = int(np.argmax(failed))
         _raise_fold_error(base, cfg, reduced, order_idx, keep[b], *divmod(b, n_folds))
@@ -407,16 +369,10 @@ def _raise_fold_error(
     raise AssertionError(f"{train.provenance}: the per-fold path raised no error")
 
 
-def _n_folds(ds: Dataset, protocol: str, k: int) -> int:
-    return ds.n_samples if protocol == "leave-one-out" else k
-
-
 def resolve_order(ds: Dataset, order: tuple[str, ...]) -> list[int]:
-    """Map class names from the config onto label indices; a name that is
-    not a class of ``ds`` raises ``DataError`` naming its provenance, and a
-    repeated name ``ValueError``."""
-    if len(set(order)) != len(order):
-        raise ValueError("order must list distinct classes")
+    """Map the class names of a validated config's ``smote.order`` onto
+    label indices; a name that is not a class of ``ds`` raises
+    ``DataError`` naming its provenance."""
     indices = []
     for name in order:
         if name not in ds.class_names:
@@ -433,7 +389,9 @@ def method_names(n_smote_runs: int) -> list[str]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the full comparison described by ``cfg``."""
+    """Execute the full comparison described by ``cfg``; an invalid ``cfg``
+    raises the ``ConfigError`` that ``validate_config`` gives the CLI."""
+    validate_config(cfg)
     raw = load_dataset(cfg.dataset)
     imputed = impute_missing(raw, cfg.imputation)
     order_idx = resolve_order(imputed, cfg.smote.order)
@@ -458,14 +416,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             (ds, evaluate_dataset(ds, ev.protocol, ev.k, ev.seeds, name))
             for ds, name in zip(datasets, names[1:])
         ]
-    elif ev.resample_scope == "train-folds-only":
+    else:
         def scorer(stack):
             return _leak_free_predictions(imputed, cfg, reduced, order_idx, stack)
 
         summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names[1:], scorer)
         scored += [(imputed, summary) for summary in summaries]
-    else:
-        raise ValueError(f"unknown resample scope {ev.resample_scope!r}")
 
     steps = tuple(
         StepResult(

@@ -1,4 +1,5 @@
-"""Minimal dense linear algebra: sample covariance and a symmetric eigensolver.
+"""Minimal dense linear algebra: sample covariance, a symmetric eigensolver
+and the one rule that sizes every batched kernel's blocks.
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order; a
 stack of them (G, rows, cols) is taken in one call, with the bits each
@@ -13,6 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+
+#: float64 elements one block of a batched kernel may hold; ``blocks`` and
+#: every other block loop read it at call time
+BLOCK_ELEMENTS = 1 << 17
+
+
+def blocks(keys, cost):
+    """Yield ``(key, items)``: the indices of the items whose ``keys`` entry
+    is ``key``, for each positive key in ascending order, cut into runs of
+    ``max(1, BLOCK_ELEMENTS // cost(key))`` items, in item order.  Items
+    whose key is 0 or below are skipped."""
+    keys = np.asarray(keys)
+    for key in sorted(set(keys[keys > 0].tolist())):
+        members = np.flatnonzero(keys == key)
+        step = max(1, BLOCK_ELEMENTS // cost(key))
+        for lo in range(0, members.size, step):
+            yield key, members[lo : lo + step]
 
 
 def _as_matrix(m) -> np.ndarray:

@@ -21,7 +21,7 @@ beside a copy of itself.
 :func:`class_moments` stacks row masks of one matrix, grouped by class:
 :func:`fit_nb` is the batch of one (every row kept), and
 :func:`cross_val_predict` fits the (seed, fold) models of every seed's fold
-assignment in shared blocks, which may span seeds.
+assignment in shared ``linalg.blocks``, which may span seeds.
 
 A SMOTE run appends one class's synthetic rows after the originals, so each
 stage of a chain of runs is, class by class, a fit of its first set or of
@@ -36,15 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model_io
+from . import linalg, model_io
 from .dataset import Dataset
 from .errors import DataError
 
 STD_FLOOR = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
-
-#: float64 elements in one block of folds' stacked training rows (folds x rows x features)
-_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -171,20 +168,18 @@ def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
 
     ``fold_of[i]`` is row i's fold, in 0..k-1; a ``(S, n)`` stack of such
     assignments, one per seed, gives one row of predictions per seed.  The
-    (seed, fold) models are fitted in blocks of consecutive models, seed by
-    seed, so a block may span seeds; each is sized so its stacked training
-    rows stay near ``_BLOCK_ELEMENTS`` floats.  Each row is then scored
-    against its own seed's and fold's model.
+    (seed, fold) models are fitted in ``linalg.blocks`` of consecutive
+    models, seed by seed, so a block may span seeds; a model stacks its
+    n x f training rows.  Each row is then scored against its own seed's
+    and fold's model.
     """
     stack = np.atleast_2d(fold_of)
     k = int(stack.max()) + 1
-    n_models = len(stack) * k
     model_of = stack + k * np.arange(len(stack))[:, None]   # model s * k + fold of each row
     predicted = np.empty(stack.shape, dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // (ds.n_samples * ds.n_features))
-    for lo in range(0, n_models, step):
-        hi = min(lo + step, n_models)
-        block = np.arange(lo, hi)
+    models = np.ones(len(stack) * k, dtype=np.int64)   # one key: every model alike
+    for _, block in linalg.blocks(models, lambda _: ds.n_samples * ds.n_features):
+        lo, hi = int(block[0]), int(block[-1]) + 1
         priors, means, stds = _fit_masked(ds, stack[block // k] != (block % k)[:, None])
         first = lo // k   # the block's first seed
         spanned = model_of[first : (hi - 1) // k + 1]

@@ -6,8 +6,8 @@ cumulative eigenvalue share reaches the requested threshold.  ``transform``
 projects rows through ``(x - mean) / scale @ components``.  The fit is stated
 once, for a stack of matrices: ``fit_pca`` is its stack of one, and
 ``fit_pca_subsets`` fits many row subsets of one matrix (the training folds
-of a cross-validation) a stack at a time, each with the bits of its own
-``fit_pca``.
+of a cross-validation) a stack at a time, the stacks cut by ``linalg.blocks``,
+each with the bits of its own ``fit_pca``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ SD_FLOOR = 1e-12
 #: Eigenvalues below this fraction of the largest one count as zero when
 #: computing coverage, so rank-deficient data reaches coverage 1.0 exactly.
 RANK_TOL = 1e-12
-
-#: float64 elements in one stack of row subsets fitted together: a subset of
-#: n rows of f features stacks n x f and decomposes an f x f matrix, so
-#: counts (n + f) x f; the stack's temporaries are a few times that
-_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -124,26 +119,24 @@ def fit_pca_subsets(
     raise its error.  ``features`` is complete; ``threshold`` and ``mode``
     are ones ``fit_pca`` accepts.
 
-    Subsets with the same row count are stacked as (G, rows, f), G as large
-    as ``_BLOCK_ELEMENTS`` allows, and fitted by one ``_fit_stack`` call,
-    with the bits each subset's ``fit_pca`` gives.  If the eigensolver fails on
-    a stack, its subsets are refitted one at a time to find which.
+    Subsets with the same row count are stacked as (G, rows, f) in
+    ``linalg.blocks``, a subset of n rows counting its n x f rows and its
+    f x f matrix, and fitted by one ``_fit_stack`` call, with the bits each
+    subset's ``fit_pca`` gives.  If the eigensolver fails on a stack, its
+    subsets are refitted one at a time to find which.
     """
     models: list[PcaModel | None] = [None] * len(keep)
     sizes = keep.sum(axis=1)
-    for size in sorted(set(sizes[sizes >= 2].tolist())):
-        members = np.flatnonzero(sizes == size)
-        step = max(1, _BLOCK_ELEMENTS // ((size + features.shape[1]) * features.shape[1]))
-        for lo in range(0, members.size, step):
-            group = members[lo : lo + step]
-            stack = features[np.nonzero(keep[group])[1].reshape(group.size, size)]
-            try:
-                fits = _fit_stack(stack, threshold, mode)
-            except ConvergenceError:
-                fits = [_fit_alone(one, threshold, mode) for one in stack]
-            del stack   # the next group's stack would otherwise sit beside it
-            for b, model in zip(group.tolist(), fits):
-                models[b] = model
+    f = features.shape[1]
+    for size, group in linalg.blocks(np.where(sizes < 2, 0, sizes), lambda n: (n + f) * f):
+        stack = features[np.nonzero(keep[group])[1].reshape(group.size, size)]
+        try:
+            fits = _fit_stack(stack, threshold, mode)
+        except ConvergenceError:
+            fits = [_fit_alone(one, threshold, mode) for one in stack]
+        del stack   # the next group's stack would otherwise sit beside it
+        for b, model in zip(group.tolist(), fits):
+            models[b] = model
     return models
 
 

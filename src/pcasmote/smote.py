@@ -13,8 +13,8 @@ expression; ``oversample_class`` is its batch of one.
 A class's neighbour table comes from its ranking: one n x n squared-distance
 matrix and one stable row-wise sort, so ties go to the lower index; memory
 is quadratic in the class size.  The matrix is filled in blocks of rows whose
-broadcast temporary stays near ``_BLOCK_ELEMENTS`` floats, whatever the class
-size; a stack of matrices is ranked in one call.  A subset's table is read
+broadcast temporary stays near ``linalg.BLOCK_ELEMENTS`` floats, whatever the
+class size; a stack of matrices is ranked in one call.  A subset's table is read
 from the ranking of all the rows, so a cross-validation ranks each class
 once per run (or once per PCA refit).
 """
@@ -25,12 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import linalg
 from .dataset import Dataset, class_counts
 from .errors import DataError, ResampleError
 from .rng import derive_seed, next_u64_array
-
-#: float64 elements in one block's (rows, n, features) difference temporary
-_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
     even where distances overflow to infinity.
     """
     n = pts.shape[-2]
-    step = max(1, _BLOCK_ELEMENTS // max(1, pts.size))   # a block's temporary: step * pts.size
+    step = max(1, linalg.BLOCK_ELEMENTS // max(1, pts.size))   # a block's temporary: step x pts
     dist2 = np.empty((*pts.shape[:-1], n), dtype=np.float64)
     for lo in range(0, n, step):
         deltas = pts[..., None, :, :] - pts[..., lo : lo + step, None, :]

@@ -305,6 +305,21 @@ _FOLDS_ONLY = (
             for command in ("inspect", "experiment", "evaluate")
         ),
         *(
+            # the streams read a seed mod 2^64: 2^64 + 1 would repeat seed 1's
+            # folds and 2^64 + 7 the SMOTE streams of smote.seed = 7
+            pytest.param(
+                command, None, None, settings, 2, ["error[usage]", named],
+                id=f"seed-above-64-bits-{key}-{command}",
+            )
+            for command in ("inspect", "experiment")
+            for key, settings, named in (
+                ("eval.seeds", f"eval.seeds = 1,{2**64 + 1}\n",
+                 f"eval.seeds holds {2**64 + 1}, not below 2^64: it would act as seed 1"),
+                ("smote.seed", f"smote.seed = {2**64 + 7}\n",
+                 f"smote.seed holds {2**64 + 7}, not below 2^64: it would act as seed 7"),
+            )
+        ),
+        *(
             pytest.param(
                 command, None, None, "eval.k = 40\n", 3,
                 ["error[data]", "{data}: eval.k=40 exceeds the number of samples (32)"],

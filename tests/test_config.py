@@ -40,10 +40,10 @@ def config_settings(draw):
         "smote.k": draw(st.integers(1, 50)),
         "smote.order": draw(st.lists(_class_name, max_size=4, unique=True)),
         "smote.per_class_target": draw(st.integers(1, 10**6)),
-        "smote.seed": draw(st.integers(0, 2**64)),
+        "smote.seed": draw(st.integers(0, 2**64 - 1)),
         "eval.protocol": draw(st.sampled_from(PROTOCOLS)),
         "eval.k": draw(st.integers(2, 50)),
-        "eval.seeds": draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5, unique=True)),
+        "eval.seeds": draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)),
         "eval.resample_scope": draw(st.sampled_from(RESAMPLE_SCOPES)),
     }
     present = {"dataset"} | {key for key in KEYS if draw(st.booleans())}

@@ -1,12 +1,13 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pcasmote import experiment, naive_bayes, pca
+from pcasmote import experiment, linalg, naive_bayes, pca
 from pcasmote.cli import main
 from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
-from pcasmote.errors import DataError, ResampleError
+from pcasmote.errors import ConfigError, DataError, ResampleError
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
     EvalSettings,
@@ -197,6 +198,29 @@ class TestRunExperiment:
         sizes = [32, 32, 41, 49, 54]
         assert draws == [(n, 10, tuple(range(1, 21))) for n in sizes]
         assert scored == [(20, n) for n in sizes]
+
+    @pytest.mark.parametrize(
+        "override, section, changes",
+        [
+            ("smote.order=TypeA,TypeA", "smote", {"order": ("TypeA", "TypeA")}),
+            ("eval.resample_scope=nowhere", "eval", {"resample_scope": "nowhere"}),
+            ("pca.fit_within_fold=true", "pca", {"fit_within_fold": True}),
+        ],
+        ids=["repeated-order-class", "unknown-scope", "fit-within-fold-whole-dataset"],
+    )
+    def test_invalid_config_raises_the_cli_error(
+        self, data_file, tmp_path, capsys, override, section, changes
+    ):
+        """A library caller's invalid config raises the ``ConfigError`` and
+        message that the CLI reports for the same setting, before any work."""
+        argv = ["experiment", "--config", "configs/default.cfg", "--set", override]
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        cfg = default_config(data_file)
+        setattr(cfg, section, replace(getattr(cfg, section), **changes))
+        with pytest.raises(ConfigError) as raised:
+            run_experiment(cfg)
+        assert err == f"error[usage]: {raised.value}\n"
 
     def test_method_names_helper(self):
         assert method_names(0) == ["Initial", "PCA"]
@@ -416,15 +440,15 @@ class TestTrainFoldsOnlyScope:
     def test_one_pca_fit_and_one_smote_chain_per_fold(self, refit_run):
         _, calls = refit_run
         # 2 global fits (both modes), then one batched refit of the 10
-        # folds, 3 to a stack under the budget: the two 28-row training
-        # folds in one stack, the eight 29-row ones in stacks of 3, 3 and 2;
+        # folds, 27 to a stack under the budget: the two 28-row training
+        # folds in one stack, the eight 29-row ones in another;
         # every fold retains 17 components, so the 10 models are one block:
         # one ranking of each class for all of them, one synthesis of their
         # chains, one moment pass and one scoring of PCA and the 3 SMOTE
         # stages; no per-stage set is built; Initial's 10 folds are one
         # masked fit (32 x 56 rows fit in one block)
         assert calls == Counter(
-            fit_pca=2, fit_pca_subsets=1, _fit_stack=2 + 4, neighbor_ranking=3,
+            fit_pca=2, fit_pca_subsets=1, _fit_stack=2 + 2, neighbor_ranking=3,
             balance_sequence=0, synthetic_rows=1, stack_moments=1, chain_predict=1, fit_nb=0,
             _fit_masked=1,
         )
@@ -457,7 +481,7 @@ class TestTrainFoldsOnlyScope:
 
         monkeypatch.setattr(experiment, "_score_models", recording)
         # a model stacks (2 * 32 + 3 * 18) rows of 18 features: 7 fit in the budget
-        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 7 * 118 * 18 + 5)
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 7 * 118 * 18 + 5)
         run_experiment(default_config(data_file, resample_scope="train-folds-only"))
         assert [block.tolist() for block in blocks] == [
             list(range(lo, min(lo + 7, 200))) for lo in range(0, 200, 7)
@@ -604,7 +628,7 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
 
         monkeypatch.setattr(experiment, "_leak_free_predictions", recording)
         if budget is not None:
-            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", budget)
         run_experiment(cfg)
         base = experiment.load_dataset(cfg.dataset)
         model = fit_pca(base, cfg.pca.threshold, cfg.pca.mode)
@@ -673,7 +697,7 @@ class TestLeakFreeErrorOrder:
         stack = np.array([_SOUND, _folds(first, second)])
         monkeypatch.setattr(experiment, "stratified_fold_stack", lambda ds, k, seeds: stack)
         if budget is not None:
-            monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", budget)
         assert main(["experiment", "--config", str(config), "-o", str(tmp_path / "out")]) == 3
         assert f"error[data]: {data}, {message}" in capsys.readouterr().err
 

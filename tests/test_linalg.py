@@ -239,3 +239,41 @@ def test_eigen_bits_independent_of_blas_threads(data_file):
         digests.append(done.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+class TestBlocks:
+    @staticmethod
+    def blocks(keys, cost, budget, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", budget)
+        return [(key, items.tolist()) for key, items in linalg.blocks(keys, cost)]
+
+    def test_groups_by_ascending_key_in_item_order(self, monkeypatch):
+        keys = [3, 1, 3, 2, 1, 3]
+        assert self.blocks(keys, lambda key: 1, 100, monkeypatch) == [
+            (1, [1, 4]), (2, [3]), (3, [0, 2, 5]),
+        ]
+
+    def test_skips_key_zero(self, monkeypatch):
+        keys = np.array([0, 2, 0, 2, 0])
+        assert self.blocks(keys, lambda key: 1, 100, monkeypatch) == [(2, [1, 3])]
+        assert self.blocks(np.zeros(4, dtype=int), lambda key: 1, 100, monkeypatch) == []
+
+    def test_runs_of_budget_over_cost(self, monkeypatch):
+        """Key 2 costs 10 an item and key 5 costs 25: a budget of 59 holds
+        5 and 2 of them a run, and each key's last run is partial."""
+        keys = [2] * 12 + [5] * 5
+        assert self.blocks(keys, lambda key: 5 * key, 59, monkeypatch) == [
+            (2, [0, 1, 2, 3, 4]), (2, [5, 6, 7, 8, 9]), (2, [10, 11]),
+            (5, [12, 13]), (5, [14, 15]), (5, [16]),
+        ]
+
+    def test_one_item_a_block_when_cost_exceeds_the_budget(self, monkeypatch):
+        keys = [4, 4, 4]
+        assert self.blocks(keys, lambda key: 1000, 999, monkeypatch) == [
+            (4, [0]), (4, [1]), (4, [2]),
+        ]
+
+    def test_reads_the_budget_at_call_time(self, monkeypatch):
+        keys = [1] * 4
+        assert self.blocks(keys, lambda key: 1, 2, monkeypatch) == [(1, [0, 1]), (1, [2, 3])]
+        assert self.blocks(keys, lambda key: 1, 4, monkeypatch) == [(1, [0, 1, 2, 3])]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pcasmote import naive_bayes
+from pcasmote import linalg, naive_bayes
 from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
 from pcasmote.smote import balance_sequence
@@ -305,7 +305,7 @@ def check_fold_batch(ds: Dataset, fold_of: np.ndarray, block: int) -> None:
         assert _bits(stds[fold]) == _bits(model.stds)
         test_idx = np.flatnonzero(fold_of == fold)
         expected[test_idx] = predict_matrix(model, ds.features[test_idx])
-    with mock.patch.object(naive_bayes, "_BLOCK_ELEMENTS", block):
+    with mock.patch.object(linalg, "BLOCK_ELEMENTS", block):
         predicted = cross_val_predict(ds, fold_of)
     assert predicted.dtype == np.int64
     assert predicted.tolist() == expected.tolist()
@@ -369,7 +369,7 @@ class TestCrossValPredict:
         ds, stack, step = problem
         expected = [cross_val_predict(ds, fold_of) for fold_of in stack]
         assert all(row.shape == (ds.n_samples,) for row in expected)
-        with mock.patch.object(naive_bayes, "_BLOCK_ELEMENTS", step * ds.n_samples * ds.n_features):
+        with mock.patch.object(linalg, "BLOCK_ELEMENTS", step * ds.n_samples * ds.n_features):
             predicted = cross_val_predict(ds, stack)
         assert predicted.dtype == np.int64 and predicted.shape == stack.shape
         assert predicted.tolist() == [row.tolist() for row in expected]

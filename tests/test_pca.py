@@ -162,7 +162,7 @@ class TestFitSubsets:
 
         monkeypatch.setattr(pca, "_fit_stack", recording)
         # a subset counts its 31 rows and its 56 x 56 matrix, of 56 features
-        monkeypatch.setattr(pca, "_BLOCK_ELEMENTS", 5 * (31 + 56) * 56 + 7)
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 5 * (31 + 56) * 56 + 7)
         fits = fit_pca_subsets(lung.features, training_folds(lung, 32, [1]), 0.9, "correlation")
         assert stacks == [5] * 6 + [2]
         assert all(fit is not None for fit in fits)

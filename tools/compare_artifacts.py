@@ -83,7 +83,7 @@ CONFIGS = (
     )),
     # batched PCA refits: 150 training folds of two row counts, whose blocks
     # of models span seeds and split by retained count; and 320 leave-one-out
-    # refits of 319 x 56 rows, where the float budget stacks one at a time
+    # refits of 319 x 56 rows, which the float budget stacks 6 at a time
     ("train-folds-only+fit_within_fold+eval.k=3 seeds 1..50", (
         TFO, "pca.fit_within_fold=true", "eval.k=3", "eval.seeds=1..50",
     )),
