@@ -17,6 +17,7 @@ artifacts); 4 numerical non-convergence (``ConvergenceError``).  Any other excep
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -160,7 +161,9 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use, not at import, and then kept."""
     parser = argparse.ArgumentParser(
         prog="pcasmote",
         description="PCA reduction + SMOTE resampling + naive Bayes evaluation toolkit",
@@ -192,7 +195,9 @@ def parse_invocation(argv: list[str]) -> argparse.Namespace:
     """Parse argv into ``subcommand``, ``handler``, ``config``, ``overrides``,
     ``output_dir``, ``verbose``, ``argv`` itself and, for ``experiment``,
     ``svg``.  Raises SystemExit(2) on usage errors (argparse behaviour)."""
-    return _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
+    args = _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
+    args.overrides = list(args.overrides)   # else every parse shares the parser's default list
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

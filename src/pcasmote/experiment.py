@@ -60,7 +60,7 @@ from .dataset import (
     stratified_fold_stack,
 )
 from .errors import DataError
-from .metrics import MetricRow, confusion_matrix, metric_row
+from .metrics import MetricRow, metric_rows, tally
 from .naive_bayes import chain_predict, cross_val_predict, finite_fits, fit_nb, stack_moments
 from .pca import fit_pca, fit_pca_subsets, project, transform
 from .rng import derive_seed
@@ -127,7 +127,8 @@ def _cross_validate(
     assignments and returns ``(predictions, widths)``: int64 predictions of
     shape ``(len(seeds), len(names), n)``, one held-out prediction per seed,
     method and row of ``base``, and each seed's feature count.  Each
-    method's predictions are pooled into one confusion matrix per seed; its
+    method's predictions are pooled into one confusion matrix per seed, all
+    of them tallied at once and summarised by one ``metric_rows`` call; a
     summary's ``n_features`` is the last seed's width.
     """
     if protocol not in PROTOCOLS:
@@ -141,12 +142,10 @@ def _cross_validate(
     n_folds = base.n_samples if protocol == "leave-one-out" else k
     stack = stratified_fold_stack(base, n_folds, seeds)
     predicted, widths = scorer(stack)
+    rows = metric_rows(tally(base.labels, predicted, base.n_classes), names, widths)
     return [
-        _summarise([
-            (seed, metric_row(confusion_matrix(base.labels, row, base.n_classes), name, width))
-            for seed, row, width in zip(seeds, predicted[:, m], widths)
-        ])
-        for m, name in enumerate(names)
+        _summarise([(seed, by_method[m]) for seed, by_method in zip(seeds, rows)])
+        for m in range(len(names))
     ]
 
 
@@ -319,22 +318,23 @@ def _chain_fits(features: np.ndarray, base: Dataset, keep, order_idx: list[int],
     models, n_classes, width = len(keep), base.n_classes, synthetic.shape[1]
     n_features = features.shape[-1]
     synthetic = synthetic.reshape(models, len(order_idx), width, n_features)
+    rows = features.swapaxes(0, 1) if features.ndim == 3 else features[:, None]   # rows outermost
     by_class = np.argsort(base.labels, kind="stable")
     sizes = np.bincount(base.labels, minlength=n_classes).tolist()
-    parts = [(features[..., by_class, :], keep[:, by_class])]
+    parts = [(rows[by_class], keep[:, by_class])]
     for i, cls in enumerate(order_idx):
         members = np.flatnonzero(base.labels == cls)
         parts += [
-            (features[..., members, :], keep[:, members]),
-            (synthetic[:, i], np.arange(width) < needed[:, i, None]),
+            (rows[members], keep[:, members]),
+            (synthetic[:, i].swapaxes(0, 1), np.arange(width) < needed[:, i, None]),
         ]
         sizes.append(len(members) + width)
-    sets = np.empty((models, sum(sizes), n_features))
+    sets = np.empty((sum(sizes), models, n_features))
     kept = np.empty(sets.shape[:2], dtype=bool)
     lo = 0
-    for rows, mask in parts:
+    for part, mask in parts:
         hi = lo + mask.shape[1]
-        sets[:, lo:hi], kept[:, lo:hi] = rows, mask
+        sets[lo:hi], kept[lo:hi] = part, mask.T
         lo = hi
     del parts, synthetic   # else they stay beside the stacked sets and raise the memory peak
     moments = stack_moments(sets, kept, sizes)

@@ -4,6 +4,11 @@ The confusion matrix stores actual classes on rows and predicted classes on
 columns.  Multiclass scalars reduce each class one-vs-rest and weight by the
 actual class frequency; with that convention the weighted recall equals the
 overall accuracy exactly.  Rates with a zero denominator are defined as 0.
+
+A cross-validation scores every (seed, method) table at once: :func:`tally`
+counts them with one ``np.bincount`` and :func:`metric_rows` computes their
+rates as arrays, by the operations of the per-class functions in their
+order, so each record equals :func:`metric_row` (the batch of one) of it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,17 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
+def tally(actual, predicted, n_classes: int) -> np.ndarray:
+    """int64 counts (..., C, C) of the label pairs of ``actual`` (n,) and
+    each row of ``predicted`` (..., n), from one ``np.bincount``."""
+    batch = predicted.shape[:-1]
+    tables = int(np.prod(batch))
+    first_code = np.arange(tables).reshape(*batch, 1) * n_classes   # table t's rows start at t * C
+    codes = (first_code + actual) * n_classes + predicted
+    counts = np.bincount(codes.ravel(), minlength=tables * n_classes * n_classes)
+    return counts.reshape(*batch, n_classes, n_classes)
+
+
 def confusion_matrix(actual, predicted, n_classes: int) -> ConfusionMatrix:
     """Tally actual/predicted label pairs into an n_classes x n_classes table."""
     a = np.asarray(actual, dtype=np.int64)
@@ -48,24 +64,45 @@ def confusion_matrix(actual, predicted, n_classes: int) -> ConfusionMatrix:
         raise ValueError("actual label out of range")
     if p.size and (p.min() < 0 or p.max() >= n_classes):
         raise ValueError("predicted label out of range")
-    counts = np.bincount(a * n_classes + p, minlength=n_classes * n_classes)
-    return ConfusionMatrix(counts=counts.reshape(n_classes, n_classes))
+    return ConfusionMatrix(counts=tally(a, p, n_classes))
 
 
-def _one_vs_rest_all(rows: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """(TP, FP, FN, TN) of every class as positive, from the counts as lists."""
-    total = sum(map(sum, rows))
-    return [
-        (row[c], sum(column) - row[c], sum(row) - row[c], total - sum(row) - sum(column) + row[c])
-        for c, (row, column) in enumerate(zip(rows, zip(*rows)))
-    ]
+def _one_vs_rest(counts: np.ndarray):
+    """(TP, FP, FN, TN), each (..., C), of every class of ``counts`` (..., C, C)."""
+    actual = counts.sum(axis=-1)
+    tp = np.diagonal(counts, axis1=-2, axis2=-1)
+    fp = counts.sum(axis=-2) - tp
+    return tp, fp, actual - tp, actual.sum(axis=-1, keepdims=True) - actual - fp
+
+
+def _rates(tp, fp, fn, tn):
+    """(FP rate, precision, recall), 0 where the denominator is 0: counts below
+    2**53 are exact in float64, so each quotient is Python's ``int / int``."""
+    return tuple(
+        np.divide(part, whole, out=np.zeros(part.shape), where=whole > 0)
+        for part, whole in ((fp, tn + fp), (tp, tp + fp), (tp, tp + fn))
+    )
+
+
+def _weighted(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` (..., C) weighted by the row sums of ``counts`` (..., C, C):
+    ``row_sum / total * value`` added from 0.0 in class order, as ``sum`` does."""
+    weights = counts.sum(axis=-1)
+    total = weights.sum(axis=-1)
+    if (total == 0).any():
+        raise ValueError("empty confusion matrix")
+    share = weights / total[..., None]
+    average = np.zeros(total.shape)
+    for c in range(counts.shape[-1]):
+        average += share[..., c] * values[..., c]
+    return average
 
 
 def one_vs_rest(cm: ConfusionMatrix, c: int) -> tuple[int, int, int, int]:
     """(TP, FP, FN, TN) with class ``c`` as positive."""
     if not 0 <= c < cm.n_classes:
         raise ValueError(f"class index {c} out of range")
-    return _one_vs_rest_all(cm.counts.tolist())[c]
+    return tuple(int(a[c]) for a in _one_vs_rest(cm.counts))
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -75,42 +112,25 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts)) / cm.total
 
 
-def _rates(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float]:
-    """(FP rate, precision, recall) of one class's one-vs-rest counts."""
-    return (
-        fp / (tn + fp) if tn + fp > 0 else 0.0,
-        tp / (tp + fp) if tp + fp > 0 else 0.0,
-        tp / (tp + fn) if tp + fn > 0 else 0.0,
-    )
-
-
 def fp_rate(cm: ConfusionMatrix, c: int) -> float:
     """FP / (TN + FP) for class ``c``; 0 when no negatives exist."""
-    return _rates(*one_vs_rest(cm, c))[0]
+    return float(_rates(*map(np.asarray, one_vs_rest(cm, c)))[0])
 
 
 def recall(cm: ConfusionMatrix, c: int) -> float:
     """TP / (TP + FN) for class ``c``; 0 when the class never occurs."""
-    return _rates(*one_vs_rest(cm, c))[2]
+    return float(_rates(*map(np.asarray, one_vs_rest(cm, c)))[2])
 
 
 def precision(cm: ConfusionMatrix, c: int) -> float:
     """TP / (TP + FP) for class ``c``; 0 when the class is never predicted."""
-    return _rates(*one_vs_rest(cm, c))[1]
+    return float(_rates(*map(np.asarray, one_vs_rest(cm, c)))[1])
 
 
 def weighted_average(cm: ConfusionMatrix, per_class_metric: Callable) -> float:
     """Average of a per-class metric weighted by actual class frequency."""
-    return _weighted(cm.counts.tolist(), lambda c: per_class_metric(cm, c))
-
-
-def _weighted(rows: list[list[int]], value: Callable) -> float:
-    """``value(c)`` of each class c weighted by the row sums of ``rows``."""
-    weights = [sum(row) for row in rows]
-    total = sum(weights)
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    return float(sum(w / total * value(c) for c, w in enumerate(weights)))
+    values = np.array([per_class_metric(cm, c) for c in range(cm.n_classes)], dtype=np.float64)
+    return float(_weighted(cm.counts, values))
 
 
 @dataclass(frozen=True)
@@ -140,22 +160,22 @@ class MetricRow:
 
 
 def metric_row(cm: ConfusionMatrix, method_name: str, n_features: int) -> MetricRow:
-    """Summarise a pooled confusion matrix into one record; the counts are
-    read once, and each class's one-vs-rest counts feed all three weighted
-    averages."""
-    rows = cm.counts.tolist()
-    total = sum(map(sum, rows))
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    correct = sum(row[c] for c, row in enumerate(rows))
-    fprs, precisions, recalls = zip(*(_rates(*counts) for counts in _one_vs_rest_all(rows)))
-    return MetricRow(
-        method_name=method_name,
-        n_samples=total,
-        n_features=n_features,
-        accuracy=float(correct) / total,
-        fp_rate=_weighted(rows, fprs.__getitem__),
-        precision=_weighted(rows, precisions.__getitem__),
-        recall=_weighted(rows, recalls.__getitem__),
-        misclassified=total - correct,
-    )
+    """Summarise a pooled confusion matrix into one record, a batch of one."""
+    return metric_rows(cm.counts[None, None], [method_name], [n_features])[0][0]
+
+
+def metric_rows(counts: np.ndarray, method_names, n_features) -> list[list[MetricRow]]:
+    """Records ``[s][m]`` of confusion tables ``counts`` (S, M, C, C): table
+    (s, m) summarised as method ``method_names[m]`` with ``n_features[s]``
+    features, by the operations of the per-class functions."""
+    averages = [_weighted(counts, r) for r in _rates(*_one_vs_rest(counts))]
+    total = counts.sum(axis=(2, 3))
+    correct = np.trace(counts, axis1=2, axis2=3)
+    columns = [a.tolist() for a in (total, correct / total, *averages, total - correct)]
+    return [
+        [
+            MetricRow(name, n_samples, width, *rates, missed)
+            for name, n_samples, *rates, missed in zip(method_names, *(col[s] for col in columns))
+        ]
+        for s, width in enumerate(n_features)
+    ]

@@ -7,16 +7,19 @@ smoothed, ``(count + 1) / (N + n_classes)``, which keeps every class defined
 even in degenerate training splits.
 
 One statement of the moments, :func:`stack_moments`, fits a batch of
-stacked training sets: set b is the slice b of a ``(sets, rows, features)``
-stack, cut into segments, with a mask of the rows it keeps.  Each left-out
-row is replaced by ``-0.0``, the exact additive identity (``s + -0.0 == s``
-for every ``s``, signed zeros included).  Each segment's run of rows is
-summed over the row axis, and so are its squared deviations with left-out
-rows set to ``0.0``.  numpy adds the rows of a non-innermost axis one after
-another, so each set's moments equal those of a fit on its kept rows alone,
-bit for bit, whatever block it shares.  A lone feature column would be
-summed pairwise, where the inserted zeros regroup the sum, so it is summed
-beside a copy of itself.
+stacked training sets: set b is the column b of a ``(rows, sets,
+features)`` stack, rows outermost, cut into segments, with a mask of the
+rows it keeps.  Each left-out row is replaced by ``-0.0``, the exact
+additive identity (``s + -0.0 == s`` for every ``s``, signed zeros
+included).  Each segment's run of rows is summed over the row axis, and so
+are its squared deviations with left-out rows set to ``0.0``.  numpy adds
+the rows of a non-innermost axis one after another, so each set's moments
+equal those of a fit on its kept rows alone, bit for bit, whatever block it
+shares.  Rows go outermost because each such pass then runs over whole
+contiguous (sets, features) rows rather than one short run of features per
+set and row.  Only when ``sets * features == 1`` would the row axis be the
+inner loop, summed pairwise, where the inserted zeros regroup the sum; that
+lone column is summed beside a copy of itself.
 
 :func:`class_moments` stacks row masks of one matrix, grouped by class:
 :func:`fit_nb` is the batch of one (every row kept), and
@@ -63,42 +66,45 @@ class NbModel:
 
 
 def _segment_sums(stack: np.ndarray, bounds: list[int], initial: float) -> np.ndarray:
-    """(B, S, f) sums of ``stack`` (B, n, f) over each segment of rows, in row order."""
-    sums = np.empty((stack.shape[0], len(bounds) - 1, stack.shape[2]))
+    """(S, B, f) sums of ``stack`` (L, B, f) over each segment of rows, in row order."""
+    sums = np.empty((len(bounds) - 1, *stack.shape[1:]))
     for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        np.add.reduce(stack[:, lo:hi], axis=1, out=sums[:, s], initial=initial)
+        np.add.reduce(stack[lo:hi], axis=0, out=sums[s], initial=initial)
     return sums
 
 
 def stack_moments(stack: np.ndarray, keep: np.ndarray, sizes):
     """Counts (B, S), means and floored stds (B, S, f) of B stacked sets.
 
-    The rows of ``stack`` (B, L, f) are cut into S consecutive segments of
+    The rows of ``stack`` (L, B, f), rows outermost so that each pass runs
+    over contiguous (B, f) rows, are cut into S consecutive segments of
     ``sizes`` rows; entry (b, s) describes the rows of segment s that the
-    mask ``keep[b]`` (B, L) keeps.  The std uses divisor ``count - 1`` and
+    mask ``keep[:, b]`` (L, B) keeps.  A lone column (``B * f == 1``) is
+    summed beside a copy of itself.  The std uses divisor ``count - 1`` and
     is the floor below two rows; a segment with no kept row has a NaN mean.
-    ``stack`` is overwritten.
+    ``stack`` is overwritten; the results are C-contiguous.
     """
-    n_features = stack.shape[2]
-    if n_features == 1:
+    n_sets, n_features = stack.shape[1:]
+    if n_sets * n_features == 1:
         stack = np.concatenate([stack, stack], axis=2)   # two columns: summed row after row
     bounds = [0, *np.cumsum(sizes).tolist()]
     left_out = ~keep
     stack[left_out] = -0.0
-    counts = keep @ np.repeat(np.eye(len(sizes)), sizes, axis=0)   # whole numbers
+    counts = np.repeat(np.eye(len(sizes)), sizes, axis=1) @ keep   # (S, B) whole numbers
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # summed from -0.0, a lone row is its own mean, -0.0 included; adding
         # +0.0 gives a longer run the +0.0 start that np.mean's sum has
         sums = _segment_sums(stack, bounds, -0.0)
         means = np.where(counts[:, :, None] == 1, sums, sums + 0.0) / counts[:, :, None]
         for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            stack[:, lo:hi] -= means[:, s, None]
+            stack[lo:hi] -= means[s]
         np.square(stack, out=stack)
         stack[left_out] = 0.0
         stds = np.sqrt(_segment_sums(stack, bounds, 0.0) / (counts - 1)[:, :, None])
         stds = np.maximum(stds, STD_FLOOR)
     stds[counts < 2] = STD_FLOOR
-    return counts, means[:, :, :n_features], stds[:, :, :n_features]
+    means, stds = (np.ascontiguousarray(a[..., :n_features].swapaxes(0, 1)) for a in (means, stds))
+    return counts.T, means, stds
 
 
 def class_moments(ds: Dataset, keep: np.ndarray):
@@ -107,8 +113,8 @@ def class_moments(ds: Dataset, keep: np.ndarray):
     class is one segment.  A class with no kept row has a NaN mean."""
     order = np.argsort(ds.labels, kind="stable")
     sizes = np.bincount(ds.labels, minlength=ds.n_classes)
-    stack = np.repeat(ds.features[order][None], len(keep), axis=0)
-    return stack_moments(stack, keep[:, order], sizes)
+    stack = np.repeat(ds.features[order][:, None], len(keep), axis=1)
+    return stack_moments(stack, keep[:, order].T, sizes)
 
 
 def finite_fits(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -126,8 +132,8 @@ def _fit_masked(ds: Dataset, keep: np.ndarray):
     counts, means, stds = class_moments(ds, keep)
     absent = (counts == 0)[:, :, None]
     if absent.any():
-        stack = np.repeat(ds.features[None], len(keep), axis=0)
-        _, global_means, global_stds = stack_moments(stack, keep, [ds.n_samples])
+        stack = np.repeat(ds.features[:, None], len(keep), axis=1)
+        _, global_means, global_stds = stack_moments(stack, keep.T, [ds.n_samples])
         # + 0.0: the global mean of a lone row is np.mean's, from +0.0
         means = np.where(absent, global_means + 0.0, means)
         stds = np.where(absent, global_stds, stds)
@@ -236,15 +242,21 @@ def _log_scores(rows, priors, means, stds, model=None) -> np.ndarray:
 
 def _log_densities(rows, means, stds, model=None) -> np.ndarray:
     """The scores of ``_log_scores`` without the log priors: per class, the
-    sum of the per-feature Gaussian log densities.  The logs of the stds are
-    taken once per model, not once per row."""
+    sum of the per-feature Gaussian log densities, built in place in one
+    (n, C, f) array; a model's parameters are gathered per row only for the
+    step that reads them, and the logs of its stds are taken once."""
     x = np.asarray(rows, dtype=np.float64)[:, None, :]      # (n, 1, f)
-    log_stds = np.log(stds)
-    if model is not None:
-        means, stds, log_stds = means[model], stds[model], log_stds[model]
-    z = (x - means) / stds
-    log_density = -0.5 * (z * z) - log_stds - 0.5 * _LOG_2PI
-    return log_density.sum(axis=2)
+
+    def per_row(a):
+        return a if model is None else a[model]
+
+    z = x - per_row(means)
+    z /= per_row(stds)
+    z *= z
+    z *= -0.5
+    z -= per_row(np.log(stds))
+    z -= 0.5 * _LOG_2PI
+    return z.sum(axis=2)
 
 
 def log_posterior(model: NbModel, x) -> np.ndarray:

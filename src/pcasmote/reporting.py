@@ -59,8 +59,8 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 def write_report_json(report: ExperimentReport, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+        # one write: json.dump would write every chunk apart
+        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
 CSV_HEADER = (

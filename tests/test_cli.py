@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pcasmote import linalg
+from pcasmote import cli, linalg
 from pcasmote.cli import main, parse_invocation
 from pcasmote.dataset import impute_missing, load_uci_lung_cancer, write_dataset_csv
 
@@ -36,6 +36,34 @@ class TestParse:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "pcasmote" in capsys.readouterr().out
+
+    def test_one_parser_fresh_namespaces(self, tmp_path, data_file):
+        """The parser is built once per process; each parse still returns a
+        namespace of its own, whose overrides list is not shared."""
+        cfg = str(write_config(tmp_path, data_file))
+        first = parse_invocation(["experiment", "--config", cfg, "--set", "smote.seed=7"])
+        second = parse_invocation(["experiment", "--config", cfg])
+        third = parse_invocation(["experiment", "--config", cfg])
+        assert cli._build_parser() is cli._build_parser()
+        assert first is not second and second is not third
+        assert (first.overrides, second.overrides) == (["smote.seed=7"], [])
+        second.overrides.append("eval.k=3")
+        assert third.overrides == []
+        assert parse_invocation(["experiment", "--config", cfg]).overrides == []
+
+    def test_main_calls_see_only_their_own_overrides(self, tmp_path, data_file, monkeypatch):
+        cfg = str(write_config(tmp_path, data_file))
+        seen = []
+        load_config = cli.load_config
+
+        def spy(path, overrides):
+            seen.append(list(overrides))
+            return load_config(path, overrides)
+
+        monkeypatch.setattr(cli, "load_config", spy)
+        for extra in (["--set", "eval.seeds=1"], ["--set", "eval.k=3", "--set", "eval.seeds=2"], []):
+            assert main(["inspect", "--config", cfg, *extra]) == 0
+        assert seen == [["eval.seeds=1"], ["eval.k=3", "eval.seeds=2"], []]
 
 
 class TestValidation:

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcasmote import experiment, linalg, naive_bayes, pca
 from pcasmote.cli import main
 from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
 from pcasmote.errors import ConfigError, DataError, ResampleError
+from pcasmote.metrics import confusion_matrix, metric_row
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
     EvalSettings,
@@ -116,6 +120,52 @@ class TestEvaluateDataset:
     def test_unknown_protocol_rejected(self, lung):
         with pytest.raises(ValueError):
             evaluate_dataset(lung, "bootstrap", k=2, seeds=(1,))
+
+
+@st.composite
+def prediction_stacks(draw):
+    """Labels of 2 to 5 classes of at least two rows each, and a scorer's
+    random (seeds, methods, rows) predictions and per-seed widths."""
+    n_classes = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(2, 8), min_size=n_classes, max_size=n_classes))
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(n_classes), sizes).tolist())))
+    n_seeds, n_methods = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    predicted = draw(hnp.arrays(
+        np.int64, (n_seeds, n_methods, labels.size), elements=st.integers(0, n_classes - 1)
+    ))
+    widths = draw(st.lists(st.integers(1, 60), min_size=n_seeds, max_size=n_seeds))
+    return labels, n_classes, predicted, widths
+
+
+class TestCrossValidateMetrics:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=prediction_stacks())
+    def test_batched_rows_equal_one_confusion_matrix_each(self, problem):
+        """Every per-seed row that the one batched tally gives equals
+        ``metric_row`` of that seed's and method's own confusion matrix, and
+        holds Python numbers, as the report writers take them."""
+        labels, n_classes, predicted, widths = problem
+        ds = Dataset(
+            features=np.zeros((labels.size, 1)),
+            labels=labels,
+            class_names=tuple(f"c{i}" for i in range(n_classes)),
+            feature_names=("f0",),
+        )
+        seeds = tuple(range(11, 11 + len(predicted)))
+        names = [f"m{i}" for i in range(predicted.shape[1])]
+
+        def scorer(stack):
+            assert stack.shape == (len(seeds), labels.size)
+            return predicted, widths
+
+        summaries = experiment._cross_validate(ds, "k-fold", 2, seeds, names, scorer)
+        assert len(summaries) == len(names)
+        for m, summary in enumerate(summaries):
+            assert [seed for seed, _ in summary.per_seed] == list(seeds)
+            for s, (_, row) in enumerate(summary.per_seed):
+                cm = confusion_matrix(labels, predicted[s, m], n_classes)
+                assert row == metric_row(cm, names[m], widths[s])
+                assert {type(v) for v in row.as_dict().values()} <= {str, int, float}
 
 
 @pytest.fixture(scope="module")

@@ -10,9 +10,11 @@ from pcasmote.metrics import (
     confusion_matrix,
     fp_rate,
     metric_row,
+    metric_rows,
     one_vs_rest,
     precision,
     recall,
+    tally,
     weighted_average,
 )
 
@@ -232,3 +234,46 @@ class TestMetricRow:
             recall=average(recall),
             misclassified=cm.total - int(np.trace(cm.counts)),
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tables=st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.lists(st.sampled_from([0, 0, 1, 3, 400]), min_size=n, max_size=n),
+                    min_size=n, max_size=n,
+                ),
+                min_size=1, max_size=12,
+            )
+        ),
+        n_methods=st.integers(1, 3),
+    )
+    def test_batch_equals_one_table_at_a_time(self, tables, n_methods):
+        """``metric_rows`` of a (seeds, methods) stack of tables, empty rows and
+        columns included, gives each table the record ``metric_row`` gives it."""
+        tables = [t for t in tables if sum(map(sum, t))]
+        assume(len(tables) >= n_methods)
+        n_seeds = len(tables) // n_methods
+        counts = np.array(tables[: n_seeds * n_methods])
+        counts = counts.reshape(n_seeds, n_methods, *counts.shape[1:])
+        names, widths = [f"m{m}" for m in range(n_methods)], list(range(3, 3 + n_seeds))
+        rows = metric_rows(counts, names, widths)
+        assert rows == [
+            [
+                metric_row(ConfusionMatrix(counts=table), name, width)
+                for table, name in zip(by_method, names)
+            ]
+            for by_method, width in zip(counts, widths)
+        ]
+
+
+def test_tally_counts_each_row_as_confusion_matrix_does():
+    rng = np.random.default_rng(11)
+    actual = rng.integers(0, 4, size=30)
+    predicted = rng.integers(0, 4, size=(3, 2, 30))
+    counts = tally(actual, predicted, 4)
+    assert counts.shape == (3, 2, 4, 4)
+    for s in range(3):
+        for m in range(2):
+            expected = confusion_matrix(actual, predicted[s, m], 4).counts
+            assert counts[s, m].tolist() == expected.tolist()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pcasmote import linalg, naive_bayes
 from pcasmote.dataset import Dataset
@@ -309,6 +310,50 @@ def check_fold_batch(ds: Dataset, fold_of: np.ndarray, block: int) -> None:
         predicted = cross_val_predict(ds, fold_of)
     assert predicted.dtype == np.int64
     assert predicted.tolist() == expected.tolist()
+
+
+@st.composite
+def moment_stacks(draw):
+    """A rows-outermost (L, B, f) stack, B from 1 to 6 and f from 1 to 4,
+    cut into segments of 0 to 12 rows, with -0.0 rows and magnitudes up to
+    1e300, and an (L, B) mask whose density is drawn too."""
+    n_sets, f = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+    rows = sum(sizes)
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.just(-0.0),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    )
+    stack = draw(hnp.arrays(np.float64, (rows, n_sets, f), elements=value))
+    stack[draw(hnp.arrays(bool, rows))] = -0.0
+    keep = draw(hnp.arrays(np.int64, (rows, n_sets), elements=st.integers(0, 9)))
+    keep = keep < draw(st.integers(0, 10))
+    return stack, keep, sizes
+
+
+class TestStackMoments:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=moment_stacks())
+    def test_each_set_as_a_batch_of_one(self, problem):
+        """Every set's counts, means and stds equal, bit for bit, those of a
+        batch of one of its column of the stack, and of its kept rows alone,
+        whatever B * f, including the lone column that is copied."""
+        stack, keep, sizes = problem
+        counts, means, stds = naive_bayes.stack_moments(stack.copy(), keep, sizes)
+        assert counts.shape == keep.shape[1:] + (len(sizes),)
+        assert means.flags.c_contiguous and stds.flags.c_contiguous
+        assert means.shape == stds.shape == counts.shape + stack.shape[2:]
+        for b in range(stack.shape[1]):
+            kept = stack[keep[:, b], b][:, None]
+            for one_stack, one_keep, one_sizes in (
+                (stack[:, b : b + 1], keep[:, b : b + 1], sizes),
+                (kept, np.ones(kept.shape[:2], dtype=bool), counts[b].astype(int)),
+            ):
+                one = naive_bayes.stack_moments(one_stack.copy(), one_keep, one_sizes)
+                assert counts[b].tolist() == one[0][0].tolist()
+                assert means[b].tobytes() == one[1][0].tobytes()
+                assert stds[b].tobytes() == one[2][0].tobytes()
 
 
 @st.composite

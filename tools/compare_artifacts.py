@@ -91,6 +91,22 @@ CONFIGS = (
         f"dataset={COHORT}", TFO, "smote.per_class_target=180", "pca.fit_within_fold=true",
         "eval.protocol=leave-one-out", "eval.seeds=1",
     )),
+    # naive Bayes moments of rows-outermost (rows, models, features) stacks at
+    # their edges: one feature, 200 models to a block, or the 32 leave-one-out
+    # models; the cohort's whole-dataset blocks of 1 to 12 models; and one
+    # feature on the cohort, whose PCA models fill a block of 409 and leave a
+    # last block of one model and one column, the lone column copied
+    ("whole-dataset+pca.threshold=0.05", ("pca.threshold=0.05",)),
+    ("whole-dataset+pca.threshold=0.05+loo seed 1", (
+        "pca.threshold=0.05", "eval.protocol=leave-one-out", "eval.seeds=1",
+    )),
+    ("cohort whole-dataset seeds 1..5", (
+        f"dataset={COHORT}", "smote.per_class_target=180", "eval.seeds=1..5",
+    )),
+    ("cohort whole-dataset+pca.threshold=0.05 seeds 1..41", (
+        f"dataset={COHORT}", "smote.per_class_target=180", "pca.threshold=0.05",
+        "eval.seeds=1..41",
+    )),
 )
 
 #: (name, subcommand, ``--set`` overrides) of the runs that write model files:
