@@ -110,6 +110,7 @@ def load_uci_lung_cancer(path) -> Dataset:
     """
     rows: list[list[float]] = []
     labels: list[int] = []
+    known = {"?": math.nan}   # each distinct cell text is parsed once
     for lineno, line in _ascii_lines(path):
         if not line:
             continue
@@ -122,19 +123,21 @@ def load_uci_lung_cancer(path) -> Dataset:
         if fields[0] not in ("1", "2", "3"):
             raise DataError(f"{path}: line {lineno}: unknown class label {fields[0]!r}")
         labels.append(int(fields[0]) - 1)
-        row = []
-        for col, tok in enumerate(fields[1:], start=1):
-            tok = tok.strip()
-            if tok == "?":
-                row.append(math.nan)
-            else:
-                try:
-                    row.append(float(int(tok)))
-                except (ValueError, OverflowError):
-                    raise DataError(
-                        f"{path}: line {lineno}: attribute {col}: expected an "
-                        f"integer code within float range or '?', found {tok!r}"
-                    ) from None
+        try:
+            row = [known[tok] for tok in fields[1:]]
+        except KeyError:
+            row = []
+            for col, tok in enumerate(fields[1:], start=1):
+                if tok not in known:
+                    code = tok.strip()
+                    try:
+                        known[tok] = math.nan if code == "?" else float(int(code))
+                    except (ValueError, OverflowError):
+                        raise DataError(
+                            f"{path}: line {lineno}: attribute {col}: expected an "
+                            f"integer code within float range or '?', found {code!r}"
+                        ) from None
+                row.append(known[tok])
         rows.append(row)
 
     if not rows:
@@ -189,6 +192,10 @@ def read_dataset_csv(path) -> Dataset:
     feature_names = tuple(columns[:-1])
     rows = []
     names_seen = []
+    # Each distinct cell text is parsed once.  A line whose texts were all
+    # seen before holds no infinite cell (its first sight raised), so only a
+    # line with a new text is checked, after all of its cells parse.
+    known: dict[str, float] = {}
     for lineno, line in lines:
         if not line:
             continue
@@ -199,12 +206,18 @@ def read_dataset_csv(path) -> Dataset:
                 f"found {len(cells)}"
             )
         try:
-            values = [float(v) for v in cells[:-1]]
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        infinite = [n for n, v in zip(feature_names, values) if math.isinf(v)]
-        if infinite:
-            raise DataError(f"{path}: line {lineno}: column {infinite[0]!r} is infinite")
+            values = [known[v] for v in cells[:-1]]
+        except KeyError:
+            try:
+                for v in cells[:-1]:
+                    if v not in known:
+                        known[v] = float(v)
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            values = [known[v] for v in cells[:-1]]
+            infinite = [n for n, v in zip(feature_names, values) if math.isinf(v)]
+            if infinite:
+                raise DataError(f"{path}: line {lineno}: column {infinite[0]!r} is infinite")
         rows.append(values)
         names_seen.append(cells[-1])
     if not rows:

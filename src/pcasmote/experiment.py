@@ -22,12 +22,16 @@ each model runs one SMOTE chain on its training fold, so SMOTEi is the
 first i stages of that chain, and needs two naive Bayes fits, of the
 training fold and of the chain's last set, from which
 ``naive_bayes.chain_predict`` scores PCA and every stage.  Models that
-retain the same number of components are scored in blocks: one
-``smote.synthetic_rows`` call grows every model's classes, one
-``naive_bayes.stack_moments`` pass gives both fits of every model, and each
-test row is scored against its own model.  With the global PCA the data is
-reduced once, each class's neighbours are ranked once per run, and a block
-is a run of consecutive models that share the reduced rows.  Under
+retain the same number of components are scored in blocks, stacked one
+class at a time: for each class one ``naive_bayes.stack_moments`` pass fits
+every model's kept rows of it, and a class of the order is then grown for
+every model by one ``smote.synthetic_rows`` call and fitted again, its kept
+rows followed by its synthetic rows; each test row is then scored against
+its own model.  A block holds as many models as fit in
+``linalg.BLOCK_ELEMENTS``, each counted at its peak: its largest class
+stack, its synthesis or its scoring.  With the global PCA the data
+is reduced once, each class's neighbours are ranked once per run, and a
+block is a run of consecutive models that share the reduced rows.  Under
 ``pca.fit_within_fold`` one ``pca.fit_pca_subsets`` call refits every
 fold's PCA, a stack of training folds at a time; a block holds each of its
 models' rows reduced by the model's own refit, and one ranking of each
@@ -185,11 +189,11 @@ def _leak_free_predictions(
     the global PCA (``reduced``) or, under ``pca.fit_within_fold``, by its
     own refit, all folds' refits fitted by ``fit_pca_subsets``.  Models with
     the same retained count are scored in ``linalg.blocks``, a model
-    counting ``2n + len(order_idx) * per_class_target`` stacked rows of
-    that width; under the global PCA the blocks are runs of consecutive
-    models that share the rows of ``reduced`` and one ranking of each class
-    of the order.  Once every block is scored, the first model that failed,
-    in model order, is rerun alone to raise its error.
+    counting its floats at its peak (``_block_cost``); under
+    the global PCA the blocks are runs of consecutive models that share the
+    rows of ``reduced`` and one ranking of each class of the order.  Once
+    every block is scored, the first model that failed, in model order, is
+    rerun alone to raise its error.
     """
     n_folds = int(stack.max()) + 1
     seed_pos, fold = np.divmod(np.arange(len(stack) * n_folds), n_folds)
@@ -202,68 +206,100 @@ def _leak_free_predictions(
         below_two = (needed > 0) & (counts[:, order_idx] < 2)
         failed = (counts.max(axis=1) > target) | below_two.any(axis=1)
     needed[failed] = 0
+    members = [np.flatnonzero(base.labels == cls) for cls in range(base.n_classes)]
+    # a class is ranked wide enough for any training fold of a stratified
+    # assignment: a test fold removes at most ceil(n_c / n_folds) of its
+    # n_c rows, and a run reads k + 1
+    sizes = [members[cls].size for cls in order_idx]
+    widths = [min(size, cfg.smote.k + 1 - (-size // n_folds)) for size in sizes]
     if cfg.pca.fit_within_fold:
         fits = fit_pca_subsets(base.features, keep, cfg.pca.threshold, cfg.pca.mode)
-        widths = np.array([0 if fit is None else fit.retained for fit in fits])
-        failed |= widths == 0
+        retained = np.array([0 if fit is None else fit.retained for fit in fits])
+        failed |= retained == 0
     else:
-        widths = np.full(len(keep), reduced.n_features)
-        ranking = _class_ranking(reduced.features, base.labels, order_idx, cfg.smote.k, n_folds)
-    per_model = 2 * base.n_samples + len(order_idx) * target
+        retained = np.full(len(keep), reduced.n_features)
+        rankings = _class_rankings(reduced.features, members, order_idx, widths)
+    cost = _block_cost(
+        base.n_samples if cfg.pca.fit_within_fold else 0, members, order_idx, widths,
+        needed.max(axis=0, initial=0).tolist(), int((~keep).sum(axis=1).max()),
+    )
     predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
-    for _, models in linalg.blocks(np.where(failed, 0, widths), lambda w: per_model * w):
+    for _, models in linalg.blocks(np.where(failed, 0, retained), cost):
         features = reduced.features
         if cfg.pca.fit_within_fold:
-            features, ranking = _refit_rows(
-                base, [fits[b] for b in models.tolist()], keep[models], order_idx, cfg.smote.k,
-                n_folds,
-            )
+            features = _refit_rows(base, [fits[b] for b in models.tolist()], keep[models])
+            rankings = _class_rankings(features, members, order_idx, widths)
         failed[models] = ~_score_models(
-            base, cfg, features, ranking, order_idx, keep[models], needed[models],
+            base, cfg, features, rankings, members, order_idx, keep[models], needed[models],
             seed_pos[models], fold[models], predicted,
         )
     if failed.any():
         b = int(np.argmax(failed))
         _raise_fold_error(base, cfg, reduced, order_idx, keep[b], *divmod(b, n_folds))
-    return predicted, widths[n_folds - 1 :: n_folds].tolist()
+    return predicted, retained[n_folds - 1 :: n_folds].tolist()
 
 
-def _refit_rows(base: Dataset, fits, keep, order_idx: list[int], k: int, n_folds: int):
+def _block_cost(refit_rows: int, members, order_idx: list[int], widths, grown, tests: int):
+    """A model's float count at its block's peak, as ``linalg.blocks`` takes
+    it: a function of the retained count f.
+
+    A model holds the means and stds of its two fits, four rows of f floats
+    a class, and at its peak the largest of: its scoring, two (rows,
+    classes, f) arrays for its ``tests`` test rows at most; a class's
+    last-fit stack, its n_c rows and the ``grown[i]`` rows that most any
+    model adds to class ``order_idx[i]``, beside as many synthetic rows;
+    and that class's synthesis, each grown row with its base and neighbour
+    rows or twice its ranking entries (``widths[i]``), and 16 index words.
+    Under a refit (``refit_rows``, the n rows a model reduces) a model also
+    holds its reduced rows, the class rows gathered from them and its int32
+    class rankings, and ranking a class of n_c rows fills its n_c x n_c
+    distances; ``neighbor_ranking``'s row-block temporary is one budget a
+    block at most, not a model's.
+    """
+    sizes = [rows.size for rows in members]
+    grows = dict(zip(order_idx, zip(grown, widths)))
+    ranked = sum(sizes[cls] * width for cls, width in zip(order_idx, widths)) // 2
+    distances = max((sizes[cls] ** 2 for cls in order_idx), default=0) if refit_rows else 0
+
+    def cost(f: int) -> int:
+        peaks = [2 * tests * len(sizes) * f, distances]
+        for cls, size in enumerate(sizes):
+            extra, width = grows.get(cls, (0, 0))
+            gathered = size * f if refit_rows else 0
+            peaks += [
+                gathered + (size + 2 * extra) * f,
+                gathered + extra * (2 * max(f, width) + 16),
+            ]
+        held = refit_rows * f + ranked if refit_rows else 0
+        return 4 * len(sizes) * f + held + max(peaks)
+
+    return cost
+
+
+def _refit_rows(base: Dataset, fits, keep) -> np.ndarray:
     """Each model's rows reduced by its own PCA ``fits[b]``, as a
-    ``(models, n, retained)`` stack, and their ``_class_ranking``s, stacked
-    as ``(models * n, width)``.  A model's training rows and test rows are
-    projected apart, as ``transform`` of each set would."""
+    ``(models, n, retained)`` stack.  A model's training rows and test rows
+    are projected apart, as ``transform`` of each set would."""
     features = np.empty((len(fits), base.n_samples, fits[0].retained))
     for reduced, fit, in_train in zip(features, fits, keep):
         reduced[in_train] = project(fit, base.features[in_train])
         reduced[~in_train] = project(fit, base.features[~in_train])
-    ranking = _class_ranking(features, base.labels, order_idx, k, n_folds)
-    return features, ranking.reshape(-1, ranking.shape[-1])
+    return features
 
 
-def _class_ranking(features, labels, order_idx, k, n_folds) -> np.ndarray:
-    """Each row's ``neighbor_ranking`` within its class, for the classes of
-    the order, as row indices of ``features`` (n, f), padded with -1 (rows
-    of a label outside the order are all -1); of a stack (models, n, f),
-    each matrix's ranking.
-
-    A class is ranked wide enough for any training fold of a stratified
-    assignment into ``n_folds``: a test fold removes at most
-    ``ceil(n / n_folds)`` of a class's n rows, and a run reads ``k + 1``.
-    """
-    widths = {}
-    for cls in order_idx:
-        size = int(np.count_nonzero(labels == cls))
-        widths[cls] = min(size, k + 1 - (-size // n_folds))
-    ranking = np.full((*features.shape[:-1], max(widths.values(), default=0)), -1)
-    for cls, width in widths.items():
-        members = np.flatnonzero(labels == cls)
-        ranking[..., members, :width] = members[neighbor_ranking(features[..., members, :], width)]
-    return ranking
+def _class_rankings(features, members, order_idx: list[int], widths) -> list[np.ndarray]:
+    """The ``neighbor_ranking`` of each class ``order_idx[i]`` within its
+    rows ``members[cls]`` of ``features`` (n, f), ``widths[i]`` columns of
+    indices into those rows; of a stack (models, n, f), each matrix's
+    rankings, one after another as ``(models * n_c, width)``."""
+    return [
+        neighbor_ranking(features[..., members[cls], :], width).reshape(-1, width)
+        for cls, width in zip(order_idx, widths)
+    ]
 
 
 def _score_models(
-    base: Dataset, cfg: ExperimentConfig, features: np.ndarray, ranking: np.ndarray,
+    base: Dataset, cfg: ExperimentConfig, features: np.ndarray, rankings, members,
     order_idx: list[int], keep: np.ndarray, needed: np.ndarray, seed_pos: np.ndarray,
     fold: np.ndarray, predicted: np.ndarray,
 ) -> np.ndarray:
@@ -273,76 +309,60 @@ def _score_models(
     Model b is seed ``seed_pos[b]``'s fold ``fold[b]``: it trains on the
     rows ``keep[b]`` of ``features``, one (n, f) matrix that every model
     shares or a (models, n, f) stack of one per model, and grows class
-    ``order_idx[i]`` by ``needed[b, i]`` rows.  ``ranking`` ranks each class
-    of the order within the shared matrix, or, stacked, within each model's
-    own.  One ``synthetic_rows`` call grows every model's classes; run i of
-    model b draws from ``derive_seed(chain seed, i)``, as
-    ``balance_sequence`` does.  ``_chain_fits`` fits each model's training
-    fold and its chain's last set, and ``chain_predict`` scores every test
-    row against its own model from the two.  Nothing is written if a fit
-    overflows.
+    ``order_idx[i]`` by ``needed[b, i]`` rows.  ``rankings[i]`` ranks that
+    class's rows ``members[cls]`` of the shared matrix, or, stacked, of each
+    model's own.  The block is fitted one class at a time: one
+    ``stack_moments`` call fits the class's kept rows of every model; a
+    class of the order is then grown for every model by one
+    ``synthetic_rows`` call, run i of model b drawing from
+    ``derive_seed(chain seed, i)`` as ``balance_sequence`` does, and a
+    second call fits its kept rows followed by its synthetic rows.  So each
+    model has the moments of its training fold and of its chain's last
+    set, from which ``chain_predict`` scores every test row against its own
+    model.  Nothing is written if a fit overflows.
     """
-    n = base.n_samples
-    at = np.arange(len(keep)) * n if features.ndim == 3 else np.zeros(len(keep), dtype=np.int64)
-    flat = features.reshape(-1, features.shape[-1])
+    models, n, n_features = len(keep), base.n_samples, features.shape[-1]
     chain_seeds = [_chain_seed(cfg, s, f) for s, f in zip(seed_pos.tolist(), fold.tolist())]
-    synthetic = synthetic_rows(
-        flat,
-        ranking,
-        (keep[:, None, :] & (base.labels == np.array(order_idx)[:, None])).reshape(-1, n),
-        needed.reshape(-1),
-        cfg.smote.k,
-        [derive_seed(seed, i) for seed in chain_seeds for i in range(len(order_idx))],
-        np.repeat(at, len(order_idx)),
-    )
-    first, last = _chain_fits(features, base, keep, order_idx, synthetic, needed)
+    first, last = [], []   # each class's (counts, means, stds) of every model
+    for cls, rows in enumerate(members):
+        pts = features[..., rows, :]                     # (n_c, f), or (models, n_c, f)
+        kept = keep[:, rows]
+        fits = stack_moments(_class_stack(pts, models, 0), kept.T, [rows.size])
+        first.append(fits)
+        if cls in order_idx:
+            i = order_idx.index(cls)
+            synthetic = synthetic_rows(
+                pts.reshape(-1, n_features), rankings[i], kept, needed[:, i], cfg.smote.k,
+                [derive_seed(seed, i) for seed in chain_seeds],
+                np.arange(models) * rows.size if features.ndim == 3 else 0,
+            )
+            grown = synthetic.shape[1]
+            stack = _class_stack(pts, models, grown)
+            stack[rows.size :] = synthetic.swapaxes(0, 1)
+            del synthetic   # else it stays beside the stack and raises the memory peak
+            mask = np.concatenate([kept.T, (np.arange(grown) < needed[:, i, None]).T])
+            fits = stack_moments(stack, mask, [rows.size + grown])
+            del stack
+        last.append(fits)
+    first, last = ([np.concatenate(part, axis=1) for part in zip(*fits)] for fits in (first, last))
     finite = finite_fits(*first[1:]) & finite_fits(*last[1:])
     if finite.all():
+        at = np.arange(models) * n if features.ndim == 3 else np.zeros(models, dtype=np.int64)
         model, test_rows = np.nonzero(~keep)
         predicted[seed_pos[model], :, test_rows] = chain_predict(
-            flat[at[model] + test_rows], model, first, last, order_idx
+            features.reshape(-1, n_features)[at[model] + test_rows], model, first, last,
+            order_idx,
         )
     return finite
 
 
-def _chain_fits(features: np.ndarray, base: Dataset, keep, order_idx: list[int], synthetic, needed):
-    """``class_moments`` of each model's training fold, the rows ``keep[b]``
-    of ``features`` (shared, or its own of a stack), and of its chain's
-    last set, from one ``stack_moments`` pass.
-
-    ``synthetic`` holds ``synthetic_rows`` of the runs (model b, order
-    position i), ``needed[b, i]`` rows each.  The last set keeps the other
-    classes' moments; a grown class's are those of its kept rows followed
-    by its synthetic rows, which is its run of rows in that set.
-    """
-    models, n_classes, width = len(keep), base.n_classes, synthetic.shape[1]
-    n_features = features.shape[-1]
-    synthetic = synthetic.reshape(models, len(order_idx), width, n_features)
-    rows = features.swapaxes(0, 1) if features.ndim == 3 else features[:, None]   # rows outermost
-    by_class = np.argsort(base.labels, kind="stable")
-    sizes = np.bincount(base.labels, minlength=n_classes).tolist()
-    parts = [(rows[by_class], keep[:, by_class])]
-    for i, cls in enumerate(order_idx):
-        members = np.flatnonzero(base.labels == cls)
-        parts += [
-            (rows[members], keep[:, members]),
-            (synthetic[:, i].swapaxes(0, 1), np.arange(width) < needed[:, i, None]),
-        ]
-        sizes.append(len(members) + width)
-    sets = np.empty((sum(sizes), models, n_features))
-    kept = np.empty(sets.shape[:2], dtype=bool)
-    lo = 0
-    for part, mask in parts:
-        hi = lo + mask.shape[1]
-        sets[lo:hi], kept[lo:hi] = part, mask.T
-        lo = hi
-    del parts, synthetic   # else they stay beside the stacked sets and raise the memory peak
-    moments = stack_moments(sets, kept, sizes)
-    first = [a[:, :n_classes] for a in moments]
-    last = [a.copy() for a in first]
-    for whole, grown in zip(last, moments):
-        whole[:, order_idx] = grown[:, n_classes:]
-    return first, last
+def _class_stack(pts: np.ndarray, models: int, extra: int) -> np.ndarray:
+    """A rows-outermost ``(n_c + extra, models, f)`` stack whose first n_c
+    rows are each model's class rows ``pts``, shared (n_c, f) or its own of
+    a (models, n_c, f) stack; the ``extra`` rows are left unset."""
+    stack = np.empty((pts.shape[-2] + extra, models, pts.shape[-1]))
+    stack[: pts.shape[-2]] = pts[:, None] if pts.ndim == 2 else pts.swapaxes(0, 1)
+    return stack
 
 
 def _raise_fold_error(

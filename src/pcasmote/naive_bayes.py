@@ -34,6 +34,7 @@ from those two fits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,10 +66,11 @@ class NbModel:
         return self.means.shape[1]
 
 
-def _segment_sums(stack: np.ndarray, bounds: list[int], initial: float) -> np.ndarray:
-    """(S, B, f) sums of ``stack`` (L, B, f) over each segment of rows, in row order."""
-    sums = np.empty((len(bounds) - 1, *stack.shape[1:]))
-    for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+def _segment_sums(stack: np.ndarray, segments, initial: float) -> np.ndarray:
+    """(S, B, f) sums of ``stack`` (L, B, f) over each ``(lo, hi)`` segment
+    of rows, in row order."""
+    sums = np.empty((len(segments), *stack.shape[1:]))
+    for s, (lo, hi) in enumerate(segments):
         np.add.reduce(stack[lo:hi], axis=0, out=sums[s], initial=initial)
     return sums
 
@@ -87,21 +89,26 @@ def stack_moments(stack: np.ndarray, keep: np.ndarray, sizes):
     n_sets, n_features = stack.shape[1:]
     if n_sets * n_features == 1:
         stack = np.concatenate([stack, stack], axis=2)   # two columns: summed row after row
-    bounds = [0, *np.cumsum(sizes).tolist()]
+    bounds = [0, *itertools.accumulate(sizes)]
+    segments = list(zip(bounds, bounds[1:]))
     left_out = ~keep
     stack[left_out] = -0.0
-    counts = np.repeat(np.eye(len(sizes)), sizes, axis=1) @ keep   # (S, B) whole numbers
+    counts = np.repeat(np.eye(len(segments)), sizes, axis=1) @ keep   # (S, B) whole numbers
+    per_set = counts[:, :, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # summed from -0.0, a lone row is its own mean, -0.0 included; adding
         # +0.0 gives a longer run the +0.0 start that np.mean's sum has
-        sums = _segment_sums(stack, bounds, -0.0)
-        means = np.where(counts[:, :, None] == 1, sums, sums + 0.0) / counts[:, :, None]
-        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        means = _segment_sums(stack, segments, -0.0)
+        np.add(means, 0.0, out=means, where=per_set != 1)
+        means /= per_set
+        for s, (lo, hi) in enumerate(segments):
             stack[lo:hi] -= means[s]
         np.square(stack, out=stack)
         stack[left_out] = 0.0
-        stds = np.sqrt(_segment_sums(stack, bounds, 0.0) / (counts - 1)[:, :, None])
-        stds = np.maximum(stds, STD_FLOOR)
+        stds = _segment_sums(stack, segments, 0.0)
+        stds /= per_set - 1
+        np.sqrt(stds, out=stds)
+        np.maximum(stds, STD_FLOOR, out=stds)
     stds[counts < 2] = STD_FLOOR
     means, stds = (np.ascontiguousarray(a[..., :n_features].swapaxes(0, 1)) for a in (means, stds))
     return counts.T, means, stds

@@ -14,9 +14,10 @@ A class's neighbour table comes from its ranking: one n x n squared-distance
 matrix and one stable row-wise sort, so ties go to the lower index; memory
 is quadratic in the class size.  The matrix is filled in blocks of rows whose
 broadcast temporary stays near ``linalg.BLOCK_ELEMENTS`` floats, whatever the
-class size; a stack of matrices is ranked in one call.  A subset's table is read
-from the ranking of all the rows, so a cross-validation ranks each class
-once per run (or once per PCA refit).
+class size, each block against itself and the later rows only, the rest
+mirrored; a stack of matrices is ranked in one call.  A subset's table is
+read from the ranking of all the rows, so a cross-validation ranks each
+class once per run (or once per PCA refit).
 """
 
 from __future__ import annotations
@@ -49,21 +50,30 @@ class SmoteConfig:
 
 def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
     """Row i lists the first ``width`` rows by (distance to ``pts[i]``, index),
-    for ``pts`` (n, f), or for each matrix of a stack (..., n, f).
+    for ``pts`` (n, f), or for each matrix of a stack (..., n, f), as int32.
 
     Squared Euclidean distances fill an n x n matrix a block of rows at a
-    time and a stable sort breaks distance ties toward the lower index.  The
-    diagonal is set below every distance, so each row ranks itself first,
-    even where distances overflow to infinity.
+    time: a block's rows are measured against themselves and every later
+    row, and mirrored into those rows' columns, since ``(a - b)**2`` equals
+    ``(b - a)**2`` bit for bit.  The earlier columns were mirrored in by
+    the earlier blocks, so the block's rows are then whole and are sorted
+    at once, a stable sort breaking distance ties toward the lower index.
+    The diagonal is set below every distance, so each row ranks itself
+    first, even where distances overflow to infinity.
     """
     n = pts.shape[-2]
     step = max(1, linalg.BLOCK_ELEMENTS // max(1, pts.size))   # a block's temporary: step x pts
     dist2 = np.empty((*pts.shape[:-1], n), dtype=np.float64)
+    ranking = np.empty((*pts.shape[:-1], width), dtype=np.int32)
     for lo in range(0, n, step):
-        deltas = pts[..., None, :, :] - pts[..., lo : lo + step, None, :]
-        dist2[..., lo : lo + step, :] = np.einsum("...ijk,...ijk->...ij", deltas, deltas)
-    dist2[..., np.arange(n), np.arange(n)] = -1.0
-    return np.argsort(dist2, axis=-1, kind="stable")[..., :width].copy()  # frees the n x n sort
+        hi = min(n, lo + step)
+        deltas = pts[..., None, lo:, :] - pts[..., lo:hi, None, :]
+        dist2[..., lo:hi, lo:] = np.einsum("...ijk,...ijk->...ij", deltas, deltas)
+        del deltas
+        dist2[..., hi:, lo:hi] = dist2[..., lo:hi, hi:].swapaxes(-1, -2)
+        dist2[..., np.arange(lo, hi), np.arange(lo, hi)] = -1.0
+        ranking[..., lo:hi, :] = np.argsort(dist2[..., lo:hi, :], axis=-1, kind="stable")[..., :width]
+    return ranking
 
 
 def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
@@ -90,8 +100,12 @@ def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int
 
 
 def _interpolate(sample, neighbor, u):
-    """``sample + u * (neighbor - sample)``, elementwise; the SMOTE formula."""
-    return sample + u * (neighbor - sample)
+    """``sample + u * (neighbor - sample)``, elementwise; the SMOTE formula.
+    Computed in place in ``neighbor``, which is overwritten and returned."""
+    neighbor -= sample
+    neighbor *= u
+    neighbor += sample
+    return neighbor
 
 
 def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset=0) -> np.ndarray:
@@ -116,26 +130,34 @@ def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset=0) -> np.ndarray
     """
     needed = np.asarray(needed, dtype=np.int64)
     width = int(needed.max(initial=0))
-    out = np.full((len(kept), width, pts.shape[1]), -0.0)
     grown = np.arange(width) < needed[:, None]
     run, j = np.nonzero(grown)
     if not run.size:
-        return out
-    counts = kept.sum(axis=1)[run]
+        return np.full((len(kept), width, pts.shape[1]), -0.0)
+    per_run = kept.sum(axis=1)
+    counts = per_run[run]
     k_eff = np.minimum(k, counts - 1)
     # draws 2j and 2j+1 of a stream are row j's Rng.randrange(k_eff) and
     # Rng.random(), as the rng module defines them
-    draws = next_u64_array(seeds, 2 * width)
-    choice = (draws[run, 2 * j] % k_eff.astype(np.uint64)).astype(np.int64)
-    u = (draws[run, 2 * j + 1] >> 11) * 2.0**-53
-    base = np.argsort(~kept, axis=1, kind="stable")[run, j % counts]   # kept rows first
-    at = np.broadcast_to(offset, needed.shape)[run]
-    ranked = ranking[at + base]
-    seen = np.cumsum(kept[run[:, None], ranked] & (ranked >= 0), axis=1)
-    if (seen[:, -1] <= k_eff).any():
+    draws = next_u64_array(seeds, 2 * width).reshape(len(kept), width, 2)[run, j]
+    choice = (draws[:, 0] % k_eff.astype(np.uint64)).astype(np.int64)
+    u = (draws[:, 1] >> 11) * 2.0**-53
+    del draws
+    kept_at = np.nonzero(kept)[1]   # each run's kept rows, in order, run after run
+    base = kept_at[(np.cumsum(per_run) - per_run)[run] + j % counts]
+    del kept_at
+    at = offset[run] if np.ndim(offset) else offset
+    ranked = ranking[at + base].astype(np.intp)   # else each index below copies it to intp
+    usable = kept[run[:, None], ranked] & (ranked >= 0)
+    seen = usable.sum(axis=1)
+    if (seen <= k_eff).any():
         raise ValueError(f"ranking of width {ranking.shape[1]} holds too few kept rows")
-    neighbor = ranked[np.arange(run.size), np.argmax(seen > choice[:, None] + 1, axis=1)]
-    out[grown] = _interpolate(pts[at + base], pts[at + neighbor], u[:, None])
+    # the (choice + 2)-th usable entry: the base itself comes first
+    neighbor = ranked.reshape(-1)[np.flatnonzero(usable)[np.cumsum(seen) - seen + choice + 1]]
+    del ranked, usable
+    rows = _interpolate(pts[at + base], pts[at + neighbor], u[:, None])
+    out = np.full((len(kept), width, pts.shape[1]), -0.0)
+    out[grown] = rows
     return out
 
 

@@ -108,6 +108,22 @@ class TestLoader:
         with pytest.raises(DataError, match="attribute 3"):
             load_uci_lung_cancer(path)
 
+    def test_bad_code_after_repeats_of_a_good_one(self, tmp_path):
+        """A cell text is parsed once; a bad text is still reported on the
+        line and attribute where it first appears, however often the good
+        codes around it repeat, and a padded code equals its bare text."""
+        lines = [",".join(["2"] + [" 1 "] * 56) for _ in range(4)]
+        lines.append(",".join(["1"] + ["1"] * 40 + ["1.0"] + ["1"] * 15))
+        path = tmp_path / "bad.data"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            DataError, match=r"line 5: attribute 41: expected an integer code .*found '1\.0'"
+        ):
+            load_uci_lung_cancer(path)
+        path.write_text("\n".join(lines[:4] + [lines[0].replace("2", "1", 1)]) + "\n")
+        with pytest.raises(DataError, match="class TypeC has no samples"):
+            load_uci_lung_cancer(path)
+
 
 class TestImpute:
     def test_mode_column(self):
@@ -193,6 +209,28 @@ class TestCsvRoundTrip:
         path.write_text(f"a,b,class\n1.0,2.0,p\n3.0,{token},q\n")
         with pytest.raises(DataError, match=r"x\.csv: line 3: column 'b'"):
             read_dataset_csv(path)
+
+    def test_an_earlier_infinite_cell_is_reported_first(self, tmp_path):
+        """Line 5's infinite cell wins over line 9's bad token, and a bad
+        token wins over an infinite cell on its own line, as line by line."""
+        rows = ["1.0,2.0,p"] * 3 + ["1.0,-inf,q"] + ["1.0,2.0,p"] * 3 + ["x1,2.0,q"]
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(["a,b,class"] + rows) + "\n")
+        with pytest.raises(DataError, match=r"x\.csv: line 5: column 'b' is infinite"):
+            read_dataset_csv(path)
+        path.write_text("\n".join(["a,b,class"] + rows[:3] + ["inf,x1,q"]) + "\n")
+        with pytest.raises(DataError, match="line 5: could not convert string to float: 'x1'"):
+            read_dataset_csv(path)
+
+    def test_bad_token_after_repeats_of_a_good_one(self, tmp_path):
+        rows = ["1.0,2.0,p", "2.0,1.0,q"] * 4 + ["1.0,2.0 ,p", "1.0,2.0,p", "1.0,2.O,q"]
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(["a,b,class"] + rows) + "\n")
+        with pytest.raises(DataError, match="line 12: could not convert string to float: '2.O'"):
+            read_dataset_csv(path)
+        path.write_text("\n".join(["a,b,class"] + rows[:-1]) + "\n")
+        ds = read_dataset_csv(path)
+        assert ds.features.tolist() == [[1.0, 2.0], [2.0, 1.0]] * 4 + [[1.0, 2.0]] * 2
 
     def test_header_row(self, tmp_path, lung):
         path = tmp_path / "export.csv"

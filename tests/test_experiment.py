@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -493,14 +494,16 @@ class TestTrainFoldsOnlyScope:
         # folds, 27 to a stack under the budget: the two 28-row training
         # folds in one stack, the eight 29-row ones in another;
         # every fold retains 17 components, so the 10 models are one block:
-        # one ranking of each class for all of them, one synthesis of their
-        # chains, one moment pass and one scoring of PCA and the 3 SMOTE
-        # stages; no per-stage set is built; Initial's 10 folds are one
-        # masked fit (32 x 56 rows fit in one block)
+        # one ranking of each class for all of them; class by class, one
+        # moment pass of its kept rows, and for each of the 3 classes of the
+        # order one synthesis of every chain's run and one moment pass of
+        # the grown class; one scoring of PCA and the 3 SMOTE stages; no
+        # per-stage set is built; Initial's 10 folds are one masked fit
+        # (32 x 56 rows fit in one block)
         assert calls == Counter(
             fit_pca=2, fit_pca_subsets=1, _fit_stack=2 + 2, neighbor_ranking=3,
-            balance_sequence=0, synthetic_rows=1, stack_moments=1, chain_predict=1, fit_nb=0,
-            _fit_masked=1,
+            balance_sequence=0, synthetic_rows=3, stack_moments=3 + 3, chain_predict=1,
+            fit_nb=0, _fit_masked=1,
         )
 
     def test_global_pca_reduces_once_and_chains_once_per_fold(self, data_file):
@@ -511,12 +514,13 @@ class TestTrainFoldsOnlyScope:
         targets = [(experiment, name) for name in names] + list(NB_FITS)
         _, calls = counted_run(data_file, False, targets)
         # both modes fitted once; one reduction and one ranking per class per
-        # run; the 10 folds' chains are one block: one synthesis, one moment
-        # pass and one scoring of PCA and the 3 SMOTE stages; only Initial is
-        # scored by cross_val_predict
+        # run; the 10 folds' chains are one block: per class one moment pass
+        # of its kept rows, and per class of the order one synthesis and one
+        # moment pass of the grown class; one scoring of PCA and the 3 SMOTE
+        # stages; only Initial is scored by cross_val_predict
         assert calls == Counter(
-            fit_pca=2, transform=1, neighbor_ranking=3, balance_sequence=0, synthetic_rows=1,
-            stack_moments=1, chain_predict=1, cross_val_predict=1, fit_nb=0, _fit_masked=1,
+            fit_pca=2, transform=1, neighbor_ranking=3, balance_sequence=0, synthetic_rows=3,
+            stack_moments=3 + 3, chain_predict=1, cross_val_predict=1, fit_nb=0, _fit_masked=1,
         )
 
     def test_blocks_follow_the_element_budget(self, data_file, monkeypatch):
@@ -530,8 +534,13 @@ class TestTrainFoldsOnlyScope:
             return score_models(*args)
 
         monkeypatch.setattr(experiment, "_score_models", recording)
-        # a model stacks (2 * 32 + 3 * 18) rows of 18 features: 7 fit in the budget
-        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 7 * 118 * 18 + 5)
+        # a model holds its two fits' means and stds, 4 rows of 18 features
+        # for each of the 3 classes, and at its peak TypeA's last-fit stack:
+        # its 9 rows and the 10 rows the most-shrunk fold grows it by, beside
+        # those 10 synthetic rows, 29 rows (TypeB's is 13 + 2 * 7, TypeC's
+        # 10 + 2 * 9; the synthesis and the scoring of 4 test rows peak
+        # lower); 7 models fit in the budget
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 7 * (4 * 3 + 29) * 18 + 5)
         run_experiment(default_config(data_file, resample_scope="train-folds-only"))
         assert [block.tolist() for block in blocks] == [
             list(range(lo, min(lo + 7, 200))) for lo in range(0, 200, 7)
@@ -690,6 +699,74 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
             expected = per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos)
             assert np.array_equal(predicted[seed_pos], expected), seed_pos
         return stack
+
+
+class TestLeakFreeBlockMemory:
+    """A leak-free block's traced memory peak stays near its float budget.
+
+    Three integer-coded classes of 90, 130 and 100 rows and 24 features,
+    grown to 180 rows each; the block cost counts each model's largest class
+    stack, its synthesis temporaries and its scoring.  The peak is traced
+    around ``_score_models`` alone, so it holds every array a block makes
+    and none that the run holds beside it.
+    """
+
+    #: the traced peak may exceed ``BLOCK_ELEMENTS * 8`` bytes by this
+    #: factor; a block's fixed costs weigh most on a block of one model
+    MULTIPLE = 1.5
+
+    @pytest.fixture(scope="class")
+    def cohort_file(self, tmp_path_factory):
+        rng = np.random.default_rng(20)
+        sizes = (90, 130, 100)
+        centers = rng.normal(scale=1.5, size=(3, 24))
+        rows = np.vstack([np.round(c + rng.normal(size=(n, 24))) for c, n in zip(centers, sizes)])
+        path = tmp_path_factory.mktemp("memory") / "cohort.csv"
+        write_dataset_csv(
+            Dataset(
+                features=rows,
+                labels=np.repeat(np.arange(3), sizes),
+                class_names=("a", "b", "c"),
+                feature_names=tuple(f"f{i}" for i in range(24)),
+            ),
+            path,
+        )
+        return path
+
+    @pytest.mark.parametrize("one_model", [False, True], ids=["default-budget", "one-model-budget"])
+    def test_traced_peak_within_the_budget(self, cohort_file, monkeypatch, one_model):
+        cfg = ExperimentConfig(
+            dataset=str(cohort_file),
+            pca=PcaSettings(threshold=0.8),
+            smote=SmoteSettings(order=("a", "c", "b"), per_class_target=180),
+            eval=EvalSettings(seeds=(1, 2, 3), resample_scope="train-folds-only"),
+        )
+        width = fit_pca(experiment.load_dataset(cfg.dataset), 0.8, "correlation").retained
+        block_cost, score_models = experiment._block_cost, experiment._score_models
+        peaks = []
+
+        def one_model_budget(*args):
+            cost = block_cost(*args)
+            monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", cost(width))
+            return cost
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                finite = score_models(*args)
+                peaks.append((len(args[-3]), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return finite
+
+        if one_model:
+            monkeypatch.setattr(experiment, "_block_cost", one_model_budget)
+        monkeypatch.setattr(experiment, "_score_models", traced)
+        run_experiment(cfg)
+        sizes = [models for models, _ in peaks]
+        assert sizes == ([1] * 30 if one_model else [28, 2])
+        budget = linalg.BLOCK_ELEMENTS * 8
+        assert max(peak for _, peak in peaks) <= self.MULTIPLE * budget
 
 
 #: three ``a`` rows and six ``b`` rows; SMOTE grows ``a`` to 5 rows

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcasmote import linalg
 from pcasmote.dataset import Dataset, class_counts
 from pcasmote.errors import DataError, ResampleError
 from pcasmote.pca import fit_pca, transform
@@ -95,7 +96,7 @@ class TestSynthesize:
         sample = np.array([0.0, 10.0, -3.0])
         neighbor = np.array([1.0, -10.0, 4.0])
         for _ in range(50):
-            out = _interpolate(sample, neighbor, rng.random())
+            out = _interpolate(sample, neighbor.copy(), rng.random())   # overwrites its copy
             low = np.minimum(sample, neighbor)
             high = np.maximum(sample, neighbor)
             assert ((out >= low) & (out <= high)).all()
@@ -223,6 +224,50 @@ def random_class(rng, trial, f=None):
         return np.tile(rng.normal(size=f), (n, 1))
     # huge magnitudes: squared distances overflow to inf and tie there
     return rng.choice([-1.0, 1.0], size=(n, f)) * 1e200
+
+
+def full_matrix_ranking(pts: np.ndarray, width: int) -> np.ndarray:
+    """``neighbor_ranking`` from the whole distance matrix, every row
+    measured against every row in one broadcast: the reference for the
+    half matrix that ``neighbor_ranking`` fills and mirrors."""
+    n = pts.shape[-2]
+    deltas = pts[..., None, :, :] - pts[..., :, None, :]
+    dist2 = np.einsum("...ijk,...ijk->...ij", deltas, deltas)
+    dist2[..., np.arange(n), np.arange(n)] = -1.0
+    return np.argsort(dist2, axis=-1, kind="stable")[..., :width]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 139),
+    f=st.integers(1, 6),
+    stack=st.integers(0, 3),
+    kind=st.integers(0, 3),
+    budget=st.sampled_from([None, 1, 100, 3000]),
+    data=st.data(),
+)
+def test_half_matrix_ranking_equals_the_full_matrix(seed, n, f, stack, kind, budget, data):
+    """Tie-heavy rows (rounded, integer-coded, duplicated, or so large that
+    distances overflow), alone or stacked, in one row block or many, the
+    last one partial: the ranking equals the whole matrix's."""
+    rng = np.random.default_rng(seed)
+    shape = (stack, n, f) if stack else (n, f)
+    pts = [
+        np.round(rng.normal(size=shape), 1),
+        rng.integers(0, 3, size=shape).astype(float),
+        rng.normal(size=(*shape[:-2], max(1, n // 3), f))[..., rng.integers(0, max(1, n // 3), n), :],
+        rng.choice([-1.0, 1.0], size=shape) * 1e200,
+    ][kind]
+    width = data.draw(st.integers(1, n))
+    saved = linalg.BLOCK_ELEMENTS
+    try:
+        if budget is not None:
+            linalg.BLOCK_ELEMENTS = budget
+        got = neighbor_ranking(pts, width)
+    finally:
+        linalg.BLOCK_ELEMENTS = saved
+    assert np.array_equal(got, full_matrix_ranking(pts, width))
 
 
 def test_ranking_of_a_stack_is_each_matrix_ranking():

@@ -76,7 +76,7 @@ CONFIGS = (
         "eval.seeds=1..5",
     )),
     # leak-free blocks of (seed, fold) models that span seeds, under the
-    # global PCA: 150 models in blocks of 61; 50 cohort models in blocks of 3
+    # global PCA: 150 models in blocks of 93; 50 cohort models in blocks of 13
     ("train-folds-only+eval.k=3 seeds 1..50", (TFO, "eval.k=3", "eval.seeds=1..50")),
     ("cohort train-folds-only+smote.k=12", (
         f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..5", "smote.k=12",
@@ -106,6 +106,17 @@ CONFIGS = (
     ("cohort whole-dataset+pca.threshold=0.05 seeds 1..41", (
         f"dataset={COHORT}", "smote.per_class_target=180", "pca.threshold=0.05",
         "eval.seeds=1..41",
+    )),
+    # leak-free blocks stacked one class at a time: two classes outside the
+    # order, fitted once each; and leave-one-out runs of TypeB (130 rows)
+    # that need no row beside runs that need one
+    ("cohort train-folds-only+smote.order=TypeB", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..5",
+        "smote.order=TypeB",
+    )),
+    ("cohort train-folds-only+loo seed 1+smote.per_class_target=130", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=130", "eval.protocol=leave-one-out",
+        "eval.seeds=1",
     )),
 )
 
