@@ -2,25 +2,27 @@
 
 The default flow evaluates, in order: the imputed raw dataset (Initial), its
 PCA reduction (PCA), and the chained oversampling stages (SMOTE1..n), each
-under seeded stratified cross-validation with naive Bayes.  A
-cross-validation draws every seed's fold assignment in one call, as one
-``(seeds, rows)`` stack, and asks a scorer for one held-out prediction per
-seed, row and method; each seed's predictions of a method are pooled into one
-confusion matrix, and the reported row is the mean over seeds with min/max
-and medians retained.  A fixed dataset, Initial in every scope, is scored by
-one ``naive_bayes.cross_val_predict`` call for all seeds, which fits the
-(seed, fold) models in shared blocks.  Leave-one-out gives every seed the
-same folds, so under ``whole-dataset`` a config may give it only one seed.
+under seeded stratified cross-validation with naive Bayes, in one pass.
+Each set of labels has every seed's folds drawn once, as one ``(seeds,
+rows)`` stack: Initial's serves PCA, whose reduction keeps the labels, and
+every leak-free model.  One ``metrics.tally`` call per dataset pools each
+seed's held-out predictions of a method into one confusion matrix, one
+``metric_rows`` call summarises every (seed, method) table of the run, and
+a method's row is the mean over seeds with min/max and medians retained.  A
+fixed dataset is scored by one ``naive_bayes.cross_val_predict`` call for
+all seeds, which fits the (seed, fold) models in shared blocks.
+Leave-one-out gives every seed the same folds, so under ``whole-dataset`` a
+config may give it only one seed.
 
 ``resample_scope`` controls where oversampling happens: ``whole-dataset``
 resamples once up front (synthetic neighbours of test points may then appear
 in training — the historical protocol this harness reproduces) and
 cross-validates each of the five datasets on its own, while
 ``train-folds-only`` resamples inside each training fold and tests only on
-original samples.  There one scorer call handles every (seed, fold) model:
-each model runs one SMOTE chain on its training fold, so SMOTEi is the
-first i stages of that chain, and needs two naive Bayes fits, of the
-training fold and of the chain's last set, from which
+original samples.  There one ``_leak_free_predictions`` call handles every
+(seed, fold) model: each model runs one SMOTE chain on its training fold,
+so SMOTEi is the first i stages of that chain, and needs two naive Bayes
+fits, of the training fold and of the chain's last set, from which
 ``naive_bayes.chain_predict`` scores PCA and every stage.  Models that
 retain the same number of components are scored in blocks, stacked one
 class at a time: for each class one ``naive_bayes.stack_moments`` pass fits
@@ -122,31 +124,25 @@ def _summarise(rows: list[tuple[int, MetricRow]]) -> EvalSummary:
     )
 
 
-def _cross_validate(
-    base: Dataset, protocol: str, k: int, seeds, names: list[str], scorer
-) -> list[EvalSummary]:
-    """The one seeded cross-validation driver: every method scored for every seed.
-
-    ``scorer(stack)`` takes the ``(len(seeds), n)`` stack of fold
-    assignments and returns ``(predictions, widths)``: int64 predictions of
-    shape ``(len(seeds), len(names), n)``, one held-out prediction per seed,
-    method and row of ``base``, and each seed's feature count.  Each
-    method's predictions are pooled into one confusion matrix per seed, all
-    of them tallied at once and summarised by one ``metric_rows`` call; a
-    summary's ``n_features`` is the last seed's width.
-    """
+def _fold_stack(ds: Dataset, protocol: str, k: int, seeds) -> np.ndarray:
+    """Every seed's fold assignment of ``ds``, as one ``(len(seeds), n)``
+    stack; a class of fewer than two rows raises ``DataError``."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    for name, count in zip(base.class_names, class_counts(base)):
+    for name, count in zip(ds.class_names, class_counts(ds)):
         if count < 2:
             raise DataError(
-                f"{base.provenance}: class {name} has {count} sample(s); "
-                "need at least 2"
+                f"{ds.provenance}: class {name} has {count} sample(s); need at least 2"
             )
-    n_folds = base.n_samples if protocol == "leave-one-out" else k
-    stack = stratified_fold_stack(base, n_folds, seeds)
-    predicted, widths = scorer(stack)
-    rows = metric_rows(tally(base.labels, predicted, base.n_classes), names, widths)
+    n_folds = ds.n_samples if protocol == "leave-one-out" else k
+    return stratified_fold_stack(ds, n_folds, seeds)
+
+
+def _summaries(counts: np.ndarray, names: list[str], widths, seeds) -> list[EvalSummary]:
+    """Each method's summary of the confusion tables ``counts`` (S, M, C, C),
+    one per seed and method, table (s, m) ``widths[s][m]`` features wide; all
+    are summarised by one ``metric_rows`` call."""
+    rows = metric_rows(counts, names, widths)
     return [
         _summarise([(seed, by_method[m]) for seed, by_method in zip(seeds, rows)])
         for m in range(len(names))
@@ -158,11 +154,9 @@ def evaluate_dataset(
 ) -> EvalSummary:
     """Seeded cross-validation of naive Bayes on one fixed dataset; every
     (seed, fold) model is fitted and scored by one ``cross_val_predict`` call."""
-
-    def scorer(stack):
-        return cross_val_predict(ds, stack)[:, None], [ds.n_features] * len(stack)
-
-    return _cross_validate(ds, protocol, k, seeds, [method_name], scorer)[0]
+    predicted = cross_val_predict(ds, _fold_stack(ds, protocol, k, seeds))
+    counts = tally(ds.labels, predicted[:, None], ds.n_classes)
+    return _summaries(counts, [method_name], [[ds.n_features]] * len(seeds), seeds)[0]
 
 
 def _fold_provenance(base: Dataset, cfg: ExperimentConfig, seed_pos: int, fold: int) -> str:
@@ -422,26 +416,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     names = method_names(len(order_idx))
     ev = cfg.eval
-    scored = [(imputed, evaluate_dataset(imputed, ev.protocol, ev.k, ev.seeds, "Initial"))]
+    stack = _fold_stack(imputed, ev.protocol, ev.k, ev.seeds)
+    initial = cross_val_predict(imputed, stack)
     reduced = transform(pca_model, imputed)
     if ev.resample_scope == "whole-dataset":
-        datasets = [reduced] + balance_sequence(
-            reduced,
-            order_idx,
-            cfg.smote.per_class_target,
-            k=cfg.smote.k,
-            seed=cfg.smote.seed,
+        datasets = [imputed, reduced] + balance_sequence(
+            reduced, order_idx, cfg.smote.per_class_target, k=cfg.smote.k, seed=cfg.smote.seed
         )
-        scored += [
-            (ds, evaluate_dataset(ds, ev.protocol, ev.k, ev.seeds, name))
-            for ds, name in zip(datasets, names[1:])
+        # ``transform`` keeps the labels, so PCA's folds are Initial's
+        predicted = [initial, cross_val_predict(reduced, stack)] + [
+            cross_val_predict(ds, _fold_stack(ds, ev.protocol, ev.k, ev.seeds))
+            for ds in datasets[2:]
         ]
+        counts = np.stack(
+            [tally(ds.labels, p, ds.n_classes) for ds, p in zip(datasets, predicted)], axis=1
+        )
+        widths = [[ds.n_features for ds in datasets]] * len(ev.seeds)
     else:
-        def scorer(stack):
-            return _leak_free_predictions(imputed, cfg, reduced, order_idx, stack)
-
-        summaries = _cross_validate(imputed, ev.protocol, ev.k, ev.seeds, names[1:], scorer)
-        scored += [(imputed, summary) for summary in summaries]
+        datasets = [imputed] * len(names)
+        leak_free, retained = _leak_free_predictions(imputed, cfg, reduced, order_idx, stack)
+        predicted = np.concatenate([initial[:, None], leak_free], axis=1)
+        counts = tally(imputed.labels, predicted, imputed.n_classes)
+        widths = [[imputed.n_features] + [width] * (len(names) - 1) for width in retained]
 
     steps = tuple(
         StepResult(
@@ -451,7 +447,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             class_counts=class_counts(ds),
             summary=summary,
         )
-        for ds, summary in scored
+        for ds, summary in zip(datasets, _summaries(counts, names, widths, ev.seeds))
     )
     return ExperimentReport(
         config=asdict(cfg),

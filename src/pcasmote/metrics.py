@@ -5,8 +5,8 @@ columns.  Multiclass scalars reduce each class one-vs-rest and weight by the
 actual class frequency; with that convention the weighted recall equals the
 overall accuracy exactly.  Rates with a zero denominator are defined as 0.
 
-A cross-validation scores every (seed, method) table at once: :func:`tally`
-counts them with one ``np.bincount`` and :func:`metric_rows` computes their
+A run scores every (seed, method) table at once: :func:`tally` counts a
+dataset's with one ``np.bincount`` and :func:`metric_rows` computes their
 rates as arrays, by the operations of the per-class functions in their
 order, so each record equals :func:`metric_row` (the batch of one) of it.
 """
@@ -161,12 +161,12 @@ class MetricRow:
 
 def metric_row(cm: ConfusionMatrix, method_name: str, n_features: int) -> MetricRow:
     """Summarise a pooled confusion matrix into one record, a batch of one."""
-    return metric_rows(cm.counts[None, None], [method_name], [n_features])[0][0]
+    return metric_rows(cm.counts[None, None], [method_name], [[n_features]])[0][0]
 
 
 def metric_rows(counts: np.ndarray, method_names, n_features) -> list[list[MetricRow]]:
     """Records ``[s][m]`` of confusion tables ``counts`` (S, M, C, C): table
-    (s, m) summarised as method ``method_names[m]`` with ``n_features[s]``
+    (s, m) summarised as method ``method_names[m]`` with ``n_features[s][m]``
     features, by the operations of the per-class functions."""
     averages = [_weighted(counts, r) for r in _rates(*_one_vs_rest(counts))]
     total = counts.sum(axis=(2, 3))
@@ -175,7 +175,7 @@ def metric_rows(counts: np.ndarray, method_names, n_features) -> list[list[Metri
     return [
         [
             MetricRow(name, n_samples, width, *rates, missed)
-            for name, n_samples, *rates, missed in zip(method_names, *(col[s] for col in columns))
+            for name, width, n_samples, *rates, missed in zip(method_names, widths, *seed)
         ]
-        for s, width in enumerate(n_features)
+        for widths, *seed in zip(n_features, *columns)
     ]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,3 +514,31 @@ class TestExperimentCommand:
             assert main(["experiment", "--config", str(cfg), "-o", str(out_b)]) == 0
             for name in ("report.json", "report.csv", "accuracy.csv", "misclassified.csv"):
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["eval.seeds=1..3"],
+            ["eval.resample_scope=train-folds-only", "pca.fit_within_fold=true"],
+        ],
+        ids=["default-seeds-1..3", "train-folds-only+fit_within_fold"],
+    )
+    def test_reports_independent_of_blas_threads(self, tmp_path, default_config, overrides):
+        """``report.json`` and ``report.csv`` are the same bytes whether
+        BLAS runs on one thread or two."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / threads
+            argv = ["experiment", "--config", str(default_config), "-o", str(out)]
+            for pair in overrides:
+                argv += ["--set", pair]
+            subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+        assert reports[0] == reports[1]

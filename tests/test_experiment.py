@@ -12,7 +12,7 @@ from pcasmote import experiment, linalg, naive_bayes, pca
 from pcasmote.cli import main
 from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
 from pcasmote.errors import ConfigError, DataError, ResampleError
-from pcasmote.metrics import confusion_matrix, metric_row
+from pcasmote.metrics import confusion_matrix, metric_row, tally
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import (
     EvalSettings,
@@ -125,8 +125,8 @@ class TestEvaluateDataset:
 
 @st.composite
 def prediction_stacks(draw):
-    """Labels of 2 to 5 classes of at least two rows each, and a scorer's
-    random (seeds, methods, rows) predictions and per-seed widths."""
+    """Labels of 2 to 5 classes of at least two rows each, and random
+    (seeds, methods, rows) predictions and (seeds, methods) widths."""
     n_classes = draw(st.integers(2, 5))
     sizes = draw(st.lists(st.integers(2, 8), min_size=n_classes, max_size=n_classes))
     labels = np.array(draw(st.permutations(np.repeat(np.arange(n_classes), sizes).tolist())))
@@ -134,7 +134,10 @@ def prediction_stacks(draw):
     predicted = draw(hnp.arrays(
         np.int64, (n_seeds, n_methods, labels.size), elements=st.integers(0, n_classes - 1)
     ))
-    widths = draw(st.lists(st.integers(1, 60), min_size=n_seeds, max_size=n_seeds))
+    widths = draw(st.lists(
+        st.lists(st.integers(1, 60), min_size=n_methods, max_size=n_methods),
+        min_size=n_seeds, max_size=n_seeds,
+    ))
     return labels, n_classes, predicted, widths
 
 
@@ -142,30 +145,21 @@ class TestCrossValidateMetrics:
     @settings(max_examples=100, deadline=None)
     @given(problem=prediction_stacks())
     def test_batched_rows_equal_one_confusion_matrix_each(self, problem):
-        """Every per-seed row that the one batched tally gives equals
-        ``metric_row`` of that seed's and method's own confusion matrix, and
-        holds Python numbers, as the report writers take them."""
+        """Every per-seed row that the one batched tally and ``metric_rows``
+        call give equals ``metric_row`` of that seed's and method's own
+        confusion matrix and width, and holds Python numbers, as the report
+        writers take them."""
         labels, n_classes, predicted, widths = problem
-        ds = Dataset(
-            features=np.zeros((labels.size, 1)),
-            labels=labels,
-            class_names=tuple(f"c{i}" for i in range(n_classes)),
-            feature_names=("f0",),
-        )
         seeds = tuple(range(11, 11 + len(predicted)))
         names = [f"m{i}" for i in range(predicted.shape[1])]
-
-        def scorer(stack):
-            assert stack.shape == (len(seeds), labels.size)
-            return predicted, widths
-
-        summaries = experiment._cross_validate(ds, "k-fold", 2, seeds, names, scorer)
+        counts = tally(labels, predicted, n_classes)
+        summaries = experiment._summaries(counts, names, widths, seeds)
         assert len(summaries) == len(names)
         for m, summary in enumerate(summaries):
             assert [seed for seed, _ in summary.per_seed] == list(seeds)
             for s, (_, row) in enumerate(summary.per_seed):
                 cm = confusion_matrix(labels, predicted[s, m], n_classes)
-                assert row == metric_row(cm, names[m], widths[s])
+                assert row == metric_row(cm, names[m], widths[s][m])
                 assert {type(v) for v in row.as_dict().values()} <= {str, int, float}
 
 
@@ -228,9 +222,10 @@ class TestRunExperiment:
         assert [s.method_name for s in report.steps] == ["Initial", "PCA"]
 
     def test_one_fold_draw_and_one_scorer_call_per_dataset(self, data_file, monkeypatch):
-        """A 20-seed ``whole-dataset`` run draws each of its five datasets'
-        folds once, for all seeds, and scores all their (seed, fold) models
-        with one ``cross_val_predict`` call."""
+        """A 20-seed ``whole-dataset`` run draws the folds of each distinct
+        set of labels once, for all seeds: Initial's stack also serves PCA,
+        whose reduction keeps the labels.  Each of the five datasets has all
+        its (seed, fold) models scored by one ``cross_val_predict`` call."""
         draws, scored = [], []
         stratified_fold_stack = experiment.stratified_fold_stack
         cross_val_predict = experiment.cross_val_predict
@@ -246,9 +241,31 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "stratified_fold_stack", recording_draw)
         monkeypatch.setattr(experiment, "cross_val_predict", recording_scorer)
         run_experiment(default_config(data_file))
-        sizes = [32, 32, 41, 49, 54]
-        assert draws == [(n, 10, tuple(range(1, 21))) for n in sizes]
-        assert scored == [(20, n) for n in sizes]
+        assert draws == [(n, 10, tuple(range(1, 21))) for n in [32, 41, 49, 54]]
+        assert scored == [(20, n) for n in [32, 32, 41, 49, 54]]
+
+    @pytest.mark.parametrize(
+        "scope, refit, draws",
+        [("whole-dataset", False, 4), ("train-folds-only", False, 1), ("train-folds-only", True, 1)],
+        ids=["whole-dataset", "train-folds-only", "train-folds-only+fit_within_fold"],
+    )
+    def test_one_metric_rows_call_per_run(self, data_file, monkeypatch, scope, refit, draws):
+        """Every method of a run, in either scope, is summarised by one
+        ``metric_rows`` call on one (seeds, methods) stack of tables, and
+        only the SMOTE datasets of ``whole-dataset`` draw folds of their own."""
+        calls = Counter()
+        for name in ("stratified_fold_stack", "metric_rows"):
+            original = getattr(experiment, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(experiment, name, counted)
+        cfg = default_config(data_file, seeds=(1, 2), resample_scope=scope)
+        cfg.pca = PcaSettings(fit_within_fold=refit)
+        run_experiment(cfg)
+        assert calls == Counter(stratified_fold_stack=draws, metric_rows=1)
 
     @pytest.mark.parametrize(
         "override, section, changes",
@@ -355,19 +372,28 @@ class TestTrainFoldsOnlyScope:
         """The rows that PCA and the SMOTE stages score for a (seed, fold)
         model are exactly that fold's original test rows: under the global
         PCA, their rows of the dataset reduced once; under a refit, the
-        fold's test rows reduced by it.  Initial is scored on the same folds
-        beforehand."""
+        fold's test rows reduced by it.  The folds are drawn once, and
+        Initial is scored on them beforehand."""
         cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
         cfg.pca = PcaSettings(fit_within_fold=fit_within_fold)
-        assignments, blocks, scored = [], [], []
+        draws, stacks, blocks, scored = [], [], [], []
         stratified_fold_stack = experiment.stratified_fold_stack
+        cross_val_predict = experiment.cross_val_predict
+        leak_free_predictions = experiment._leak_free_predictions
         score_models = experiment._score_models
         chain_predict = experiment.chain_predict
 
         def recording_folds(*args):
-            stack = stratified_fold_stack(*args)
-            assignments.extend(stack)   # one fold assignment per seed
-            return stack
+            draws.append(stratified_fold_stack(*args))
+            return draws[-1]
+
+        def recording_initial(ds, stack):
+            stacks.append(("Initial", stack))
+            return cross_val_predict(ds, stack)
+
+        def recording_leak_free(*args):
+            stacks.append(("leak-free", args[-1]))
+            return leak_free_predictions(*args)
 
         def recording_block(*args):
             blocks.append(list(zip(args[-3].tolist(), args[-2].tolist())))   # (seed, fold)
@@ -378,15 +404,19 @@ class TestTrainFoldsOnlyScope:
             return chain_predict(rows, model, first, last, order)
 
         monkeypatch.setattr(experiment, "stratified_fold_stack", recording_folds)
+        monkeypatch.setattr(experiment, "cross_val_predict", recording_initial)
+        monkeypatch.setattr(experiment, "_leak_free_predictions", recording_leak_free)
         monkeypatch.setattr(experiment, "_score_models", recording_block)
         monkeypatch.setattr(experiment, "chain_predict", recording_chain)
         run_experiment(cfg)
 
-        # Initial's folds come first, one per seed, and equal the other methods'
-        initial_folds, assignments = assignments[:2], assignments[2:]
-        assert len(assignments) == 2
-        for initial_fold_of, fold_of in zip(initial_folds, assignments):
-            assert np.array_equal(initial_fold_of, fold_of)
+        # one draw, one fold assignment per seed, scores Initial first and
+        # then the other methods
+        assert len(draws) == 1 and draws[0].shape == (2, 32)
+        assert [(name, stack is draws[0]) for name, stack in stacks] == [
+            ("Initial", True), ("leak-free", True),
+        ]
+        assignments = list(draws[0])
         # the 20 models in order, in one block under the global PCA; under a
         # refit, 19 folds retain 17 components and seed 2's fold 10 retains
         # 18, so two blocks; a block's models are numbered from 0

@@ -250,20 +250,22 @@ class TestMetricRow:
     )
     def test_batch_equals_one_table_at_a_time(self, tables, n_methods):
         """``metric_rows`` of a (seeds, methods) stack of tables, empty rows and
-        columns included, gives each table the record ``metric_row`` gives it."""
+        columns included, and a width per seed and method, gives each table
+        the record ``metric_row`` gives it at its width."""
         tables = [t for t in tables if sum(map(sum, t))]
         assume(len(tables) >= n_methods)
         n_seeds = len(tables) // n_methods
         counts = np.array(tables[: n_seeds * n_methods])
         counts = counts.reshape(n_seeds, n_methods, *counts.shape[1:])
-        names, widths = [f"m{m}" for m in range(n_methods)], list(range(3, 3 + n_seeds))
+        names = [f"m{m}" for m in range(n_methods)]
+        widths = [[3 + s * n_methods + m for m in range(n_methods)] for s in range(n_seeds)]
         rows = metric_rows(counts, names, widths)
         assert rows == [
             [
                 metric_row(ConfusionMatrix(counts=table), name, width)
-                for table, name in zip(by_method, names)
+                for table, name, width in zip(by_method, names, seed_widths)
             ]
-            for by_method, width in zip(counts, widths)
+            for by_method, seed_widths in zip(counts, widths)
         ]
 
 

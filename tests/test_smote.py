@@ -417,9 +417,7 @@ class TestSyntheticRows:
         for rows, mask, seed in zip(got, kept, [1, 2, 3]):
             assert np.array_equal(rows, appended_rows(ds.subset(np.flatnonzero(mask)), 0, 9, 6, seed))
 
-
-class TestRestrictRanking:
-    """A run reads its neighbours from a ranking of more rows than it keeps."""
+    # a run reads its neighbours from a ranking of more rows than it keeps
 
     @settings(max_examples=300, deadline=None)
     @given(batch=synthesis_batches())

@@ -3,10 +3,11 @@
 
 Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
 experiment --config configs/default.cfg`` is run in that tree under every
-override set in ``CONFIGS``, then ``reduce`` and ``train`` under every set in
-``MODEL_CONFIGS``.  Every output file but ``run_meta.json`` (which holds
-timings and the command line) is compared byte for byte: the reports and
-figure CSVs, ``pca_model.txt``, ``reduced.csv`` and ``nb_model.txt``.  One
+override set in ``CONFIGS``, then ``reduce``, ``train`` and ``evaluate`` under
+every set in ``MODEL_CONFIGS``.  Every output file but ``run_meta.json``
+(which holds timings and the command line) is compared byte for byte: the
+reports and figure CSVs, ``pca_model.txt``, ``reduced.csv``,
+``nb_model.txt`` and ``evaluation.csv``.  One
 line per config says whether the two runs agree and, if not, which files
 differ.
 The generated cohort of the ``large-cohort`` benchmark workload (workload
@@ -120,8 +121,10 @@ CONFIGS = (
     )),
 )
 
-#: (name, subcommand, ``--set`` overrides) of the runs that write model files:
-#: the reducer under both modes, at the default threshold and at full rank
+#: (name, subcommand, ``--set`` overrides) of the single-stage runs: the
+#: reducer under both modes, at the default threshold and at full rank, the
+#: trainer, and the cross-validation of one dataset, whose ``evaluation.csv``
+#: no experiment writes
 MODEL_CONFIGS = (
     ("reduce correlation", "reduce", ()),
     ("reduce correlation+pca.threshold=1.0", "reduce", ("pca.threshold=1.0",)),
@@ -138,6 +141,9 @@ MODEL_CONFIGS = (
         f"dataset={COHORT}", "pca.mode=covariance", "pca.threshold=1.0",
     )),
     ("train", "train", ()),
+    ("evaluate", "evaluate", ()),
+    ("evaluate loo seed 1", "evaluate", ("eval.protocol=leave-one-out", "eval.seeds=1")),
+    ("evaluate cohort", "evaluate", (f"dataset={COHORT}",)),
 )
 
 
