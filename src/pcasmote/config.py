@@ -101,6 +101,7 @@ KEYS = {
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
     values: dict = {}
+    set_on: dict = {}   # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,34 +109,47 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(
+                f"{source}: config key {key!r} is set twice, on lines {set_on[key]} and {lineno}"
+            )
+        set_on[key] = lineno
         values[key] = value
     return values
 
 
-def _flatten_json(obj: dict, source: str, prefix: str = "") -> dict:
-    flat: dict = {}
-    for key, value in obj.items():
-        dotted = f"{prefix}{key}"
+def _spelling(keys: tuple) -> str:
+    """A key path as written in JSON: ``{"eval": {"seeds": …}}``."""
+    return "".join(f"{{{json.dumps(k)}: " for k in keys) + "…" + "}" * len(keys)
+
+
+def _json_settings(obj: tuple, source: str, path: tuple = ()):
+    """(key path, value text) of each setting in a JSON object parsed with
+    ``object_pairs_hook=tuple``: an object is a tuple of (key, value) pairs,
+    so a key written twice is seen, not merged away."""
+    for key, value in obj:
+        keys = (*path, key)
+        dotted = ".".join(keys)
         if value is None or (isinstance(value, list) and None in value):
             raise ConfigError(f"{source}: config key {dotted!r} is null")
-        if isinstance(value, dict):
-            flat.update(_flatten_json(value, source, prefix=f"{dotted}."))
+        if isinstance(value, tuple):
+            yield from _json_settings(value, source, keys)
         elif isinstance(value, list):
-            nested = any(isinstance(v, (list, dict)) for v in value)
+            nested = any(isinstance(v, (list, tuple)) for v in value)
             if nested or KEYS.get(dotted, _parse_order) not in (_parse_order, _parse_seeds):
                 what = "a nested list" if nested else "a list, but takes one value"
                 raise ConfigError(f"{source}: config key {dotted!r} is {what}")
-            flat[dotted] = ",".join(str(v) for v in value)
+            yield keys, ",".join(str(v) for v in value)
         elif isinstance(value, bool):
-            flat[dotted] = "true" if value else "false"
+            yield keys, "true" if value else "false"
         else:
-            flat[dotted] = str(value)
-    return flat
+            yield keys, str(value)
 
 
 def read_config_file(path) -> dict:
     """Raw key -> value-text mapping from a config file; a file that cannot
-    be read, is not UTF-8 or is malformed raises ``ConfigError`` naming it."""
+    be read, is not UTF-8, is malformed or sets a key twice raises
+    ``ConfigError`` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -143,12 +157,21 @@ def read_config_file(path) -> dict:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from None
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=tuple)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(data, dict):
+        if not isinstance(data, tuple):
             raise ConfigError(f"{path}: JSON config must be an object")
-        return _flatten_json(data, str(path))
+        values, spelled = {}, {}   # dotted key -> value text, and the key path that set it
+        for keys, value in _json_settings(data, str(path)):
+            dotted = ".".join(keys)
+            if dotted in spelled:
+                raise ConfigError(
+                    f"{path}: config key {dotted!r} is set twice, as "
+                    f"{_spelling(spelled[dotted])} and as {_spelling(keys)}"
+                )
+            values[dotted], spelled[dotted] = value, keys
+        return values
     return parse_kv_text(text, source=str(path))
 
 

@@ -76,16 +76,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
-    def equals(self, other: "Dataset") -> bool:
-        """Bitwise feature equality plus identical labels and names."""
-        return (
-            self.class_names == other.class_names
-            and self.feature_names == other.feature_names
-            and self.features.shape == other.features.shape
-            and bool(np.array_equal(self.features, other.features, equal_nan=True))
-            and bool(np.array_equal(self.labels, other.labels))
-        )
-
 
 def _ascii_lines(path):
     """(line number, stripped line) pairs; ``DataError`` on a non-ASCII byte."""
@@ -177,8 +167,8 @@ def read_dataset_csv(path) -> Dataset:
     this toolkit produces (loaders emit sorted names), making the round trip
     exact.  A ``nan`` cell is missing, as :func:`write_dataset_csv` writes
     it; an infinite cell raises ``DataError`` naming file, line and column,
-    as do a non-ASCII byte (file and line) and a header without a feature
-    column.
+    as do a non-ASCII byte or an empty class cell (file and line) and a
+    header without a feature column.
     """
     lines = _ascii_lines(path)
     _, header = next(lines, (1, ""))
@@ -223,6 +213,9 @@ def read_dataset_csv(path) -> Dataset:
     if not rows:
         raise DataError(f"{path}: no data rows")
     class_names = tuple(sorted(set(names_seen)))
+    if class_names[0] == "":   # sorts first; its line is sought only now
+        lineno = next(n for n, line in _ascii_lines(path) if n > 1 and line.endswith(","))
+        raise DataError(f"{path}: line {lineno}: empty class cell")
     index = {name: i for i, name in enumerate(class_names)}
     return Dataset(
         features=np.array(rows, dtype=np.float64),
@@ -279,13 +272,6 @@ def impute_missing(ds: Dataset, strategy: str) -> Dataset:
 def class_counts(ds: Dataset) -> list[int]:
     """Per-class sample counts in ``class_names`` order."""
     return np.bincount(ds.labels, minlength=ds.n_classes).tolist()
-
-
-def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
-    """Deterministic, stratified k-fold assignment: a read-only int64 array
-    whose entry i is row i's fold, in 0..k-1; the one-seed row of
-    :func:`stratified_fold_stack`."""
-    return stratified_fold_stack(ds, k, (seed,))[0]
 
 
 def stratified_fold_stack(ds: Dataset, k: int, seeds) -> np.ndarray:

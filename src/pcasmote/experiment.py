@@ -54,10 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, linalg
-from .config import (  # the settings are importable from here as well
-    PROTOCOLS, RESAMPLE_SCOPES, EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings,
-    validate_config,
-)
+from .config import PROTOCOLS, ExperimentConfig, validate_config
 from .dataset import (
     Dataset,
     class_counts,

@@ -8,7 +8,7 @@ overall accuracy exactly.  Rates with a zero denominator are defined as 0.
 A run scores every (seed, method) table at once: :func:`tally` counts a
 dataset's with one ``np.bincount`` and :func:`metric_rows` computes their
 rates as arrays, by the operations of the per-class functions in their
-order, so each record equals :func:`metric_row` (the batch of one) of it.
+order, so each record's rates equal theirs on its table.
 """
 
 from __future__ import annotations
@@ -157,11 +157,6 @@ class MetricRow:
             "recall": self.recall,
             "misclassified": self.misclassified,
         }
-
-
-def metric_row(cm: ConfusionMatrix, method_name: str, n_features: int) -> MetricRow:
-    """Summarise a pooled confusion matrix into one record, a batch of one."""
-    return metric_rows(cm.counts[None, None], [method_name], [[n_features]])[0][0]
 
 
 def metric_rows(counts: np.ndarray, method_names, n_features) -> list[list[MetricRow]]:

@@ -76,11 +76,6 @@ def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
     return ranking
 
 
-def _neighbor_table(pts: np.ndarray, k: int) -> np.ndarray:
-    """Row i lists the ``k`` nearest other rows to ``pts[i]`` by (distance, index)."""
-    return neighbor_ranking(pts, k + 1)[:, 1:]
-
-
 def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int]:
     """Indices of the ``min(k, rows-1)`` nearest rows to ``points[idx]``.
 
@@ -96,7 +91,7 @@ def nearest_minority_neighbors(points: np.ndarray, idx: int, k: int) -> list[int
         raise ValueError(f"row index {idx} out of range")
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _neighbor_table(pts, min(k, n - 1))[idx].tolist()
+    return neighbor_ranking(pts, min(k, n - 1) + 1)[idx, 1:].tolist()
 
 
 def _interpolate(sample, neighbor, u):

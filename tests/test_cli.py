@@ -129,6 +129,25 @@ class TestValidation:
         assert "k=40" in err
         assert "number of samples (32)" in err
 
+    def test_key_set_twice_is_usage_error(self, tmp_path, data_file, capsys):
+        cfg = write_config(tmp_path, data_file, "eval.seeds = 1..3\neval.seeds = 4..5\n")
+        assert main(["inspect", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error[usage]" in err
+        assert f"{cfg}: config key 'eval.seeds' is set twice, on lines 2 and 3" in err
+        # a key the file sets once may still be overridden on the command line
+        cfg = write_config(tmp_path, data_file, "eval.seeds = 1..3\n")
+        assert main(["inspect", "--config", str(cfg), "--set", "eval.seeds=4..5"]) == 0
+
+    def test_empty_class_cell_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        csv.write_text("x,class\n0.0,a\n1.0,a\n2.0,\n3.0,b\n4.0,b\n")
+        cfg = write_config(tmp_path, csv, "eval.k = 2\n")
+        assert main(["inspect", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err
+        assert f"{csv}: line 4: empty class cell" in err
+
     def test_reversed_seed_range_named(self, tmp_path, data_file, capsys):
         cfg = write_config(tmp_path, data_file)
         code = main(["inspect", "--config", str(cfg), "--set", "eval.seeds=5..1"])
@@ -519,13 +538,17 @@ class TestExperimentCommand:
         "overrides",
         [
             ["eval.seeds=1..3"],
+            ["eval.resample_scope=train-folds-only"],
             ["eval.resample_scope=train-folds-only", "pca.fit_within_fold=true"],
         ],
-        ids=["default-seeds-1..3", "train-folds-only+fit_within_fold"],
+        ids=["default-seeds-1..3", "train-folds-only", "train-folds-only+fit_within_fold"],
     )
     def test_reports_independent_of_blas_threads(self, tmp_path, default_config, overrides):
-        """``report.json`` and ``report.csv`` are the same bytes whether
-        BLAS runs on one thread or two."""
+        """``report.json``, ``report.csv`` and the five figure CSVs are the
+        same bytes whether BLAS runs on one thread or two, set in the
+        child's environment only."""
+        figures = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
+        names = ["report.json", "report.csv"] + [f"{m}.csv" for m in figures]
         src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
         reports = []
@@ -540,5 +563,6 @@ class TestExperimentCommand:
                 [sys.executable, "-c", code, *argv],
                 env=env, capture_output=True, check=True, timeout=120,
             )
-            reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+            assert sorted(p.name for p in out.iterdir()) == sorted(names + ["run_meta.json"])
+            reports.append([(out / name).read_bytes() for name in names])
         assert reports[0] == reports[1]

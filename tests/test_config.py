@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcasmote.config import KEYS, build_config, load_config
+from pcasmote.config import (
+    KEYS, PROTOCOLS, RESAMPLE_SCOPES, ExperimentConfig, build_config, load_config,
+)
 from pcasmote.dataset import IMPUTE_STRATEGIES
 from pcasmote.errors import ConfigError
-from pcasmote.experiment import PROTOCOLS, RESAMPLE_SCOPES, ExperimentConfig
 
 # text the `key = value` format can carry: no '#', no line break, no edge space
 _plain_text = st.text(
@@ -103,6 +104,37 @@ def test_repeated_seed_rejected(seeds, repeated):
     values = {"dataset": "data/lung-cancer.data", "eval.seeds": seeds}
     with pytest.raises(ConfigError, match=rf"eval\.seeds lists seed {repeated} more than once"):
         build_config(values)
+
+
+def test_key_set_twice_in_text_file_rejected(tmp_path):
+    """The second setting would silently win; both lines are named."""
+    path = tmp_path / "run.cfg"
+    path.write_text("dataset = x\neval.seeds = 1..3\n# later\n\neval.seeds = 4..5\n")
+    message = f"{path}: config key 'eval.seeds' is set twice, on lines 2 and 5"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+
+
+NESTED, DOTTED = '{"eval": {"seeds": …}}', '{"eval.seeds": …}'
+
+
+@pytest.mark.parametrize(
+    "document, key, first, second",
+    [
+        ('{"eval": {"seeds": [1, 2]}, "eval.seeds": "4..5"}', "eval.seeds", NESTED, DOTTED),
+        ('{"eval.seeds": "4..5", "eval": {"k": 3, "seeds": [1]}}', "eval.seeds", DOTTED, NESTED),
+        ('{"eval": {"seeds": [1]}, "eval": {"seeds": [2]}}', "eval.seeds", NESTED, NESTED),
+        ('{"dataset": "x", "dataset": "y"}', "dataset", '{"dataset": …}', '{"dataset": …}'),
+    ],
+    ids=["nested-then-dotted", "dotted-then-nested", "one-spelling-twice", "top-level-twice"],
+)
+def test_key_set_twice_in_json_file_rejected(tmp_path, document, key, first, second):
+    """Both spellings of the key are named, as written."""
+    path = tmp_path / "run.json"
+    path.write_text(document, encoding="utf-8")
+    message = f"{path}: config key {key!r} is set twice, as {first} and as {second}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
 
 
 def test_readme_table_default_config_and_dataclasses_agree():

@@ -10,19 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from pcasmote import experiment, linalg, naive_bayes, pca
 from pcasmote.cli import main
-from pcasmote.dataset import Dataset, stratified_folds, write_dataset_csv
+from pcasmote.config import EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings
+from pcasmote.dataset import Dataset, stratified_fold_stack, write_dataset_csv
 from pcasmote.errors import ConfigError, DataError, ResampleError
-from pcasmote.metrics import confusion_matrix, metric_row, tally
+from pcasmote.metrics import confusion_matrix, metric_rows, tally
 from pcasmote.pca import fit_pca, transform
-from pcasmote.experiment import (
-    EvalSettings,
-    ExperimentConfig,
-    PcaSettings,
-    SmoteSettings,
-    evaluate_dataset,
-    method_names,
-    run_experiment,
-)
+from pcasmote.experiment import evaluate_dataset, method_names, run_experiment
 from pcasmote.naive_bayes import fit_nb, predict_matrix
 from pcasmote.rng import Rng, derive_seed
 from pcasmote.smote import balance_sequence
@@ -146,8 +139,8 @@ class TestCrossValidateMetrics:
     @given(problem=prediction_stacks())
     def test_batched_rows_equal_one_confusion_matrix_each(self, problem):
         """Every per-seed row that the one batched tally and ``metric_rows``
-        call give equals ``metric_row`` of that seed's and method's own
-        confusion matrix and width, and holds Python numbers, as the report
+        call give equals ``metric_rows`` of a batch of one: that seed's and
+        method's own confusion matrix and width, and holds Python numbers, as the report
         writers take them."""
         labels, n_classes, predicted, widths = problem
         seeds = tuple(range(11, 11 + len(predicted)))
@@ -159,7 +152,7 @@ class TestCrossValidateMetrics:
             assert [seed for seed, _ in summary.per_seed] == list(seeds)
             for s, (_, row) in enumerate(summary.per_seed):
                 cm = confusion_matrix(labels, predicted[s, m], n_classes)
-                assert row == metric_row(cm, names[m], widths[s][m])
+                assert row == metric_rows(cm.counts[None, None], [names[m]], [[widths[s][m]]])[0][0]
                 assert {type(v) for v in row.as_dict().values()} <= {str, int, float}
 
 
@@ -450,7 +443,7 @@ class TestTrainFoldsOnlyScope:
         report = run_experiment(cfg)
         expected = [
             fit_pca(
-                lung.subset(np.flatnonzero(stratified_folds(lung, 10, seed) != 9)),
+                lung.subset(np.flatnonzero(stratified_fold_stack(lung, 10, (seed,))[0] != 9)),
                 cfg.pca.threshold,
                 cfg.pca.mode,
             ).retained

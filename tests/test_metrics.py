@@ -9,7 +9,6 @@ from pcasmote.metrics import (
     accuracy,
     confusion_matrix,
     fp_rate,
-    metric_row,
     metric_rows,
     one_vs_rest,
     precision,
@@ -17,6 +16,11 @@ from pcasmote.metrics import (
     tally,
     weighted_average,
 )
+
+
+def metric_row(cm, method_name, n_features):
+    """The record of one confusion matrix: ``metric_rows`` of a batch of one."""
+    return metric_rows(cm.counts[None, None], [method_name], [[n_features]])[0][0]
 
 
 def random_cm(rng, n_classes=3, high=20):

@@ -14,7 +14,6 @@ from pcasmote.rng import Rng
 from pcasmote.smote import (
     SmoteConfig,
     _interpolate,
-    _neighbor_table,
     balance_sequence,
     nearest_minority_neighbors,
     neighbor_ranking,
