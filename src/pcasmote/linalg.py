@@ -1,5 +1,6 @@
-"""Minimal dense linear algebra: sample covariance, a symmetric eigensolver
-and the one rule that sizes every batched kernel's blocks.
+"""Minimal dense linear algebra: sample covariance and its n x n Gram dual,
+a symmetric eigensolver with its sign rule, and the one rule that sizes
+every batched kernel's blocks.
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order; a
 stack of them (G, rows, cols) is taken in one call, with the bits each
@@ -47,16 +48,30 @@ def covariance_matrix(m) -> np.ndarray:
     The result is symmetrised explicitly so downstream symmetry checks hold
     to machine precision.
     """
+    return _centred_products(m, gram=False)[1]
+
+
+def gram_matrix(m):
+    """``(C, C Cᵀ / (n-1))`` for the column-centred rows ``C`` of ``m`` (n, f),
+    or of each matrix of a stack (G, n, f): the n x n dual of
+    ``covariance_matrix``, centred and symmetrised the same way.  Its nonzero
+    eigenvalues are the covariance's, and an eigenvector ``u`` of it gives the
+    covariance's eigenvector ``Cᵀ u`` up to its norm."""
+    return _centred_products(m, gram=True)
+
+
+def _centred_products(m, gram: bool):
     a = _as_matrix(m)
     n = a.shape[-2]
     if n < 2:
         raise ValueError("covariance needs at least two rows")
     centered = a - a.mean(axis=-2, keepdims=True)
-    cov = np.swapaxes(centered, -1, -2) @ centered
-    cov /= n - 1   # in place, here and below: a stack's temporaries are large
-    cov = cov + np.swapaxes(cov, -1, -2)
-    cov /= 2.0
-    return cov
+    transposed = np.swapaxes(centered, -1, -2)
+    product = centered @ transposed if gram else transposed @ centered
+    product /= n - 1   # in place, here and below: a stack's temporaries are large
+    product = product + np.swapaxes(product, -1, -2)
+    product /= 2.0
+    return centered, product
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,7 @@ class EigenDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
     Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.  Each
-    column is sign-fixed so its entry of largest magnitude (lowest index on
-    ties) is nonnegative.
+    column is sign-fixed by ``fix_signs``.
     """
 
     eigenvalues: np.ndarray
@@ -107,13 +121,17 @@ def symmetric_eigen(a):
     return [_finish(v, m) for v, m in zip(values, vecs)]
 
 
+def fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """``vecs`` with each column negated whose entry of largest magnitude
+    (lowest index on ties) is negative: the sign rule of every eigenvector."""
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return np.where(lead < 0.0, -vecs, vecs)
+
+
 def _finish(values: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vecs = vecs[:, order]
-    # each column's entry of largest magnitude, lowest index on ties
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = np.where(lead < 0.0, -vecs, vecs)
+    vecs = fix_signs(vecs[:, order])
     values.flags.writeable = False
     vecs.flags.writeable = False
     return EigenDecomposition(eigenvalues=values, eigenvectors=vecs)

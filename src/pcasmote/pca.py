@@ -2,7 +2,10 @@
 
 ``fit_pca`` eigendecomposes the covariance or correlation matrix of the
 training features and keeps the smallest number of leading components whose
-cumulative eigenvalue share reaches the requested threshold.  ``transform``
+cumulative eigenvalue share reaches the requested threshold.  A matrix with
+fewer rows n than features f has at most n - 1 nonzero eigenvalues, so its
+n x n Gram matrix is decomposed instead and the components are mapped back
+(see ``_basis``); the choice is by shape alone.  ``transform``
 projects rows through ``(x - mean) / scale @ components``.  The fit is stated
 once, for a stack of matrices: ``fit_pca`` is its stack of one, and
 ``fit_pca_subsets`` fits many row subsets of one matrix (the training folds
@@ -152,9 +155,14 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
     """The reducer of each (n, f) matrix of ``stack`` (G, n, f), or None where
     its column statistics or its ``mode`` matrix overflow float64.  One
     ``linalg.symmetric_eigen`` call decomposes every finite matrix; it
-    raises ``ConvergenceError`` if LAPACK fails on any."""
+    raises ``ConvergenceError`` if LAPACK fails on any.
+
+    The matrices are those of ``_basis``: f x f, or where n < f the n x n
+    Gram matrices, whose eigenvalues are padded with zeros to length f and
+    whose retained eigenvectors are mapped to components by ``_snapshot``.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, scale, basis = _basis(stack, mode)
+        mean, scale, basis, rows = _basis(stack, mode)
     finite = (
         np.isfinite(mean).all(axis=1)
         & np.isfinite(scale).all(axis=1)
@@ -163,13 +171,17 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
     models: list[PcaModel | None] = [None] * len(stack)
     if not finite.all():
         basis = basis[finite]
+    f = stack.shape[-1]
     for g, eig in zip(np.flatnonzero(finite).tolist(), linalg.symmetric_eigen(basis)):
-        retained = retained_for_threshold(eig.eigenvalues, threshold)
+        eigenvalues = np.zeros(f)
+        eigenvalues[: eig.eigenvalues.size] = eig.eigenvalues
+        retained = retained_for_threshold(eigenvalues, threshold)
+        vectors = eig.eigenvectors[:, :retained]
         models[g] = PcaModel(
             mean=mean[g],
             scale=scale[g],
-            components=eig.eigenvectors[:, :retained].copy(),
-            eigenvalues=eig.eigenvalues.copy(),
+            components=vectors.copy() if rows is None else _snapshot(rows[g], vectors),
+            eigenvalues=eigenvalues,
             retained=retained,
             variance_threshold=threshold,
             mode=mode,
@@ -178,17 +190,42 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
 
 
 def _basis(features: np.ndarray, mode: str):
-    """(column means, scales, matrices to decompose) of ``features`` (n, f),
-    or of each matrix of a stack (..., n, f), under ``mode``: the covariance
-    of the features, or of their z-scores (see ``SD_FLOOR``)."""
+    """(column means, scales, matrices to decompose, centred rows) of
+    ``features`` (n, f), or of each matrix of a stack (..., n, f), under
+    ``mode``, whose rows ``Z`` are the features or their z-scores (see
+    ``SD_FLOOR``).  With n >= f the matrix is the f x f covariance of ``Z``
+    and the rows are None.  With n < f the rows are the centred ``Z`` and
+    the matrix is their n x n Gram matrix: its eigenvalues are the
+    covariance's nonzero ones, at most n - 1 of them, and ``_snapshot``
+    maps its eigenvectors to the covariance's (the "snapshot" method of
+    Sirovich, 1987, and Turk & Pentland, 1991)."""
     mean = features.mean(axis=-2)
     if mode == "covariance":
-        return mean, np.ones(mean.shape), linalg.covariance_matrix(features)
-    sd = features.std(axis=-2, ddof=1)
-    scale = np.where(sd < SD_FLOOR, 1.0, sd)
-    z = features - mean[..., None, :]
-    z /= scale[..., None, :]
-    return mean, scale, linalg.covariance_matrix(z)
+        scale, z = np.ones(mean.shape), features
+    else:
+        sd = features.std(axis=-2, ddof=1)
+        scale = np.where(sd < SD_FLOOR, 1.0, sd)
+        z = features - mean[..., None, :]
+        z /= scale[..., None, :]
+    if features.shape[-2] >= features.shape[-1]:
+        return mean, scale, linalg.covariance_matrix(z), None
+    rows, gram = linalg.gram_matrix(z)
+    return mean, scale, gram, rows
+
+
+def _snapshot(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The covariance eigenvectors ``rowsᵀ u`` of the Gram eigenvectors ``u``
+    (n, m) of the centred ``rows`` (n, f), each divided by its norm (in exact
+    arithmetic ``sqrt((n-1) λ)``) and sign-fixed as ``linalg.symmetric_eigen``
+    fixes its own.  A column of zeros, from rows that are all equal, becomes
+    the unit vector the f x f path gives them."""
+    v = rows.T @ u
+    norm = np.linalg.norm(v, axis=0)
+    zero = np.flatnonzero(norm == 0.0)
+    v[zero, zero] = 1.0
+    norm[zero] = 1.0
+    v /= norm
+    return linalg.fix_signs(v)
 
 
 def project(model: PcaModel, features: np.ndarray) -> np.ndarray:

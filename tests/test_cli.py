@@ -535,20 +535,32 @@ class TestExperimentCommand:
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     @pytest.mark.parametrize(
-        "overrides",
+        "command,overrides",
         [
-            ["eval.seeds=1..3"],
-            ["eval.resample_scope=train-folds-only"],
-            ["eval.resample_scope=train-folds-only", "pca.fit_within_fold=true"],
+            ("experiment", ["eval.seeds=1..3"]),
+            ("experiment", ["eval.resample_scope=train-folds-only"]),
+            ("experiment", ["eval.resample_scope=train-folds-only", "pca.fit_within_fold=true"]),
+            ("reduce", ["pca.mode=correlation"]),
+            ("reduce", ["pca.mode=covariance"]),
         ],
-        ids=["default-seeds-1..3", "train-folds-only", "train-folds-only+fit_within_fold"],
+        ids=[
+            "default-seeds-1..3", "train-folds-only", "train-folds-only+fit_within_fold",
+            "reduce-correlation", "reduce-covariance",
+        ],
     )
-    def test_reports_independent_of_blas_threads(self, tmp_path, default_config, overrides):
-        """``report.json``, ``report.csv`` and the five figure CSVs are the
-        same bytes whether BLAS runs on one thread or two, set in the
-        child's environment only."""
+    def test_reports_independent_of_blas_threads(
+        self, tmp_path, default_config, command, overrides
+    ):
+        """``report.json``, ``report.csv`` and the five figure CSVs, or
+        ``reduce``'s ``pca_model.txt`` and ``reduced.csv`` (the bundled file's
+        fit takes the Gram path), are the same bytes whether BLAS runs on one
+        thread or two, set in the child's environment only."""
         figures = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
-        names = ["report.json", "report.csv"] + [f"{m}.csv" for m in figures]
+        names = (
+            ["pca_model.txt", "reduced.csv"] if command == "reduce"
+            else ["report.json", "report.csv"] + [f"{m}.csv" for m in figures]
+        )
+        written = names if command == "reduce" else names + ["run_meta.json"]
         src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
         reports = []
@@ -556,13 +568,13 @@ class TestExperimentCommand:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / threads
-            argv = ["experiment", "--config", str(default_config), "-o", str(out)]
+            argv = [command, "--config", str(default_config), "-o", str(out)]
             for pair in overrides:
                 argv += ["--set", pair]
             subprocess.run(
                 [sys.executable, "-c", code, *argv],
                 env=env, capture_output=True, check=True, timeout=120,
             )
-            assert sorted(p.name for p in out.iterdir()) == sorted(names + ["run_meta.json"])
+            assert sorted(p.name for p in out.iterdir()) == sorted(written)
             reports.append([(out / name).read_bytes() for name in names])
         assert reports[0] == reports[1]

@@ -190,13 +190,17 @@ class TestFitSubsets:
 
     def test_an_eigensolver_failure_marks_only_its_subset(self, lung, monkeypatch):
         """LAPACK failing on one fold's matrix fails the stack's ``eigh``;
-        the subsets are then refitted alone, and only that one is None."""
+        the subsets are then refitted alone, and only that one is None.  The
+        folds' Gram matrices are 28 x 28 and 29 x 29, so a stack is matched
+        on shape before its matrices are compared."""
         keep = training_folds(lung, 10, [1])
         bad = pca._basis(lung.features[keep[3]], "correlation")[2]
         eigh = np.linalg.eigh
 
         def failing(a):
-            if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, *bad.shape))):
+            if a.shape[-2:] == bad.shape and any(
+                np.array_equal(m, bad) for m in np.reshape(a, (-1, *bad.shape))
+            ):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigh(a)
 
@@ -282,6 +286,29 @@ class TestTransform:
         projected = transform(model, ds)
         assert np.abs(projected.features).max() == 0.0
 
+    @pytest.mark.parametrize("mode", ["covariance", "correlation"])
+    def test_constant_wide_dataset_maps_to_zero(self, mode):
+        """Fewer rows than features, all equal: the Gram matrix is zero, and
+        the one retained component is the first unit vector, as the 5 x 5
+        matrix gives, with no division of zero by zero."""
+        ds = dataset_from(np.ones((3, 5)))
+        model = fit_pca(ds, 0.9, mode)
+        assert model.retained == 1
+        assert model.components[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert model.eigenvalues.tolist() == [0.0] * 5
+        assert np.abs(transform(model, ds).features).max() == 0.0
+
+    @pytest.mark.parametrize("mode", ["covariance", "correlation"])
+    def test_wide_duplicated_rows_retain_their_rank(self, mode):
+        """Four distinct rows of nine features, each twice: the centred rows
+        have rank 3, and threshold 1.0 keeps exactly 3 components."""
+        distinct = np.random.default_rng(5).normal(size=(4, 9))
+        model = fit_pca(dataset_from(np.repeat(distinct, 2, axis=0)), 1.0, mode)
+        assert model.retained == 3
+        assert model.eigenvalues.shape == (9,)
+        gram = model.components.T @ model.components
+        assert np.abs(gram - np.eye(3)).max() < 1e-12
+
     def test_affine_linearity_of_rows(self, lung):
         model = fit_pca(lung, 0.90, "correlation")
         x = lung.features[0]
@@ -348,15 +375,15 @@ class TestSerialization:
 PINNED_NUMPY = "2.4.6"
 
 #: mode -> SHA-256 of ``reduce``'s (pca_model.txt, reduced.csv) for the
-#: bundled file and configs/default.cfg
+#: bundled file and configs/default.cfg, whose 32 x 56 fit takes the Gram path
 PINNED_REDUCE = {
     "correlation": (
-        "323fcdef8c94925e97b5e787a3624566cc393d68933df2240fe62ced21196183",
-        "af58911162484bfd96f82b230d0cf85fe820e2476353c404ff0e78b1769be270",
+        "56176cc3dcc7df66b240c94efad7883d6f8ac453a045a9c7f26382e9a3ab0cb0",
+        "be1b574b61a0819ea939f71fd1a9b6b20f306e6148c467bd20e7b22c074ad5d6",
     ),
     "covariance": (
-        "89c0d493ec735143d5dc26d1702e301640cddde5d3dd17894e3a5af740d40257",
-        "543b84dbd2c7ea3000c7d7ab3991a75bdf763af712e4f9e462c7cbe52041e707",
+        "9c1f0497030e4014784423184f6e5b802a5b68b6cb12221a5f42c3ecd486d7f4",
+        "326a10273897a7342544a3b7d6830292d715f2713cbb3755fd66d0c98ddbd8ea",
     ),
 }
 
@@ -377,3 +404,38 @@ def test_reduce_artifacts_pinned(tmp_path, default_config, mode):
         for name in ("pca_model.txt", "reduced.csv")
     )
     assert digests == PINNED_REDUCE[mode]
+
+
+def eigh_oracle(features, threshold, mode):
+    """(retained, eigenvalues, components) from ``np.linalg.eigh`` of the
+    f x f covariance of the features, or of their z-scores: the decomposition
+    ``fit_pca`` made before it took the Gram matrix of a wide one."""
+    z = features - features.mean(axis=0)
+    if mode == "correlation":
+        sd = features.std(axis=0, ddof=1)
+        z = z / np.where(sd < pca.SD_FLOOR, 1.0, sd)
+        z = z - z.mean(axis=0)
+    values, vectors = np.linalg.eigh(z.T @ z / (len(z) - 1))
+    values, vectors = values[::-1], vectors[:, ::-1]
+    retained = retained_for_threshold(values, threshold)
+    return retained, values, vectors[:, :retained]
+
+
+@pytest.mark.parametrize("mode", ["correlation", "covariance"])
+@pytest.mark.parametrize("threshold", [0.9, 1.0])
+def test_gram_path_matches_eigh_oracle(lung, mode, threshold):
+    """Every training fold of seeds 1..20 (k = 10) and of leave-one-out
+    seed 1, 28 to 31 rows of 56 features, against the f x f oracle: equal
+    retained counts, eigenvalues within 1e-13 of the largest, orthonormal
+    components within 1e-10 of the oracle's up to sign."""
+    keep = np.concatenate([
+        training_folds(lung, 10, range(1, 21)), training_folds(lung, 32, [1]),
+    ])
+    for in_train, fit in zip(keep, fit_pca_subsets(lung.features, keep, threshold, mode)):
+        retained, values, vectors = eigh_oracle(lung.features[in_train], threshold, mode)
+        assert fit.retained == retained
+        assert np.abs(fit.eigenvalues - values).max() <= 1e-13 * values[0]
+        v = fit.components
+        assert np.abs(v.T @ v - np.eye(retained)).sum(axis=1).max() <= 1e-12
+        apart = np.minimum(np.abs(v - vectors).max(axis=0), np.abs(v + vectors).max(axis=0))
+        assert apart.max() <= 1e-10

@@ -119,6 +119,20 @@ CONFIGS = (
         f"dataset={COHORT}", TFO, "smote.per_class_target=130", "eval.protocol=leave-one-out",
         "eval.seeds=1",
     )),
+    # the edges of the Gram path (fewer rows than features): every nonzero
+    # component kept, in both scopes, and folds of 16 rows.  A full-rank
+    # covariance projection preserves distances, so the lung data's exact
+    # neighbour-distance ties are decided by rounding there, and SMOTE's
+    # neighbours may move when the basis changes in its last bits
+    ("covariance+pca.threshold=1.0", ("pca.mode=covariance", "pca.threshold=1.0")),
+    ("train-folds-only+covariance+fit_within_fold+pca.threshold=1.0 seeds 1..5", (
+        TFO, "pca.mode=covariance", "pca.fit_within_fold=true", "pca.threshold=1.0",
+        "eval.seeds=1..5",
+    )),
+    ("train-folds-only+fit_within_fold+pca.threshold=1.0", (
+        TFO, "pca.fit_within_fold=true", "pca.threshold=1.0",
+    )),
+    ("train-folds-only+fit_within_fold+eval.k=2", (TFO, "pca.fit_within_fold=true", "eval.k=2")),
 )
 
 #: (name, subcommand, ``--set`` overrides) of the single-stage runs: the
