@@ -244,8 +244,8 @@ def _block_cost(refit_rows: int, members, order_idx: list[int], widths, grown, t
     Under a refit (``refit_rows``, the n rows a model reduces) a model also
     holds its reduced rows, the class rows gathered from them and its int32
     class rankings, and ranking a class of n_c rows fills its n_c x n_c
-    distances; ``neighbor_ranking``'s row-block temporary is one budget a
-    block at most, not a model's.
+    distances; ``neighbor_ranking``'s row-block temporary takes the rest of
+    a block's budget, not a model's share.
     """
     sizes = [rows.size for rows in members]
     grows = dict(zip(order_idx, zip(grown, widths)))

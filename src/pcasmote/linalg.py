@@ -4,10 +4,10 @@ every batched kernel's blocks.
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order; a
 stack of them (G, rows, cols) is taken in one call, with the bits each
-matrix gets alone.  Everything here is deterministic: the eigensolver's
-output is sorted and sign-fixed, so identical input bits give identical
-output bits on reruns and across BLAS thread counts (a test pins 1 against
-2 threads).
+matrix gets alone, and gives one result of the stack's leading shape.
+Everything here is deterministic: the eigensolver's output is sorted and
+sign-fixed, so identical input bits give identical output bits on reruns
+and across BLAS thread counts (a test pins 1 against 2 threads).
 """
 
 from dataclasses import dataclass
@@ -76,11 +76,10 @@ def _centred_products(m, gram: bool):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
-
-    Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.  Each
-    column is sign-fixed by ``fix_signs``.
-    """
+    """Eigenpairs of a symmetric matrix, or of each matrix of a stack,
+    read-only: ``eigenvalues`` (..., f) sorted descending, and column ``j``
+    of ``eigenvectors`` (..., f, f), sign-fixed by ``fix_signs``, pairing
+    with ``eigenvalues[..., j]``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -97,9 +96,9 @@ def _check_symmetric(a: np.ndarray) -> None:
             raise ValueError("matrix is not symmetric within 1e-9")
 
 
-def symmetric_eigen(a):
-    """Eigenpairs of a finite symmetric matrix (f, f), or, for a stack of
-    them (G, f, f), a list of each matrix's.  One ``numpy.linalg.eigh`` call
+def symmetric_eigen(a) -> EigenDecomposition:
+    """Eigenpairs of a finite symmetric matrix (f, f), or of each matrix of
+    a stack (G, f, f), in one decomposition.  One ``numpy.linalg.eigh`` call
     runs LAPACK once per matrix, so each has the bits it has alone.
 
     Raises ``ValueError`` on non-finite entries (``eigh`` silently returns
@@ -116,22 +115,15 @@ def symmetric_eigen(a):
         values, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
-    if a.ndim == 2:
-        return _finish(values, vecs)
-    return [_finish(v, m) for v, m in zip(values, vecs)]
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vecs = fix_signs(np.take_along_axis(vecs, order[..., None, :], axis=-1))
+    values.flags.writeable = vecs.flags.writeable = False
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vecs)
 
 
 def fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """``vecs`` with each column negated whose entry of largest magnitude
-    (lowest index on ties) is negative: the sign rule of every eigenvector."""
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    """``vecs`` (..., n, m), each column negated whose largest-magnitude
+    entry (lowest index on ties) is negative: every eigenvector's sign rule."""
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
     return np.where(lead < 0.0, -vecs, vecs)
-
-
-def _finish(values: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vecs = fix_signs(vecs[:, order])
-    values.flags.writeable = False
-    vecs.flags.writeable = False
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vecs)

@@ -10,7 +10,8 @@ projects rows through ``(x - mean) / scale @ components``.  The fit is stated
 once, for a stack of matrices: ``fit_pca`` is its stack of one, and
 ``fit_pca_subsets`` fits many row subsets of one matrix (the training folds
 of a cross-validation) a stack at a time, the stacks cut by ``linalg.blocks``,
-each with the bits of its own ``fit_pca``.
+each with the bits of its own ``fit_pca``; every step of a fit but the
+slicing of each model's components takes the whole stack at once.
 """
 
 from __future__ import annotations
@@ -62,25 +63,23 @@ class PcaModel:
 
 def _cumulative_coverage(eigenvalues) -> np.ndarray:
     """Variance share of the first 1, 2, ... components of descending
-    ``eigenvalues``: negative ones and those below ``RANK_TOL`` of the
-    largest (or of 1) count as zero; all zero gives full coverage."""
+    ``eigenvalues`` (..., f), row by row: negative ones and those below
+    ``RANK_TOL`` of the largest (or of 1) count as zero; all zero gives 1."""
     clamped = np.maximum(np.asarray(eigenvalues, dtype=np.float64), 0.0)
-    if clamped.size == 0:
+    if clamped.shape[-1] == 0:
         raise ValueError("no eigenvalues")
-    cutoff = RANK_TOL * max(float(clamped[0]), 1.0)
-    clamped[clamped < cutoff] = 0.0
-    total = clamped.sum()
-    if total == 0.0:
-        return np.ones(clamped.size)
-    return np.cumsum(clamped) / total
+    clamped[clamped < RANK_TOL * np.maximum(clamped[..., :1], 1.0)] = 0.0
+    total = clamped.sum(axis=-1, keepdims=True)
+    coverage = np.ones_like(clamped)
+    return np.divide(np.cumsum(clamped, axis=-1), total, out=coverage, where=total > 0.0)
 
 
-def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> int:
-    """Smallest component count whose coverage reaches ``threshold``."""
-    coverage = _cumulative_coverage(eigenvalues)
+def retained_for_threshold(eigenvalues: np.ndarray, threshold: float):
+    """Smallest component count whose coverage reaches ``threshold``: an
+    ``int`` for one row of eigenvalues, an int array for a stack (..., f)."""
     # tiny fp slack so threshold 1.0 stops at the true rank
-    reached = np.nonzero(coverage >= threshold - 1e-12)[0]
-    return int(reached[0]) + 1
+    counts = np.argmax(_cumulative_coverage(eigenvalues) >= threshold - 1e-12, axis=-1) + 1
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
@@ -159,7 +158,8 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
 
     The matrices are those of ``_basis``: f x f, or where n < f the n x n
     Gram matrices, whose eigenvalues are padded with zeros to length f and
-    whose retained eigenvectors are mapped to components by ``_snapshot``.
+    whose leading eigenvectors are mapped to components by ``_snapshot``,
+    for the whole stack; each model then keeps its ``retained`` columns.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean, scale, basis, rows = _basis(stack, mode)
@@ -168,21 +168,27 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
         & np.isfinite(scale).all(axis=1)
         & np.isfinite(basis).all(axis=(1, 2))
     )
-    models: list[PcaModel | None] = [None] * len(stack)
     if not finite.all():
         basis = basis[finite]
-    f = stack.shape[-1]
-    for g, eig in zip(np.flatnonzero(finite).tolist(), linalg.symmetric_eigen(basis)):
-        eigenvalues = np.zeros(f)
-        eigenvalues[: eig.eigenvalues.size] = eig.eigenvalues
-        retained = retained_for_threshold(eigenvalues, threshold)
-        vectors = eig.eigenvectors[:, :retained]
+        rows = None if rows is None else rows[finite]
+    eig = linalg.symmetric_eigen(basis)
+    eigenvalues = np.zeros((len(basis), stack.shape[-1]))
+    eigenvalues[:, : basis.shape[-1]] = eig.eigenvalues
+    retained = retained_for_threshold(eigenvalues, threshold)
+    # two columns at least: numpy sums a lone column's map and norm in another
+    # order, and a model that retains one must have the same bits in any stack
+    vectors = eig.eigenvectors[..., : retained.max(initial=2)]
+    if rows is not None:
+        vectors = _snapshot(rows, vectors)
+    models: list[PcaModel | None] = [None] * len(stack)
+    fitted = zip(np.flatnonzero(finite).tolist(), eigenvalues, vectors, retained.tolist())
+    for g, values, vecs, r in fitted:
         models[g] = PcaModel(
             mean=mean[g],
             scale=scale[g],
-            components=vectors.copy() if rows is None else _snapshot(rows[g], vectors),
-            eigenvalues=eigenvalues,
-            retained=retained,
+            components=vecs[:, :r].copy(),
+            eigenvalues=values,
+            retained=r,
             variance_threshold=threshold,
             mode=mode,
         )
@@ -215,16 +221,16 @@ def _basis(features: np.ndarray, mode: str):
 
 def _snapshot(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The covariance eigenvectors ``rowsᵀ u`` of the Gram eigenvectors ``u``
-    (n, m) of the centred ``rows`` (n, f), each divided by its norm (in exact
-    arithmetic ``sqrt((n-1) λ)``) and sign-fixed as ``linalg.symmetric_eigen``
-    fixes its own.  A column of zeros, from rows that are all equal, becomes
-    the unit vector the f x f path gives them."""
-    v = rows.T @ u
-    norm = np.linalg.norm(v, axis=0)
-    zero = np.flatnonzero(norm == 0.0)
-    v[zero, zero] = 1.0
-    norm[zero] = 1.0
-    v /= norm
+    (G, n, m) of each matrix of centred ``rows`` (G, n, f), each divided by
+    its norm (in exact arithmetic ``sqrt((n-1) λ)``) and sign-fixed as
+    ``linalg.symmetric_eigen`` fixes its own.  A column of zeros, from rows
+    that are all equal, becomes the unit vector the f x f path gives them."""
+    v = np.swapaxes(rows, -1, -2) @ u
+    norm = np.linalg.norm(v, axis=-2)
+    g, j = np.nonzero(norm == 0.0)
+    v[g, j, j] = 1.0
+    norm[g, j] = 1.0
+    v /= norm[:, None, :]
     return linalg.fix_signs(v)
 
 

@@ -13,11 +13,11 @@ expression; ``oversample_class`` is its batch of one.
 A class's neighbour table comes from its ranking: one n x n squared-distance
 matrix and one stable row-wise sort, so ties go to the lower index; memory
 is quadratic in the class size.  The matrix is filled in blocks of rows whose
-broadcast temporary stays near ``linalg.BLOCK_ELEMENTS`` floats, whatever the
-class size, each block against itself and the later rows only, the rest
-mirrored; a stack of matrices is ranked in one call.  A subset's table is
-read from the ranking of all the rows, so a cross-validation ranks each
-class once per run (or once per PCA refit).
+broadcast temporary fills what it leaves of ``linalg.BLOCK_ELEMENTS`` floats,
+whatever the class size, each block against itself and the later rows only,
+the rest mirrored; a stack of matrices is ranked in one call.  A subset's
+table is read from the ranking of all the rows, so a cross-validation ranks
+each class once per run (or once per PCA refit).
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
     first, even where distances overflow to infinity.
     """
     n = pts.shape[-2]
-    step = max(1, linalg.BLOCK_ELEMENTS // max(1, pts.size))   # a block's temporary: step x pts
     dist2 = np.empty((*pts.shape[:-1], n), dtype=np.float64)
+    # a block's temporary is step x pts; it gets what the distances leave of the budget
+    step = max(1, (linalg.BLOCK_ELEMENTS - dist2.size) // max(1, pts.size))
     ranking = np.empty((*pts.shape[:-1], width), dtype=np.int32)
     for lo in range(0, n, step):
         hi = min(n, lo + step)

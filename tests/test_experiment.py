@@ -730,8 +730,9 @@ class TestLeakFreeBlockMemory:
     Three integer-coded classes of 90, 130 and 100 rows and 24 features,
     grown to 180 rows each; the block cost counts each model's largest class
     stack, its synthesis temporaries and its scoring.  The peak is traced
-    around ``_score_models`` alone, so it holds every array a block makes
-    and none that the run holds beside it.
+    around ``_score_models`` alone, or around a refit block's
+    ``_class_rankings``, so it holds every array that call makes and none
+    that the run holds beside it.
     """
 
     #: the traced peak may exceed ``BLOCK_ELEMENTS * 8`` bytes by this
@@ -788,6 +789,34 @@ class TestLeakFreeBlockMemory:
         run_experiment(cfg)
         sizes = [models for models, _ in peaks]
         assert sizes == ([1] * 30 if one_model else [28, 2])
+        budget = linalg.BLOCK_ELEMENTS * 8
+        assert max(peak for _, peak in peaks) <= self.MULTIPLE * budget
+
+    def test_refit_rankings_within_the_budget(self, cohort_file, monkeypatch):
+        """Under ``pca.fit_within_fold`` each block ranks its models' classes
+        in one ``neighbor_ranking`` call a class, whose row-block temporary
+        shares the budget with the block's distance matrices."""
+        cfg = ExperimentConfig(
+            dataset=str(cohort_file),
+            pca=PcaSettings(threshold=0.8, fit_within_fold=True),
+            smote=SmoteSettings(order=("a", "c", "b"), per_class_target=180),
+            eval=EvalSettings(seeds=(1, 2, 3), resample_scope="train-folds-only"),
+        )
+        class_rankings = experiment._class_rankings
+        peaks = []
+
+        def traced(features, *args):
+            tracemalloc.start()
+            try:
+                rankings = class_rankings(features, *args)
+                peaks.append((len(features), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return rankings
+
+        monkeypatch.setattr(experiment, "_class_rankings", traced)
+        run_experiment(cfg)
+        assert [models for models, _ in peaks] == [5] * 6
         budget = linalg.BLOCK_ELEMENTS * 8
         assert max(peak for _, peak in peaks) <= self.MULTIPLE * budget
 

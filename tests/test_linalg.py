@@ -193,23 +193,52 @@ class TestJacobi:
         assert issubclass(ConvergenceError, Exception)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 33])
-def test_sign_fix_matches_column_loop(n):
-    # rounded entries give repeated magnitudes and zero columns give
-    # signed zeros, so ties and -0.0 are compared bit for bit
-    rng = np.random.default_rng(n)
-    vecs = np.round(rng.normal(size=(n, n)), 1)
+def crafted_columns(n, seed):
+    """(n, n) columns whose rounded entries give repeated magnitudes and
+    whose zero column holds a signed zero, so that ties and -0.0 are
+    compared bit for bit."""
+    vecs = np.round(np.random.default_rng(seed).normal(size=(n, n)), 1)
     vecs[:, n // 2] = 0.0
     vecs[0, n // 2] = -0.0
-    values = np.round(rng.normal(size=n), 1)
-    got = linalg._finish(values, vecs).eigenvectors
-    order = np.argsort(-values, kind="stable")
-    want = vecs[:, order].copy()
+    return vecs
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_sign_fix_matches_column_loop(n):
+    vecs = crafted_columns(n, n)
+    got = linalg.fix_signs(vecs)
+    want = vecs.copy()
     for j in range(n):
         col = want[:, j]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             want[:, j] = -col
     assert got.tobytes() == want.tobytes()
+
+
+def test_sign_fix_of_a_stack_matches_each_matrix():
+    stack = np.stack([crafted_columns(7, seed) for seed in range(5)])
+    got = linalg.fix_signs(stack)
+    assert got.shape == stack.shape
+    for one, vecs in zip(got, stack):
+        assert one.tobytes() == linalg.fix_signs(vecs).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 6])
+def test_eigen_of_a_stack_matches_each_matrix(count):
+    """Each matrix of a stack gets the eigenvalue and eigenvector bytes of
+    its own 2-D call: random matrices, the last with repeated eigenvalues."""
+    rng = np.random.default_rng(count)
+    stack = np.stack([random_symmetric(rng, 9) for _ in range(count)])
+    q = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+    repeated = q @ np.diag([3.0, 3.0, 3.0, 1.0, 1.0, 0.0, 0.0, 0.0, -2.0]) @ q.T
+    stack[-1] = (repeated + repeated.T) / 2.0
+    eig = linalg.symmetric_eigen(stack)
+    assert eig.eigenvalues.shape == (count, 9) and eig.eigenvectors.shape == (count, 9, 9)
+    assert not eig.eigenvalues.flags.writeable and not eig.eigenvectors.flags.writeable
+    for values, vectors, a in zip(eig.eigenvalues, eig.eigenvectors, stack):
+        alone = linalg.symmetric_eigen(a)
+        assert values.tobytes() == alone.eigenvalues.tobytes()
+        assert vectors.tobytes() == alone.eigenvectors.tobytes()
 
 
 _HASH_EIGEN_SCRIPT = """

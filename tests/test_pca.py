@@ -97,6 +97,19 @@ class TestFit:
         assert model.coverage(1) == 1.0
         assert model.coverage(0) == 0.0
 
+    def test_retained_counts_are_ints(self, lung):
+        """A row of eigenvalues gives a Python int, a stack an int array,
+        and a model's count is an int, as ``report.json`` encodes it."""
+        values = np.array([[3.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        assert type(retained_for_threshold(values[0], 0.5)) is int
+        counts = retained_for_threshold(values, 0.9)
+        assert counts.dtype.kind == "i" and counts.tolist() == [2, 3, 1]
+        assert [retained_for_threshold(row, 0.9) for row in values] == [2, 3, 1]
+        assert type(fit_pca(lung, 0.9, "correlation").retained) is int
+        keep = training_folds(lung, 10, [1])
+        fits = fit_pca_subsets(lung.features, keep, 0.9, "covariance")
+        assert all(type(fit.retained) is int for fit in fits)
+
     def test_monotone_coverage(self, lung):
         previous = 0
         for threshold in (0.3, 0.5, 0.7, 0.9, 0.95, 1.0):
@@ -187,6 +200,40 @@ class TestFitSubsets:
                 alone = fit_pca(rows, 0.9, "covariance")
                 assert fit.components.tobytes() == alone.components.tobytes()
         assert [fit is None for fit in fits] == [True, True, False, False]
+
+    @pytest.mark.parametrize("mode", ["covariance", "correlation"])
+    def test_a_mixed_stack_matches_each_fit_pca(self, mode):
+        """One stack of four-row subsets of nine features, so of Gram
+        matrices: equal rows (zero-norm snapshot columns, mapped to unit
+        vectors), rows near a line (one component), a row whose square
+        overflows, and ordinary rows (several components).  Each subset is
+        its own ``fit_pca`` bit for bit, or None where that raises."""
+        rng = np.random.default_rng(7)
+        equal = np.tile(rng.normal(size=9), (4, 1))
+        line = np.outer(rng.normal(size=4), rng.normal(size=9)) + 1e-3 * rng.normal(size=(4, 9))
+        ordinary = rng.normal(size=(8, 9))
+        overflow = ordinary[:1].copy()
+        overflow[0, 2] = 1e200
+        features = np.vstack([equal, line, ordinary, overflow])
+        subsets = [range(0, 4), range(4, 8), [8, 9, 10, 11], [12, 13, 14, 16], [8, 10, 13, 15]]
+        keep = np.zeros((len(subsets), len(features)), dtype=bool)
+        for in_train, rows in zip(keep, subsets):
+            in_train[list(rows)] = True
+        fits = fit_pca_subsets(features, keep, 0.9, mode)
+        assert [fit is None for fit in fits] == [False, False, False, True, False]
+        assert fits[0].retained == fits[1].retained == 1
+        assert max(fit.retained for fit in fits if fit is not None) > 1
+        assert fits[0].components[:, 0].tolist() == [1.0] + [0.0] * 8
+        for in_train, fit in zip(keep, fits):
+            rows = dataset_from(features[in_train])
+            if fit is None:
+                with pytest.raises(DataError, match="overflows"):
+                    fit_pca(rows, 0.9, mode)
+                continue
+            alone = fit_pca(rows, 0.9, mode)
+            assert fit.retained == alone.retained
+            for name in MODEL_ARRAYS:
+                assert getattr(fit, name).tobytes() == getattr(alone, name).tobytes(), name
 
     def test_an_eigensolver_failure_marks_only_its_subset(self, lung, monkeypatch):
         """LAPACK failing on one fold's matrix fails the stack's ``eigh``;

@@ -49,6 +49,11 @@ CONFIGS = (
         "pca.fit_within_fold=true",
     )),
     ("leakfree-refit seed 0", (TFO, "pca.fit_within_fold=true", "eval.seeds=1..1")),
+    # its ten folds retain 16, 17 and 18 components: one PCA stack of mixed
+    # retained counts, scored in three leak-free blocks
+    ("leakfree-refit seed 4", (
+        TFO, "pca.fit_within_fold=true", "eval.seeds=5..5", "smote.seed=11",
+    )),
     # neighbour tables where a fold holds most of a class, or k exceeds it
     ("train-folds-only+eval.k=2", (TFO, "eval.k=2")),
     ("train-folds-only+smote.k=12", (TFO, "smote.k=12")),
