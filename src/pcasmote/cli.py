@@ -117,7 +117,7 @@ def _cmd_evaluate(args, cfg) -> None:
     for seed, row in summary.per_seed:
         lines.append(reporting.csv_line("dataset", seed, row))
     lines.append(reporting.csv_line("dataset", "mean", summary.mean))
-    (out / "evaluation.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    (out / "evaluation.csv").write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
     mean = summary.mean
     print(
         f"accuracy={mean.accuracy:.4f} fp_rate={mean.fp_rate:.4f} "

@@ -31,14 +31,13 @@ every model by one ``smote.synthetic_rows`` call and fitted again, its kept
 rows followed by its synthetic rows; each test row is then scored against
 its own model.  A block holds as many models as fit in
 ``linalg.BLOCK_ELEMENTS``, each counted at its peak: its largest class
-stack, its synthesis or its scoring.  With the global PCA the data
-is reduced once, each class's neighbours are ranked once per run, and a
-block is a run of consecutive models that share the reduced rows.  Under
-``pca.fit_within_fold`` one ``pca.fit_pca_subsets`` call refits every
-fold's PCA, a stack of training folds at a time; a block holds each of its
-models' rows reduced by the model's own refit, and one ranking of each
-class per model, made for the whole block at once.  Each seed's reported
-``n_features`` is its last fold's.  Once every block is scored, the first
+stack, its synthesis or its scoring.  Every block reads one (M, n, f)
+stack of rows.  With the global PCA the data is reduced once, M = 1, and
+each class is ranked once per run.  Under ``pca.fit_within_fold`` one
+``pca.fit_pca_subsets`` call refits every fold's PCA, a stack of training
+folds at a time; M is the block's model count, each matrix a model's rows
+reduced by its own refit, each class ranked once per model for the whole
+block at once.  Each seed's reported ``n_features`` is its last fold's.  Once every block is scored, the first
 failing model is rerun alone by the per-fold path (its PCA refit,
 ``balance_sequence``, then ``fit_nb``), so the error raised is the first
 failing model's first, as fold after fold.
@@ -180,11 +179,10 @@ def _leak_free_predictions(
     the global PCA (``reduced``) or, under ``pca.fit_within_fold``, by its
     own refit, all folds' refits fitted by ``fit_pca_subsets``.  Models with
     the same retained count are scored in ``linalg.blocks``, a model
-    counting its floats at its peak (``_block_cost``); under
-    the global PCA the blocks are runs of consecutive models that share the
-    rows of ``reduced`` and one ranking of each class of the order.  Once
-    every block is scored, the first model that failed, in model order, is
-    rerun alone to raise its error.
+    counting its floats at its peak (``_block_cost``), each block reading
+    one (M, n, f) stack of rows: ``reduced.features[None]``, ranked once
+    per run, or one refit a model.  Once every block is scored, the first
+    model that failed, in model order, is rerun alone to raise its error.
     """
     n_folds = int(stack.max()) + 1
     seed_pos, fold = np.divmod(np.arange(len(stack) * n_folds), n_folds)
@@ -209,14 +207,14 @@ def _leak_free_predictions(
         failed |= retained == 0
     else:
         retained = np.full(len(keep), reduced.n_features)
-        rankings = _class_rankings(reduced.features, members, order_idx, widths)
+        features = reduced.features[None]
+        rankings = _class_rankings(features, members, order_idx, widths)
     cost = _block_cost(
         base.n_samples if cfg.pca.fit_within_fold else 0, members, order_idx, widths,
         needed.max(axis=0, initial=0).tolist(), int((~keep).sum(axis=1).max()),
     )
     predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
     for _, models in linalg.blocks(np.where(failed, 0, retained), cost):
-        features = reduced.features
         if cfg.pca.fit_within_fold:
             features = _refit_rows(base, [fits[b] for b in models.tolist()], keep[models])
             rankings = _class_rankings(features, members, order_idx, widths)
@@ -280,11 +278,11 @@ def _refit_rows(base: Dataset, fits, keep) -> np.ndarray:
 
 def _class_rankings(features, members, order_idx: list[int], widths) -> list[np.ndarray]:
     """The ``neighbor_ranking`` of each class ``order_idx[i]`` within its
-    rows ``members[cls]`` of ``features`` (n, f), ``widths[i]`` columns of
-    indices into those rows; of a stack (models, n, f), each matrix's
-    rankings, one after another as ``(models * n_c, width)``."""
+    rows ``members[cls]`` of each matrix of the stack ``features`` (M, n,
+    f), ``widths[i]`` columns of indices into those rows, one matrix's
+    rankings after another as ``(M * n_c, width)``."""
     return [
-        neighbor_ranking(features[..., members[cls], :], width).reshape(-1, width)
+        neighbor_ranking(features[:, members[cls]], width).reshape(-1, width)
         for cls, width in zip(order_idx, widths)
     ]
 
@@ -298,25 +296,26 @@ def _score_models(
     written to ``predicted``; returns whether each model's fits are finite.
 
     Model b is seed ``seed_pos[b]``'s fold ``fold[b]``: it trains on the
-    rows ``keep[b]`` of ``features``, one (n, f) matrix that every model
-    shares or a (models, n, f) stack of one per model, and grows class
-    ``order_idx[i]`` by ``needed[b, i]`` rows.  ``rankings[i]`` ranks that
-    class's rows ``members[cls]`` of the shared matrix, or, stacked, of each
-    model's own.  The block is fitted one class at a time: one
-    ``stack_moments`` call fits the class's kept rows of every model; a
-    class of the order is then grown for every model by one
-    ``synthetic_rows`` call, run i of model b drawing from
-    ``derive_seed(chain seed, i)`` as ``balance_sequence`` does, and a
-    second call fits its kept rows followed by its synthetic rows.  So each
-    model has the moments of its training fold and of its chain's last
-    set, from which ``chain_predict`` scores every test row against its own
-    model.  Nothing is written if a fit overflows.
+    rows ``keep[b]`` of matrix ``b % M`` of the stack ``features`` (M, n,
+    f), where M is 1 (rows every model shares) or the block's model count
+    (each model's own), and grows class ``order_idx[i]`` by ``needed[b,
+    i]`` rows.  ``rankings[i]`` ranks that class's rows ``members[cls]`` of
+    each matrix, as ``_class_rankings`` lays them out.  The block is
+    fitted one class at a time: one ``stack_moments`` call fits the
+    class's kept rows of every model; a class of the order is then grown
+    for every model by one ``synthetic_rows`` call, run i of model b
+    drawing from ``derive_seed(chain seed, i)`` as ``balance_sequence``
+    does, and a second call fits its kept rows followed by its synthetic
+    rows.  So each model has the moments of its training fold and of its
+    chain's last set, from which ``chain_predict`` scores every test row
+    against its own model.  Nothing is written if a fit overflows.
     """
-    models, n, n_features = len(keep), base.n_samples, features.shape[-1]
+    models, n_features = len(keep), features.shape[-1]
+    matrix = np.arange(models) % len(features)   # the matrix each model reads
     chain_seeds = [_chain_seed(cfg, s, f) for s, f in zip(seed_pos.tolist(), fold.tolist())]
     first, last = [], []   # each class's (counts, means, stds) of every model
     for cls, rows in enumerate(members):
-        pts = features[..., rows, :]                     # (n_c, f), or (models, n_c, f)
+        pts = features[:, rows]                          # (M, n_c, f)
         kept = keep[:, rows]
         fits = stack_moments(_class_stack(pts, models, 0), kept.T, [rows.size])
         first.append(fits)
@@ -325,7 +324,7 @@ def _score_models(
             synthetic = synthetic_rows(
                 pts.reshape(-1, n_features), rankings[i], kept, needed[:, i], cfg.smote.k,
                 [derive_seed(seed, i) for seed in chain_seeds],
-                np.arange(models) * rows.size if features.ndim == 3 else 0,
+                matrix * rows.size,
             )
             grown = synthetic.shape[1]
             stack = _class_stack(pts, models, grown)
@@ -338,21 +337,19 @@ def _score_models(
     first, last = ([np.concatenate(part, axis=1) for part in zip(*fits)] for fits in (first, last))
     finite = finite_fits(*first[1:]) & finite_fits(*last[1:])
     if finite.all():
-        at = np.arange(models) * n if features.ndim == 3 else np.zeros(models, dtype=np.int64)
         model, test_rows = np.nonzero(~keep)
         predicted[seed_pos[model], :, test_rows] = chain_predict(
-            features.reshape(-1, n_features)[at[model] + test_rows], model, first, last,
-            order_idx,
+            features[matrix[model], test_rows], model, first, last, order_idx
         )
     return finite
 
 
 def _class_stack(pts: np.ndarray, models: int, extra: int) -> np.ndarray:
     """A rows-outermost ``(n_c + extra, models, f)`` stack whose first n_c
-    rows are each model's class rows ``pts``, shared (n_c, f) or its own of
-    a (models, n_c, f) stack; the ``extra`` rows are left unset."""
-    stack = np.empty((pts.shape[-2] + extra, models, pts.shape[-1]))
-    stack[: pts.shape[-2]] = pts[:, None] if pts.ndim == 2 else pts.swapaxes(0, 1)
+    rows are each model's class rows of ``pts`` (M, n_c, f), a stack of one
+    broadcast to every model; the ``extra`` rows are left unset."""
+    stack = np.empty((pts.shape[1] + extra, models, pts.shape[2]))
+    stack[: pts.shape[1]] = pts.swapaxes(0, 1)
     return stack
 
 

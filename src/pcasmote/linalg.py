@@ -1,13 +1,14 @@
 """Minimal dense linear algebra: sample covariance and its n x n Gram dual,
-a symmetric eigensolver with its sign rule, and the one rule that sizes
-every batched kernel's blocks.
+a symmetric eigensolver, the eigenvector sign rule, and the one rule that
+sizes every batched kernel's blocks.
 
 Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order; a
 stack of them (G, rows, cols) is taken in one call, with the bits each
 matrix gets alone, and gives one result of the stack's leading shape.
-Everything here is deterministic: the eigensolver's output is sorted and
-sign-fixed, so identical input bits give identical output bits on reruns
-and across BLAS thread counts (a test pins 1 against 2 threads).
+Everything here is deterministic: the eigensolver's output is sorted, so
+identical input bits give identical output bits on reruns and across BLAS
+thread counts (a test pins 1 against 2 threads); its eigenvectors keep
+LAPACK's signs, and ``pca`` sign-fixes the ones it keeps by ``fix_signs``.
 """
 
 from dataclasses import dataclass
@@ -78,8 +79,8 @@ def _centred_products(m, gram: bool):
 class EigenDecomposition:
     """Eigenpairs of a symmetric matrix, or of each matrix of a stack,
     read-only: ``eigenvalues`` (..., f) sorted descending, and column ``j``
-    of ``eigenvectors`` (..., f, f), sign-fixed by ``fix_signs``, pairing
-    with ``eigenvalues[..., j]``."""
+    of ``eigenvectors`` (..., f, f), of the sign LAPACK gives it, pairing
+    with ``eigenvalues[..., j]``; ``fix_signs`` gives them a fixed sign."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -117,7 +118,7 @@ def symmetric_eigen(a) -> EigenDecomposition:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-values, axis=-1, kind="stable")
     values = np.take_along_axis(values, order, axis=-1)
-    vecs = fix_signs(np.take_along_axis(vecs, order[..., None, :], axis=-1))
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     values.flags.writeable = vecs.flags.writeable = False
     return EigenDecomposition(eigenvalues=values, eigenvectors=vecs)
 

@@ -24,7 +24,8 @@ lone column is summed beside a copy of itself.
 :func:`class_moments` stacks row masks of one matrix, grouped by class:
 :func:`fit_nb` is the batch of one (every row kept), and
 :func:`cross_val_predict` fits the (seed, fold) models of every seed's fold
-assignment in shared ``linalg.blocks``, which may span seeds.
+assignment in shared ``linalg.blocks``, which may span seeds, model
+``s * k + fold`` being seed s's fold, as ``experiment`` numbers its own.
 
 A SMOTE run appends one class's synthetic rows after the originals, so each
 stage of a chain of runs is, class by class, a fit of its first set or of
@@ -180,26 +181,22 @@ def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
     """Predict each row of ``ds`` with the model fitted on the rows of the other folds.
 
     ``fold_of[i]`` is row i's fold, in 0..k-1; a ``(S, n)`` stack of such
-    assignments, one per seed, gives one row of predictions per seed.  The
-    (seed, fold) models are fitted in ``linalg.blocks`` of consecutive
-    models, seed by seed, so a block may span seeds; a model stacks its
-    n x f training rows.  Each row is then scored against its own seed's
-    and fold's model.
+    assignments, one per seed, gives one row of predictions per seed.
+    Model ``s * k + fold`` is seed s's fold: it trains on the rows the
+    fold leaves and scores the rows it holds.  The models are fitted in
+    ``linalg.blocks`` of consecutive models, so a block may span seeds; a
+    model stacks its n x f training rows.
     """
     stack = np.atleast_2d(fold_of)
     k = int(stack.max()) + 1
-    model_of = stack + k * np.arange(len(stack))[:, None]   # model s * k + fold of each row
+    seed, fold = np.divmod(np.arange(len(stack) * k), k)
     predicted = np.empty(stack.shape, dtype=np.int64)
-    models = np.ones(len(stack) * k, dtype=np.int64)   # one key: every model alike
-    for _, block in linalg.blocks(models, lambda _: ds.n_samples * ds.n_features):
-        lo, hi = int(block[0]), int(block[-1]) + 1
-        priors, means, stds = _fit_masked(ds, stack[block // k] != (block % k)[:, None])
-        first = lo // k   # the block's first seed
-        spanned = model_of[first : (hi - 1) // k + 1]
-        seed, rows = np.nonzero((spanned >= lo) & (spanned < hi))
-        model = spanned[seed, rows] - lo
+    for _, block in linalg.blocks(np.ones_like(seed), lambda _: ds.n_samples * ds.n_features):
+        keep = stack[seed[block]] != fold[block, None]
+        priors, means, stds = _fit_masked(ds, keep)
+        model, rows = np.nonzero(~keep)
         scores = _log_scores(ds.features[rows], priors, means, stds, model)
-        predicted[first + seed, rows] = np.argmax(scores, axis=1)
+        predicted[seed[block][model], rows] = np.argmax(scores, axis=1)
     return predicted.reshape(np.shape(fold_of))
 
 

@@ -159,7 +159,8 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
     The matrices are those of ``_basis``: f x f, or where n < f the n x n
     Gram matrices, whose eigenvalues are padded with zeros to length f and
     whose leading eigenvectors are mapped to components by ``_snapshot``,
-    for the whole stack; each model then keeps its ``retained`` columns.
+    for the whole stack; on either path the leading f-vectors are then
+    sign-fixed once, and each model keeps its ``retained`` columns.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean, scale, basis, rows = _basis(stack, mode)
@@ -178,8 +179,7 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
     # two columns at least: numpy sums a lone column's map and norm in another
     # order, and a model that retains one must have the same bits in any stack
     vectors = eig.eigenvectors[..., : retained.max(initial=2)]
-    if rows is not None:
-        vectors = _snapshot(rows, vectors)
+    vectors = linalg.fix_signs(vectors if rows is None else _snapshot(rows, vectors))
     models: list[PcaModel | None] = [None] * len(stack)
     fitted = zip(np.flatnonzero(finite).tolist(), eigenvalues, vectors, retained.tolist())
     for g, values, vecs, r in fitted:
@@ -222,16 +222,16 @@ def _basis(features: np.ndarray, mode: str):
 def _snapshot(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The covariance eigenvectors ``rowsᵀ u`` of the Gram eigenvectors ``u``
     (G, n, m) of each matrix of centred ``rows`` (G, n, f), each divided by
-    its norm (in exact arithmetic ``sqrt((n-1) λ)``) and sign-fixed as
-    ``linalg.symmetric_eigen`` fixes its own.  A column of zeros, from rows
-    that are all equal, becomes the unit vector the f x f path gives them."""
+    its norm (in exact arithmetic ``sqrt((n-1) λ)``), of ``u``'s sign.  A
+    column of zeros, from rows that are all equal, becomes the unit vector
+    the f x f path gives them."""
     v = np.swapaxes(rows, -1, -2) @ u
     norm = np.linalg.norm(v, axis=-2)
     g, j = np.nonzero(norm == 0.0)
     v[g, j, j] = 1.0
     norm[g, j] = 1.0
     v /= norm[:, None, :]
-    return linalg.fix_signs(v)
+    return v
 
 
 def project(model: PcaModel, features: np.ndarray) -> np.ndarray:

@@ -119,7 +119,7 @@ def write_figure_csvs(report: ExperimentReport, out_dir) -> list[Path]:
         lines = ["method,value"]
         for method, value in figure_values(report, metric):
             lines.append(f"{method},{value!r}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
         written.append(path)
     return written
 
@@ -171,7 +171,7 @@ def write_figure_svgs(report: ExperimentReport, out_dir) -> list[Path]:
         path = out_dir / f"{metric}.svg"
         path.write_text(
             _svg_bar_chart(metric.replace("_", " "), figure_values(report, metric)),
-            encoding="ascii",
+            encoding="ascii", newline="\n",
         )
         written.append(path)
     return written
@@ -184,5 +184,5 @@ def write_run_metadata(out_dir, argv: list[str]) -> Path:
         "written_at_unix": time.time(),
         "argv": argv,
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
     return path

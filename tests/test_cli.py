@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -470,6 +472,37 @@ class TestStages:
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
         assert (out / "nb_model.txt").exists()
+
+
+def open_as_on_windows(monkeypatch):
+    """From here on, a text file opened for writing without a ``newline``
+    turns each "\\n" into "\\r\\n", as it would where that is the line
+    separator; reading is left as it is."""
+    real_open = io.open
+
+    def windows_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None,
+                     *args, **kwargs):
+        if "b" not in mode and "r" not in mode and newline is None:
+            newline = "\r\n"
+        return real_open(file, mode, buffering, encoding, errors, newline, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", windows_open)
+    monkeypatch.setattr(builtins, "open", windows_open)
+
+
+@pytest.mark.parametrize(
+    "argv", [["experiment", "--svg"], ["evaluate"]], ids=["experiment-svg", "evaluate"]
+)
+def test_artifacts_end_lines_with_newline_alone(tmp_path, data_file, monkeypatch, argv):
+    """Every file ``experiment --svg`` and ``evaluate`` write ends its lines
+    with "\\n" alone, whatever the platform's line separator."""
+    cfg = write_config(tmp_path, data_file, "eval.seeds = 1\n")
+    out = tmp_path / "out"
+    open_as_on_windows(monkeypatch)
+    assert main([argv[0], "--config", str(cfg), "-o", str(out), *argv[1:]]) == 0
+    written = sorted(out.iterdir())
+    assert len(written) == (13 if argv[0] == "experiment" else 1)
+    assert [path.name for path in written if b"\r" in path.read_bytes()] == []
 
 
 @pytest.fixture(scope="module")

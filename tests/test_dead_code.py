@@ -1,8 +1,10 @@
 """No dead code in the package: each public top-level function or class of
 ``src/pcasmote`` is used by code elsewhere in the package, or is listed in
-``KEPT`` with the reason that keeps it.  Uses are read from the syntax tree,
-so a name in a docstring or comment is no use, nor is an import alone (an
-``__init__`` re-export), nor a call from the definition's own body.
+``KEPT`` with the reason that keeps it, and each private one (named with a
+leading underscore) is used by package code, with no exception.  Uses are
+read from the syntax tree, so a name in a docstring or comment is no use,
+nor is an import alone (an ``__init__`` re-export), nor a call from the
+definition's own body, nor a test that calls or patches it.
 """
 
 import ast
@@ -38,12 +40,15 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _public_definitions() -> set:
+def _definitions(private: bool) -> set:
+    """(module, name) of each top-level function or class of the package
+    whose name starts with an underscore, or of each whose name does not."""
     return {
         (path.stem, node.name)
         for path in SRC.glob("*.py")
         for node in _tree(path).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") == private
     }
 
 
@@ -100,15 +105,25 @@ def _imported_by(paths) -> set:
 
 
 def test_every_public_definition_is_used_or_kept():
-    unused = _public_definitions() - _uses()
+    unused = _definitions(private=False) - _uses()
     unlisted = sorted(f"{module}.{name}" for module, name in unused - KEPT.keys())
     assert not unlisted, f"no code in src/ uses {unlisted}: delete them or add them to KEPT"
+
+
+def test_every_private_definition_is_used():
+    """A private helper serves the package alone, so no test or script can
+    keep it: one that no package code uses, say after a change of layout
+    orphans it, is dead."""
+    private = _definitions(private=True)
+    assert private, "no private definitions found: the scan is broken"
+    unused = sorted(f"{module}.{name}" for module, name in private - _uses())
+    assert not unused, f"no code in src/ uses {unused}: delete them"
 
 
 def test_kept_names_are_unused_and_their_reasons_hold():
     """A kept name is defined and unused by the package, and its reason is
     true: the acceptance suite, another test or a perfbench script imports it."""
-    defined, used = _public_definitions(), _uses()
+    defined, used = _definitions(private=False), _uses()
     importers = {
         ACCEPTANCE: _imported_by([TESTS / "test_acceptance.py"]),
         ORACLE: _imported_by(p for p in TESTS.glob("test_*.py") if p.name != "test_acceptance.py"),

@@ -686,6 +686,49 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
         else:
             assert len(blocks) == len(widths)
 
+    @pytest.mark.parametrize("bundled", [True, False], ids=["bundled-data", "tie-heavy-cohort"])
+    def test_a_stack_of_one_scores_as_its_rows_repeated(
+        self, data_file, cohort_file, monkeypatch, bundled
+    ):
+        """A global-PCA block reads the reduced rows as a stack of one that
+        every model shares.  Scored again on those rows repeated once per
+        model, with the class rankings tiled to match, each block gives the
+        same predictions and finite flags, bit for bit."""
+        if bundled:
+            cfg = default_config(data_file, seeds=(1, 2), resample_scope="train-folds-only")
+        else:
+            cfg = ExperimentConfig(
+                dataset=str(cohort_file),
+                pca=PcaSettings(threshold=0.8),
+                smote=SmoteSettings(order=("c0", "c2", "c1"), per_class_target=100),
+                eval=EvalSettings(seeds=(1, 2, 3), resample_scope="train-folds-only"),
+            )
+        score_models = experiment._score_models
+        blocks = []
+
+        def both_layouts(base, cfg, features, rankings, members, order_idx, keep, *rest):
+            *models_of, predicted = rest
+            models = len(keep)
+            repeated = predicted.copy()
+            finite = score_models(
+                base, cfg, features, rankings, members, order_idx, keep, *models_of, predicted,
+            )
+            again = score_models(
+                base, cfg, np.repeat(features, models, axis=0),
+                [np.tile(ranking, (models, 1)) for ranking in rankings],
+                members, order_idx, keep, *models_of, repeated,
+            )
+            blocks.append((len(features), models, finite, again, predicted.copy(), repeated))
+            return finite
+
+        monkeypatch.setattr(experiment, "_score_models", both_layouts)
+        run_experiment(cfg)
+        assert blocks and max(models for _, models, *_ in blocks) > 1
+        for matrices, _, finite, again, predicted, repeated in blocks:
+            assert matrices == 1
+            assert finite.all() and finite.tobytes() == again.tobytes()
+            assert predicted.tobytes() == repeated.tobytes()
+
     @staticmethod
     def check_scorer(
         cohort_file, monkeypatch, protocol, k, seeds, smote_k, refit, budget, mode="correlation"

@@ -115,11 +115,13 @@ class TestJacobi:
         assert np.allclose(np.abs(eig.eigenvectors) @ np.abs(eig.eigenvectors).T, np.eye(3))
 
     def test_textbook_two_by_two(self):
+        """The eigenvectors keep LAPACK's signs; ``fix_signs`` fixes them."""
         eig = linalg.symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(eig.eigenvalues, [3.0, 1.0])
+        v = linalg.fix_signs(eig.eigenvectors)
         r = 1 / math.sqrt(2)
-        assert np.allclose(eig.eigenvectors[:, 0], [r, r])
-        assert np.allclose(eig.eigenvectors[:, 1], [r, -r])
+        assert np.allclose(v[:, 0], [r, r])
+        assert np.allclose(v[:, 1], [r, -r])
 
     def test_trace_identity_random(self):
         rng = np.random.default_rng(5)
@@ -160,8 +162,13 @@ class TestJacobi:
         assert np.abs(v @ np.diag(eig.eigenvalues) @ v.T - a).max() < 1e-8
 
     def test_sign_convention(self):
+        """``fix_signs`` of the eigenvectors: each column's entry of largest
+        magnitude is nonnegative, and each column is an eigenvector up to
+        its sign."""
         a = random_symmetric(np.random.default_rng(29), 6)
-        v = linalg.symmetric_eigen(a).eigenvectors
+        raw = linalg.symmetric_eigen(a).eigenvectors
+        v = linalg.fix_signs(raw)
+        assert np.array_equal(np.abs(v), np.abs(raw))
         for j in range(6):
             lead = int(np.argmax(np.abs(v[:, j])))
             assert v[lead, j] >= 0

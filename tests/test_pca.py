@@ -117,6 +117,21 @@ class TestFit:
             assert retained >= previous
             previous = retained
 
+    @pytest.mark.parametrize("mode", ["covariance", "correlation"])
+    @pytest.mark.parametrize("columns", [56, 12], ids=["gram-path", "f-by-f-path"])
+    def test_each_component_leads_with_a_nonnegative_entry(self, lung, mode, columns):
+        """Each component's entry of largest magnitude (the first on ties)
+        is nonnegative: on the Gram path (32 or fewer rows of 56 features)
+        and on the f x f path (12 features), for the whole dataset and for
+        every training fold of a ``fit_pca_subsets`` stack."""
+        ds = dataset_from(lung.features[:, :columns])
+        keep = training_folds(lung, 10, [1, 2])
+        fits = [fit_pca(ds, 1.0, mode)] + fit_pca_subsets(ds.features, keep, 1.0, mode)
+        for fit in fits:
+            v = fit.components
+            assert (v.shape[0] > len(lung.features)) == (columns == 56)
+            assert (v[np.argmax(np.abs(v), axis=0), np.arange(fit.retained)] >= 0.0).all()
+
     def test_component_columns_orthonormal(self, lung):
         model = fit_pca(lung, 0.90, "correlation")
         gram = model.components.T @ model.components

@@ -138,6 +138,12 @@ CONFIGS = (
         TFO, "pca.fit_within_fold=true", "pca.threshold=1.0",
     )),
     ("train-folds-only+fit_within_fold+eval.k=2", (TFO, "pca.fit_within_fold=true", "eval.k=2")),
+    # the f x f path at full rank: every stacked refit of the cohort keeps
+    # all 56 components, so the sign rule is compared on every column
+    ("cohort train-folds-only+fit_within_fold+pca.threshold=1.0", (
+        f"dataset={COHORT}", TFO, "smote.per_class_target=180", "eval.seeds=1..2",
+        "pca.fit_within_fold=true", "pca.threshold=1.0",
+    )),
 )
 
 #: (name, subcommand, ``--set`` overrides) of the single-stage runs: the
