@@ -1,17 +1,11 @@
-"""Command-line front end.
+"""Command-line front end (README, "Quick start").
 
-Every subcommand reads an experiment config file (``--config``), optionally
-patched by ``--set key=value`` overrides, and writes its artifacts into the
-output directory (``--output-dir``, else ``$PCASMOTE_OUTPUT_DIR``, else
-``./out``).  ``COMMANDS`` declares each subcommand once, with its help text
-and handler.
-
-Exit codes, declared once in ``FAILURES``: 0 success; 2 usage or config
-error (argparse, ``ConfigError``, an output directory that names a file); 3
-data error (``DataError``, or an ``OSError`` reading the dataset or writing
-artifacts); 4 numerical non-convergence (``ConvergenceError``).  Any other exception, a bare
-``ValueError`` included, is a toolkit bug and propagates as a traceback
-(exit 1).
+Every subcommand reads a config file (``--config``), patched by ``--set
+key=value`` overrides, and writes its artifacts into the output directory.
+``COMMANDS`` declares each subcommand once, and ``FAILURES`` each exit code:
+2 usage or config, 3 data (an ``OSError`` reading the dataset or writing
+artifacts included), 4 numerical non-convergence.  Any other exception, a
+bare ``ValueError`` included, is a toolkit bug: a traceback and exit 1.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Tabular dataset container plus loading, imputation, and fold assignment.
+"""Tabular dataset container plus loading, imputation, and fold assignment
+(README, "The pipeline", steps 1 and 4).
 
-Missing cells are represented by NaN until :func:`impute_missing` runs; a
-complete dataset contains no NaN.  Datasets are treated as immutable: the
-backing arrays are marked read-only and every operation returns a new value.
+Missing cells are NaN until :func:`impute_missing` runs.  Datasets are
+immutable: the arrays are read-only and every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -86,66 +86,89 @@ def _ascii_lines(path):
             yield lineno, line.strip()
 
 
-def load_uci_lung_cancer(path) -> Dataset:
-    """Load a UCI lung-cancer style ``.data`` file.
+def _read_rows(path, lines, names, label_at: int, label, cell):
+    """Feature rows and labels of the non-blank ``lines`` of ``path``.
 
-    Expected format: comma-separated lines of 57 fields; the first field is
-    the class label (1, 2 or 3 -> TypeA, TypeB, TypeC) and the remaining 56
-    are integer attribute codes or ``?`` for a missing cell.
+    A line holds a cell per name in ``names`` and a label field at index
+    ``label_at`` (0 or -1).  ``label(text)`` returns the line's label and
+    ``cell(col, text)`` a cell's value, ``col`` counted from 1; each raises
+    ``ValueError`` with its message.  Each distinct cell text is parsed once.
 
     Raises:
-        DataError: a non-ASCII byte, empty file, wrong field count (with line
-            number), a value that is neither an integer within float range
-            nor ``?``, an unknown label, or a class that never appears.
+        DataError: naming the file and line, checked line by line: a wrong
+            field count, a bad label, the line's first bad cell, then its
+            first infinite cell; or, naming the file, no data line at all.
     """
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    known = {"?": math.nan}   # each distinct cell text is parsed once
-    for lineno, line in _ascii_lines(path):
+    width = len(names) + 1
+    cells = slice(1, None) if label_at == 0 else slice(None, -1)
+    rows, labels = [], []
+    known: dict[str, float] = {}
+    for lineno, line in lines:
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != LUNG_N_FEATURES + 1:
+        if len(fields) != width:
             raise DataError(
-                f"{path}: line {lineno}: expected {LUNG_N_FEATURES + 1} "
-                f"fields, found {len(fields)}"
+                f"{path}: line {lineno}: expected {width} fields, found {len(fields)}"
             )
-        if fields[0] not in ("1", "2", "3"):
-            raise DataError(f"{path}: line {lineno}: unknown class label {fields[0]!r}")
-        labels.append(int(fields[0]) - 1)
+        texts = fields[cells]
         try:
-            row = [known[tok] for tok in fields[1:]]
-        except KeyError:
-            row = []
-            for col, tok in enumerate(fields[1:], start=1):
-                if tok not in known:
-                    code = tok.strip()
-                    try:
-                        known[tok] = math.nan if code == "?" else float(int(code))
-                    except (ValueError, OverflowError):
-                        raise DataError(
-                            f"{path}: line {lineno}: attribute {col}: expected an "
-                            f"integer code within float range or '?', found {code!r}"
-                        ) from None
-                row.append(known[tok])
+            labels.append(label(fields[label_at]))
+            try:
+                row = [known[text] for text in texts]
+            except KeyError:
+                # a line whose texts were all seen before holds no infinite
+                # cell (its first sight raised), so only this line is checked
+                for col, text in enumerate(texts, start=1):
+                    if text not in known:
+                        known[text] = cell(col, text)
+                row = [known[text] for text in texts]
+                infinite = [n for n, v in zip(names, row) if math.isinf(v)]
+                if infinite:
+                    raise ValueError(f"column {infinite[0]!r} is infinite")
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
         rows.append(row)
-
     if not rows:
         raise DataError(f"{path}: no data lines")
+    return np.array(rows, dtype=np.float64), labels
 
+
+def _uci_label(text: str) -> int:
+    if text not in ("1", "2", "3"):
+        raise ValueError(f"unknown class label {text!r}")
+    return int(text) - 1
+
+
+def _uci_cell(col: int, text: str) -> float:
+    code = text.strip()
+    try:
+        return math.nan if code == "?" else float(int(code))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"attribute {col}: expected an integer code within float range or '?', "
+            f"found {code!r}"
+        ) from None
+
+
+def load_uci_lung_cancer(path) -> Dataset:
+    """Load a UCI lung-cancer style ``.data`` file.
+
+    Each line holds 57 comma-separated fields: the class label (1, 2 or 3
+    -> TypeA, TypeB, TypeC), then 56 integer attribute codes or ``?`` for a
+    missing cell.
+
+    Raises:
+        DataError: a non-ASCII byte, an empty file, or a bad line as
+            ``_read_rows`` names it; or a class that never appears.
+    """
+    names = tuple(f"attr{i}" for i in range(1, LUNG_N_FEATURES + 1))
+    features, labels = _read_rows(path, _ascii_lines(path), names, 0, _uci_label, _uci_cell)
     present = set(labels)
     for idx, name in enumerate(LUNG_CLASS_NAMES):
         if idx not in present:
             raise DataError(f"{path}: class {name} has no samples")
-
-    feature_names = tuple(f"attr{i}" for i in range(1, LUNG_N_FEATURES + 1))
-    return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        class_names=LUNG_CLASS_NAMES,
-        feature_names=feature_names,
-        provenance=str(path),
-    )
+    return Dataset(features, np.array(labels), LUNG_CLASS_NAMES, names, str(path))
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:
@@ -160,15 +183,23 @@ def write_dataset_csv(ds: Dataset, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _csv_label(text: str) -> str:
+    if not text:
+        raise ValueError("empty class cell")
+    return text
+
+
 def read_dataset_csv(path) -> Dataset:
     """Reload a canonical CSV export.
 
-    Class names are ordered lexicographically, which matches every dataset
-    this toolkit produces (loaders emit sorted names), making the round trip
-    exact.  A ``nan`` cell is missing, as :func:`write_dataset_csv` writes
-    it; an infinite cell raises ``DataError`` naming file, line and column,
-    as do a non-ASCII byte or an empty class cell (file and line) and a
-    header without a feature column.
+    Class names are sorted, as every dataset of this toolkit has them, so
+    the round trip is exact.  A ``nan`` cell is missing, as
+    :func:`write_dataset_csv` writes it.
+
+    Raises:
+        DataError: a non-ASCII byte, an empty file, a header whose last
+            column is not ``class`` or that has no feature column, or a bad
+            line as ``_read_rows`` names it.
     """
     lines = _ascii_lines(path)
     _, header = next(lines, (1, ""))
@@ -179,50 +210,14 @@ def read_dataset_csv(path) -> Dataset:
         raise DataError(f"{path}: last header column must be 'class'")
     if len(columns) < 2:
         raise DataError(f"{path}: line 1: no feature column before 'class'")
-    feature_names = tuple(columns[:-1])
-    rows = []
-    names_seen = []
-    # Each distinct cell text is parsed once.  A line whose texts were all
-    # seen before holds no infinite cell (its first sight raised), so only a
-    # line with a new text is checked, after all of its cells parse.
-    known: dict[str, float] = {}
-    for lineno, line in lines:
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise DataError(
-                f"{path}: line {lineno}: expected {len(columns)} fields, "
-                f"found {len(cells)}"
-            )
-        try:
-            values = [known[v] for v in cells[:-1]]
-        except KeyError:
-            try:
-                for v in cells[:-1]:
-                    if v not in known:
-                        known[v] = float(v)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            values = [known[v] for v in cells[:-1]]
-            infinite = [n for n, v in zip(feature_names, values) if math.isinf(v)]
-            if infinite:
-                raise DataError(f"{path}: line {lineno}: column {infinite[0]!r} is infinite")
-        rows.append(values)
-        names_seen.append(cells[-1])
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    class_names = tuple(sorted(set(names_seen)))
-    if class_names[0] == "":   # sorts first; its line is sought only now
-        lineno = next(n for n, line in _ascii_lines(path) if n > 1 and line.endswith(","))
-        raise DataError(f"{path}: line {lineno}: empty class cell")
+    names = tuple(columns[:-1])
+    features, labels = _read_rows(
+        path, lines, names, -1, _csv_label, lambda col, text: float(text)
+    )
+    class_names = tuple(sorted(set(labels)))
     index = {name: i for i, name in enumerate(class_names)}
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array([index[n] for n in names_seen], dtype=np.int64),
-        class_names=class_names,
-        feature_names=feature_names,
-        provenance=str(path),
+        features, np.array([index[n] for n in labels]), class_names, names, str(path)
     )
 
 
@@ -279,12 +274,10 @@ def stratified_fold_stack(ds: Dataset, k: int, seeds) -> np.ndarray:
     ``(len(seeds), n)`` int64 array whose entry (s, i) is row i's fold under
     ``seeds[s]``, in 0..k-1.
 
-    Per class in turn, samples are shuffled as ``Rng(seed).shuffle`` would,
-    from one array holding each class's n - 1 draws, and dealt so per-class
-    fold counts differ by at most one; leftover samples go to the lightest
-    folds (ties to the lowest fold index), keeping fold sizes balanced too.
-    The members and fold quotas of a class do not depend on the seed, so
-    only the shuffle runs per seed.
+    Per class in turn, its rows are shuffled as ``Rng(seed).shuffle`` would
+    and dealt so per-class fold counts differ by at most one; leftover rows
+    go to the lightest folds (ties to the lowest index), so fold sizes also
+    differ by at most one.
 
     Raises:
         ValueError: ``k`` is below 2, or a class has no samples.

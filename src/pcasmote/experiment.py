@@ -1,46 +1,13 @@
-"""Five-method comparison harness.
+"""Five-method comparison: Initial, PCA and SMOTE1..n, each scored by
+Gaussian naive Bayes under seeded stratified cross-validation (README, "The
+pipeline", step 4, and the ``eval.resample_scope`` paragraph after it).
 
-The default flow evaluates, in order: the imputed raw dataset (Initial), its
-PCA reduction (PCA), and the chained oversampling stages (SMOTE1..n), each
-under seeded stratified cross-validation with naive Bayes, in one pass.
-Each set of labels has every seed's folds drawn once, as one ``(seeds,
-rows)`` stack: Initial's serves PCA, whose reduction keeps the labels, and
-every leak-free model.  One ``metrics.tally`` call per dataset pools each
-seed's held-out predictions of a method into one confusion matrix, one
-``metric_rows`` call summarises every (seed, method) table of the run, and
-a method's row is the mean over seeds with min/max and medians retained.  A
-fixed dataset is scored by one ``naive_bayes.cross_val_predict`` call for
-all seeds, which fits the (seed, fold) models in shared blocks.
-Leave-one-out gives every seed the same folds, so under ``whole-dataset`` a
-config may give it only one seed.
-
-``resample_scope`` controls where oversampling happens: ``whole-dataset``
-resamples once up front (synthetic neighbours of test points may then appear
-in training — the historical protocol this harness reproduces) and
-cross-validates each of the five datasets on its own, while
-``train-folds-only`` resamples inside each training fold and tests only on
-original samples.  There one ``_leak_free_predictions`` call handles every
-(seed, fold) model: each model runs one SMOTE chain on its training fold,
-so SMOTEi is the first i stages of that chain, and needs two naive Bayes
-fits, of the training fold and of the chain's last set, from which
-``naive_bayes.chain_predict`` scores PCA and every stage.  Models that
-retain the same number of components are scored in blocks, stacked one
-class at a time: for each class one ``naive_bayes.stack_moments`` pass fits
-every model's kept rows of it, and a class of the order is then grown for
-every model by one ``smote.synthetic_rows`` call and fitted again, its kept
-rows followed by its synthetic rows; each test row is then scored against
-its own model.  A block holds as many models as fit in
-``linalg.BLOCK_ELEMENTS``, each counted at its peak: its largest class
-stack, its synthesis or its scoring.  Every block reads one (M, n, f)
-stack of rows.  With the global PCA the data is reduced once, M = 1, and
-each class is ranked once per run.  Under ``pca.fit_within_fold`` one
-``pca.fit_pca_subsets`` call refits every fold's PCA, a stack of training
-folds at a time; M is the block's model count, each matrix a model's rows
-reduced by its own refit, each class ranked once per model for the whole
-block at once.  Each seed's reported ``n_features`` is its last fold's.  Once every block is scored, the first
-failing model is rerun alone by the per-fold path (its PCA refit,
-``balance_sequence``, then ``fit_nb``), so the error raised is the first
-failing model's first, as fold after fold.
+Each set of labels draws every seed's folds once, as one ``(seeds, rows)``
+stack.  Under ``whole-dataset`` each dataset is scored by one
+``naive_bayes.cross_val_predict`` call; under ``train-folds-only`` one
+``_leak_free_predictions`` call scores PCA and every SMOTE stage of every
+(seed, fold) model.  One ``metric_rows`` call summarises every (seed,
+method) confusion table of a run.
 """
 
 from __future__ import annotations
@@ -123,8 +90,6 @@ def _summarise(rows: list[tuple[int, MetricRow]]) -> EvalSummary:
 def _fold_stack(ds: Dataset, protocol: str, k: int, seeds) -> np.ndarray:
     """Every seed's fold assignment of ``ds``, as one ``(len(seeds), n)``
     stack; a class of fewer than two rows raises ``DataError``."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
     for name, count in zip(ds.class_names, class_counts(ds)):
         if count < 2:
             raise DataError(
@@ -149,7 +114,11 @@ def evaluate_dataset(
     ds: Dataset, protocol: str, k: int, seeds, method_name: str = ""
 ) -> EvalSummary:
     """Seeded cross-validation of naive Bayes on one fixed dataset; every
-    (seed, fold) model is fitted and scored by one ``cross_val_predict`` call."""
+    (seed, fold) model is fitted and scored by one ``cross_val_predict`` call.
+    Raises ``ValueError`` on a protocol outside ``PROTOCOLS``, the check
+    ``validate_config`` makes for ``run_experiment``."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     predicted = cross_val_predict(ds, _fold_stack(ds, protocol, k, seeds))
     counts = tally(ds.labels, predicted[:, None], ds.n_classes)
     return _summaries(counts, [method_name], [[ds.n_features]] * len(seeds), seeds)[0]
@@ -170,19 +139,17 @@ def _leak_free_predictions(
     base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
     stack: np.ndarray,
 ):
-    """Every seed's scoring for ``train-folds-only``: PCA, then each SMOTE stage.
+    """Every seed's ``train-folds-only`` predictions: PCA, then each SMOTE stage.
 
-    Model ``s * n_folds + fold`` is trained on seed s's training fold and
-    scored on its original test rows.  Returns int64 predictions of shape
-    ``(len(stack), 1 + len(order_idx), n)``, PCA's row first, and each
-    seed's feature count, its last fold's.  Each model reduces the rows by
-    the global PCA (``reduced``) or, under ``pca.fit_within_fold``, by its
-    own refit, all folds' refits fitted by ``fit_pca_subsets``.  Models with
-    the same retained count are scored in ``linalg.blocks``, a model
-    counting its floats at its peak (``_block_cost``), each block reading
-    one (M, n, f) stack of rows: ``reduced.features[None]``, ranked once
-    per run, or one refit a model.  Once every block is scored, the first
-    model that failed, in model order, is rerun alone to raise its error.
+    Model ``s * n_folds + fold`` trains on seed s's training fold of the
+    fold ``stack`` and scores its test rows, reduced by the global PCA
+    (``reduced``) or, under ``pca.fit_within_fold``, by its own refit.
+    Returns int64 predictions ``(len(stack), 1 + len(order_idx), n)``, PCA's
+    first, and each seed's feature count, its last fold's.  Models with the
+    same retained count share ``linalg.blocks`` sized by ``_block_cost``.
+
+    Raises the error of the first failing model, in model order, as its
+    rerun by ``_raise_fold_error`` gives it.
     """
     n_folds = int(stack.max()) + 1
     seed_pos, fold = np.divmod(np.arange(len(stack) * n_folds), n_folds)
@@ -229,21 +196,18 @@ def _leak_free_predictions(
 
 
 def _block_cost(refit_rows: int, members, order_idx: list[int], widths, grown, tests: int):
-    """A model's float count at its block's peak, as ``linalg.blocks`` takes
-    it: a function of the retained count f.
+    """A model's float count at its block's peak, as a function of the
+    retained count f, for ``linalg.blocks``.
 
-    A model holds the means and stds of its two fits, four rows of f floats
-    a class, and at its peak the largest of: its scoring, two (rows,
-    classes, f) arrays for its ``tests`` test rows at most; a class's
-    last-fit stack, its n_c rows and the ``grown[i]`` rows that most any
-    model adds to class ``order_idx[i]``, beside as many synthetic rows;
-    and that class's synthesis, each grown row with its base and neighbour
-    rows or twice its ranking entries (``widths[i]``), and 16 index words.
-    Under a refit (``refit_rows``, the n rows a model reduces) a model also
-    holds its reduced rows, the class rows gathered from them and its int32
-    class rankings, and ranking a class of n_c rows fills its n_c x n_c
-    distances; ``neighbor_ranking``'s row-block temporary takes the rest of
-    a block's budget, not a model's share.
+    A model holds its two fits' means and stds, and at its peak the largest
+    of: its scoring of at most ``tests`` rows; a class's last-fit stack (its
+    rows, the ``grown[i]`` rows most any model adds to ``order_idx[i]`` and
+    their copies); or that class's synthesis (each grown row's base and
+    neighbour, or twice its ``widths[i]`` ranking entries, and 16 index
+    words).  Under a refit (``refit_rows``, the n rows a model reduces) it
+    also holds its reduced rows, the class rows gathered from them, its
+    int32 rankings and one class's n_c x n_c distances; the ranking's
+    row-block temporary takes the rest of the block's budget.
     """
     sizes = [rows.size for rows in members]
     grows = dict(zip(order_idx, zip(grown, widths)))
@@ -266,9 +230,9 @@ def _block_cost(refit_rows: int, members, order_idx: list[int], widths, grown, t
 
 
 def _refit_rows(base: Dataset, fits, keep) -> np.ndarray:
-    """Each model's rows reduced by its own PCA ``fits[b]``, as a
-    ``(models, n, retained)`` stack.  A model's training rows and test rows
-    are projected apart, as ``transform`` of each set would."""
+    """``(models, n, retained)``: each model's rows reduced by its own PCA
+    ``fits[b]``, its training rows ``keep[b]`` and test rows projected
+    apart, as ``transform`` of each set would."""
     features = np.empty((len(fits), base.n_samples, fits[0].retained))
     for reduced, fit, in_train in zip(features, fits, keep):
         reduced[in_train] = project(fit, base.features[in_train])
@@ -277,10 +241,9 @@ def _refit_rows(base: Dataset, fits, keep) -> np.ndarray:
 
 
 def _class_rankings(features, members, order_idx: list[int], widths) -> list[np.ndarray]:
-    """The ``neighbor_ranking`` of each class ``order_idx[i]`` within its
-    rows ``members[cls]`` of each matrix of the stack ``features`` (M, n,
-    f), ``widths[i]`` columns of indices into those rows, one matrix's
-    rankings after another as ``(M * n_c, width)``."""
+    """For each class ``order_idx[i]``, the ``(M * n_c, widths[i])``
+    ``neighbor_ranking`` of its rows ``members[cls]`` in each matrix of
+    ``features`` (M, n, f), one matrix after another."""
     return [
         neighbor_ranking(features[:, members[cls]], width).reshape(-1, width)
         for cls, width in zip(order_idx, widths)
@@ -292,23 +255,17 @@ def _score_models(
     order_idx: list[int], keep: np.ndarray, needed: np.ndarray, seed_pos: np.ndarray,
     fold: np.ndarray, predicted: np.ndarray,
 ) -> np.ndarray:
-    """PCA's and every SMOTE stage's predictions by a block of models,
-    written to ``predicted``; returns whether each model's fits are finite.
+    """Write a block's PCA and SMOTE-stage predictions to ``predicted``;
+    return whether each model's fits are finite.  Nothing is written if a
+    fit overflows.
 
     Model b is seed ``seed_pos[b]``'s fold ``fold[b]``: it trains on the
-    rows ``keep[b]`` of matrix ``b % M`` of the stack ``features`` (M, n,
-    f), where M is 1 (rows every model shares) or the block's model count
-    (each model's own), and grows class ``order_idx[i]`` by ``needed[b,
-    i]`` rows.  ``rankings[i]`` ranks that class's rows ``members[cls]`` of
-    each matrix, as ``_class_rankings`` lays them out.  The block is
-    fitted one class at a time: one ``stack_moments`` call fits the
-    class's kept rows of every model; a class of the order is then grown
-    for every model by one ``synthetic_rows`` call, run i of model b
-    drawing from ``derive_seed(chain seed, i)`` as ``balance_sequence``
-    does, and a second call fits its kept rows followed by its synthetic
-    rows.  So each model has the moments of its training fold and of its
-    chain's last set, from which ``chain_predict`` scores every test row
-    against its own model.  Nothing is written if a fit overflows.
+    rows ``keep[b]`` of matrix ``b % M`` of ``features`` (M, n, f), M being
+    1 or the block's model count, and grows class ``order_idx[i]`` by
+    ``needed[b, i]`` rows, from ``rankings`` as ``_class_rankings`` lays
+    them out, run i drawing from ``derive_seed(chain seed, i)`` as
+    ``balance_sequence`` does.  Class by class, one ``stack_moments`` call
+    fits every model's kept rows, and one more its kept and synthetic rows.
     """
     models, n_features = len(keep), features.shape[-1]
     matrix = np.arange(models) % len(features)   # the matrix each model reads
@@ -357,10 +314,9 @@ def _raise_fold_error(
     base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
     in_train: np.ndarray, seed_pos: int, fold: int,
 ):
-    """Rerun one failed model by the per-fold path: its PCA refit under
-    ``pca.fit_within_fold``, its SMOTE chain, then a naive Bayes fit of its
-    training fold and of the chain's last set, which raises the error the
-    model's fold meets first."""
+    """Raise the error that one failed model's fold meets first, by the
+    per-fold path: its PCA refit under ``pca.fit_within_fold``, its SMOTE
+    chain, then naive Bayes fits of its training fold and the last set."""
     rows = np.flatnonzero(in_train)
     provenance = _fold_provenance(base, cfg, seed_pos, fold)
     if cfg.pca.fit_within_fold:

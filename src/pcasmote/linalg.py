@@ -1,14 +1,12 @@
-"""Minimal dense linear algebra: sample covariance and its n x n Gram dual,
-a symmetric eigensolver, the eigenvector sign rule, and the one rule that
-sizes every batched kernel's blocks.
+"""Dense linear algebra: sample covariance and its n x n Gram dual, a
+symmetric eigensolver, the eigenvector sign rule, and ``blocks``, the one
+rule that sizes every batched kernel's blocks.
 
-Matrices are plain 2-D ``numpy.ndarray`` of float64 in row-major order; a
-stack of them (G, rows, cols) is taken in one call, with the bits each
-matrix gets alone, and gives one result of the stack's leading shape.
-Everything here is deterministic: the eigensolver's output is sorted, so
-identical input bits give identical output bits on reruns and across BLAS
-thread counts (a test pins 1 against 2 threads); its eigenvectors keep
-LAPACK's signs, and ``pca`` sign-fixes the ones it keeps by ``fix_signs``.
+Matrices are float64 ``numpy.ndarray``; a stack of them (G, rows, cols) is
+taken in one call, each matrix with the bits it gets alone.  The
+eigensolver's output is sorted, so identical input bits give identical
+output bits on reruns and across BLAS thread counts (a test pins 1 against
+2 threads); its eigenvectors keep LAPACK's signs until ``fix_signs``.
 """
 
 from dataclasses import dataclass

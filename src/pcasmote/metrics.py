@@ -1,14 +1,12 @@
-"""Confusion-matrix construction and imbalance-aware evaluation measures.
+"""Confusion matrices and imbalance-aware rates.
 
-The confusion matrix stores actual classes on rows and predicted classes on
-columns.  Multiclass scalars reduce each class one-vs-rest and weight by the
-actual class frequency; with that convention the weighted recall equals the
-overall accuracy exactly.  Rates with a zero denominator are defined as 0.
-
-A run scores every (seed, method) table at once: :func:`tally` counts a
-dataset's with one ``np.bincount`` and :func:`metric_rows` computes their
-rates as arrays, by the operations of the per-class functions in their
-order, so each record's rates equal theirs on its table.
+Actual classes are rows and predicted classes columns.  Multiclass rates
+reduce each class one-vs-rest and weight by actual class frequency, so the
+weighted recall equals the accuracy exactly; a rate with a zero denominator
+is 0.  :func:`tally` counts every (seed, method) table of a run with one
+``np.bincount``, and :func:`metric_rows` computes their rates by the
+operations of the per-class functions, in their order, so each record's
+rates equal theirs on its table.
 """
 
 from __future__ import annotations

@@ -1,36 +1,13 @@
-"""Gaussian naive Bayes on continuous features.
+"""Gaussian naive Bayes on continuous features (README, "The pipeline", step 4).
 
-Class scores are computed entirely in log space: log prior plus the sum of
-per-feature Gaussian log densities, with per-class per-feature means and
-standard deviations estimated from the training data.  Priors are Laplace
-smoothed, ``(count + 1) / (N + n_classes)``, which keeps every class defined
-even in degenerate training splits.
+A class's score is its log prior plus the sum of its per-feature Gaussian
+log densities.  Priors are Laplace smoothed, ``(count + 1) / (N +
+n_classes)``, so every class is defined even in degenerate training splits.
 
-One statement of the moments, :func:`stack_moments`, fits a batch of
-stacked training sets: set b is the column b of a ``(rows, sets,
-features)`` stack, rows outermost, cut into segments, with a mask of the
-rows it keeps.  Each left-out row is replaced by ``-0.0``, the exact
-additive identity (``s + -0.0 == s`` for every ``s``, signed zeros
-included).  Each segment's run of rows is summed over the row axis, and so
-are its squared deviations with left-out rows set to ``0.0``.  numpy adds
-the rows of a non-innermost axis one after another, so each set's moments
-equal those of a fit on its kept rows alone, bit for bit, whatever block it
-shares.  Rows go outermost because each such pass then runs over whole
-contiguous (sets, features) rows rather than one short run of features per
-set and row.  Only when ``sets * features == 1`` would the row axis be the
-inner loop, summed pairwise, where the inserted zeros regroup the sum; that
-lone column is summed beside a copy of itself.
-
-:func:`class_moments` stacks row masks of one matrix, grouped by class:
-:func:`fit_nb` is the batch of one (every row kept), and
-:func:`cross_val_predict` fits the (seed, fold) models of every seed's fold
-assignment in shared ``linalg.blocks``, which may span seeds, model
-``s * k + fold`` being seed s's fold, as ``experiment`` numbers its own.
-
-A SMOTE run appends one class's synthetic rows after the originals, so each
-stage of a chain of runs is, class by class, a fit of its first set or of
-its last: :func:`chain_predict` scores every stage of a batch of chains
-from those two fits.
+:func:`stack_moments` states the moments once, for a batch of stacked
+training sets: :func:`fit_nb` fits a batch of one, :func:`cross_val_predict`
+every (seed, fold) model of a fold stack, and :func:`chain_predict` scores
+every stage of a batch of SMOTE chains from two fits per chain.
 """
 
 from __future__ import annotations
@@ -79,13 +56,20 @@ def _segment_sums(stack: np.ndarray, segments, initial: float) -> np.ndarray:
 def stack_moments(stack: np.ndarray, keep: np.ndarray, sizes):
     """Counts (B, S), means and floored stds (B, S, f) of B stacked sets.
 
-    The rows of ``stack`` (L, B, f), rows outermost so that each pass runs
-    over contiguous (B, f) rows, are cut into S consecutive segments of
+    The rows of ``stack`` (L, B, f) are cut into S consecutive segments of
     ``sizes`` rows; entry (b, s) describes the rows of segment s that the
-    mask ``keep[:, b]`` (L, B) keeps.  A lone column (``B * f == 1``) is
-    summed beside a copy of itself.  The std uses divisor ``count - 1`` and
+    mask ``keep[:, b]`` (L, B) keeps.  The std uses divisor ``count - 1`` and
     is the floor below two rows; a segment with no kept row has a NaN mean.
     ``stack`` is overwritten; the results are C-contiguous.
+
+    Each set's moments equal a fit on its kept rows alone, bit for bit: a
+    left-out row is ``-0.0``, the exact additive identity (``s + -0.0 == s``
+    for every ``s``, signed zeros included), or ``0.0`` among the squared
+    deviations, and numpy adds the rows of a non-innermost axis one after
+    another.  Rows go outermost so that each pass runs over contiguous (B,
+    f) rows.  A lone column (``B * f == 1``) would make the row axis the
+    inner loop, summed pairwise, where the inserted zeros regroup the sum;
+    it is summed beside a copy of itself.
     """
     n_sets, n_features = stack.shape[1:]
     if n_sets * n_features == 1:
@@ -159,15 +143,14 @@ def _laplace_priors(counts: np.ndarray) -> np.ndarray:
 
 
 def fit_nb(ds: Dataset) -> NbModel:
-    """Estimate priors, means, and standard deviations from a dataset.
+    """Priors, per-class means and stds of a dataset.
 
-    Per class: mean is the sample mean; std uses divisor ``n_c - 1`` when the
-    class has at least two samples and the floor otherwise.  A class absent
-    from the data falls back to the global column mean and std so its
-    (Laplace-smoothed) prior still yields a defined score.
+    A class's std uses divisor ``n_c - 1``, and is ``STD_FLOOR`` below two
+    samples; a class absent from the data takes the global column mean and
+    std, so its Laplace prior still gives a defined score.
 
     Raises ``DataError`` naming the provenance when a mean or a variance
-    overflows float64.
+    overflows float64, ``ValueError`` on an empty dataset.
     """
     if ds.n_samples == 0 or ds.n_features == 0:
         raise ValueError("cannot fit on an empty dataset")
@@ -178,14 +161,12 @@ def fit_nb(ds: Dataset) -> NbModel:
 
 
 def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
-    """Predict each row of ``ds`` with the model fitted on the rows of the other folds.
+    """Predict each row of ``ds`` with the model fitted on the other folds' rows.
 
     ``fold_of[i]`` is row i's fold, in 0..k-1; a ``(S, n)`` stack of such
     assignments, one per seed, gives one row of predictions per seed.
-    Model ``s * k + fold`` is seed s's fold: it trains on the rows the
-    fold leaves and scores the rows it holds.  The models are fitted in
-    ``linalg.blocks`` of consecutive models, so a block may span seeds; a
-    model stacks its n x f training rows.
+    Model ``s * k + fold`` is seed s's fold; consecutive models share
+    ``linalg.blocks`` of n x f training rows a model, across seeds.
     """
     stack = np.atleast_2d(fold_of)
     k = int(stack.max()) + 1
@@ -245,10 +226,9 @@ def _log_scores(rows, priors, means, stds, model=None) -> np.ndarray:
 
 
 def _log_densities(rows, means, stds, model=None) -> np.ndarray:
-    """The scores of ``_log_scores`` without the log priors: per class, the
-    sum of the per-feature Gaussian log densities, built in place in one
-    (n, C, f) array; a model's parameters are gathered per row only for the
-    step that reads them, and the logs of its stds are taken once."""
+    """``_log_scores`` without the log priors: per class, the sum of the
+    per-feature Gaussian log densities, built in place in one (n, C, f)
+    array; the logs of the stds are taken once per model, not per row."""
     x = np.asarray(rows, dtype=np.float64)[:, None, :]      # (n, 1, f)
 
     def per_row(a):

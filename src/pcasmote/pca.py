@@ -1,17 +1,13 @@
-"""Principal component analysis with variance-coverage component selection.
+"""Principal component analysis with variance-coverage component selection
+(README, "The pipeline", step 2).
 
-``fit_pca`` eigendecomposes the covariance or correlation matrix of the
-training features and keeps the smallest number of leading components whose
-cumulative eigenvalue share reaches the requested threshold.  A matrix with
-fewer rows n than features f has at most n - 1 nonzero eigenvalues, so its
-n x n Gram matrix is decomposed instead and the components are mapped back
-(see ``_basis``); the choice is by shape alone.  ``transform``
-projects rows through ``(x - mean) / scale @ components``.  The fit is stated
-once, for a stack of matrices: ``fit_pca`` is its stack of one, and
-``fit_pca_subsets`` fits many row subsets of one matrix (the training folds
-of a cross-validation) a stack at a time, the stacks cut by ``linalg.blocks``,
-each with the bits of its own ``fit_pca``; every step of a fit but the
-slicing of each model's components takes the whole stack at once.
+``fit_pca`` decomposes the covariance or correlation matrix of the features,
+or where there are fewer rows than features their Gram matrix (``_basis``),
+and keeps the fewest leading components whose cumulative eigenvalue share
+reaches the threshold.  The fit is stated once, for a stack of matrices:
+``fit_pca`` is its stack of one, and ``fit_pca_subsets`` fits the row
+subsets of one matrix a stack at a time, each with the bits of its own
+``fit_pca``.  ``transform`` projects rows by ``(x - mean) / scale @ components``.
 """
 
 from __future__ import annotations
@@ -83,15 +79,13 @@ def retained_for_threshold(eigenvalues: np.ndarray, threshold: float):
 
 
 def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
-    """Fit the reducer on a complete dataset: ``_fit_stack`` of one matrix.
-
-    Args:
-        ds:        dataset with no missing cells.
-        threshold: variance coverage target in (0, 1].
-        mode:      "covariance" or "correlation" (z-scored features).
+    """The reducer of a complete dataset, keeping the fewest components whose
+    coverage reaches ``threshold`` in (0, 1]; ``mode`` is "covariance" or
+    "correlation" (z-scored features).
 
     Raises ``DataError`` naming the provenance on fewer than two samples, or
-    when the column statistics or the ``mode`` matrix overflow float64.
+    when the column statistics or the ``mode`` matrix overflow float64;
+    ``ConvergenceError`` if LAPACK fails.
     """
     if ds.n_samples < 2:
         raise DataError(
@@ -116,16 +110,10 @@ def fit_pca_subsets(
     features: np.ndarray, keep: np.ndarray, threshold: float, mode: str
 ) -> list[PcaModel | None]:
     """``fit_pca`` of each row subset ``features[keep[b]]``, or None where it
-    would raise (fewer than two rows, an overflow, an eigensolver failure),
-    so that the caller can rerun ``fit_pca`` on the first such subset to
-    raise its error.  ``features`` is complete; ``threshold`` and ``mode``
-    are ones ``fit_pca`` accepts.
-
-    Subsets with the same row count are stacked as (G, rows, f) in
-    ``linalg.blocks``, a subset of n rows counting its n x f rows and its
-    f x f matrix, and fitted by one ``_fit_stack`` call, with the bits each
-    subset's ``fit_pca`` gives.  If the eigensolver fails on a stack, its
-    subsets are refitted one at a time to find which.
+    would raise (fewer than two rows, an overflow, an eigensolver failure).
+    ``features`` is complete; ``threshold`` and ``mode`` are ones
+    ``fit_pca`` accepts.  Subsets of one row count are stacked in
+    ``linalg.blocks`` of (n + f) x f floats a subset.
     """
     models: list[PcaModel | None] = [None] * len(keep)
     sizes = keep.sum(axis=1)
@@ -152,15 +140,10 @@ def _fit_alone(features: np.ndarray, threshold: float, mode: str) -> PcaModel | 
 
 def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel | None]:
     """The reducer of each (n, f) matrix of ``stack`` (G, n, f), or None where
-    its column statistics or its ``mode`` matrix overflow float64.  One
-    ``linalg.symmetric_eigen`` call decomposes every finite matrix; it
-    raises ``ConvergenceError`` if LAPACK fails on any.
-
-    The matrices are those of ``_basis``: f x f, or where n < f the n x n
-    Gram matrices, whose eigenvalues are padded with zeros to length f and
-    whose leading eigenvectors are mapped to components by ``_snapshot``,
-    for the whole stack; on either path the leading f-vectors are then
-    sign-fixed once, and each model keeps its ``retained`` columns.
+    its column statistics or its ``mode`` matrix overflow float64.  Raises
+    ``ConvergenceError`` if LAPACK fails on any matrix.  Gram eigenvalues
+    are padded with zeros to length f; the leading f-vectors are sign-fixed
+    once, on either path, and each model keeps its ``retained`` columns.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean, scale, basis, rows = _basis(stack, mode)
@@ -197,14 +180,12 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
 
 def _basis(features: np.ndarray, mode: str):
     """(column means, scales, matrices to decompose, centred rows) of
-    ``features`` (n, f), or of each matrix of a stack (..., n, f), under
-    ``mode``, whose rows ``Z`` are the features or their z-scores (see
-    ``SD_FLOOR``).  With n >= f the matrix is the f x f covariance of ``Z``
-    and the rows are None.  With n < f the rows are the centred ``Z`` and
-    the matrix is their n x n Gram matrix: its eigenvalues are the
-    covariance's nonzero ones, at most n - 1 of them, and ``_snapshot``
-    maps its eigenvectors to the covariance's (the "snapshot" method of
-    Sirovich, 1987, and Turk & Pentland, 1991)."""
+    ``features`` (..., n, f) under ``mode``, whose rows ``Z`` are the
+    features or their z-scores.  With n >= f the matrix is the f x f
+    covariance of ``Z`` and the rows are None; with n < f the rows are the
+    centred ``Z`` and the matrix their n x n Gram matrix, whose eigenvalues
+    are the covariance's nonzero ones and whose eigenvectors ``_snapshot``
+    maps to the covariance's (Sirovich, 1987; Turk & Pentland, 1991)."""
     mean = features.mean(axis=-2)
     if mode == "covariance":
         scale, z = np.ones(mean.shape), features
@@ -241,11 +222,8 @@ def project(model: PcaModel, features: np.ndarray) -> np.ndarray:
 
 
 def transform(model: PcaModel, ds: Dataset) -> Dataset:
-    """Project a dataset onto the retained components.
-
-    Labels and class names pass through unchanged; features become
-    ``PC1 .. PCm``.
-    """
+    """``ds`` projected onto the retained components, as features ``PC1 ..
+    PCm``; labels and class names pass through unchanged."""
     if ds.n_features != model.n_features:
         raise ValueError(
             f"dataset has {ds.n_features} features, model expects {model.n_features}"

@@ -1,23 +1,13 @@
-"""Minority oversampling by interpolation between nearest neighbours.
+"""SMOTE: minority oversampling by interpolation between nearest neighbours
+(README, "The pipeline", step 3).
 
-A synthetic row is ``base + u * (neighbour - base)`` where the neighbour is
-one of the base sample's k nearest same-class neighbours and u is uniform in
-[0, 1).  Generation cycles over the minority samples in index order, drawing
-the neighbour choice and then u for each synthetic row, so a run is fully
-determined by its seed.  Synthetic rows are appended after the originals.
-``synthetic_rows`` states that rule once, for a batch of runs that each
-grow a kept subset of one class's rows: all the runs' draws come from one
-array of their streams, and all their synthetic rows from one array
-expression; ``oversample_class`` is its batch of one.
-
-A class's neighbour table comes from its ranking: one n x n squared-distance
-matrix and one stable row-wise sort, so ties go to the lower index; memory
-is quadratic in the class size.  The matrix is filled in blocks of rows whose
-broadcast temporary fills what it leaves of ``linalg.BLOCK_ELEMENTS`` floats,
-whatever the class size, each block against itself and the later rows only,
-the rest mirrored; a stack of matrices is ranked in one call.  A subset's
-table is read from the ranking of all the rows, so a cross-validation ranks
-each class once per run (or once per PCA refit).
+A synthetic row is ``base + u * (neighbour - base)``, the neighbour one of
+the base's k nearest same-class rows and u uniform in [0, 1).  Generation
+cycles over the class's rows in index order, drawing the neighbour choice
+and then u for each row, so a run is fully determined by its seed;
+synthetic rows follow the originals.  ``synthetic_rows`` states the rule
+once, for a batch of runs; ``oversample_class`` is its batch of one.  A
+class's neighbour table is read from its ``neighbor_ranking``.
 """
 
 from __future__ import annotations
@@ -50,16 +40,13 @@ class SmoteConfig:
 
 def neighbor_ranking(pts: np.ndarray, width: int) -> np.ndarray:
     """Row i lists the first ``width`` rows by (distance to ``pts[i]``, index),
-    for ``pts`` (n, f), or for each matrix of a stack (..., n, f), as int32.
+    for ``pts`` (n, f), or for each matrix of a stack (..., n, f), as int32;
+    each row ranks itself first, even where distances overflow.
 
-    Squared Euclidean distances fill an n x n matrix a block of rows at a
-    time: a block's rows are measured against themselves and every later
-    row, and mirrored into those rows' columns, since ``(a - b)**2`` equals
-    ``(b - a)**2`` bit for bit.  The earlier columns were mirrored in by
-    the earlier blocks, so the block's rows are then whole and are sorted
-    at once, a stable sort breaking distance ties toward the lower index.
-    The diagonal is set below every distance, so each row ranks itself
-    first, even where distances overflow to infinity.
+    Squared distances fill an n x n matrix a block of rows at a time, each
+    block against itself and the later rows, mirrored into their columns
+    since ``(a - b)**2`` equals ``(b - a)**2`` bit for bit; memory is
+    quadratic in n.  A block's rows are then whole and are sorted at once.
     """
     n = pts.shape[-2]
     dist2 = np.empty((*pts.shape[:-1], n), dtype=np.float64)
@@ -104,25 +91,22 @@ def _interpolate(sample, neighbor, u):
     return neighbor
 
 
-def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset=0) -> np.ndarray:
-    """Synthetic rows of a batch of SMOTE runs over rows of ``pts``.
+def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset) -> np.ndarray:
+    """Synthetic rows of a batch of B SMOTE runs over rows of ``pts``.
 
     Run b reads the n rows of ``pts`` and of ``ranking`` from ``offset[b]``
-    on (a scalar offset holds for every run); ``kept[b]`` (n,) masks them.
-    It grows its kept rows of one class, in order, by ``needed[b]`` rows
-    from the stream of ``seeds[b]``: row j has base ``j % count``,
-    neighbour choice ``draw(2j) % k_eff`` and ``u = draw(2j + 1)`` as
-    ``Rng.random`` reads it, with ``k_eff = min(k, count - 1)``.
-    ``ranking[i]`` lists rows, counted from the run's offset, as
-    ``neighbor_ranking`` ranks row i's class, itself first; entries of -1
-    pad it.  The neighbour is the base's ``choice + 1``-th kept entry after
-    itself: a stable order restricted to an increasing index subset keeps
-    its order, so that is the kept rows' own table.  A run that needs a row
-    must keep at least two.
+    on, ``offset`` a (B,) int array, and keeps those that ``kept[b]`` (n,)
+    masks, of one class, at least two if it grows any.  It grows them by
+    ``needed[b]`` rows from the stream of ``seeds[b]``: row j has base
+    ``j % count``, neighbour choice ``draw(2j) % min(k, count - 1)`` and
+    ``u = draw(2j + 1)`` as ``Rng.random`` reads it.  ``ranking[i]`` lists
+    rows from the run's offset as ``neighbor_ranking`` ranks row i's class,
+    padded with -1; the neighbour is the base's ``choice + 1``-th kept entry
+    after itself, which is the kept rows' own table, since a stable order
+    restricted to a subset keeps its order.
 
     Returns a ``(B, max(needed), f)`` array, padded with ``-0.0`` past each
-    run's ``needed[b]`` rows.  Raises ``ValueError`` if a base's ranking
-    holds too few kept rows.
+    run's rows.  Raises ``ValueError`` if a ranking holds too few kept rows.
     """
     needed = np.asarray(needed, dtype=np.int64)
     width = int(needed.max(initial=0))
@@ -142,7 +126,7 @@ def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset=0) -> np.ndarray
     kept_at = np.nonzero(kept)[1]   # each run's kept rows, in order, run after run
     base = kept_at[(np.cumsum(per_run) - per_run)[run] + j % counts]
     del kept_at
-    at = offset[run] if np.ndim(offset) else offset
+    at = offset[run]
     ranked = ranking[at + base].astype(np.intp)   # else each index below copies it to intp
     usable = kept[run[:, None], ranked] & (ranked >= 0)
     seen = usable.sum(axis=1)
@@ -158,16 +142,13 @@ def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset=0) -> np.ndarray
 
 
 def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
-    """Append synthetic rows until ``target_class`` has ``target_count`` samples.
-
-    Original rows are preserved in order; ``k`` is clamped to the class size
-    minus one; the rows are ``synthetic_rows`` for a batch of one that keeps
-    every row of the class.  Returns the input unchanged when the class
-    already has the target count.
+    """``ds`` with synthetic rows of ``target_class`` appended, up to
+    ``target_count`` (``ds`` itself if the class has that many):
+    ``synthetic_rows`` of a batch of one keeping the whole class.
 
     Raises:
-        ResampleError: the target class has fewer than two samples; the
-                       message names the provenance.
+        ResampleError: the class has fewer than two samples (names the
+                       provenance).
         ValueError:    ``target_count`` is below the current count.
     """
     if not 0 <= cfg.target_class < ds.n_classes:
@@ -195,6 +176,7 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         [needed],
         cfg.k,
         [cfg.seed],
+        np.zeros(1, dtype=np.int64),
     )[0]
     features = np.vstack([ds.features, synthetic])
     labels = np.concatenate(
@@ -206,12 +188,10 @@ def oversample_class(ds: Dataset, cfg: SmoteConfig) -> Dataset:
 def balance_sequence(
     ds: Dataset, order: list[int], per_class_target: int, k: int, seed: int
 ) -> list[Dataset]:
-    """Run one oversampling pass per class in ``order``, chaining outputs.
-
-    Run ``i`` uses the deterministic sub-seed ``derive_seed(seed, i)``.  Returns every intermediate
-    dataset (empty list for an empty order).  Raises ``DataError`` naming
-    the provenance if ``per_class_target`` is below the largest class.
-    """
+    """Every dataset of a chain of ``oversample_class`` runs, one per class
+    of ``order``, run i seeded ``derive_seed(seed, i)``.  Raises
+    ``DataError`` naming the provenance if ``per_class_target`` is below the
+    largest class."""
     if len(set(order)) != len(order):
         raise ValueError("order must list distinct classes")
     counts = class_counts(ds)

@@ -225,6 +225,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=re.escape(f"{path}: line 4: empty class cell")):
             read_dataset_csv(path)
 
+    def test_empty_class_cell_before_a_bad_token_is_reported_first(self, tmp_path):
+        """Line 3's empty class cell wins over line 4's bad token, as line by line."""
+        path = tmp_path / "x.csv"
+        path.write_text("a,b,class\n1.0,2.0,p\n3.0,4.0,\n5.0,x,q\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 3: empty class cell")):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize("token", ["inf", "-inf", "infinity", "-Infinity"])
     def test_infinite_cell_rejected(self, tmp_path, token):
         path = tmp_path / "x.csv"
@@ -371,6 +378,26 @@ class TestLoaderProperties:
         path = write_uci(tmp_path_factory.mktemp("uci"), lines, endings)
         with pytest.raises(DataError, match=re.escape(f"{path}: line {lineno}: ")):
             load_uci_lung_cancer(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=csv_datasets(), data=st.data())
+    def test_csv_loader_names_the_corrupt_line(self, tmp_path_factory, ds, data):
+        path = tmp_path_factory.mktemp("csv") / "bad.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        lineno = data.draw(st.integers(2, len(lines)))
+        fields = lines[lineno - 1].split(",")
+        fault = data.draw(st.sampled_from(["drop a field", "x", "inf", "empty class"]))
+        if fault == "drop a field":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+        elif fault == "empty class":
+            fields[-1] = ""
+        else:   # a feature cell: "x" would be a class name in the last one
+            fields[data.draw(st.integers(0, len(fields) - 2))] = fault
+        lines[lineno - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {lineno}: ")):
+            read_dataset_csv(path)
 
 
 class TestStratifiedFolds:

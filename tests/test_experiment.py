@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -286,6 +287,75 @@ class TestRunExperiment:
     def test_method_names_helper(self):
         assert method_names(0) == ["Initial", "PCA"]
         assert method_names(3) == ["Initial", "PCA", "SMOTE1", "SMOTE2", "SMOTE3"]
+
+
+#: numpy version under which ``PINNED_REPORTS`` was taken, as for the
+#: reducer's pins in ``test_pca``
+PINNED_NUMPY = "2.4.6"
+
+TFO = "eval.resample_scope=train-folds-only"
+
+#: config -> (``--set`` overrides, SHA-256 of report.json, of report.csv)
+#: of ``experiment`` with configs/default.cfg.  The CSV run reads the
+#: canonical export of the bundled file from a temporary folder whose path
+#: report.json records, so only its report.csv is pinned; it equals the
+#: default run's, since the export reloads bit for bit.
+PINNED_REPORTS = {
+    "default": (
+        (),
+        "644d0485617cbb8c051b850ac03344ea291dea4b3e4b60f201abfd792b3b1f73",
+        "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
+    ),
+    "train-folds-only": (
+        (TFO,),
+        "2354337ab79a94cbba0cb8ff677233843bc4e7d835b25d2d3e651fe40945a8ce",
+        "3dac6cf9694899605ea36ce69aa095be7205667d34355e1c561f9a88c416747d",
+    ),
+    "train-folds-only+fit_within_fold": (
+        (TFO, "pca.fit_within_fold=true"),
+        "bb3fde661b8d698f55322c99f45b20e996c2b06b8ec80e7c3227455db1a7198f",
+        "cec10d6e7b8b126277fa38281b4dd73de1afc0e02c59e78e11954ed688fea725",
+    ),
+    "whole-dataset+loo seed 1": (
+        ("eval.protocol=leave-one-out", "eval.seeds=1"),
+        "2a99567c9fba8de5ab49d44e8ff073aa20e8bb0743efcb3639e10a08651c03fb",
+        "627740b372d993d07975fb042170d74febcd098c23e31d67892fb6ac5f751ad3",
+    ),
+    # exact neighbour-distance ties, decided by the basis's last bits
+    "covariance+pca.threshold=1.0": (
+        ("pca.mode=covariance", "pca.threshold=1.0"),
+        "dbd5f68a3cb91cfbe62f195ba1025c94caba5ff8577a065e0c7d9068dcb9e047",
+        "3242df0bba9a7ce2f51f5d9fc55fa3b0394e785550535c68709237ce92c4e0b5",
+    ),
+    "csv export": (
+        ("dataset={csv}",),
+        None,
+        "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_experiment_reports_pinned(tmp_path, default_config, lung_raw, name):
+    """The experiment's reports, byte for byte: a change in any prediction,
+    metric or number format shows here.  The bytes rest on numpy's LAPACK,
+    so the pin holds only under the numpy version it was taken with."""
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"hashes taken under numpy {PINNED_NUMPY}, running numpy {np.__version__}")
+    overrides, json_sha, csv_sha = PINNED_REPORTS[name]
+    csv = tmp_path / "lung.csv"
+    write_dataset_csv(lung_raw, csv)
+    out = tmp_path / "out"
+    argv = ["experiment", "--config", str(default_config), "-o", str(out)]
+    for pair in overrides:
+        argv += ["--set", pair.format(csv=csv)]
+    assert main(argv) == 0
+    def sha(name):
+        return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    assert sha("report.csv") == csv_sha
+    if json_sha is not None:
+        assert sha("report.json") == json_sha
 
 
 #: naive Bayes entry points counted in ``naive_bayes`` itself: the one-set

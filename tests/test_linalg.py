@@ -105,8 +105,8 @@ def random_symmetric(rng, n):
     return (m + m.T) / 2.0
 
 
-class TestJacobi:
-    """Properties of ``linalg.symmetric_eigen``; the class name predates it."""
+class TestSymmetricEigen:
+    """Properties of ``linalg.symmetric_eigen``."""
 
     def test_identity(self):
         eig = linalg.symmetric_eigen(np.eye(3))

@@ -367,7 +367,8 @@ class TestSyntheticRows:
         features, labels, k, ranking, masks, runs = batch
         kept = np.array([masks[m] & (labels == cls) for m, cls, _, _ in runs])
         got = synthetic_rows(
-            features, ranking, kept, [r[2] for r in runs], k, [r[3] for r in runs]
+            features, ranking, kept, [r[2] for r in runs], k, [r[3] for r in runs],
+            np.zeros(len(runs), dtype=np.int64),
         )
         assert got.shape == (len(runs), max(r[2] for r in runs), features.shape[1])
         ds = make_dataset(features, labels, 2)
@@ -401,7 +402,7 @@ class TestSyntheticRows:
         for b, m in enumerate(owner):
             alone = synthetic_rows(
                 stack[m], ranking[m * n : (m + 1) * n], kept[b : b + 1], needed[b : b + 1], k,
-                seeds[b : b + 1],
+                seeds[b : b + 1], np.zeros(1, dtype=np.int64),
             )[0]
             assert got[b, : needed[b]].tobytes() == alone[: needed[b]].tobytes()
 
@@ -412,7 +413,9 @@ class TestSyntheticRows:
         kept = np.ones((3, 7), dtype=bool)
         kept[1, 2] = kept[2, [0, 5]] = False
         ds = make_dataset(pts, [0] * 7, 1)
-        got = synthetic_rows(pts, neighbor_ranking(pts, 7), kept, [9, 9, 9], 6, [1, 2, 3])
+        got = synthetic_rows(
+            pts, neighbor_ranking(pts, 7), kept, [9, 9, 9], 6, [1, 2, 3], np.zeros(3, dtype=np.int64)
+        )
         for rows, mask, seed in zip(got, kept, [1, 2, 3]):
             assert np.array_equal(rows, appended_rows(ds.subset(np.flatnonzero(mask)), 0, 9, 6, seed))
 
@@ -426,18 +429,21 @@ class TestSyntheticRows:
         m, cls, needed, seed = runs[0]
         kept = masks[m] & (labels == cls)
         own = features[kept]
-        got = synthetic_rows(features, ranking, kept[None], [needed], k, [seed])[0]
+        at = np.zeros(1, dtype=np.int64)
+        got = synthetic_rows(features, ranking, kept[None], [needed], k, [seed], at)[0]
         count = len(own)
         table = neighbor_ranking(own, min(count, k + 1))
-        expected = synthetic_rows(own, table, np.ones((1, count), dtype=bool), [needed], k, [seed])
+        every = np.ones((1, count), dtype=bool)
+        expected = synthetic_rows(own, table, every, [needed], k, [seed], at)
         assert np.array_equal(got, expected[0])
 
     def test_full_ranking_restricted_to_every_row_is_the_table(self):
         pts = random_class(np.random.default_rng(3), 2)
         n = pts.shape[0]
         every = np.ones((1, n), dtype=bool)
-        wide = synthetic_rows(pts, neighbor_ranking(pts, n), every, [2 * n], 5, [11])
-        narrow = synthetic_rows(pts, neighbor_ranking(pts, min(6, n)), every, [2 * n], 5, [11])
+        at = np.zeros(1, dtype=np.int64)
+        wide = synthetic_rows(pts, neighbor_ranking(pts, n), every, [2 * n], 5, [11], at)
+        narrow = synthetic_rows(pts, neighbor_ranking(pts, min(6, n)), every, [2 * n], 5, [11], at)
         assert np.array_equal(wide, narrow)
         ds = make_dataset(pts, [0] * n, 1)
         assert np.array_equal(wide[0], appended_rows(ds, 0, 2 * n, 5, 11))
@@ -448,7 +454,7 @@ class TestSyntheticRows:
         kept = np.array([[True, False, True, True]])
         # row 0, the first base, has only row 1 as a neighbour in the ranking, and it is not kept
         with pytest.raises(ValueError, match="width 2 holds too few kept rows"):
-            synthetic_rows(pts, ranking, kept, [1], 1, [0])
+            synthetic_rows(pts, ranking, kept, [1], 1, [0], np.zeros(1, dtype=np.int64))
 
 
 class TestOversampleLargeClassMatchesReference:
