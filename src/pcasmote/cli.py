@@ -67,13 +67,13 @@ def _cmd_reduce(args, cfg) -> None:
     out = _resolve_output_dir(args)
     ds = _load_imputed(cfg)
     model = fit_pca(ds, cfg.pca.threshold, cfg.pca.mode)
-    save_pca(model, out / "pca_model.txt")
+    save_pca(model, out / "pca_model.json")
     write_dataset_csv(transform(model, ds), out / "reduced.csv")
     print(
         f"retained {model.retained} of {ds.n_features} components "
         f"({cfg.pca.mode} mode, threshold {cfg.pca.threshold})"
     )
-    print(f"wrote {out / 'pca_model.txt'} and {out / 'reduced.csv'}")
+    print(f"wrote {out / 'pca_model.json'} and {out / 'reduced.csv'}")
 
 
 def _cmd_resample(args, cfg) -> None:
@@ -95,10 +95,10 @@ def _cmd_train(args, cfg) -> None:
     out = _resolve_output_dir(args)
     ds = _load_imputed(cfg)
     model = fit_nb(ds)
-    save_nb(model, out / "nb_model.txt")
+    save_nb(model, out / "nb_model.json")
     priors = " ".join(f"{n}={p:.4f}" for n, p in zip(model.class_names, model.priors))
     print(f"priors: {priors}")
-    print(f"wrote {out / 'nb_model.txt'}")
+    print(f"wrote {out / 'nb_model.json'}")
 
 
 def _cmd_evaluate(args, cfg) -> None:

@@ -1,98 +1,64 @@
-"""Versioned plain-text block format shared by serialised models.
-
-Layout::
-
-    pcasmote-model v1
-    kind: <model kind>
-    <key>: <value>                  # scalars and name lists
-    <key>: vector <n>
-    <n space-separated floats>
-    <key>: matrix <rows> <cols>
-    <rows lines of cols floats>
-    end
-
-Floats are written with ``repr`` so reloading is bit-exact.
+"""Model files (README, "Artifacts"): one JSON object per file, a ``format``
+tag and the model's ``kind`` first, then its fields, arrays as nested
+lists.  ``json`` writes each float with ``repr``, so a reload is bit-exact.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from .errors import DataError
 
-HEADER = "pcasmote-model v1"
+FORMAT = "pcasmote-model v2"
 
 
-def format_vector(v: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in v)
-
-
-def write_blocks(path, kind: str, scalars: dict, arrays: dict) -> None:
-    """Write scalar fields then vector/matrix blocks, in insertion order."""
+def write_model(path, kind: str, fields: dict) -> None:
+    """Write ``fields`` (numbers, strings, sequences and arrays), in order,
+    after the ``format`` tag and ``kind``."""
+    doc = {"format": FORMAT, "kind": kind}
+    doc.update((k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in fields.items())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(HEADER + "\n")
-        fh.write(f"kind: {kind}\n")
-        for key, value in scalars.items():
-            fh.write(f"{key}: {value}\n")
-        for key, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.ndim == 1:
-                fh.write(f"{key}: vector {arr.shape[0]}\n")
-                fh.write(format_vector(arr) + "\n")
-            elif arr.ndim == 2:
-                fh.write(f"{key}: matrix {arr.shape[0]} {arr.shape[1]}\n")
-                for row in arr:
-                    fh.write(format_vector(row) + "\n")
-            else:
-                raise ValueError(f"cannot serialise array of ndim {arr.ndim}")
-        fh.write("end\n")
+        json.dump(doc, fh)
+        fh.write("\n")
 
 
-def read_blocks(path, expected_kind: str) -> tuple[dict, dict]:
-    """Parse a model file back into (scalars, arrays)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != HEADER:
-        raise DataError(f"{path}: missing or unsupported model header")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[-1] != "end":
-        raise DataError(f"{path}: truncated model file (no 'end' marker)")
+def read_model(path, kind: str, shapes: dict) -> dict:
+    """The fields named in ``shapes`` of the ``kind`` model file at ``path``.
 
-    scalars: dict = {}
-    arrays: dict = {}
-    i = 1
-    while i < len(lines) - 1:
-        line = lines[i]
-        if ":" not in line:
-            raise DataError(f"{path}: malformed line {i + 1}: {line!r}")
-        key, value = line.split(":", 1)
-        key = key.strip()
-        value = value.strip()
-        if value.startswith("vector "):
-            n = int(value.split()[1])
-            i += 1
-            vec = np.array([float(t) for t in lines[i].split()], dtype=np.float64)
-            if vec.shape[0] != n:
-                raise DataError(f"{path}: vector {key!r} has wrong length")
-            arrays[key] = vec
-        elif value.startswith("matrix "):
-            _, r, c = value.split()
-            rows, cols = int(r), int(c)
-            block = []
-            for j in range(rows):
-                i += 1
-                row = [float(t) for t in lines[i].split()]
-                if len(row) != cols:
-                    raise DataError(f"{path}: matrix {key!r} row {j} has wrong length")
-                block.append(row)
-            arrays[key] = np.array(block, dtype=np.float64).reshape(rows, cols)
-        else:
-            scalars[key] = value
-        i += 1
+    ``shapes`` gives each field None, to keep it as read, or the names of its
+    dimensions, to make it a float64 array of that shape.  A dimension named
+    after a field is that field's value, or its length if it is a list; any
+    other name must be the same size wherever it appears.
 
-    if scalars.get("kind") != expected_kind:
-        raise DataError(
-            f"{path}: expected model kind {expected_kind!r}, found {scalars.get('kind')!r}"
-        )
-    return scalars, arrays
+    Raises ``DataError`` naming ``path`` if the file is not JSON, has another
+    ``format`` or ``kind``, lacks a field, or holds a ragged array or one
+    whose shape disagrees.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise DataError(f"{path}: not a JSON model file ({exc})") from None
+    found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    if found != FORMAT:
+        raise DataError(f"{path}: expected format {FORMAT!r}, found {found!r}")
+    if doc.get("kind") != kind:
+        raise DataError(f"{path}: expected model kind {kind!r}, found {doc.get('kind')!r}")
+    missing = [name for name in shapes if name not in doc]
+    if missing:
+        raise DataError(f"{path}: missing field {missing[0]!r}")
+    fields = {name: doc[name] for name in shapes}
+    sizes = {name: len(v) if isinstance(v, list) else v for name, v in fields.items()}
+    for name, dims in shapes.items():
+        if dims is None:
+            continue
+        try:
+            fields[name] = np.array(fields[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: field {name!r} is not an array of numbers") from None
+        shape = fields[name].shape
+        if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
+            raise DataError(f"{path}: field {name!r} has shape {shape}, not ({', '.join(dims)})")
+    return fields

@@ -267,20 +267,20 @@ def predict_matrix(model: NbModel, rows: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
+#: each field of a model file, with its shape as ``model_io.read_model`` takes it
+_FILE_FIELDS = {
+    "class_names": None,
+    "priors": ("class_names",), "means": ("class_names", "f"), "stds": ("class_names", "f"),
+}
+
+
 def save_nb(model: NbModel, path) -> None:
-    model_io.write_blocks(
-        path,
-        kind="naive-bayes",
-        scalars={"classes": ",".join(model.class_names)},
-        arrays={"priors": model.priors, "means": model.means, "stds": model.stds},
-    )
+    fields = {name: getattr(model, name) for name in _FILE_FIELDS}
+    model_io.write_model(path, "naive-bayes", fields)
 
 
 def load_nb(path) -> NbModel:
-    scalars, arrays = model_io.read_blocks(path, expected_kind="naive-bayes")
-    return NbModel(
-        priors=arrays["priors"],
-        means=arrays["means"],
-        stds=arrays["stds"],
-        class_names=tuple(scalars["classes"].split(",")),
-    )
+    """The model ``save_nb`` wrote to ``path``; raises ``DataError`` as
+    ``model_io.read_model`` does."""
+    fields = model_io.read_model(path, "naive-bayes", _FILE_FIELDS)
+    return NbModel(**{**fields, "class_names": tuple(fields["class_names"])})

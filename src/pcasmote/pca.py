@@ -169,7 +169,7 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
         models[g] = PcaModel(
             mean=mean[g],
             scale=scale[g],
-            components=vecs[:, :r].copy(),
+            components=vecs[:, :r] + 0.0,  # a zero is +0.0, whatever LAPACK's sign
             eigenvalues=values,
             retained=r,
             variance_threshold=threshold,
@@ -235,32 +235,19 @@ def transform(model: PcaModel, ds: Dataset) -> Dataset:
     )
 
 
+#: each field of a model file, with its shape as ``model_io.read_model`` takes it
+_FILE_FIELDS = {
+    "mode": None, "variance_threshold": None, "retained": None,
+    "mean": ("f",), "scale": ("f",), "eigenvalues": ("f",), "components": ("f", "retained"),
+}
+
+
 def save_pca(model: PcaModel, path) -> None:
-    model_io.write_blocks(
-        path,
-        kind="pca",
-        scalars={
-            "mode": model.mode,
-            "threshold": repr(model.variance_threshold),
-            "retained": model.retained,
-        },
-        arrays={
-            "mean": model.mean,
-            "scale": model.scale,
-            "eigenvalues": model.eigenvalues,
-            "components": model.components,
-        },
-    )
+    model_io.write_model(path, "pca", {name: getattr(model, name) for name in _FILE_FIELDS})
 
 
 def load_pca(path) -> PcaModel:
-    scalars, arrays = model_io.read_blocks(path, expected_kind="pca")
-    return PcaModel(
-        mean=arrays["mean"],
-        scale=arrays["scale"],
-        components=arrays["components"],
-        eigenvalues=arrays["eigenvalues"],
-        retained=int(scalars["retained"]),
-        variance_threshold=float(scalars["threshold"]),
-        mode=scalars["mode"],
-    )
+    """The model ``save_pca`` wrote to ``path``; raises ``DataError`` as
+    ``model_io.read_model`` does."""
+    fields = model_io.read_model(path, "pca", _FILE_FIELDS)
+    return PcaModel(**{**fields, "retained": int(fields["retained"])})

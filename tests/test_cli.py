@@ -434,7 +434,7 @@ class TestStages:
         cfg = write_config(tmp_path, data_file)
         out = tmp_path / "out"
         assert main(["reduce", "--config", str(cfg), "-o", str(out)]) == 0
-        assert (out / "pca_model.txt").exists()
+        assert (out / "pca_model.json").exists()
         header = (out / "reduced.csv").read_text().splitlines()[0]
         assert header.startswith("PC1,") and header.endswith(",class")
 
@@ -454,7 +454,7 @@ class TestStages:
         cfg = write_config(tmp_path, data_file)
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "-o", str(out)]) == 0
-        assert (out / "nb_model.txt").read_text().startswith("pcasmote-model v1")
+        assert json.loads((out / "nb_model.json").read_text())["format"] == "pcasmote-model v2"
 
     def test_evaluate_writes_csv(self, tmp_path, data_file, capsys):
         cfg = write_config(tmp_path, data_file, "eval.seeds = 1,2\n")
@@ -471,7 +471,7 @@ class TestStages:
         monkeypatch.setenv("PCASMOTE_OUTPUT_DIR", str(out))
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
-        assert (out / "nb_model.txt").exists()
+        assert (out / "nb_model.json").exists()
 
 
 def open_as_on_windows(monkeypatch):
@@ -585,12 +585,12 @@ class TestExperimentCommand:
         self, tmp_path, default_config, command, overrides
     ):
         """``report.json``, ``report.csv`` and the five figure CSVs, or
-        ``reduce``'s ``pca_model.txt`` and ``reduced.csv`` (the bundled file's
+        ``reduce``'s ``pca_model.json`` and ``reduced.csv`` (the bundled file's
         fit takes the Gram path), are the same bytes whether BLAS runs on one
         thread or two, set in the child's environment only."""
         figures = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
         names = (
-            ["pca_model.txt", "reduced.csv"] if command == "reduce"
+            ["pca_model.json", "reduced.csv"] if command == "reduce"
             else ["report.json", "report.csv"] + [f"{m}.csv" for m in figures]
         )
         written = names if command == "reduce" else names + ["run_meta.json"]

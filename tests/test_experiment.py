@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcasmote import experiment, linalg, naive_bayes, pca
+from pcasmote import cli, experiment, linalg, naive_bayes, pca
 from pcasmote.cli import main
 from pcasmote.config import EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings
-from pcasmote.dataset import Dataset, stratified_fold_stack, write_dataset_csv
-from pcasmote.errors import ConfigError, DataError, ResampleError
+from pcasmote.dataset import Dataset, load_dataset, stratified_fold_stack, write_dataset_csv
+from pcasmote.errors import ConfigError, DataError, ResampleError, ToolkitError
 from pcasmote.metrics import confusion_matrix, metric_rows, tally
 from pcasmote.pca import fit_pca, transform
 from pcasmote.experiment import evaluate_dataset, method_names, run_experiment
 from pcasmote.naive_bayes import fit_nb, predict_matrix
+from pcasmote.reporting import write_report_json
 from pcasmote.rng import Rng, derive_seed
 from pcasmote.smote import balance_sequence
 
@@ -835,6 +837,124 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
             expected = per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos)
             assert np.array_equal(predicted[seed_pos], expected), seed_pos
         return stack
+
+
+@st.composite
+def degenerate_runs(draw):
+    """(dataset, PCA, SMOTE and eval settings) of a small run: two or three
+    classes of 2 to 12 rows; 1 to 6 features of integers 0..3, so distances
+    tie, perhaps a constant column and duplicated rows; settings over both
+    scopes and protocols, both PCA modes and ``fit_within_fold``, most with
+    a ``per_class_target`` at or above the largest class."""
+    sizes = draw(st.lists(st.integers(2, 12), min_size=2, max_size=3))
+    n, f = sum(sizes), draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, 3))).astype(float)
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, f - 1))] = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 3))):
+        x[draw(st.integers(0, n - 1))] = x[draw(st.integers(0, n - 1))]
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist())))
+    names = tuple(f"c{i}" for i in range(len(sizes)))
+    ds = Dataset(
+        features=x, labels=labels, class_names=names,
+        feature_names=tuple(f"f{i}" for i in range(f)),
+    )
+    scope = draw(st.sampled_from(["train-folds-only", "whole-dataset"]))
+    protocol = draw(st.sampled_from(["k-fold", "leave-one-out"]))
+    one_seed = protocol == "leave-one-out" and scope == "whole-dataset"
+    seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3 - 2 * one_seed, unique=True))
+    largest = max(sizes)
+    # hypothesis leans towards small draws: the smallest here is the usual case
+    below = draw(st.integers(0, 4)) == 4
+    target = draw(st.integers(1, largest - 1) if below else st.integers(largest, largest + 8))
+    return (
+        ds,
+        PcaSettings(
+            threshold=draw(st.floats(0.05, 1.0)),
+            mode=draw(st.sampled_from(["covariance", "correlation"])),
+            fit_within_fold=scope == "train-folds-only" and draw(st.booleans()),
+        ),
+        SmoteSettings(
+            k=draw(st.integers(1, 6)),
+            order=tuple(draw(st.permutations(names))[draw(st.integers(0, len(names))) :]),
+            per_class_target=target,
+            seed=draw(st.integers(0, 99)),
+        ),
+        EvalSettings(
+            protocol=protocol, k=draw(st.integers(2, 6)), seeds=tuple(seeds),
+            resample_scope=scope,
+        ),
+    )
+
+
+def per_fold_predictions(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
+    """Each row's prediction by a naive Bayes fit on the other folds' rows."""
+    predicted = np.empty(ds.n_samples, dtype=np.int64)
+    for fold in range(int(fold_of.max()) + 1):
+        test = fold_of == fold
+        predicted[test] = predict_matrix(
+            fit_nb(ds.subset(np.flatnonzero(~test))), ds.features[test]
+        )
+    return predicted
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=degenerate_runs())
+def test_a_degenerate_run_is_rejected_or_matches_the_per_fold_path(tmp_path_factory, run):
+    """A run either raises a ``ToolkitError`` the CLI exits 2 or 3 on, or
+    its predictions are those of the per-fold path, seed by seed:
+    ``per_fold_reference`` under ``train-folds-only``, and for Initial and
+    every ``whole-dataset`` dataset a naive Bayes fit per fold; and a rerun
+    writes the same ``report.json``, byte for byte."""
+    ds, pca_settings, smote_settings, eval_settings = run
+    out = tmp_path_factory.mktemp("run")
+    write_dataset_csv(ds, out / "data.csv")
+    cfg = ExperimentConfig(
+        dataset=str(out / "data.csv"), pca=pca_settings, smote=smote_settings, eval=eval_settings,
+    )
+    scored, leak_free = [], []
+    scorer, leak_free_scorer = experiment.cross_val_predict, experiment._leak_free_predictions
+
+    def recording_scorer(*args):
+        scored.append(scorer(*args))
+        return scored[-1]
+
+    def recording_leak_free(*args):
+        result = leak_free_scorer(*args)
+        leak_free.append((args[-1], result[0]))
+        return result
+
+    try:
+        with mock.patch.object(experiment, "cross_val_predict", recording_scorer), \
+                mock.patch.object(experiment, "_leak_free_predictions", recording_leak_free):
+            report = run_experiment(cfg)
+    except ToolkitError as exc:
+        codes = [code for kind, (code, _) in cli.FAILURES.items() if isinstance(exc, kind)]
+        assert codes[:1] in ([2], [3]), exc
+        return
+    base = load_dataset(cfg.dataset)
+    order_idx = experiment.resolve_order(base, cfg.smote.order)
+    model = fit_pca(base, cfg.pca.threshold, cfg.pca.mode)
+    reduced = transform(model, base)
+    if cfg.eval.resample_scope == "whole-dataset":
+        datasets = [base, reduced] + balance_sequence(
+            reduced, order_idx, cfg.smote.per_class_target, k=cfg.smote.k, seed=cfg.smote.seed
+        )
+    else:
+        datasets = [base]
+        (stack, predicted), = leak_free
+        for seed_pos, fold_of in enumerate(stack):
+            expected = per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos)
+            assert np.array_equal(predicted[seed_pos], expected), seed_pos
+    assert len(scored) == len(datasets)
+    for step, (data, predicted) in enumerate(zip(datasets, scored)):
+        n_folds = data.n_samples if cfg.eval.protocol == "leave-one-out" else cfg.eval.k
+        for seed_pos, fold_of in enumerate(stratified_fold_stack(data, n_folds, cfg.eval.seeds)):
+            expected = per_fold_predictions(data, fold_of)
+            assert np.array_equal(predicted[seed_pos], expected), (step, seed_pos)
+    write_report_json(report, out / "report.json")
+    write_report_json(run_experiment(cfg), out / "again.json")
+    assert (out / "report.json").read_bytes() == (out / "again.json").read_bytes()
 
 
 class TestLeakFreeBlockMemory:

@@ -265,7 +265,7 @@ class TestPredict:
 class TestSerialization:
     def test_round_trip(self, tmp_path, lung):
         model = fit_nb(lung)
-        path = tmp_path / "nb_model.txt"
+        path = tmp_path / "nb_model.json"
         save_nb(model, path)
         back = load_nb(path)
         assert back.class_names == model.class_names
@@ -275,7 +275,7 @@ class TestSerialization:
 
     def test_reloaded_model_predicts_identically(self, tmp_path, lung):
         model = fit_nb(lung)
-        path = tmp_path / "nb_model.txt"
+        path = tmp_path / "nb_model.json"
         save_nb(model, path)
         back = load_nb(path)
         assert np.array_equal(

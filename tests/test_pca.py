@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -371,6 +372,19 @@ class TestTransform:
         gram = model.components.T @ model.components
         assert np.abs(gram - np.eye(3)).max() < 1e-12
 
+    @pytest.mark.parametrize("mode", ["covariance", "correlation"])
+    def test_zero_entries_of_components_are_positive(self, mode):
+        """Five rows of eight integer features, one constant: on the Gram
+        path the constant feature's entries of every component are exact
+        zeros, and each is +0.0 whatever sign LAPACK's eigenvectors gave it,
+        so a ``reduce`` writes the same model file on any LAPACK build."""
+        x = np.random.default_rng(0).integers(0, 4, size=(5, 8)).astype(float)
+        x[:, 2] = 3.0
+        model = fit_pca(dataset_from(x), 1.0, mode)
+        zeros = model.components == 0.0
+        assert model.retained == 4 and zeros[2].all()
+        assert not np.signbit(model.components[zeros]).any()
+
     def test_affine_linearity_of_rows(self, lung):
         model = fit_pca(lung, 0.90, "correlation")
         x = lung.features[0]
@@ -406,7 +420,7 @@ class TestTransform:
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path, lung):
         model = fit_pca(lung, 0.90, "correlation")
-        path = tmp_path / "pca_model.txt"
+        path = tmp_path / "pca_model.json"
         save_pca(model, path)
         back = load_pca(path)
         assert back.mode == model.mode
@@ -419,7 +433,7 @@ class TestSerialization:
 
     def test_reloaded_model_transforms_identically(self, tmp_path, lung):
         model = fit_pca(lung, 0.90, "correlation")
-        path = tmp_path / "pca_model.txt"
+        path = tmp_path / "pca_model.json"
         save_pca(model, path)
         back = load_pca(path)
         assert np.array_equal(
@@ -428,23 +442,23 @@ class TestSerialization:
 
     def test_versioned_header(self, tmp_path, lung):
         model = fit_pca(lung, 0.90, "correlation")
-        path = tmp_path / "pca_model.txt"
+        path = tmp_path / "pca_model.json"
         save_pca(model, path)
-        assert path.read_text().splitlines()[0] == "pcasmote-model v1"
+        assert json.loads(path.read_text())["format"] == "pcasmote-model v2"
 
 
 #: numpy version under which ``PINNED_REDUCE`` was taken
 PINNED_NUMPY = "2.4.6"
 
-#: mode -> SHA-256 of ``reduce``'s (pca_model.txt, reduced.csv) for the
+#: mode -> SHA-256 of ``reduce``'s (pca_model.json, reduced.csv) for the
 #: bundled file and configs/default.cfg, whose 32 x 56 fit takes the Gram path
 PINNED_REDUCE = {
     "correlation": (
-        "56176cc3dcc7df66b240c94efad7883d6f8ac453a045a9c7f26382e9a3ab0cb0",
+        "78a9b2945ca7d822b7b976f405e7c3aedc86069ec20bee3407cbbb2ea080fd62",
         "be1b574b61a0819ea939f71fd1a9b6b20f306e6148c467bd20e7b22c074ad5d6",
     ),
     "covariance": (
-        "9c1f0497030e4014784423184f6e5b802a5b68b6cb12221a5f42c3ecd486d7f4",
+        "abb4291c6de7cdc5924f10434a3a9cca370c73bddd3bc97cf4e68108c5a190a6",
         "326a10273897a7342544a3b7d6830292d715f2713cbb3755fd66d0c98ddbd8ea",
     ),
 }
@@ -463,7 +477,7 @@ def test_reduce_artifacts_pinned(tmp_path, default_config, mode):
     assert main(argv + ["-o", str(out)]) == 0
     digests = tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("pca_model.txt", "reduced.csv")
+        for name in ("pca_model.json", "reduced.csv")
     )
     assert digests == PINNED_REDUCE[mode]
 

@@ -6,10 +6,11 @@ experiment --config configs/default.cfg`` is run in that tree under every
 override set in ``CONFIGS``, then ``reduce``, ``train`` and ``evaluate`` under
 every set in ``MODEL_CONFIGS``.  Every output file but ``run_meta.json``
 (which holds timings and the command line) is compared byte for byte: the
-reports and figure CSVs, ``pca_model.txt``, ``reduced.csv``,
-``nb_model.txt`` and ``evaluation.csv``.  One
-line per config says whether the two runs agree and, if not, which files
-differ.
+reports and figure CSVs, ``pca_model.json``, ``reduced.csv``,
+``nb_model.json`` and ``evaluation.csv``.  One line per config says whether
+the two runs agree and, if not, which files differ.  A tree that writes the
+older ``pca_model.txt`` and ``nb_model.txt`` shows each model file as
+differing, once under each name.
 The generated cohort of the ``large-cohort`` benchmark workload (workload
 seed 0) is written once, from the second tree's ``perfbench/cohort.py``, and
 read by both.
