@@ -107,11 +107,7 @@ def _cmd_evaluate(args, cfg) -> None:
     summary = evaluate_dataset(
         ds, cfg.eval.protocol, cfg.eval.k, cfg.eval.seeds, method_name="dataset"
     )
-    lines = [reporting.CSV_HEADER]
-    for seed, row in summary.per_seed:
-        lines.append(reporting.csv_line("dataset", seed, row))
-    lines.append(reporting.csv_line("dataset", "mean", summary.mean))
-    (out / "evaluation.csv").write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    reporting.write_summaries_csv([summary], ("mean",), out / "evaluation.csv")
     mean = summary.mean
     print(
         f"accuracy={mean.accuracy:.4f} fp_rate={mean.fp_rate:.4f} "
@@ -130,7 +126,7 @@ def _cmd_experiment(args, cfg) -> None:
     if args.svg:
         reporting.write_figure_svgs(report, out)
     reporting.write_run_metadata(out, args.argv)
-    print(f"pca retained: {report.pca_retained} ({report.pca_mode} mode); "
+    print(f"pca retained: {report.pca_retained} ({cfg.pca.mode} mode); "
           f"other mode: {report.pca_retained_other_mode}")
     print("method      feat  samp  accuracy  fp_rate  precision  recall  miscl")
     for step in report.steps:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .dataset import IMPUTE_STRATEGIES
 from .errors import ConfigError
+from .pca import PCA_MODES
 
 PROTOCOLS = ("k-fold", "leave-one-out")
 RESAMPLE_SCOPES = ("whole-dataset", "train-folds-only")
@@ -220,7 +221,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"imputation must be one of {IMPUTE_STRATEGIES}")
     if not 0.0 < cfg.pca.threshold <= 1.0:
         raise ConfigError("pca.threshold must lie in (0, 1]")
-    if cfg.pca.mode not in ("covariance", "correlation"):
+    if cfg.pca.mode not in PCA_MODES:
         raise ConfigError("pca.mode must be 'covariance' or 'correlation'")
     if cfg.smote.k < 1:
         raise ConfigError("smote.k must be at least 1")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, linalg
+from . import linalg
 from .config import PROTOCOLS, ExperimentConfig, validate_config
 from .dataset import (
     Dataset,
@@ -31,7 +31,7 @@ from .dataset import (
 from .errors import DataError
 from .metrics import MetricRow, metric_rows, tally
 from .naive_bayes import chain_predict, cross_val_predict, finite_fits, fit_nb, stack_moments
-from .pca import fit_pca, fit_pca_subsets, project, transform
+from .pca import PCA_MODES, fit_pca, fit_pca_subsets, project, transform
 from .rng import derive_seed
 from .smote import balance_sequence, neighbor_ranking, synthetic_rows
 
@@ -40,12 +40,18 @@ RATE_FIELDS = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """Mean metrics over seeds plus the per-seed rows and spreads."""
+    """A method's per-seed rows and their statistics over seeds: the mean
+    row, the median row (float medians of every field of ``RATE_FIELDS``)
+    and each such field's (min, max) in ``ranges``."""
 
     mean: MetricRow
+    median: MetricRow
     per_seed: tuple[tuple[int, MetricRow], ...]
-    ranges: dict            # field -> (min, max) over seeds
-    misclassified_median: float
+    ranges: dict
+
+    @property
+    def misclassified_median(self) -> float:
+        return self.median.misclassified
 
 
 @dataclass(frozen=True)
@@ -59,31 +65,32 @@ class StepResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A run's results; what ``config`` and ``__version__`` hold is not repeated."""
+
     config: dict
     steps: tuple[StepResult, ...]
     dataset_sha256: str
-    toolkit_version: str
-    resample_scope: str
-    pca_mode: str
     pca_retained: int
     pca_retained_other_mode: int
 
 
 def _summarise(rows: list[tuple[int, MetricRow]]) -> EvalSummary:
-    """Mean, spread and median of one method's per-seed rows; the mean row
-    keeps the last seed's method name, sample count and feature count."""
+    """Mean, median and spread of one method's per-seed rows, the one place
+    they are computed; the mean and median rows keep the last seed's method
+    name, sample count and feature count."""
 
     def values(name):
         return [getattr(row, name) for _, row in rows]
 
     means = {name: statistics.fmean(values(name)) for name in RATE_FIELDS}
     means["misclassified"] = round(means["misclassified"])
-    ranges = {name: (min(values(name)), max(values(name))) for name in RATE_FIELDS}
+    medians = {name: float(statistics.median(values(name))) for name in RATE_FIELDS}
+    last = rows[-1][1]
     return EvalSummary(
-        mean=replace(rows[-1][1], **means),
+        mean=replace(last, **means),
+        median=replace(last, **medians),
         per_seed=tuple(rows),
-        ranges=ranges,
-        misclassified_median=float(statistics.median(values("misclassified"))),
+        ranges={name: (min(values(name)), max(values(name))) for name in RATE_FIELDS},
     )
 
 
@@ -361,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     order_idx = resolve_order(imputed, cfg.smote.order)
 
     pca_model = fit_pca(imputed, cfg.pca.threshold, cfg.pca.mode)
-    other_mode = "covariance" if cfg.pca.mode == "correlation" else "correlation"
+    other_mode, = set(PCA_MODES) - {cfg.pca.mode}
     other_model = fit_pca(imputed, cfg.pca.threshold, other_mode)
 
     names = method_names(len(order_idx))
@@ -403,9 +410,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         config=asdict(cfg),
         steps=steps,
         dataset_sha256=hashlib.sha256(Path(cfg.dataset).read_bytes()).hexdigest(),
-        toolkit_version=__version__,
-        resample_scope=cfg.eval.resample_scope,
-        pca_mode=cfg.pca.mode,
         pca_retained=pca_model.retained,
         pca_retained_other_mode=other_model.retained,
     )

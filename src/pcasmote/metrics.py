@@ -145,16 +145,8 @@ class MetricRow:
     misclassified: int
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method_name,
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-            "accuracy": self.accuracy,
-            "fp_rate": self.fp_rate,
-            "precision": self.precision,
-            "recall": self.recall,
-            "misclassified": self.misclassified,
-        }
+        """The fields in order, ``method_name`` written as ``method``."""
+        return {"method" if k == "method_name" else k: v for k, v in vars(self).items()}
 
 
 def metric_rows(counts: np.ndarray, method_names, n_features) -> list[list[MetricRow]]:

@@ -13,6 +13,9 @@ from .errors import DataError
 
 FORMAT = "pcasmote-model v2"
 
+#: the ``read_model`` rule of an array field whose every entry is positive
+POSITIVE = ("positive in every entry", lambda a: bool((a > 0).all()))
+
 
 def write_model(path, kind: str, fields: dict) -> None:
     """Write ``fields`` (numbers, strings, sequences and arrays), in order,
@@ -24,17 +27,19 @@ def write_model(path, kind: str, fields: dict) -> None:
         fh.write("\n")
 
 
-def read_model(path, kind: str, shapes: dict) -> dict:
+def read_model(path, kind: str, shapes: dict, rules: dict) -> dict:
     """The fields named in ``shapes`` of the ``kind`` model file at ``path``.
 
     ``shapes`` gives each field None, to keep it as read, or the names of its
     dimensions, to make it a float64 array of that shape.  A dimension named
     after a field is that field's value, or its length if it is a list; any
-    other name must be the same size wherever it appears.
+    other name must be the same size wherever it appears.  ``rules`` maps a
+    field to ``(what, test)``: ``test`` of the field as returned must hold,
+    and ``what`` says what the field must be.
 
     Raises ``DataError`` naming ``path`` if the file is not JSON, has another
-    ``format`` or ``kind``, lacks a field, or holds a ragged array or one
-    whose shape disagrees.
+    ``format`` or ``kind``, lacks a field, holds a ragged array, one with an
+    entry that is not finite or one whose shape disagrees, or breaks a rule.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -58,7 +63,12 @@ def read_model(path, kind: str, shapes: dict) -> dict:
             fields[name] = np.array(fields[name], dtype=np.float64)
         except (TypeError, ValueError):
             raise DataError(f"{path}: field {name!r} is not an array of numbers") from None
+        if not np.isfinite(fields[name]).all():   # json reads NaN and Infinity tokens
+            raise DataError(f"{path}: field {name!r} has an entry that is not finite")
         shape = fields[name].shape
         if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
             raise DataError(f"{path}: field {name!r} has shape {shape}, not ({', '.join(dims)})")
+    for name, (what, test) in rules.items():
+        if not test(fields[name]):
+            raise DataError(f"{path}: field {name!r} is not {what}")
     return fields

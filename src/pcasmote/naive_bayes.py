@@ -274,6 +274,17 @@ _FILE_FIELDS = {
 }
 
 
+#: each bounded field of a model file, as ``model_io.read_model`` takes its rules
+_FILE_RULES = {
+    "class_names": (
+        "a list of strings",
+        lambda names: isinstance(names, list) and all(isinstance(n, str) for n in names),
+    ),
+    "priors": model_io.POSITIVE,
+    "stds": model_io.POSITIVE,
+}
+
+
 def save_nb(model: NbModel, path) -> None:
     fields = {name: getattr(model, name) for name in _FILE_FIELDS}
     model_io.write_model(path, "naive-bayes", fields)
@@ -282,5 +293,5 @@ def save_nb(model: NbModel, path) -> None:
 def load_nb(path) -> NbModel:
     """The model ``save_nb`` wrote to ``path``; raises ``DataError`` as
     ``model_io.read_model`` does."""
-    fields = model_io.read_model(path, "naive-bayes", _FILE_FIELDS)
+    fields = model_io.read_model(path, "naive-bayes", _FILE_FIELDS, _FILE_RULES)
     return NbModel(**{**fields, "class_names": tuple(fields["class_names"])})

@@ -25,6 +25,10 @@ from .errors import ConvergenceError, DataError
 #: keeps scale 1, so its z-scores are zero and it adds zero correlation.
 SD_FLOOR = 1e-12
 
+#: The two matrices a PCA can decompose: the covariance matrix, or the
+#: correlation matrix of the z-scored features.
+PCA_MODES = ("covariance", "correlation")
+
 #: Eigenvalues below this fraction of the largest one count as zero when
 #: computing coverage, so rank-deficient data reaches coverage 1.0 exactly.
 RANK_TOL = 1e-12
@@ -93,7 +97,7 @@ def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:
         )
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    if mode not in ("covariance", "correlation"):
+    if mode not in PCA_MODES:
         raise ValueError(f"unknown PCA mode {mode!r}")
     if ds.has_missing():
         raise ValueError("dataset still contains missing cells; impute first")
@@ -242,6 +246,16 @@ _FILE_FIELDS = {
 }
 
 
+#: each bounded field of a model file, as ``model_io.read_model`` takes its rules
+_FILE_RULES = {
+    "mode": (" or ".join(map(repr, PCA_MODES)), lambda mode: mode in PCA_MODES),
+    "variance_threshold": (
+        "a number in (0, 1]", lambda t: type(t) in (int, float) and 0.0 < t <= 1.0,
+    ),
+    "scale": model_io.POSITIVE,
+}
+
+
 def save_pca(model: PcaModel, path) -> None:
     model_io.write_model(path, "pca", {name: getattr(model, name) for name in _FILE_FIELDS})
 
@@ -249,5 +263,5 @@ def save_pca(model: PcaModel, path) -> None:
 def load_pca(path) -> PcaModel:
     """The model ``save_pca`` wrote to ``path``; raises ``DataError`` as
     ``model_io.read_model`` does."""
-    fields = model_io.read_model(path, "pca", _FILE_FIELDS)
+    fields = model_io.read_model(path, "pca", _FILE_FIELDS, _FILE_RULES)
     return PcaModel(**{**fields, "retained": int(fields["retained"])})

@@ -7,15 +7,15 @@ the sidecar metadata file so repeated runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from pathlib import Path
 
-from .experiment import ExperimentReport, StepResult
+from . import __version__
+from .experiment import EvalSummary, ExperimentReport, StepResult
 
 SCHEMA_VERSION = 1
 
-#: metric -> how the per-seed values are aggregated for the figure CSVs
+#: metric -> the ``EvalSummary`` row the figure CSVs and SVGs read it from
 FIGURE_METRICS = {
     "accuracy": "mean",
     "fp_rate": "mean",
@@ -23,6 +23,12 @@ FIGURE_METRICS = {
     "recall": "mean",
     "misclassified": "median",
 }
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` in one call, as ASCII with bare newlines."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def _step_dict(step: StepResult) -> dict:
@@ -34,7 +40,7 @@ def _step_dict(step: StepResult) -> dict:
         "class_counts": step.class_counts,
         "metrics_mean": s.mean.as_dict(),
         "metrics_range": {k: list(v) for k, v in s.ranges.items()},
-        "misclassified_median": s.misclassified_median,
+        "misclassified_median": s.median.misclassified,
         "per_seed": [
             {"seed": seed, **row.as_dict()} for seed, row in s.per_seed
         ],
@@ -44,11 +50,11 @@ def _step_dict(step: StepResult) -> dict:
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "toolkit_version": report.toolkit_version,
+        "toolkit_version": __version__,
         "dataset_sha256": report.dataset_sha256,
-        "resample_scope": report.resample_scope,
+        "resample_scope": report.config["eval"]["resample_scope"],
         "pca": {
-            "mode": report.pca_mode,
+            "mode": report.config["pca"]["mode"],
             "retained": report.pca_retained,
             "retained_other_mode": report.pca_retained_other_mode,
         },
@@ -58,9 +64,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_json(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        # one write: json.dump would write every chunk apart
-        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
+    _write(path, json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
 CSV_HEADER = (
@@ -68,60 +72,42 @@ CSV_HEADER = (
 )
 
 
-def csv_line(method, seed, row) -> str:
+def csv_line(seed, row) -> str:
     return (
-        f"{method},{seed},{row.n_features},{row.n_samples},"
+        f"{row.method_name},{seed},{row.n_features},{row.n_samples},"
         f"{row.accuracy!r},{row.fp_rate!r},{row.precision!r},{row.recall!r},"
         f"{row.misclassified}"
     )
 
 
+def write_summaries_csv(summaries: list[EvalSummary], aggregates: tuple[str, ...], path) -> None:
+    """One row per method per seed, then each method's rows named in
+    ``aggregates`` (``EvalSummary`` fields, such as "mean"), methods in order."""
+    lines = [CSV_HEADER]
+    lines += [csv_line(seed, row) for s in summaries for seed, row in s.per_seed]
+    lines += [csv_line(name, getattr(s, name)) for s in summaries for name in aggregates]
+    _write(path, "\n".join(lines) + "\n")
+
+
 def write_report_csv(report: ExperimentReport, path) -> None:
     """One row per method per seed, then mean and median aggregate rows."""
-    lines = [CSV_HEADER]
-    for step in report.steps:
-        for seed, row in step.summary.per_seed:
-            lines.append(csv_line(step.method_name, seed, row))
-    for step in report.steps:
-        mean = step.summary.mean
-        lines.append(csv_line(step.method_name, "mean", mean))
-        per_seed = [row for _, row in step.summary.per_seed]
-        medians = [
-            statistics.median(getattr(row, name) for row in per_seed)
-            for name in ("accuracy", "fp_rate", "precision", "recall")
-        ]
-        lines.append(
-            f"{step.method_name},median,{mean.n_features},{mean.n_samples},"
-            + ",".join(repr(float(v)) for v in medians)
-            + f",{step.summary.misclassified_median!r}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_summaries_csv([step.summary for step in report.steps], ("mean", "median"), path)
 
 
 def figure_values(report: ExperimentReport, metric: str) -> list[tuple[str, float]]:
-    out = []
-    for step in report.steps:
-        if FIGURE_METRICS[metric] == "median":
-            value = step.summary.misclassified_median
-        else:
-            value = getattr(step.summary.mean, metric)
-        out.append((step.method_name, float(value)))
-    return out
+    """Each method's ``metric``, read from the summary row ``FIGURE_METRICS`` names."""
+    row = FIGURE_METRICS[metric]
+    return [
+        (step.method_name, float(getattr(getattr(step.summary, row), metric)))
+        for step in report.steps
+    ]
 
 
-def write_figure_csvs(report: ExperimentReport, out_dir) -> list[Path]:
+def write_figure_csvs(report: ExperimentReport, out_dir) -> None:
     """One two-column CSV per metric: method name, aggregated value."""
-    out_dir = Path(out_dir)
-    written = []
     for metric in FIGURE_METRICS:
-        path = out_dir / f"{metric}.csv"
-        lines = ["method,value"]
-        for method, value in figure_values(report, metric):
-            lines.append(f"{method},{value!r}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-        written.append(path)
-    return written
+        lines = ["method,value"] + [f"{m},{v!r}" for m, v in figure_values(report, metric)]
+        _write(Path(out_dir) / f"{metric}.csv", "\n".join(lines) + "\n")
 
 
 def _svg_bar_chart(title: str, pairs: list[tuple[str, float]]) -> str:
@@ -164,25 +150,18 @@ def _svg_bar_chart(title: str, pairs: list[tuple[str, float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_figure_svgs(report: ExperimentReport, out_dir) -> list[Path]:
-    out_dir = Path(out_dir)
-    written = []
+def write_figure_svgs(report: ExperimentReport, out_dir) -> None:
     for metric in FIGURE_METRICS:
-        path = out_dir / f"{metric}.svg"
-        path.write_text(
-            _svg_bar_chart(metric.replace("_", " "), figure_values(report, metric)),
-            encoding="ascii", newline="\n",
-        )
-        written.append(path)
-    return written
+        chart = _svg_bar_chart(metric.replace("_", " "), figure_values(report, metric))
+        _write(Path(out_dir) / f"{metric}.svg", chart)
 
 
-def write_run_metadata(out_dir, argv: list[str]) -> Path:
+def write_run_metadata(out_dir, argv: list[str]) -> None:
     """Timestamped sidecar; the only artifact allowed to differ between runs."""
-    path = Path(out_dir) / "run_meta.json"
     payload = {
         "written_at_unix": time.time(),
         "argv": argv,
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
-    return path
+    (Path(out_dir) / "run_meta.json").write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
+    )

@@ -1,4 +1,5 @@
 import hashlib
+import statistics
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -107,6 +108,10 @@ class TestEvaluateDataset:
         accs = [row.accuracy for _, row in summary.per_seed]
         assert abs(summary.mean.accuracy - sum(accs) / len(accs)) < 1e-12
         assert summary.ranges["accuracy"] == (min(accs), max(accs))
+        for name in experiment.RATE_FIELDS:
+            values = [getattr(row, name) for _, row in summary.per_seed]
+            assert getattr(summary.median, name) == statistics.median(values)
+        assert summary.misclassified_median == summary.median.misclassified
 
     def test_requires_two_samples_per_class(self):
         ds = gaussian_blobs(_PyRandom(6), [(0.0,), (4.0,)], 3, 0.1)
@@ -200,7 +205,7 @@ class TestRunExperiment:
     def test_retained_counts_reported(self, report):
         assert 1 <= report.pca_retained <= 56
         assert 1 <= report.pca_retained_other_mode <= 56
-        assert report.pca_mode == "correlation"
+        assert report.config["pca"]["mode"] == "correlation"
 
     def test_dataset_checksum_present(self, report):
         assert len(report.dataset_sha256) == 64
@@ -297,67 +302,88 @@ PINNED_NUMPY = "2.4.6"
 
 TFO = "eval.resample_scope=train-folds-only"
 
-#: config -> (``--set`` overrides, SHA-256 of report.json, of report.csv)
-#: of ``experiment`` with configs/default.cfg.  The CSV run reads the
-#: canonical export of the bundled file from a temporary folder whose path
-#: report.json records, so only its report.csv is pinned; it equals the
-#: default run's, since the export reloads bit for bit.
+#: run -> (the subcommand and its arguments after ``--config
+#: configs/default.cfg``, the SHA-256 of each file it writes that is
+#: pinned).  The CSV run reads the canonical export of the bundled file from
+#: a temporary folder whose path report.json records, so only its
+#: report.csv is pinned; it equals the default run's, since the export
+#: reloads bit for bit.  ``evaluate`` cross-validates the bundled file alone.
 PINNED_REPORTS = {
     "default": (
-        (),
-        "644d0485617cbb8c051b850ac03344ea291dea4b3e4b60f201abfd792b3b1f73",
-        "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
+        ("experiment", "--svg"),
+        {
+            "report.json": "644d0485617cbb8c051b850ac03344ea291dea4b3e4b60f201abfd792b3b1f73",
+            "report.csv": "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
+            "accuracy.csv": "81d66867c7cf35dd853b72e75cf0a1ac40c610d1dcd43e7cb003f7a772bee003",
+            "fp_rate.csv": "dc83de5904f9f97c77660f05b3dbc5b7c2cf9047fc8ec93abed2be4cab36c47f",
+            "precision.csv": "5ccb80af4d6bbbea4f4b2f53d96453e7588904cfd51ed4eedc1ca97d118f1f55",
+            "recall.csv": "81d66867c7cf35dd853b72e75cf0a1ac40c610d1dcd43e7cb003f7a772bee003",
+            "misclassified.csv": "32edffe3c394da0ef4973b63c1c51f8bc397714a230ca5e20292c7779dc56695",
+            "accuracy.svg": "7b9a09782ecfcb37da0219833eb8bbc2aa426f2b979f3b211328685e22c082c9",
+            "fp_rate.svg": "56c7c63637aa67760570c5f238ae511dc9b1be76734d21818d81f7961a39e7da",
+            "precision.svg": "0f93f5f282d10ff62dad10c198377ca8b2b3e284cf2538ee2c21a2ba98e440df",
+            "recall.svg": "f4a3e111df6cf602991d99bd099632b44deaeb8716f0503403cf92811d69daf4",
+            "misclassified.svg": "2eea68636f024224a7f2d1e885f688348b6689fababf5291f8928749144f04be",
+        },
     ),
     "train-folds-only": (
-        (TFO,),
-        "2354337ab79a94cbba0cb8ff677233843bc4e7d835b25d2d3e651fe40945a8ce",
-        "3dac6cf9694899605ea36ce69aa095be7205667d34355e1c561f9a88c416747d",
+        ("experiment", "--set", TFO),
+        {
+            "report.json": "2354337ab79a94cbba0cb8ff677233843bc4e7d835b25d2d3e651fe40945a8ce",
+            "report.csv": "3dac6cf9694899605ea36ce69aa095be7205667d34355e1c561f9a88c416747d",
+        },
     ),
     "train-folds-only+fit_within_fold": (
-        (TFO, "pca.fit_within_fold=true"),
-        "bb3fde661b8d698f55322c99f45b20e996c2b06b8ec80e7c3227455db1a7198f",
-        "cec10d6e7b8b126277fa38281b4dd73de1afc0e02c59e78e11954ed688fea725",
+        ("experiment", "--set", TFO, "--set", "pca.fit_within_fold=true"),
+        {
+            "report.json": "bb3fde661b8d698f55322c99f45b20e996c2b06b8ec80e7c3227455db1a7198f",
+            "report.csv": "cec10d6e7b8b126277fa38281b4dd73de1afc0e02c59e78e11954ed688fea725",
+        },
     ),
     "whole-dataset+loo seed 1": (
-        ("eval.protocol=leave-one-out", "eval.seeds=1"),
-        "2a99567c9fba8de5ab49d44e8ff073aa20e8bb0743efcb3639e10a08651c03fb",
-        "627740b372d993d07975fb042170d74febcd098c23e31d67892fb6ac5f751ad3",
+        ("experiment", "--set", "eval.protocol=leave-one-out", "--set", "eval.seeds=1"),
+        {
+            "report.json": "2a99567c9fba8de5ab49d44e8ff073aa20e8bb0743efcb3639e10a08651c03fb",
+            "report.csv": "627740b372d993d07975fb042170d74febcd098c23e31d67892fb6ac5f751ad3",
+        },
     ),
     # exact neighbour-distance ties, decided by the basis's last bits
     "covariance+pca.threshold=1.0": (
-        ("pca.mode=covariance", "pca.threshold=1.0"),
-        "dbd5f68a3cb91cfbe62f195ba1025c94caba5ff8577a065e0c7d9068dcb9e047",
-        "3242df0bba9a7ce2f51f5d9fc55fa3b0394e785550535c68709237ce92c4e0b5",
+        ("experiment", "--set", "pca.mode=covariance", "--set", "pca.threshold=1.0"),
+        {
+            "report.json": "dbd5f68a3cb91cfbe62f195ba1025c94caba5ff8577a065e0c7d9068dcb9e047",
+            "report.csv": "3242df0bba9a7ce2f51f5d9fc55fa3b0394e785550535c68709237ce92c4e0b5",
+        },
     ),
     "csv export": (
-        ("dataset={csv}",),
-        None,
-        "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
+        ("experiment", "--set", "dataset={csv}"),
+        {"report.csv": "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3"},
+    ),
+    "evaluate": (
+        ("evaluate",),
+        {"evaluation.csv": "cb7dc34219d60b9e7de682e8583ef78cc5193ac237895b991beaa61656f4047c"},
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(PINNED_REPORTS))
 def test_experiment_reports_pinned(tmp_path, default_config, lung_raw, name):
-    """The experiment's reports, byte for byte: a change in any prediction,
-    metric or number format shows here.  The bytes rest on numpy's LAPACK,
-    so the pin holds only under the numpy version it was taken with."""
+    """The artifacts of ``experiment`` (reports, figure CSVs and SVGs) and
+    of ``evaluate``, byte for byte: a change in any prediction, metric or
+    number format shows here.  The bytes rest on numpy's LAPACK, so the pin
+    holds only under the numpy version it was taken with."""
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"hashes taken under numpy {PINNED_NUMPY}, running numpy {np.__version__}")
-    overrides, json_sha, csv_sha = PINNED_REPORTS[name]
+    (command, *args), pinned = PINNED_REPORTS[name]
     csv = tmp_path / "lung.csv"
     write_dataset_csv(lung_raw, csv)
     out = tmp_path / "out"
-    argv = ["experiment", "--config", str(default_config), "-o", str(out)]
-    for pair in overrides:
-        argv += ["--set", pair.format(csv=csv)]
-    assert main(argv) == 0
-    def sha(name):
-        return hashlib.sha256((out / name).read_bytes()).hexdigest()
-
-    assert sha("report.csv") == csv_sha
-    if json_sha is not None:
-        assert sha("report.json") == json_sha
+    argv = [command, "--config", str(default_config), "-o", str(out)]
+    assert main(argv + [arg.format(csv=csv) for arg in args]) == 0
+    written = {
+        file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in pinned
+    }
+    assert written == pinned
 
 
 #: naive Bayes entry points counted in ``naive_bayes`` itself: the one-set
@@ -414,7 +440,7 @@ class TestTrainFoldsOnlyScope:
             # no synthetic row is ever scored, on any seed
             assert [row.n_samples for _, row in step.summary.per_seed] == [32, 32]
             assert 0.0 <= step.summary.mean.accuracy <= 1.0
-        assert report.resample_scope == "train-folds-only"
+        assert report.config["eval"]["resample_scope"] == "train-folds-only"
 
     def test_fit_within_fold_runs(self, refit_run):
         report, _ = refit_run

@@ -1,6 +1,7 @@
 """Model files: ``load_pca`` and ``load_nb`` reject a file that is not JSON,
-has another ``format`` or ``kind``, lacks a field, or holds a ragged array or
-arrays whose shapes disagree, with a ``DataError`` that names it."""
+has another ``format`` or ``kind``, lacks a field, holds a ragged array, an
+entry that is not finite or arrays whose shapes disagree, or holds a value no
+fit writes, with a ``DataError`` that names it."""
 
 import json
 import re
@@ -48,6 +49,11 @@ def popping(key, row=None):
     return edited(lambda doc: (doc[key] if row is None else doc[key][row]).pop())
 
 
+def entry(key, value, row=None):
+    """Set the first entry of a field, or of one row of it, to ``value``."""
+    return edited(lambda doc: (doc[key] if row is None else doc[key][row]).__setitem__(0, value))
+
+
 def common_cases(kind, other, fields):
     """(kind, case, edit) of the rejections every loader shares."""
     return [
@@ -81,6 +87,15 @@ CASES = common_cases("pca", "naive-bayes", [
     ("pca", "retained as text", edited(
         lambda doc: doc.__setitem__("retained", str(doc["retained"]))
     )),
+    ("pca", "Infinity in mean", entry("mean", float("inf"))),
+    ("pca", "NaN in components", entry("components", float("nan"), row=0)),
+    ("pca", "a zero scale", entry("scale", 0.0)),
+    ("pca", "a negative scale", entry("scale", -1.0)),
+    ("pca", "an unknown mode", setting("mode", "bogus")),
+    ("pca", "a threshold as text", setting("variance_threshold", "high")),
+    ("pca", "a threshold above one", setting("variance_threshold", 7.0)),
+    ("pca", "a zero threshold", setting("variance_threshold", 0)),
+    ("pca", "a threshold of true", setting("variance_threshold", True)),
 ] + common_cases("naive-bayes", "pca", ["class_names", "priors", "means", "stds"]) + [
     ("naive-bayes", "ragged stds", popping("stds", row=1)),
     ("naive-bayes", "text in priors", edited(lambda doc: doc["priors"].__setitem__(0, "x"))),
@@ -91,6 +106,17 @@ CASES = common_cases("pca", "naive-bayes", [
     )),
     ("naive-bayes", "stds missing a feature", edited(lambda doc: [r.pop() for r in doc["stds"]])),
     ("naive-bayes", "an extra class name", edited(lambda doc: doc["class_names"].append("z"))),
+    ("naive-bayes", "NaN in means", entry("means", float("nan"), row=1)),
+    ("naive-bayes", "-Infinity in priors", entry("priors", float("-inf"))),
+    ("naive-bayes", "a zero prior", entry("priors", 0.0)),
+    ("naive-bayes", "a zero std", entry("stds", 0.0, row=2)),
+    ("naive-bayes", "a negative std", entry("stds", -1.0, row=0)),
+    ("naive-bayes", "integer class names", edited(
+        lambda doc: doc.__setitem__("class_names", list(range(len(doc["class_names"]))))
+    )),
+    ("naive-bayes", "class names as a count", edited(
+        lambda doc: doc.__setitem__("class_names", len(doc["class_names"]))
+    )),
 ]
 
 

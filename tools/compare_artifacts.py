@@ -2,11 +2,11 @@
 """Compare the artifacts of ``pcasmote`` runs from two source trees.
 
 Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
-experiment --config configs/default.cfg`` is run in that tree under every
-override set in ``CONFIGS``, then ``reduce``, ``train`` and ``evaluate`` under
-every set in ``MODEL_CONFIGS``.  Every output file but ``run_meta.json``
+experiment --svg --config configs/default.cfg`` is run in that tree under
+every override set in ``CONFIGS``, then ``reduce``, ``train`` and ``evaluate``
+under every set in ``MODEL_CONFIGS``.  Every output file but ``run_meta.json``
 (which holds timings and the command line) is compared byte for byte: the
-reports and figure CSVs, ``pca_model.json``, ``reduced.csv``,
+reports, figure CSVs and SVGs, ``pca_model.json``, ``reduced.csv``,
 ``nb_model.json`` and ``evaluation.csv``.  One line per config says whether
 the two runs agree and, if not, which files differ.  A tree that writes the
 older ``pca_model.txt`` and ``nb_model.txt`` shows each model file as
@@ -186,6 +186,8 @@ def run(tree: Path, command: str, overrides: list[str], out: Path) -> str:
     """Run one subcommand; returns "" on success, else the exit status and
     the last line of stderr."""
     argv = [command, "--config", "configs/default.cfg", "--output-dir", str(out)]
+    if command == "experiment":
+        argv.append("--svg")
     for pair in overrides:
         argv += ["--set", pair]
     code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
