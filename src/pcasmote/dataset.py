@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ImputationError
+from .model_io import write_text
 from .rng import next_u64_array
 
 LUNG_CLASS_NAMES = ("TypeA", "TypeB", "TypeC")
@@ -175,12 +176,11 @@ def write_dataset_csv(ds: Dataset, path) -> None:
     """Write the canonical CSV export: feature names then ``class`` header,
     one row per sample, class emitted as its name, floats via ``repr`` so a
     reload is bit-exact."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(ds.feature_names) + ",class\n")
-        for i in range(ds.n_samples):
-            cells = [repr(float(v)) for v in ds.features[i]]
-            cells.append(ds.class_names[ds.labels[i]])
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join(ds.feature_names) + ",class"] + [
+        ",".join([*map(repr, row), ds.class_names[label]])
+        for row, label in zip(ds.features.tolist(), ds.labels.tolist())
+    ]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _csv_label(text: str) -> str:
@@ -245,11 +245,9 @@ def impute_missing(ds: Dataset, strategy: str) -> Dataset:
     if not ds.has_missing():
         return ds
     feats = ds.features.copy()
-    for col in range(ds.n_features):
+    for col in np.flatnonzero(np.isnan(feats).any(axis=0)):
         column = feats[:, col]
         missing = np.isnan(column)
-        if not missing.any():
-            continue
         observed = column[~missing]
         if observed.size == 0:
             raise ImputationError(

@@ -1,6 +1,9 @@
-"""Model files (README, "Artifacts"): one JSON object per file, a ``format``
-tag and the model's ``kind`` first, then its fields, arrays as nested
-lists.  ``json`` writes each float with ``repr``, so a reload is bit-exact.
+"""Artifact files (README, "Artifacts"): ``write_text`` writes every file
+the toolkit makes, and ``read_model`` reads the model files back.  Each JSON
+file is one line from a one-shot ``json.dumps`` without ``indent``, the call
+that runs json's C encoder.  A model file is one JSON object: a ``format``
+tag and the model's ``kind`` first, then its fields, arrays as nested lists.
+``json`` writes each float with ``repr``, so a reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -17,14 +20,18 @@ FORMAT = "pcasmote-model v2"
 POSITIVE = ("positive in every entry", lambda a: bool((a > 0).all()))
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` in one call, as ASCII with bare newlines."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_model(path, kind: str, fields: dict) -> None:
     """Write ``fields`` (numbers, strings, sequences and arrays), in order,
     after the ``format`` tag and ``kind``."""
     doc = {"format": FORMAT, "kind": kind}
     doc.update((k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in fields.items())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_text(path, json.dumps(doc) + "\n")
 
 
 def read_model(path, kind: str, shapes: dict, rules: dict) -> dict:

@@ -249,6 +249,7 @@ _FILE_FIELDS = {
 #: each bounded field of a model file, as ``model_io.read_model`` takes its rules
 _FILE_RULES = {
     "mode": (" or ".join(map(repr, PCA_MODES)), lambda mode: mode in PCA_MODES),
+    "retained": ("an integer of at least 1", lambda r: type(r) is int and r >= 1),
     "variance_threshold": (
         "a number in (0, 1]", lambda t: type(t) in (int, float) and 0.0 < t <= 1.0,
     ),
@@ -263,5 +264,4 @@ def save_pca(model: PcaModel, path) -> None:
 def load_pca(path) -> PcaModel:
     """The model ``save_pca`` wrote to ``path``; raises ``DataError`` as
     ``model_io.read_model`` does."""
-    fields = model_io.read_model(path, "pca", _FILE_FIELDS, _FILE_RULES)
-    return PcaModel(**{**fields, "retained": int(fields["retained"])})
+    return PcaModel(**model_io.read_model(path, "pca", _FILE_FIELDS, _FILE_RULES))

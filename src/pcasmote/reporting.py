@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .experiment import EvalSummary, ExperimentReport, StepResult
+from .model_io import write_text
 
 SCHEMA_VERSION = 1
 
@@ -23,12 +24,6 @@ FIGURE_METRICS = {
     "recall": "mean",
     "misclassified": "median",
 }
-
-
-def _write(path, text: str) -> None:
-    """Write ``text`` in one call, as ASCII with bare newlines."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
 
 
 def _step_dict(step: StepResult) -> dict:
@@ -64,7 +59,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_json(report: ExperimentReport, path) -> None:
-    _write(path, json.dumps(report_to_dict(report), indent=2) + "\n")
+    write_text(path, json.dumps(report_to_dict(report)) + "\n")
 
 
 CSV_HEADER = (
@@ -86,7 +81,7 @@ def write_summaries_csv(summaries: list[EvalSummary], aggregates: tuple[str, ...
     lines = [CSV_HEADER]
     lines += [csv_line(seed, row) for s in summaries for seed, row in s.per_seed]
     lines += [csv_line(name, getattr(s, name)) for s in summaries for name in aggregates]
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:
@@ -107,7 +102,7 @@ def write_figure_csvs(report: ExperimentReport, out_dir) -> None:
     """One two-column CSV per metric: method name, aggregated value."""
     for metric in FIGURE_METRICS:
         lines = ["method,value"] + [f"{m},{v!r}" for m, v in figure_values(report, metric)]
-        _write(Path(out_dir) / f"{metric}.csv", "\n".join(lines) + "\n")
+        write_text(Path(out_dir) / f"{metric}.csv", "\n".join(lines) + "\n")
 
 
 def _svg_bar_chart(title: str, pairs: list[tuple[str, float]]) -> str:
@@ -153,15 +148,10 @@ def _svg_bar_chart(title: str, pairs: list[tuple[str, float]]) -> str:
 def write_figure_svgs(report: ExperimentReport, out_dir) -> None:
     for metric in FIGURE_METRICS:
         chart = _svg_bar_chart(metric.replace("_", " "), figure_values(report, metric))
-        _write(Path(out_dir) / f"{metric}.svg", chart)
+        write_text(Path(out_dir) / f"{metric}.svg", chart)
 
 
 def write_run_metadata(out_dir, argv: list[str]) -> None:
     """Timestamped sidecar; the only artifact allowed to differ between runs."""
-    payload = {
-        "written_at_unix": time.time(),
-        "argv": argv,
-    }
-    (Path(out_dir) / "run_meta.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    payload = {"written_at_unix": time.time(), "argv": argv}
+    write_text(Path(out_dir) / "run_meta.json", json.dumps(payload) + "\n")

@@ -555,6 +555,23 @@ class TestExperimentCommand:
         assert doc["steps"][0]["metrics_mean"]["method"] == "Initial"
         assert doc["config"]["eval"]["seeds"] == [1, 2, 3]
 
+    @pytest.mark.parametrize("command", ["experiment", "reduce", "resample", "train", "evaluate"])
+    def test_files_are_ascii_lines_and_json_one_line(self, tmp_path, data_file, run_dir, command):
+        """Each file ``experiment --svg`` and the single stages write is
+        ASCII, holds no "\\r" and ends in "\\n"; each ``.json`` file is one
+        line that ``json.loads`` reads."""
+        out = run_dir
+        if command != "experiment":
+            cfg = write_config(tmp_path, data_file, "eval.seeds = 1\n")
+            out = tmp_path / "out"
+            assert main([command, "--config", str(cfg), "-o", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            assert data.isascii() and b"\r" not in data and data.endswith(b"\n"), path.name
+            if path.suffix == ".json":
+                assert data.count(b"\n") == 1, path.name
+                json.loads(data)
+
     def test_rerun_byte_identical(self, tmp_path, data_file):
         for scope in ("whole-dataset", "train-folds-only"):
             cfg = write_config(

@@ -312,7 +312,7 @@ PINNED_REPORTS = {
     "default": (
         ("experiment", "--svg"),
         {
-            "report.json": "644d0485617cbb8c051b850ac03344ea291dea4b3e4b60f201abfd792b3b1f73",
+            "report.json": "80185d8beee07c80d73720ee60f3bd2c2031c34a9121f8f58c2fc9e88ab10d80",
             "report.csv": "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
             "accuracy.csv": "81d66867c7cf35dd853b72e75cf0a1ac40c610d1dcd43e7cb003f7a772bee003",
             "fp_rate.csv": "dc83de5904f9f97c77660f05b3dbc5b7c2cf9047fc8ec93abed2be4cab36c47f",
@@ -329,21 +329,21 @@ PINNED_REPORTS = {
     "train-folds-only": (
         ("experiment", "--set", TFO),
         {
-            "report.json": "2354337ab79a94cbba0cb8ff677233843bc4e7d835b25d2d3e651fe40945a8ce",
+            "report.json": "f8acf81945692bfc3800fd065f806521ab34038591e2ac0da1352c30d8fbe39b",
             "report.csv": "3dac6cf9694899605ea36ce69aa095be7205667d34355e1c561f9a88c416747d",
         },
     ),
     "train-folds-only+fit_within_fold": (
         ("experiment", "--set", TFO, "--set", "pca.fit_within_fold=true"),
         {
-            "report.json": "bb3fde661b8d698f55322c99f45b20e996c2b06b8ec80e7c3227455db1a7198f",
+            "report.json": "93b8aad88b87d86c8ad260f2fa511e06825bc8056e38e4051fc7ef04fe216d48",
             "report.csv": "cec10d6e7b8b126277fa38281b4dd73de1afc0e02c59e78e11954ed688fea725",
         },
     ),
     "whole-dataset+loo seed 1": (
         ("experiment", "--set", "eval.protocol=leave-one-out", "--set", "eval.seeds=1"),
         {
-            "report.json": "2a99567c9fba8de5ab49d44e8ff073aa20e8bb0743efcb3639e10a08651c03fb",
+            "report.json": "41637926013a730efd0c48bcfa4b49538de0445cc5429ed71c59869dc8628d0b",
             "report.csv": "627740b372d993d07975fb042170d74febcd098c23e31d67892fb6ac5f751ad3",
         },
     ),
@@ -351,7 +351,7 @@ PINNED_REPORTS = {
     "covariance+pca.threshold=1.0": (
         ("experiment", "--set", "pca.mode=covariance", "--set", "pca.threshold=1.0"),
         {
-            "report.json": "dbd5f68a3cb91cfbe62f195ba1025c94caba5ff8577a065e0c7d9068dcb9e047",
+            "report.json": "e426be20663d1b6c25aa22c72469f7a869841a201457b9ee4b2b3b3f33398835",
             "report.csv": "3242df0bba9a7ce2f51f5d9fc55fa3b0394e785550535c68709237ce92c4e0b5",
         },
     ),

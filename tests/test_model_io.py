@@ -87,6 +87,15 @@ CASES = common_cases("pca", "naive-bayes", [
     ("pca", "retained as text", edited(
         lambda doc: doc.__setitem__("retained", str(doc["retained"]))
     )),
+    ("pca", "a zero retained", edited(
+        lambda doc: doc.update(retained=0, components=[[] for _ in doc["components"]])
+    )),
+    ("pca", "retained of true", edited(
+        lambda doc: doc.update(retained=True, components=[r[:1] for r in doc["components"]])
+    )),
+    ("pca", "retained as a float", edited(
+        lambda doc: doc.__setitem__("retained", float(doc["retained"]))
+    )),
     ("pca", "Infinity in mean", entry("mean", float("inf"))),
     ("pca", "NaN in components", entry("components", float("nan"), row=0)),
     ("pca", "a zero scale", entry("scale", 0.0)),

@@ -8,9 +8,11 @@ under every set in ``MODEL_CONFIGS``.  Every output file but ``run_meta.json``
 (which holds timings and the command line) is compared byte for byte: the
 reports, figure CSVs and SVGs, ``pca_model.json``, ``reduced.csv``,
 ``nb_model.json`` and ``evaluation.csv``.  One line per config says whether
-the two runs agree and, if not, which files differ.  A tree that writes the
-older ``pca_model.txt`` and ``nb_model.txt`` shows each model file as
-differing, once under each name.
+the two runs agree and, if not, which files differ.  A ``.json`` file whose
+bytes differ but whose ``json.loads`` values are equal is named "same JSON
+value, other layout"; it still differs.  A tree that writes the older
+``pca_model.txt`` and ``nb_model.txt`` shows each model file as differing,
+once under each name.
 The generated cohort of the ``large-cohort`` benchmark workload (workload
 seed 0) is written once, from the second tree's ``perfbench/cohort.py``, and
 read by both.
@@ -24,6 +26,7 @@ package under test).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -210,6 +213,17 @@ def artifacts(out: Path) -> dict[str, bytes]:
     }
 
 
+def describe(name: str, a: bytes | None, b: bytes | None) -> str:
+    """``name`` of a differing file, marked when both sides are JSON of one value."""
+    if name.endswith(".json") and a is not None and b is not None:
+        try:
+            if json.loads(a) == json.loads(b):
+                return f"{name} (same JSON value, other layout)"
+        except ValueError:
+            pass
+    return name
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__.split("\n\n")[2], file=sys.stderr)
@@ -228,7 +242,10 @@ def main(argv: list[str]) -> int:
                 run(tree, command, pairs, out) for tree, out in zip((before, after), outs)
             ]
             a, b = (artifacts(out) for out in outs)
-            differing = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+            differing = [
+                describe(f, a.get(f), b.get(f))
+                for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)
+            ]
             if any(errors):
                 verdict = "; ".join(
                     f"{side} failed with {err}" for side, err in zip(("before", "after"), errors) if err
