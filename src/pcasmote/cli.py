@@ -104,9 +104,7 @@ def _cmd_train(args, cfg) -> None:
 def _cmd_evaluate(args, cfg) -> None:
     out = _resolve_output_dir(args)
     ds = _load_imputed(cfg)
-    summary = evaluate_dataset(
-        ds, cfg.eval.protocol, cfg.eval.k, cfg.eval.seeds, method_name="dataset"
-    )
+    summary = evaluate_dataset(ds, cfg.eval, method_name="dataset")
     reporting.write_summaries_csv([summary], ("mean",), out / "evaluation.csv")
     mean = summary.mean
     print(

@@ -3,11 +3,11 @@ Gaussian naive Bayes under seeded stratified cross-validation (README, "The
 pipeline", step 4, and the ``eval.resample_scope`` paragraph after it).
 
 Each set of labels draws every seed's folds once, as one ``(seeds, rows)``
-stack.  Under ``whole-dataset`` each dataset is scored by one
-``naive_bayes.cross_val_predict`` call; under ``train-folds-only`` one
-``_leak_free_predictions`` call scores PCA and every SMOTE stage of every
-(seed, fold) model.  One ``metric_rows`` call summarises every (seed,
-method) confusion table of a run.
+stack.  One function, ``_fold_predictions``, fits and scores every (seed,
+fold) model of a call in blocks: Initial and each ``whole-dataset`` dataset
+are a call with no SMOTE chain, and under ``train-folds-only`` one call
+scores PCA and every SMOTE stage of every model.  One ``metric_rows`` call
+summarises every (seed, method) confusion table of a run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .config import PROTOCOLS, ExperimentConfig, validate_config
+from .config import EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings, validate_config
 from .dataset import (
     Dataset,
     class_counts,
@@ -30,7 +30,7 @@ from .dataset import (
 )
 from .errors import DataError
 from .metrics import MetricRow, metric_rows, tally
-from .naive_bayes import chain_predict, cross_val_predict, finite_fits, fit_nb, stack_moments
+from .naive_bayes import chain_predict, class_moments, finite_fits, fit_nb, stack_moments
 from .pca import PCA_MODES, fit_pca, fit_pca_subsets, project, transform
 from .rng import derive_seed
 from .smote import balance_sequence, neighbor_ranking, synthetic_rows
@@ -56,11 +56,23 @@ class EvalSummary:
 
 @dataclass(frozen=True)
 class StepResult:
-    method_name: str
-    n_features: int
-    n_samples: int
+    """A method's class counts and summary; its name, feature count and
+    sample count are its mean row's."""
+
     class_counts: list[int]
     summary: EvalSummary
+
+    @property
+    def method_name(self) -> str:
+        return self.summary.mean.method_name
+
+    @property
+    def n_features(self) -> int:
+        return self.summary.mean.n_features
+
+    @property
+    def n_samples(self) -> int:
+        return self.summary.mean.n_samples
 
 
 @dataclass(frozen=True)
@@ -117,121 +129,118 @@ def _summaries(counts: np.ndarray, names: list[str], widths, seeds) -> list[Eval
     ]
 
 
-def evaluate_dataset(
-    ds: Dataset, protocol: str, k: int, seeds, method_name: str = ""
-) -> EvalSummary:
-    """Seeded cross-validation of naive Bayes on one fixed dataset; every
-    (seed, fold) model is fitted and scored by one ``cross_val_predict`` call.
-    Raises ``ValueError`` on a protocol outside ``PROTOCOLS``, the check
-    ``validate_config`` makes for ``run_experiment``."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    predicted = cross_val_predict(ds, _fold_stack(ds, protocol, k, seeds))
-    counts = tally(ds.labels, predicted[:, None], ds.n_classes)
-    return _summaries(counts, [method_name], [[ds.n_features]] * len(seeds), seeds)[0]
+def evaluate_dataset(ds: Dataset, ev: EvalSettings, method_name: str = "") -> EvalSummary:
+    """Seeded cross-validation of naive Bayes on one fixed dataset, under
+    the settings ``ev`` of a validated config; every (seed, fold) model is
+    fitted and scored by one ``_fold_predictions`` call."""
+    predicted, _ = _fold_predictions(ds, _fold_stack(ds, ev.protocol, ev.k, ev.seeds), ev.seeds)
+    counts = tally(ds.labels, predicted, ds.n_classes)
+    return _summaries(counts, [method_name], [[ds.n_features]] * len(ev.seeds), ev.seeds)[0]
 
 
-def _fold_provenance(base: Dataset, cfg: ExperimentConfig, seed_pos: int, fold: int) -> str:
-    """Names a training fold (counted from 1) and its seed, so an error
-    raised on it says its counts are the fold's."""
-    return f"{base.provenance}, training fold {fold + 1} of seed {cfg.eval.seeds[seed_pos]}"
-
-
-def _chain_seed(cfg: ExperimentConfig, seed_pos: int, fold: int) -> int:
+def _chain_seed(smote: SmoteSettings, seed_pos: int, fold: int) -> int:
     """The seed of the SMOTE chain of seed ``seed_pos``'s fold ``fold``."""
-    return derive_seed(derive_seed(cfg.smote.seed, seed_pos), fold)
+    return derive_seed(derive_seed(smote.seed, seed_pos), fold)
 
 
-def _leak_free_predictions(
-    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
-    stack: np.ndarray,
+def _fold_predictions(
+    ds: Dataset, stack: np.ndarray, seeds, order_idx=(), smote: SmoteSettings | None = None,
+    refit: PcaSettings | None = None,
 ):
-    """Every seed's ``train-folds-only`` predictions: PCA, then each SMOTE stage.
+    """Every seed's cross-validated naive Bayes predictions of ``ds``: the
+    one loop over (seed, fold) models, for every method in either scope.
 
     Model ``s * n_folds + fold`` trains on seed s's training fold of the
-    fold ``stack`` and scores its test rows, reduced by the global PCA
-    (``reduced``) or, under ``pca.fit_within_fold``, by its own refit.
-    Returns int64 predictions ``(len(stack), 1 + len(order_idx), n)``, PCA's
-    first, and each seed's feature count, its last fold's.  Models with the
-    same retained count share ``linalg.blocks`` sized by ``_block_cost``.
+    fold ``stack`` and scores its test rows, by itself and then by each
+    stage of its SMOTE chain over the classes ``order_idx`` under
+    ``smote``.  Under ``refit``, the PCA settings of ``pca.fit_within_fold``,
+    a PCA refit on its training rows reduces them and its test rows first.
+    Returns int64 predictions ``(len(stack), 1 + len(order_idx), n)`` and
+    each seed's feature count, its last fold's.  Models with the same
+    feature count share ``linalg.blocks`` sized by ``_block_cost``.
 
     Raises the error of the first failing model, in model order, as its
-    rerun by ``_raise_fold_error`` gives it.
+    rerun by ``_raise_fold_error`` gives it, naming its fold and its seed of
+    ``seeds``.
     """
+    order_idx = list(order_idx)
     n_folds = int(stack.max()) + 1
     seed_pos, fold = np.divmod(np.arange(len(stack) * n_folds), n_folds)
     keep = stack[seed_pos] != fold[:, None]                              # (models, n)
-    counts = keep @ np.eye(base.n_classes, dtype=np.int64)[base.labels]  # (models, classes)
-    target = cfg.smote.per_class_target
-    needed = target - counts[:, order_idx]                               # (models, order)
+    needed = np.zeros((len(keep), len(order_idx)), dtype=np.int64)      # (models, order)
     failed = np.zeros(len(keep), dtype=bool)
     if order_idx:
+        counts = keep @ np.eye(ds.n_classes, dtype=np.int64)[ds.labels]  # (models, classes)
+        needed = smote.per_class_target - counts[:, order_idx]
         below_two = (needed > 0) & (counts[:, order_idx] < 2)
-        failed = (counts.max(axis=1) > target) | below_two.any(axis=1)
-    needed[failed] = 0
-    members = [np.flatnonzero(base.labels == cls) for cls in range(base.n_classes)]
+        failed = (counts.max(axis=1) > smote.per_class_target) | below_two.any(axis=1)
+        needed[failed] = 0
+    members = [np.flatnonzero(ds.labels == cls) for cls in range(ds.n_classes)]
     # a class is ranked wide enough for any training fold of a stratified
     # assignment: a test fold removes at most ceil(n_c / n_folds) of its
     # n_c rows, and a run reads k + 1
     sizes = [members[cls].size for cls in order_idx]
-    widths = [min(size, cfg.smote.k + 1 - (-size // n_folds)) for size in sizes]
-    if cfg.pca.fit_within_fold:
-        fits = fit_pca_subsets(base.features, keep, cfg.pca.threshold, cfg.pca.mode)
+    widths = [min(size, smote.k + 1 - (-size // n_folds)) for size in sizes]
+    if refit:
+        fits = fit_pca_subsets(ds.features, keep, refit.threshold, refit.mode)
         retained = np.array([0 if fit is None else fit.retained for fit in fits])
         failed |= retained == 0
     else:
-        retained = np.full(len(keep), reduced.n_features)
-        features = reduced.features[None]
+        retained = np.full(len(keep), ds.n_features)
+        features = ds.features[None]
         rankings = _class_rankings(features, members, order_idx, widths)
     cost = _block_cost(
-        base.n_samples if cfg.pca.fit_within_fold else 0, members, order_idx, widths,
-        needed.max(axis=0, initial=0).tolist(), int((~keep).sum(axis=1).max()),
+        bool(refit), members, order_idx, widths, needed.max(axis=0, initial=0).tolist(),
+        int((~keep).sum(axis=1).max()),
     )
-    predicted = np.empty((len(stack), 1 + len(order_idx), base.n_samples), dtype=np.int64)
+    predicted = np.empty((len(stack), 1 + len(order_idx), ds.n_samples), dtype=np.int64)
     for _, models in linalg.blocks(np.where(failed, 0, retained), cost):
-        if cfg.pca.fit_within_fold:
-            features = _refit_rows(base, [fits[b] for b in models.tolist()], keep[models])
+        if refit:
+            features = _refit_rows(ds, [fits[b] for b in models.tolist()], keep[models])
             rankings = _class_rankings(features, members, order_idx, widths)
         failed[models] = ~_score_models(
-            base, cfg, features, rankings, members, order_idx, keep[models], needed[models],
+            ds, smote, features, rankings, members, order_idx, keep[models], needed[models],
             seed_pos[models], fold[models], predicted,
         )
     if failed.any():
         b = int(np.argmax(failed))
-        _raise_fold_error(base, cfg, reduced, order_idx, keep[b], *divmod(b, n_folds))
+        _raise_fold_error(ds, seeds, smote, refit, order_idx, keep[b], *divmod(b, n_folds))
     return predicted, retained[n_folds - 1 :: n_folds].tolist()
 
 
-def _block_cost(refit_rows: int, members, order_idx: list[int], widths, grown, tests: int):
+def _block_cost(refit: bool, members, order_idx: list[int], widths, grown, tests: int):
     """A model's float count at its block's peak, as a function of the
     retained count f, for ``linalg.blocks``.
 
-    A model holds its two fits' means and stds, and at its peak the largest
-    of: its scoring of at most ``tests`` rows; a class's last-fit stack (its
-    rows, the ``grown[i]`` rows most any model adds to ``order_idx[i]`` and
-    their copies); or that class's synthesis (each grown row's base and
-    neighbour, or twice its ``widths[i]`` ranking entries, and 16 index
-    words).  Under a refit (``refit_rows``, the n rows a model reduces) it
-    also holds its reduced rows, the class rows gathered from them, its
-    int32 rankings and one class's n_c x n_c distances; the ranking's
-    row-block temporary takes the rest of the block's budget.
+    At its peak a model holds the largest of: its scoring of at most
+    ``tests`` rows; its first fit's stack of all n rows; a grown class's
+    last-fit stack (its rows, the ``grown[i]`` rows most any model adds to
+    ``order_idx[i]`` and their copies); or that class's synthesis (each
+    grown row's base and neighbour, or twice its ``widths[i]`` ranking
+    entries, and 16 index words).  With a chain it also holds its two
+    fits' means and stds; without one, its one fit's are left out, so the
+    blocks of a plain dataset hold ``BLOCK_ELEMENTS // (n x f)`` models or
+    fewer.  Under a ``refit`` it also holds its n reduced rows, its int32
+    rankings and one class's n_c x n_c distances, and a class stack's rows
+    are first gathered from its reduced rows; the ranking's row-block
+    temporary takes the rest of the block's budget.
     """
     sizes = [rows.size for rows in members]
-    grows = dict(zip(order_idx, zip(grown, widths)))
+    n = sum(sizes)
     ranked = sum(sizes[cls] * width for cls, width in zip(order_idx, widths)) // 2
-    distances = max((sizes[cls] ** 2 for cls in order_idx), default=0) if refit_rows else 0
+    distances = max((sizes[cls] ** 2 for cls in order_idx), default=0) if refit else 0
 
     def cost(f: int) -> int:
-        peaks = [2 * tests * len(sizes) * f, distances]
-        for cls, size in enumerate(sizes):
-            extra, width = grows.get(cls, (0, 0))
-            gathered = size * f if refit_rows else 0
+        peaks = [2 * tests * len(sizes) * f, distances, n * f]
+        for cls, extra, width in zip(order_idx, grown, widths):
+            gathered = sizes[cls] * f if refit else 0
             peaks += [
-                gathered + (size + 2 * extra) * f,
+                gathered + (sizes[cls] + 2 * extra) * f,
                 gathered + extra * (2 * max(f, width) + 16),
             ]
-        held = refit_rows * f + ranked if refit_rows else 0
-        return 4 * len(sizes) * f + held + max(peaks)
+        fits = 4 * len(sizes) * f if order_idx else 0
+        held = n * f + ranked if refit else 0
+        return fits + held + max(peaks)
 
     return cost
 
@@ -258,48 +267,52 @@ def _class_rankings(features, members, order_idx: list[int], widths) -> list[np.
 
 
 def _score_models(
-    base: Dataset, cfg: ExperimentConfig, features: np.ndarray, rankings, members,
+    ds: Dataset, smote: SmoteSettings | None, features: np.ndarray, rankings, members,
     order_idx: list[int], keep: np.ndarray, needed: np.ndarray, seed_pos: np.ndarray,
     fold: np.ndarray, predicted: np.ndarray,
 ) -> np.ndarray:
-    """Write a block's PCA and SMOTE-stage predictions to ``predicted``;
-    return whether each model's fits are finite.  Nothing is written if a
-    fit overflows.
+    """Write a block's predictions, every stage's, to ``predicted``; return
+    whether each model's fits are finite.  Nothing is written if a fit
+    overflows.
 
     Model b is seed ``seed_pos[b]``'s fold ``fold[b]``: it trains on the
     rows ``keep[b]`` of matrix ``b % M`` of ``features`` (M, n, f), M being
     1 or the block's model count, and grows class ``order_idx[i]`` by
     ``needed[b, i]`` rows, from ``rankings`` as ``_class_rankings`` lays
     them out, run i drawing from ``derive_seed(chain seed, i)`` as
-    ``balance_sequence`` does.  Class by class, one ``stack_moments`` call
-    fits every model's kept rows, and one more its kept and synthetic rows.
+    ``balance_sequence`` does.  One ``class_moments`` call fits every
+    model's kept rows of every class, and one ``stack_moments`` call a
+    grown class's kept and synthetic rows.
     """
     models, n_features = len(keep), features.shape[-1]
     matrix = np.arange(models) % len(features)   # the matrix each model reads
-    chain_seeds = [_chain_seed(cfg, s, f) for s, f in zip(seed_pos.tolist(), fold.tolist())]
-    first, last = [], []   # each class's (counts, means, stds) of every model
-    for cls, rows in enumerate(members):
+    first = class_moments(ds, features, keep)
+    finite = finite_fits(*first[1:])
+    last = first
+    if order_idx:
+        chain_seeds = [_chain_seed(smote, s, f) for s, f in zip(seed_pos.tolist(), fold.tolist())]
+        last = tuple(part.copy() for part in first)
+    for i, cls in enumerate(order_idx):
+        rows = members[cls]
         pts = features[:, rows]                          # (M, n_c, f)
         kept = keep[:, rows]
-        fits = stack_moments(_class_stack(pts, models, 0), kept.T, [rows.size])
-        first.append(fits)
-        if cls in order_idx:
-            i = order_idx.index(cls)
-            synthetic = synthetic_rows(
-                pts.reshape(-1, n_features), rankings[i], kept, needed[:, i], cfg.smote.k,
-                [derive_seed(seed, i) for seed in chain_seeds],
-                matrix * rows.size,
-            )
-            grown = synthetic.shape[1]
-            stack = _class_stack(pts, models, grown)
-            stack[rows.size :] = synthetic.swapaxes(0, 1)
-            del synthetic   # else it stays beside the stack and raises the memory peak
-            mask = np.concatenate([kept.T, (np.arange(grown) < needed[:, i, None]).T])
-            fits = stack_moments(stack, mask, [rows.size + grown])
-            del stack
-        last.append(fits)
-    first, last = ([np.concatenate(part, axis=1) for part in zip(*fits)] for fits in (first, last))
-    finite = finite_fits(*first[1:]) & finite_fits(*last[1:])
+        synthetic = synthetic_rows(
+            pts.reshape(-1, n_features), rankings[i], kept, needed[:, i], smote.k,
+            [derive_seed(seed, i) for seed in chain_seeds], matrix * rows.size,
+        )
+        grown = synthetic.shape[1]
+        # rows outermost: each model's class rows of ``pts``, a stack of one
+        # broadcast to every model, then its synthetic rows
+        stack = np.empty((rows.size + grown, models, n_features))
+        stack[: rows.size] = pts.swapaxes(0, 1)
+        stack[rows.size :] = synthetic.swapaxes(0, 1)
+        del synthetic   # else it stays beside the stack and raises the memory peak
+        mask = np.concatenate([kept.T, (np.arange(grown) < needed[:, i, None]).T])
+        fits = stack_moments(stack, mask, [rows.size + grown])
+        del stack
+        finite &= finite_fits(*fits[1:])
+        for whole, part in zip(last, fits):
+            whole[:, cls] = part[:, 0]
     if finite.all():
         model, test_rows = np.nonzero(~keep)
         predicted[seed_pos[model], :, test_rows] = chain_predict(
@@ -308,33 +321,25 @@ def _score_models(
     return finite
 
 
-def _class_stack(pts: np.ndarray, models: int, extra: int) -> np.ndarray:
-    """A rows-outermost ``(n_c + extra, models, f)`` stack whose first n_c
-    rows are each model's class rows of ``pts`` (M, n_c, f), a stack of one
-    broadcast to every model; the ``extra`` rows are left unset."""
-    stack = np.empty((pts.shape[1] + extra, models, pts.shape[2]))
-    stack[: pts.shape[1]] = pts.swapaxes(0, 1)
-    return stack
-
-
 def _raise_fold_error(
-    base: Dataset, cfg: ExperimentConfig, reduced: Dataset, order_idx: list[int],
-    in_train: np.ndarray, seed_pos: int, fold: int,
+    ds: Dataset, seeds, smote: SmoteSettings | None, refit: PcaSettings | None,
+    order_idx: list[int], in_train: np.ndarray, seed_pos: int, fold: int,
 ):
     """Raise the error that one failed model's fold meets first, by the
-    per-fold path: its PCA refit under ``pca.fit_within_fold``, its SMOTE
-    chain, then naive Bayes fits of its training fold and the last set."""
-    rows = np.flatnonzero(in_train)
-    provenance = _fold_provenance(base, cfg, seed_pos, fold)
-    if cfg.pca.fit_within_fold:
-        train = replace(base.subset(rows), provenance=provenance)
-        train = transform(fit_pca(train, cfg.pca.threshold, cfg.pca.mode), train)
-    else:
-        train = replace(reduced.subset(rows), provenance=provenance)
-    final = ([train] + balance_sequence(
-        train, order_idx, cfg.smote.per_class_target, k=cfg.smote.k,
-        seed=_chain_seed(cfg, seed_pos, fold),
-    ))[-1]
+    per-fold path: its PCA refit under ``refit``, its SMOTE chain, then
+    naive Bayes fits of its training fold and the last set.  The error
+    names the training fold (counted from 1) and its seed, so its counts
+    read as the fold's."""
+    provenance = f"{ds.provenance}, training fold {fold + 1} of seed {seeds[seed_pos]}"
+    train = replace(ds.subset(np.flatnonzero(in_train)), provenance=provenance)
+    if refit:
+        train = transform(fit_pca(train, refit.threshold, refit.mode), train)
+    final = train
+    if order_idx:
+        final = balance_sequence(
+            train, order_idx, smote.per_class_target, k=smote.k,
+            seed=_chain_seed(smote, seed_pos, fold),
+        )[-1]
     fit_nb(train)
     fit_nb(final)
     raise AssertionError(f"{train.provenance}: the per-fold path raised no error")
@@ -374,36 +379,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     names = method_names(len(order_idx))
     ev = cfg.eval
     stack = _fold_stack(imputed, ev.protocol, ev.k, ev.seeds)
-    initial = cross_val_predict(imputed, stack)
+    scored = [(imputed, _fold_predictions(imputed, stack, ev.seeds))]
     reduced = transform(pca_model, imputed)
     if ev.resample_scope == "whole-dataset":
         datasets = [imputed, reduced] + balance_sequence(
             reduced, order_idx, cfg.smote.per_class_target, k=cfg.smote.k, seed=cfg.smote.seed
         )
         # ``transform`` keeps the labels, so PCA's folds are Initial's
-        predicted = [initial, cross_val_predict(reduced, stack)] + [
-            cross_val_predict(ds, _fold_stack(ds, ev.protocol, ev.k, ev.seeds))
-            for ds in datasets[2:]
-        ]
-        counts = np.stack(
-            [tally(ds.labels, p, ds.n_classes) for ds, p in zip(datasets, predicted)], axis=1
-        )
-        widths = [[ds.n_features for ds in datasets]] * len(ev.seeds)
+        stacks = [stack] + [_fold_stack(ds, ev.protocol, ev.k, ev.seeds) for ds in datasets[2:]]
+        scored += [(ds, _fold_predictions(ds, s, ev.seeds)) for ds, s in zip(datasets[1:], stacks)]
     else:
         datasets = [imputed] * len(names)
-        leak_free, retained = _leak_free_predictions(imputed, cfg, reduced, order_idx, stack)
-        predicted = np.concatenate([initial[:, None], leak_free], axis=1)
-        counts = tally(imputed.labels, predicted, imputed.n_classes)
-        widths = [[imputed.n_features] + [width] * (len(names) - 1) for width in retained]
+        refit = cfg.pca if cfg.pca.fit_within_fold else None
+        leak_free = _fold_predictions(
+            imputed if refit else reduced, stack, ev.seeds, order_idx, cfg.smote, refit
+        )
+        scored.append((imputed, leak_free))
+    # each call's predictions (seeds, stages, n) and widths (seeds,), stage by stage
+    counts = np.concatenate([tally(ds.labels, p, ds.n_classes) for ds, (p, _) in scored], axis=1)
+    widths = np.concatenate(
+        [np.repeat(np.array(w)[:, None], p.shape[1], axis=1) for _, (p, w) in scored], axis=1
+    ).tolist()
 
     steps = tuple(
-        StepResult(
-            method_name=summary.mean.method_name,
-            n_features=summary.mean.n_features,
-            n_samples=summary.mean.n_samples,
-            class_counts=class_counts(ds),
-            summary=summary,
-        )
+        StepResult(class_counts=class_counts(ds), summary=summary)
         for ds, summary in zip(datasets, _summaries(counts, names, widths, ev.seeds))
     )
     return ExperimentReport(

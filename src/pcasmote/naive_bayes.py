@@ -5,9 +5,12 @@ log densities.  Priors are Laplace smoothed, ``(count + 1) / (N +
 n_classes)``, so every class is defined even in degenerate training splits.
 
 :func:`stack_moments` states the moments once, for a batch of stacked
-training sets: :func:`fit_nb` fits a batch of one, :func:`cross_val_predict`
-every (seed, fold) model of a fold stack, and :func:`chain_predict` scores
-every stage of a batch of SMOTE chains from two fits per chain.
+training sets, and :func:`class_moments` makes each set's classes its
+segments: :func:`fit_nb` fits a batch of one, and
+``experiment._fold_predictions`` a block of (seed, fold) models, whose
+test rows :func:`chain_predict` scores by every stage of each model's SMOTE
+chain from two fits, or by the model alone from one fit when it has no
+chain.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model_io
+from . import model_io
 from .dataset import Dataset
 from .errors import DataError
 
@@ -99,42 +102,23 @@ def stack_moments(stack: np.ndarray, keep: np.ndarray, sizes):
     return counts.T, means, stds
 
 
-def class_moments(ds: Dataset, keep: np.ndarray):
-    """``stack_moments`` of the classes of each ``ds`` row mask ``keep[b]``:
-    the rows are grouped by class, in their order within each class, so a
-    class is one segment.  A class with no kept row has a NaN mean."""
+def class_moments(ds: Dataset, features: np.ndarray, keep: np.ndarray):
+    """``stack_moments`` of the classes of each row mask ``keep[b]`` (B, n)
+    of the rows of ``features[b % M]``, ``features`` (M, n, f) holding the
+    rows of ``ds`` (M is 1 or B): the rows are grouped by ``ds``'s class, in
+    their order within each class, so a class is one segment.  A class with
+    no kept row has a NaN mean."""
     order = np.argsort(ds.labels, kind="stable")
     sizes = np.bincount(ds.labels, minlength=ds.n_classes)
-    stack = np.repeat(ds.features[order][:, None], len(keep), axis=1)
+    stack = features.swapaxes(0, 1)[order]   # (n, M, f), rows outermost
+    if len(features) < len(keep):
+        stack = np.repeat(stack, len(keep), axis=1)
     return stack_moments(stack, keep[:, order].T, sizes)
 
 
 def finite_fits(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
     """(B,) whether each of B fits' means and stds (B, C, f) fit in float64."""
     return np.isfinite(means).all(axis=(1, 2)) & np.isfinite(stds).all(axis=(1, 2))
-
-
-def _fit_masked(ds: Dataset, keep: np.ndarray):
-    """Priors (B, C) and means and stds (B, C, f) fitted on each ``ds`` row mask ``keep[b]``.
-
-    A class absent from a training set takes that set's global column mean
-    and std.  Raises ``DataError`` naming the provenance when a mean or a
-    variance in use overflows float64.
-    """
-    counts, means, stds = class_moments(ds, keep)
-    absent = (counts == 0)[:, :, None]
-    if absent.any():
-        stack = np.repeat(ds.features[:, None], len(keep), axis=1)
-        _, global_means, global_stds = stack_moments(stack, keep.T, [ds.n_samples])
-        # + 0.0: the global mean of a lone row is np.mean's, from +0.0
-        means = np.where(absent, global_means + 0.0, means)
-        stds = np.where(absent, global_stds, stds)
-    if not finite_fits(means, stds).all():
-        raise DataError(
-            f"{ds.provenance}: the class means or variances of the features "
-            "overflow float64"
-        )
-    return _laplace_priors(counts), means, stds
 
 
 def _laplace_priors(counts: np.ndarray) -> np.ndarray:
@@ -154,31 +138,23 @@ def fit_nb(ds: Dataset) -> NbModel:
     """
     if ds.n_samples == 0 or ds.n_features == 0:
         raise ValueError("cannot fit on an empty dataset")
-    priors, means, stds = _fit_masked(ds, np.ones((1, ds.n_samples), dtype=bool))
+    every_row = np.ones((1, ds.n_samples), dtype=bool)
+    (counts,), (means,), (stds,) = class_moments(ds, ds.features[None], every_row)
+    absent = counts == 0
+    if absent.any():
+        stack = ds.features[:, None].copy()
+        _, global_means, global_stds = stack_moments(stack, every_row.T, [ds.n_samples])
+        # + 0.0: the global mean of a lone row is np.mean's, from +0.0
+        means[absent] = global_means[0] + 0.0
+        stds[absent] = global_stds[0]
+    if not finite_fits(means[None], stds[None]).all():
+        raise DataError(
+            f"{ds.provenance}: the class means or variances of the features "
+            "overflow float64"
+        )
     return NbModel(
-        priors=priors[0], means=means[0], stds=stds[0], class_names=ds.class_names
+        priors=_laplace_priors(counts), means=means, stds=stds, class_names=ds.class_names
     )
-
-
-def cross_val_predict(ds: Dataset, fold_of: np.ndarray) -> np.ndarray:
-    """Predict each row of ``ds`` with the model fitted on the other folds' rows.
-
-    ``fold_of[i]`` is row i's fold, in 0..k-1; a ``(S, n)`` stack of such
-    assignments, one per seed, gives one row of predictions per seed.
-    Model ``s * k + fold`` is seed s's fold; consecutive models share
-    ``linalg.blocks`` of n x f training rows a model, across seeds.
-    """
-    stack = np.atleast_2d(fold_of)
-    k = int(stack.max()) + 1
-    seed, fold = np.divmod(np.arange(len(stack) * k), k)
-    predicted = np.empty(stack.shape, dtype=np.int64)
-    for _, block in linalg.blocks(np.ones_like(seed), lambda _: ds.n_samples * ds.n_features):
-        keep = stack[seed[block]] != fold[block, None]
-        priors, means, stds = _fit_masked(ds, keep)
-        model, rows = np.nonzero(~keep)
-        scores = _log_scores(ds.features[rows], priors, means, stds, model)
-        predicted[seed[block][model], rows] = np.argmax(scores, axis=1)
-    return predicted.reshape(np.shape(fold_of))
 
 
 def chain_predict(rows, model, first, last, order) -> np.ndarray:
@@ -188,22 +164,24 @@ def chain_predict(rows, model, first, last, order) -> np.ndarray:
     ``first`` and ``last`` are ``class_moments`` (counts, means, stds) of
     every model's training set and of its chain's last set.  A grown class
     takes ``last``'s counts and moments, the others ``first``'s, which is
-    bit for bit a fit per stage.  Raises ``ValueError`` where that fails: a
-    class absent from a training set (its fallback moments would depend on
-    the stage's rows), or grown but not in ``order``.
+    bit for bit a fit per stage; with an empty ``order`` each row is scored
+    once, by ``first`` alone, and ``last`` is not read.  Raises
+    ``ValueError`` where that fails: a class absent from a training set
+    (its fallback moments would depend on the stage's rows), or grown but
+    not in ``order``.
     """
-    counts = (first[0], last[0])
-    outside = np.ones(counts[0].shape[1], dtype=bool)
-    outside[list(order)] = False
-    if (counts[0] == 0).any() or (counts[0] != counts[1])[:, outside].any():
-        raise ValueError("last must grow only classes of order, each present in first")
-    densities = [_log_densities(rows, means, stds, model) for _, means, stds in (first, last)]
-    done = np.zeros((1 + len(order), len(outside)), dtype=bool)   # (stage, class)
+    counts = first[0]
+    done = np.zeros((1 + len(order), counts.shape[1]), dtype=bool)   # (stage, class)
     for i, cls in enumerate(order):
         done[i + 1 :, cls] = True
-    log_priors = np.log(_laplace_priors(np.where(done, counts[1][:, None], counts[0][:, None])))
-    scores = log_priors[model] + np.where(done, densities[1][:, None], densities[0][:, None])
-    return np.argmax(scores, axis=2)
+    if (counts == 0).any() or (len(order) and (counts != last[0])[:, ~done[-1]].any()):
+        raise ValueError("last must grow only classes of order, each present in first")
+    stage_counts = counts[:, None]                                 # (models, stage, class)
+    densities = _log_densities(rows, *first[1:], model)[:, None]   # (rows, stage, class)
+    if len(order):
+        stage_counts = np.where(done, last[0][:, None], stage_counts)
+        densities = np.where(done, _log_densities(rows, *last[1:], model)[:, None], densities)
+    return np.argmax(np.log(_laplace_priors(stage_counts))[model] + densities, axis=2)
 
 
 def _check_vector(model: NbModel, x) -> np.ndarray:
@@ -215,14 +193,10 @@ def _check_vector(model: NbModel, x) -> np.ndarray:
     return v
 
 
-def _log_scores(rows, priors, means, stds, model=None) -> np.ndarray:
+def _log_scores(rows, priors, means, stds) -> np.ndarray:
     """(n_rows, n_classes) log scores of ``rows`` (n, f) against one model's
-    ``priors`` (C,), ``means`` and ``stds`` (C, f), or, given ``model``, of
-    row i against model ``model[i]`` of a leading model axis on each."""
-    log_priors = np.log(priors)
-    if model is not None:
-        log_priors = log_priors[model]
-    return log_priors + _log_densities(rows, means, stds, model)
+    ``priors`` (C,), ``means`` and ``stds`` (C, f)."""
+    return np.log(priors) + _log_densities(rows, means, stds)
 
 
 def _log_densities(rows, means, stds, model=None) -> np.ndarray:

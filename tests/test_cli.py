@@ -283,10 +283,11 @@ _FOLDS_ONLY = (
         *(
             pytest.param(
                 command, "huge.csv", _HUGE_ROWS, "eval.k = 2\n", 3,
-                ["error[data]", "{data}: the class means or variances of the features"],
+                ["error[data]", f"{{data}}{fold}: the class means or variances of the features"],
                 id=f"overflowing-variance-{command}",
             )
-            for command in ("train", "evaluate")
+            # evaluate names the first training fold whose fit overflows
+            for command, fold in (("train", ""), ("evaluate", ", training fold 1 of seed 1"))
         ),
         *(
             pytest.param(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcasmote import linalg, naive_bayes
+from pcasmote import experiment, linalg, naive_bayes
 from pcasmote.dataset import Dataset
 from pcasmote.errors import DataError
 from pcasmote.smote import balance_sequence
@@ -18,7 +18,6 @@ from pcasmote.naive_bayes import (
     STD_FLOOR,
     chain_predict,
     class_moments,
-    cross_val_predict,
     finite_fits,
     fit_nb,
     load_nb,
@@ -287,29 +286,32 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def check_fold_batch(ds: Dataset, fold_of: np.ndarray, block: int) -> None:
-    """The fold-batched fit and predictions against one ``fit_nb`` per fold.
+def check_fold_batch(ds: Dataset, stack: np.ndarray, block: int) -> None:
+    """The fits and predictions of ``experiment._fold_predictions`` against
+    one ``fit_nb`` per (seed, fold) model of the fold ``stack``.
 
-    Priors, means and stds match bit for bit, whatever the feature count;
-    predictions always match ``predict_matrix``.  ``block``
-    replaces the fold block bound, so several blocks and a partial last one
-    are exercised.
+    ``class_moments`` of every model's kept rows give its training fold's
+    ``fit_nb`` priors, means and stds bit for bit, whatever the feature
+    count; its predictions, a chain of no stage, are ``predict_matrix``'s.
+    ``block`` replaces the block budget, so several blocks and a partial
+    last one are exercised.
     """
-    k = int(fold_of.max()) + 1
-    keep = fold_of[None, :] != np.arange(k)[:, None]
-    priors, means, stds = naive_bayes._fit_masked(ds, keep)
-    expected = np.full(ds.n_samples, -1)
-    for fold in range(k):
-        model = fit_nb(ds.subset(np.flatnonzero(fold_of != fold)))
-        assert _bits(priors[fold]) == _bits(model.priors)
-        assert _bits(means[fold]) == _bits(model.means)
-        assert _bits(stds[fold]) == _bits(model.stds)
-        test_idx = np.flatnonzero(fold_of == fold)
-        expected[test_idx] = predict_matrix(model, ds.features[test_idx])
+    k = int(stack.max()) + 1
+    seed, fold = np.divmod(np.arange(len(stack) * k), k)
+    keep = stack[seed] != fold[:, None]
+    counts, means, stds = class_moments(ds, ds.features[None], keep)
+    expected = np.full(stack.shape, -1)
+    for b, in_train in enumerate(keep):
+        model = fit_nb(ds.subset(np.flatnonzero(in_train)))
+        assert _bits(naive_bayes._laplace_priors(counts[b])) == _bits(model.priors)
+        assert _bits(means[b]) == _bits(model.means)
+        assert _bits(stds[b]) == _bits(model.stds)
+        expected[seed[b], ~in_train] = predict_matrix(model, ds.features[~in_train])
     with mock.patch.object(linalg, "BLOCK_ELEMENTS", block):
-        predicted = cross_val_predict(ds, fold_of)
-    assert predicted.dtype == np.int64
-    assert predicted.tolist() == expected.tolist()
+        predicted, widths = experiment._fold_predictions(ds, stack, range(len(stack)))
+    assert predicted.dtype == np.int64 and predicted.shape == (len(stack), 1, ds.n_samples)
+    assert predicted[:, 0].tolist() == expected.tolist()
+    assert widths == [ds.n_features] * len(stack)
 
 
 @st.composite
@@ -358,10 +360,12 @@ class TestStackMoments:
 
 @st.composite
 def fold_problems(draw):
-    """A dataset with duplicate rows, a fold assignment and a block bound."""
-    n = draw(st.integers(4, 60))
+    """A dataset with duplicate rows and classes of at least two rows, a
+    fold stack that ``_fold_stack`` draws for 1 to 4 seeds under either
+    protocol, and a block budget."""
     f = draw(st.integers(1, 8))
-    n_classes = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(2, 15), min_size=2, max_size=4))
+    n = sum(sizes)
     value = st.one_of(
         st.integers(-3, 3).map(float),
         st.just(-0.0),
@@ -369,38 +373,39 @@ def fold_problems(draw):
     )
     distinct = draw(st.lists(st.lists(value, min_size=f, max_size=f), min_size=1, max_size=n))
     rows = draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
-    k = draw(st.integers(2, n))
-    fold_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    assume(len(set(fold_of)) >= 2)  # every training set keeps a row
-    block = draw(st.integers(1, 2 * n * f))
-    ds = make_dataset(rows, labels, n_classes)
-    return ds, np.array(fold_of), block
+    labels = draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    ds = make_dataset(rows, labels, len(sizes))
+    protocol = draw(st.sampled_from(["k-fold", "leave-one-out"]))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
+    stack = experiment._fold_stack(ds, protocol, draw(st.integers(2, n)), seeds)
+    return ds, stack, draw(st.integers(1, 2 * n * f))
 
 
 @st.composite
 def fold_stacks(draw):
-    """A dataset, a (seeds, rows) stack of fold assignments with at least two
-    folds per seed, and a block of ``step`` models that spans seeds (``step``
-    does not divide the fold count) and leaves a partial last block."""
-    n = draw(st.integers(4, 30))
+    """A dataset, a fold stack that ``_fold_stack`` draws for 2 to 5 seeds,
+    and a block of ``step`` models that spans seeds (``step`` does not
+    divide the fold count) and leaves a partial last block."""
     f = draw(st.integers(1, 6))
-    n_classes = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(2, 12), min_size=2, max_size=3))
+    n = sum(sizes)
     value = st.one_of(st.integers(-3, 3).map(float), st.just(-0.0), st.floats(-1e3, 1e3))
     rows = draw(st.lists(st.lists(value, min_size=f, max_size=f), min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    labels = draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    ds = make_dataset(rows, labels, len(sizes))
     k = draw(st.integers(2, n))
-    assignment = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).filter(
-        lambda fold_of: len(set(fold_of)) >= 2  # every training set keeps a row
-    )
-    stack = np.array(draw(st.lists(assignment, min_size=2, max_size=5)))
-    n_models = len(stack) * (int(stack.max()) + 1)
-    step = draw(st.integers(2, n_models - 1))
-    assume(n_models % step and (int(stack.max()) + 1) % step)
-    return make_dataset(rows, labels, n_classes), stack, step
+    seeds = draw(st.lists(st.integers(0, 99), min_size=2, max_size=5, unique=True))
+    stack = experiment._fold_stack(ds, "k-fold", k, seeds)
+    step = draw(st.integers(2, len(seeds) * k - 1))
+    assume(len(seeds) * k % step and k % step)
+    return ds, stack, step
 
 
 class TestCrossValPredict:
+    """``experiment._fold_predictions``, the one loop over (seed, fold)
+    models, on a plain dataset, as Initial, each ``whole-dataset`` method
+    and ``evaluate`` use it."""
+
     @settings(max_examples=100, deadline=None)
     @given(problem=fold_problems())
     def test_matches_one_fit_per_fold(self, problem):
@@ -412,63 +417,63 @@ class TestCrossValPredict:
         """Blocks that share (seed, fold) models across seeds give each seed's
         predictions bit for bit as its own call does."""
         ds, stack, step = problem
-        expected = [cross_val_predict(ds, fold_of) for fold_of in stack]
-        assert all(row.shape == (ds.n_samples,) for row in expected)
+        expected = [
+            experiment._fold_predictions(ds, stack[s : s + 1], [s])[0] for s in range(len(stack))
+        ]
         with mock.patch.object(linalg, "BLOCK_ELEMENTS", step * ds.n_samples * ds.n_features):
-            predicted = cross_val_predict(ds, stack)
-        assert predicted.dtype == np.int64 and predicted.shape == stack.shape
-        assert predicted.tolist() == [row.tolist() for row in expected]
-
-    @pytest.mark.parametrize("f", [1, 3])
-    def test_class_absent_from_a_training_fold(self, f):
-        # class 2's rows all sit in fold 0, so fold 0's model takes the global moments
-        rng = np.random.default_rng(21)
-        labels = [0, 1, 2, 0, 1, 2, 0, 1, 0, 1]
-        fold_of = np.array([0, 1, 0, 0, 1, 0, 1, 2, 2, 2])
-        ds = make_dataset(rng.normal(size=(10, f)), labels, 3)
-        assert 2 not in ds.labels[fold_of != 0]
-        check_fold_batch(ds, fold_of, block=1 << 16)
+            predicted, _ = experiment._fold_predictions(ds, stack, range(len(stack)))
+        assert predicted.tolist() == np.concatenate(expected).tolist()
 
     @pytest.mark.parametrize("f", [1, 3])
     def test_singleton_class_in_a_training_fold(self, f):
         rng = np.random.default_rng(22)
         labels = [0, 0, 0, 0, 1, 1, 0, 0]
-        fold_of = np.array([0, 1, 0, 1, 0, 1, 0, 1])
         ds = make_dataset(rng.normal(size=(8, f)), labels)
+        stack = experiment._fold_stack(ds, "k-fold", 2, (3,))
         # class 1 has one row in each training fold
-        assert ds.labels[fold_of != 0].tolist().count(1) == 1
-        check_fold_batch(ds, fold_of, block=f)
-        _, means, stds = naive_bayes._fit_masked(ds, fold_of[None, :] != 0)
-        assert _bits(means[0, 1]) == _bits(ds.features[5])
+        assert [ds.labels[stack[0] != fold].tolist().count(1) for fold in (0, 1)] == [1, 1]
+        check_fold_batch(ds, stack, block=f)
+        kept = np.flatnonzero((stack[0] != 0) & (ds.labels == 1))
+        _, means, stds = class_moments(ds, ds.features[None], stack[:1] != 0)
+        assert _bits(means[0, 1]) == _bits(ds.features[kept[0]])
         assert stds[0, 1].tolist() == [STD_FLOOR] * f
 
     def test_one_feature_exact_tie(self):
-        # fold 0 trains both classes on eight 0.0 rows and one 1.0, so their
-        # scores tie and a last-bit difference in a std flips the prediction
-        column = [[0.0]] * 25 + [[1.0]] * 2
-        labels = [0] * 15 + [1] * 10 + [0, 1]
-        fold_of = np.array([0] * 7 + [1] * 8 + [0, 0] + [1] * 10)
-        check_fold_batch(make_dataset(column, labels), fold_of, block=1)
+        # seed 2's training folds each hold eight 0.0 rows and one 1.0 of
+        # both classes, so their scores tie and a last-bit difference in a
+        # std flips the prediction
+        column = [[0.0]] * 32 + [[1.0]] * 4
+        ds = make_dataset(column, [0, 1] * 18)
+        stack = experiment._fold_stack(ds, "k-fold", 2, (2,))
+        for fold in (0, 1):
+            train = stack[0] != fold
+            ones = [ds.features[train & (ds.labels == c), 0].tolist().count(1.0) for c in (0, 1)]
+            assert ones == [1, 1]
+        check_fold_batch(ds, stack, block=1)
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_leave_one_out(self, block):
         rng = np.random.default_rng(23)
         n = 24
-        ds = make_dataset(np.round(rng.normal(size=(n, 4)), 1), rng.integers(0, 3, n), 3)
-        order = rng.permutation(n)
-        check_fold_batch(ds, order, block)
+        labels = rng.permutation(np.arange(n) % 3)
+        ds = make_dataset(np.round(rng.normal(size=(n, 4)), 1), labels, 3)
+        check_fold_batch(ds, experiment._fold_stack(ds, "leave-one-out", 10, (1,)), block)
 
     def test_overflow_is_a_data_error(self):
+        """An overflowing fit raises the ``DataError`` of ``fit_nb`` on the
+        first failing model's training fold, which it names with its seed."""
         column = np.array([1e200, 2e200, 3e200, 4e201, 5e200, 6e201])[:, None]
         ds = replace(make_dataset(column, [0, 1, 0, 1, 0, 1]), provenance="huge.csv")
-        fold_of = np.array([0, 0, 1, 1, 2, 2])
-        with pytest.raises(DataError, match=r"^huge\.csv: .* overflow float64"):
-            cross_val_predict(ds, fold_of)
+        stack = experiment._fold_stack(ds, "k-fold", 3, (5,))
+        with pytest.raises(
+            DataError, match=r"^huge\.csv, training fold 1 of seed 5: .* overflow float64"
+        ):
+            experiment._fold_predictions(ds, stack, (5,))
 
 
 def set_fit(ds: Dataset):
     """``class_moments`` of every row of ``ds``, a batch of one."""
-    return class_moments(ds, np.ones((1, ds.n_samples), dtype=bool))
+    return class_moments(ds, ds.features[None], np.ones((1, ds.n_samples), dtype=bool))
 
 
 def check_chain(train: Dataset, order, target: int, k: int, seed: int, rows) -> None:
