@@ -229,43 +229,51 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("smote.per_class_target must be positive")
     if cfg.smote.seed < 0:
         raise ConfigError("smote.seed must be nonnegative")
+    _check_seed_range("smote.seed", [cfg.smote.seed])
     if len(set(cfg.smote.order)) != len(cfg.smote.order):
         raise ConfigError("smote.order must list distinct classes")
-    if cfg.eval.protocol not in PROTOCOLS:
+    validate_eval(cfg.eval)
+    if cfg.pca.fit_within_fold and cfg.eval.resample_scope != "train-folds-only":
+        raise ConfigError(
+            "pca.fit_within_fold requires eval.resample_scope = train-folds-only"
+        )
+
+
+def validate_eval(ev: EvalSettings) -> None:
+    """Raise ``ConfigError`` on the first ``eval.*`` setting of ``ev`` that is
+    out of range or inconsistent with another; ``evaluate_dataset`` calls it too."""
+    if ev.protocol not in PROTOCOLS:
         raise ConfigError(f"eval.protocol must be one of {PROTOCOLS}")
-    if cfg.eval.k < 2:
+    if ev.k < 2:
         raise ConfigError("eval.k must be at least 2")
-    if not cfg.eval.seeds:
+    if not ev.seeds:
         raise ConfigError("eval.seeds must be nonempty")
-    if any(s < 0 for s in cfg.eval.seeds):
+    if any(s < 0 for s in ev.seeds):
         raise ConfigError("eval.seeds must be nonnegative")
-    repeated = [s for s, count in Counter(cfg.eval.seeds).items() if count > 1]
+    repeated = [s for s, count in Counter(ev.seeds).items() if count > 1]
     if repeated:
         raise ConfigError(
             f"eval.seeds lists seed {repeated[0]} more than once; each seed is "
             "one repetition of the cross-validation"
         )
-    seeds = [("smote.seed", cfg.smote.seed)] + [("eval.seeds", s) for s in cfg.eval.seeds]
-    for key, seed in seeds:
-        if seed >= _SEED_LIMIT:
-            alias = seed % _SEED_LIMIT
-            raise ConfigError(f"{key} holds {seed}, not below 2^64: it would act as seed {alias}")
-    if cfg.eval.resample_scope not in RESAMPLE_SCOPES:
+    _check_seed_range("eval.seeds", ev.seeds)
+    if ev.resample_scope not in RESAMPLE_SCOPES:
         raise ConfigError(f"eval.resample_scope must be one of {RESAMPLE_SCOPES}")
-    if (
-        cfg.eval.protocol == "leave-one-out"
-        and cfg.eval.resample_scope == "whole-dataset"
-        and len(cfg.eval.seeds) > 1
-    ):
+    if ev.protocol == "leave-one-out" and ev.resample_scope == "whole-dataset" and len(ev.seeds) > 1:
         raise ConfigError(
-            f"eval.seeds lists {len(cfg.eval.seeds)} seeds, but leave-one-out under "
+            f"eval.seeds lists {len(ev.seeds)} seeds, but leave-one-out under "
             "eval.resample_scope = whole-dataset gives every seed the same result; "
             "give one seed"
         )
-    if cfg.pca.fit_within_fold and cfg.eval.resample_scope != "train-folds-only":
-        raise ConfigError(
-            "pca.fit_within_fold requires eval.resample_scope = train-folds-only"
-        )
+
+
+def _check_seed_range(key: str, seeds) -> None:
+    """Raise ``ConfigError`` on the first of ``seeds`` not below 2^64."""
+    for seed in seeds:
+        if seed >= _SEED_LIMIT:
+            raise ConfigError(
+                f"{key} holds {seed}, not below 2^64: it would act as seed {seed % _SEED_LIMIT}"
+            )
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:

@@ -2,7 +2,8 @@
 (README, "The pipeline", steps 1 and 4).
 
 Missing cells are NaN until :func:`impute_missing` runs.  Datasets are
-immutable: the arrays are read-only and every operation returns a new value.
+immutable: each keeps its own read-only copy of the arrays it is given,
+and every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labs = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        feats = np.array(self.features, dtype=np.float64, order="C")
+        labs = np.array(self.labels, dtype=np.int64, order="C")
         names = tuple(self.class_names)
         fnames = tuple(self.feature_names)
         if feats.ndim != 2:

@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .config import EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings, validate_config
+from .config import (
+    EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings, validate_config, validate_eval,
+)
 from .dataset import (
     Dataset,
     class_counts,
@@ -86,26 +88,6 @@ class ExperimentReport:
     pca_retained_other_mode: int
 
 
-def _summarise(rows: list[tuple[int, MetricRow]]) -> EvalSummary:
-    """Mean, median and spread of one method's per-seed rows, the one place
-    they are computed; the mean and median rows keep the last seed's method
-    name, sample count and feature count."""
-
-    def values(name):
-        return [getattr(row, name) for _, row in rows]
-
-    means = {name: statistics.fmean(values(name)) for name in RATE_FIELDS}
-    means["misclassified"] = round(means["misclassified"])
-    medians = {name: float(statistics.median(values(name))) for name in RATE_FIELDS}
-    last = rows[-1][1]
-    return EvalSummary(
-        mean=replace(last, **means),
-        median=replace(last, **medians),
-        per_seed=tuple(rows),
-        ranges={name: (min(values(name)), max(values(name))) for name in RATE_FIELDS},
-    )
-
-
 def _fold_stack(ds: Dataset, protocol: str, k: int, seeds) -> np.ndarray:
     """Every seed's fold assignment of ``ds``, as one ``(len(seeds), n)``
     stack; a class of fewer than two rows raises ``DataError``."""
@@ -120,19 +102,31 @@ def _fold_stack(ds: Dataset, protocol: str, k: int, seeds) -> np.ndarray:
 
 def _summaries(counts: np.ndarray, names: list[str], widths, seeds) -> list[EvalSummary]:
     """Each method's summary of the confusion tables ``counts`` (S, M, C, C),
-    one per seed and method, table (s, m) ``widths[s][m]`` features wide; all
-    are summarised by one ``metric_rows`` call."""
-    rows = metric_rows(counts, names, widths)
-    return [
-        _summarise([(seed, by_method[m]) for seed, by_method in zip(seeds, rows)])
-        for m in range(len(names))
-    ]
+    one per seed and method, table (s, m) ``widths[s][m]`` features wide: the
+    one place statistics over seeds are computed.  Every row comes from one
+    ``metric_rows`` call; the mean and median rows keep the last seed's
+    method name, sample count and feature count."""
+    summaries = []
+    for rows in metric_rows(counts, names, widths):
+        columns = {name: [getattr(row, name) for row in rows] for name in RATE_FIELDS}
+        means = {name: statistics.fmean(values) for name, values in columns.items()}
+        means["misclassified"] = round(means["misclassified"])
+        medians = {name: float(statistics.median(values)) for name, values in columns.items()}
+        summaries.append(EvalSummary(
+            mean=replace(rows[-1], **means),
+            median=replace(rows[-1], **medians),
+            per_seed=tuple(zip(seeds, rows)),
+            ranges={name: (min(values), max(values)) for name, values in columns.items()},
+        ))
+    return summaries
 
 
 def evaluate_dataset(ds: Dataset, ev: EvalSettings, method_name: str = "") -> EvalSummary:
-    """Seeded cross-validation of naive Bayes on one fixed dataset, under
-    the settings ``ev`` of a validated config; every (seed, fold) model is
-    fitted and scored by one ``_fold_predictions`` call."""
+    """Seeded cross-validation of naive Bayes on one fixed dataset under the
+    settings ``ev``; every (seed, fold) model is fitted and scored by one
+    ``_fold_predictions`` call.  Invalid settings raise the ``ConfigError``
+    that ``validate_eval`` gives the CLI."""
+    validate_eval(ev)
     predicted, _ = _fold_predictions(ds, _fold_stack(ds, ev.protocol, ev.k, ev.seeds), ev.seeds)
     counts = tally(ds.labels, predicted, ds.n_classes)
     return _summaries(counts, [method_name], [[ds.n_features]] * len(ev.seeds), ev.seeds)[0]
@@ -380,8 +374,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ev = cfg.eval
     stack = _fold_stack(imputed, ev.protocol, ev.k, ev.seeds)
     scored = [(imputed, _fold_predictions(imputed, stack, ev.seeds))]
-    reduced = transform(pca_model, imputed)
     if ev.resample_scope == "whole-dataset":
+        reduced = transform(pca_model, imputed)
         datasets = [imputed, reduced] + balance_sequence(
             reduced, order_idx, cfg.smote.per_class_target, k=cfg.smote.k, seed=cfg.smote.seed
         )
@@ -391,9 +385,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         datasets = [imputed] * len(names)
         refit = cfg.pca if cfg.pca.fit_within_fold else None
-        leak_free = _fold_predictions(
-            imputed if refit else reduced, stack, ev.seeds, order_idx, cfg.smote, refit
-        )
+        base = imputed if refit else transform(pca_model, imputed)
+        leak_free = _fold_predictions(base, stack, ev.seeds, order_idx, cfg.smote, refit)
         scored.append((imputed, leak_free))
     # each call's predictions (seeds, stages, n) and widths (seeds,), stage by stage
     counts = np.concatenate([tally(ds.labels, p, ds.n_classes) for ds, (p, _) in scored], axis=1)

@@ -19,12 +19,12 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """counts[a][p] = number of samples of actual class a predicted as p."""
+    """counts[a][p] = number of samples of actual class a predicted as p (own copy)."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))
+        counts = np.array(self.counts, dtype=np.int64, order="C")
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError("counts must be a square matrix")
         if (counts < 0).any():
@@ -150,17 +150,14 @@ class MetricRow:
 
 
 def metric_rows(counts: np.ndarray, method_names, n_features) -> list[list[MetricRow]]:
-    """Records ``[s][m]`` of confusion tables ``counts`` (S, M, C, C): table
+    """Records ``[m][s]`` of confusion tables ``counts`` (S, M, C, C): table
     (s, m) summarised as method ``method_names[m]`` with ``n_features[s][m]``
     features, by the operations of the per-class functions."""
     averages = [_weighted(counts, r) for r in _rates(*_one_vs_rest(counts))]
     total = counts.sum(axis=(2, 3))
     correct = np.trace(counts, axis1=2, axis2=3)
-    columns = [a.tolist() for a in (total, correct / total, *averages, total - correct)]
+    columns = (total, np.asarray(n_features), correct / total, *averages, total - correct)
     return [
-        [
-            MetricRow(name, n_samples, width, *rates, missed)
-            for name, width, n_samples, *rates, missed in zip(method_names, widths, *seed)
-        ]
-        for widths, *seed in zip(n_features, *columns)
+        [MetricRow(name, *fields) for fields in zip(*method)]
+        for name, *method in zip(method_names, *(a.T.tolist() for a in columns))
     ]

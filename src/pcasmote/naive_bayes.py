@@ -47,12 +47,12 @@ class NbModel:
         return self.means.shape[1]
 
 
-def _segment_sums(stack: np.ndarray, segments, initial: float) -> np.ndarray:
+def _segment_sums(stack: np.ndarray, segments) -> np.ndarray:
     """(S, B, f) sums of ``stack`` (L, B, f) over each ``(lo, hi)`` segment
-    of rows, in row order."""
+    of rows, added in row order from ``-0.0``."""
     sums = np.empty((len(segments), *stack.shape[1:]))
     for s, (lo, hi) in enumerate(segments):
-        np.add.reduce(stack[lo:hi], axis=0, out=sums[s], initial=initial)
+        np.add.reduce(stack[lo:hi], axis=0, out=sums[s], initial=-0.0)
     return sums
 
 
@@ -86,14 +86,15 @@ def stack_moments(stack: np.ndarray, keep: np.ndarray, sizes):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # summed from -0.0, a lone row is its own mean, -0.0 included; adding
         # +0.0 gives a longer run the +0.0 start that np.mean's sum has
-        means = _segment_sums(stack, segments, -0.0)
+        means = _segment_sums(stack, segments)
         np.add(means, 0.0, out=means, where=per_set != 1)
         means /= per_set
         for s, (lo, hi) in enumerate(segments):
             stack[lo:hi] -= means[s]
         np.square(stack, out=stack)
+        # squared deviations and left-out rows are >= +0.0: from -0.0 they sum as from +0.0
         stack[left_out] = 0.0
-        stds = _segment_sums(stack, segments, 0.0)
+        stds = _segment_sums(stack, segments)
         stds /= per_set - 1
         np.sqrt(stds, out=stds)
         np.maximum(stds, STD_FLOOR, out=stds)

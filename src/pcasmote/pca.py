@@ -74,12 +74,11 @@ def _cumulative_coverage(eigenvalues) -> np.ndarray:
     return np.divide(np.cumsum(clamped, axis=-1), total, out=coverage, where=total > 0.0)
 
 
-def retained_for_threshold(eigenvalues: np.ndarray, threshold: float):
-    """Smallest component count whose coverage reaches ``threshold``: an
-    ``int`` for one row of eigenvalues, an int array for a stack (..., f)."""
+def retained_for_threshold(eigenvalues: np.ndarray, threshold: float) -> np.ndarray:
+    """Smallest component count whose coverage reaches ``threshold``, for
+    each row of a stack of eigenvalues (..., f): an int array (...)."""
     # tiny fp slack so threshold 1.0 stops at the true rank
-    counts = np.argmax(_cumulative_coverage(eigenvalues) >= threshold - 1e-12, axis=-1) + 1
-    return int(counts) if counts.ndim == 0 else counts
+    return np.argmax(_cumulative_coverage(eigenvalues) >= threshold - 1e-12, axis=-1) + 1
 
 
 def fit_pca(ds: Dataset, threshold: float, mode: str) -> PcaModel:

@@ -15,10 +15,10 @@ Derived draws are defined exactly as:
 * ``randrange(n)``  -> ``next_u64() % n``
 
 Because the state after ``i + 1`` calls is ``seed + (i + 1) * gamma mod 2^64``,
-draw i (counting from 0) is the finaliser of that state on its own.  ``next_u64_array(seed, n)``
-computes the first ``n`` draws that way, as one uint64 array; it is part of
-the spec and equals ``[Rng(seed).next_u64() for _ in range(n)]``.  Given a
-sequence of seeds it computes one such row per seed in the same call.
+draw i (counting from 0) is the finaliser of that state on its own.
+``next_u64_array(seeds, n)`` computes the first ``n`` draws of each seed of a
+list that way, one uint64 row per seed; it is part of the spec.  One stream,
+``[Rng(seed).next_u64() for _ in range(n)]``, is row 0 of a one-seed call.
 
 ``derive_seed(seed, index)`` feeds ``seed + (index + 1) * 0x9E3779B97F4A7C15``
 through the finaliser, giving independent, reproducible sub-streams for
@@ -74,15 +74,13 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
 
-def next_u64_array(seed, n: int) -> np.ndarray:
-    """The first ``n`` outputs of ``Rng(seed).next_u64()`` as a uint64 array;
-    for a sequence of seeds, one such row per seed, shape ``(len(seed), n)``."""
+def next_u64_array(seeds, n: int) -> np.ndarray:
+    """The first ``n`` outputs of ``Rng(seed).next_u64()`` for each seed of
+    the sequence ``seeds``, as a uint64 array ``(len(seeds), n)``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    if np.isscalar(seed):
-        return _mix(np.uint64(seed & _MASK64) + steps)
-    starts = np.array([s & _MASK64 for s in seed], dtype=np.uint64)
+    starts = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
     return _mix(starts[:, None] + steps)
 
 

@@ -112,8 +112,6 @@ def synthetic_rows(pts, ranking, kept, needed, k, seeds, offset) -> np.ndarray:
     width = int(needed.max(initial=0))
     grown = np.arange(width) < needed[:, None]
     run, j = np.nonzero(grown)
-    if not run.size:
-        return np.full((len(kept), width, pts.shape[1]), -0.0)
     per_run = kept.sum(axis=1)
     counts = per_run[run]
     k_eff = np.minimum(k, counts - 1)

@@ -599,6 +599,28 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             lung.features[0, 0] = 99.0
 
+    def test_keeps_its_own_copy(self):
+        """A dataset built from a view of a writeable array keeps its values
+        when the base array is written, and leaves the caller's arrays
+        writeable."""
+        base = np.arange(6.0).reshape(3, 2)
+        labels = np.array([0, 1, 0])
+        ds = Dataset(base[:, :], labels, ("a", "b"), ("x", "y"))
+        base[0, 0] = labels[0] = 1
+        assert ds.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert ds.labels.tolist() == [0, 1, 0]
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+    def test_fortran_and_int_inputs_compare_equal(self):
+        rows = [[1, 2, 3], [4, 5, 6]]
+        plain = Dataset(np.array(rows, dtype=np.float64), [0, 1], ("a", "b"), ("x", "y", "z"))
+        for features in (np.asfortranarray(rows, dtype=np.float64), np.array(rows)):
+            ds = Dataset(features, np.array([0, 1], dtype=np.int32), ("a", "b"), ("x", "y", "z"))
+            assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+            assert ds.labels.dtype == np.int64
+            assert np.array_equal(ds.features, plain.features)
+            assert np.array_equal(ds.labels, plain.labels)
+
     def test_subset(self, lung):
         sub = lung.subset([0, 5, 9])
         assert sub.n_samples == 3

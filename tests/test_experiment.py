@@ -66,8 +66,9 @@ def default_config(data_file, **eval_kwargs) -> ExperimentConfig:
 class TestEvaluateDataset:
     def test_perfectly_separable_data(self):
         ds = gaussian_blobs(_PyRandom(1), [(0.0, 0.0), (50.0, 50.0)], 10, 0.5)
-        for protocol in ("k-fold", "leave-one-out"):
-            summary = evaluate_dataset(ds, EvalSettings(protocol, k=5, seeds=(1, 2)))
+        runs = [("k-fold", (1, 2)), ("leave-one-out", (1,)), ("leave-one-out", (2,))]
+        for protocol, seeds in runs:
+            summary = evaluate_dataset(ds, EvalSettings(protocol, k=5, seeds=seeds))
             assert summary.mean.accuracy == 1.0
             assert summary.mean.fp_rate == 0.0
             assert summary.mean.misclassified == 0
@@ -81,9 +82,11 @@ class TestEvaluateDataset:
 
     def test_leave_one_out_seed_independent(self):
         ds = gaussian_blobs(_PyRandom(3), [(0.0,), (2.0,)], 9, 1.0)
-        summary = evaluate_dataset(ds, EvalSettings("leave-one-out", k=2, seeds=(1, 2, 3)))
-        accs = [row.accuracy for _, row in summary.per_seed]
-        assert len(set(accs)) == 1
+        rows = [
+            evaluate_dataset(ds, EvalSettings("leave-one-out", k=2, seeds=(seed,))).mean
+            for seed in (1, 2, 3)
+        ]
+        assert rows[1] == rows[0] and rows[2] == rows[0]
 
     def test_protocols_agree_near_bayes_rate(self):
         # blobs at +/-1 with sd 1: Bayes error = P(N(0,1) > 1) ~ 0.1587
@@ -126,6 +129,27 @@ class TestEvaluateDataset:
         argv = ["evaluate", "--config", str(default_config), "--set", "eval.protocol=bootstrap"]
         assert main(argv) == 2
         assert "error[usage]: eval.protocol must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, overrides", [
+        (EvalSettings(protocol="bootstrap"), ["eval.protocol=bootstrap"]),
+        (EvalSettings(seeds=()), ["eval.seeds="]),
+        (EvalSettings("leave-one-out", seeds=(1, 2)), [
+            "eval.protocol=leave-one-out", "eval.seeds=1,2",
+        ]),
+        (EvalSettings(seeds=(1 << 64,)), [f"eval.seeds={1 << 64}"]),
+    ], ids=["protocol", "no-seeds", "loo-seeds", "seed-range"])
+    def test_settings_checked_as_the_cli_checks_them(
+        self, lung, default_config, capsys, settings, overrides
+    ):
+        """A library call raises the ``ConfigError`` whose message the CLI
+        prints for the same ``eval.*`` setting."""
+        with pytest.raises(ConfigError) as raised:
+            evaluate_dataset(lung, settings)
+        argv = ["evaluate", "--config", str(default_config)]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert main(argv) == 2
+        assert f"error[usage]: {raised.value}" in capsys.readouterr().err
 
 
 @st.composite

@@ -53,6 +53,19 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([0, 3], [0, 1], 2)
 
+    def test_keeps_its_own_copy(self):
+        """The table keeps a read-only int64 copy: the caller's array stays
+        writeable and writing it leaves the table as it was; Fortran-ordered
+        and int32 counts compare equal."""
+        counts = np.array([[3, 1], [0, 2]])
+        cm = ConfusionMatrix(counts=counts)
+        counts[0, 0] = 9
+        assert cm.counts.tolist() == [[3, 1], [0, 2]] and not cm.counts.flags.writeable
+        for other in (np.asfortranarray([[3, 1], [0, 2]]), np.array([[3, 1], [0, 2]], np.int32)):
+            copied = ConfusionMatrix(counts=other).counts
+            assert copied.dtype == np.int64 and copied.flags.c_contiguous
+            assert np.array_equal(copied, cm.counts)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         actual = rng.integers(0, 3, size=40)
@@ -255,7 +268,7 @@ class TestMetricRow:
     def test_batch_equals_one_table_at_a_time(self, tables, n_methods):
         """``metric_rows`` of a (seeds, methods) stack of tables, empty rows and
         columns included, and a width per seed and method, gives each table
-        the record ``metric_row`` gives it at its width."""
+        the record ``metric_row`` gives it at its width, method by method."""
         tables = [t for t in tables if sum(map(sum, t))]
         assume(len(tables) >= n_methods)
         n_seeds = len(tables) // n_methods
@@ -266,10 +279,10 @@ class TestMetricRow:
         rows = metric_rows(counts, names, widths)
         assert rows == [
             [
-                metric_row(ConfusionMatrix(counts=table), name, width)
-                for table, name, width in zip(by_method, names, seed_widths)
+                metric_row(ConfusionMatrix(counts=counts[s, m]), name, widths[s][m])
+                for s in range(n_seeds)
             ]
-            for by_method, seed_widths in zip(counts, widths)
+            for m, name in enumerate(names)
         ]
 
 

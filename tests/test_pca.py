@@ -90,7 +90,7 @@ class TestFit:
             scale=np.ones(41),
             components=np.eye(41)[:, :1],
             eigenvalues=eigenvalues,
-            retained=retained_for_threshold(eigenvalues, 1.0),
+            retained=int(retained_for_threshold(eigenvalues[None], 1.0)[0]),
             variance_threshold=1.0,
             mode="covariance",
         )
@@ -99,13 +99,12 @@ class TestFit:
         assert model.coverage(0) == 0.0
 
     def test_retained_counts_are_ints(self, lung):
-        """A row of eigenvalues gives a Python int, a stack an int array,
-        and a model's count is an int, as ``report.json`` encodes it."""
+        """A stack of eigenvalues gives an int array, and a model's count is
+        an int, as ``report.json`` encodes it."""
         values = np.array([[3.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        assert type(retained_for_threshold(values[0], 0.5)) is int
         counts = retained_for_threshold(values, 0.9)
         assert counts.dtype.kind == "i" and counts.tolist() == [2, 3, 1]
-        assert [retained_for_threshold(row, 0.9) for row in values] == [2, 3, 1]
+        assert [retained_for_threshold(row[None], 0.9)[0] for row in values] == [2, 3, 1]
         assert type(fit_pca(lung, 0.9, "correlation").retained) is int
         keep = training_folds(lung, 10, [1])
         fits = fit_pca_subsets(lung.features, keep, 0.9, "covariance")
@@ -493,7 +492,7 @@ def eigh_oracle(features, threshold, mode):
         z = z - z.mean(axis=0)
     values, vectors = np.linalg.eigh(z.T @ z / (len(z) - 1))
     values, vectors = values[::-1], vectors[:, ::-1]
-    retained = retained_for_threshold(values, threshold)
+    retained = int(retained_for_threshold(values[None], threshold)[0])
     return retained, values, vectors[:, :retained]
 
 

@@ -60,7 +60,7 @@ STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5]
 def test_vector_stream_matches_rng(seed):
     rng = Rng(seed)
     expected = [rng.next_u64() for _ in range(300)]
-    draws = next_u64_array(seed, 300)
+    draws, = next_u64_array([seed], 300)
     assert draws.dtype == np.uint64
     assert draws.tolist() == expected
 
@@ -73,19 +73,24 @@ def test_vector_stream_derived_draws_match_rng(seed):
     for _ in range(200):
         expected_picks.append(rng.randrange(7))
         expected_units.append(rng.random())
-    draws = next_u64_array(seed, 400)
+    draws, = next_u64_array([seed], 400)
     assert (draws[0::2] % 7).tolist() == expected_picks
     assert ((draws[1::2] >> 11) * 2.0**-53).tolist() == expected_units
 
 
 def test_vector_stream_empty_and_negative_length():
-    assert next_u64_array(3, 0).shape == (0,)
+    assert next_u64_array([3], 0).shape == (1, 0)
+    assert next_u64_array([], 5).shape == (0, 5)
     with pytest.raises(ValueError):
-        next_u64_array(3, -1)
+        next_u64_array([3], -1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(min_value=-(2**65), max_value=2**66), n=st.integers(0, 64))
-def test_vector_stream_property(seed, n):
-    rng = Rng(seed)
-    assert next_u64_array(seed, n).tolist() == [rng.next_u64() for _ in range(n)]
+@given(
+    seeds=st.lists(st.integers(min_value=-(2**65), max_value=2**66), max_size=3),
+    n=st.integers(0, 64),
+)
+def test_vector_stream_property(seeds, n):
+    """Row i is the stream of ``seeds[i]``."""
+    expected = [[rng.next_u64() for _ in range(n)] for rng in map(Rng, seeds)]
+    assert next_u64_array(seeds, n).tolist() == expected

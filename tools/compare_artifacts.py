@@ -3,11 +3,12 @@
 
 Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
 experiment --svg --config configs/default.cfg`` is run in that tree under
-every override set in ``CONFIGS``, then ``reduce``, ``train`` and ``evaluate``
-under every set in ``MODEL_CONFIGS``.  Every output file but ``run_meta.json``
-(which holds timings and the command line) is compared byte for byte: the
-reports, figure CSVs and SVGs, ``pca_model.json``, ``reduced.csv``,
-``nb_model.json`` and ``evaluation.csv``.  One line per config says whether
+every override set in ``CONFIGS``, then ``reduce``, ``train``, ``evaluate``
+and ``resample`` under every set in ``MODEL_CONFIGS``.  Every output file but
+``run_meta.json`` (which holds timings and the command line) is compared byte
+for byte: the reports, figure CSVs and SVGs, ``pca_model.json``,
+``reduced.csv``, ``nb_model.json``, ``evaluation.csv``, ``smote1.csv`` ...
+and ``resampled.csv``.  One line per config says whether
 the two runs agree and, if not, which files differ.  A ``.json`` file whose
 bytes differ but whose ``json.loads`` values are equal is named "same JSON
 value, other layout"; it still differs.  A tree that writes the older
@@ -152,8 +153,9 @@ CONFIGS = (
 
 #: (name, subcommand, ``--set`` overrides) of the single-stage runs: the
 #: reducer under both modes, at the default threshold and at full rank, the
-#: trainer, and the cross-validation of one dataset, whose ``evaluation.csv``
-#: no experiment writes
+#: trainer, the cross-validation of one dataset, whose ``evaluation.csv``
+#: no experiment writes, and the oversampling sequence, whose run files no
+#: experiment writes either
 MODEL_CONFIGS = (
     ("reduce correlation", "reduce", ()),
     ("reduce correlation+pca.threshold=1.0", "reduce", ("pca.threshold=1.0",)),
@@ -173,6 +175,9 @@ MODEL_CONFIGS = (
     ("evaluate", "evaluate", ()),
     ("evaluate loo seed 1", "evaluate", ("eval.protocol=leave-one-out", "eval.seeds=1")),
     ("evaluate cohort", "evaluate", (f"dataset={COHORT}",)),
+    ("resample", "resample", ()),
+    ("resample smote.order=TypeB,TypeA", "resample", ("smote.order=TypeB,TypeA",)),
+    ("resample cohort", "resample", (f"dataset={COHORT}", "smote.per_class_target=180")),
 )
 
 
