@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reporting
-from .config import load_config
+from .config import load_config, validate_eval
 from .dataset import class_counts, impute_missing, load_dataset, write_dataset_csv
 from .errors import ConfigError, ConvergenceError, DataError
 from .experiment import evaluate_dataset, resolve_order, run_experiment
@@ -102,6 +102,7 @@ def _cmd_train(args, cfg) -> None:
 
 
 def _cmd_evaluate(args, cfg) -> None:
+    validate_eval(cfg.eval)   # no SMOTE here, whatever eval.resample_scope says
     out = _resolve_output_dir(args)
     ds = _load_imputed(cfg)
     summary = evaluate_dataset(ds, cfg.eval, method_name="dataset")
@@ -171,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
         p.add_argument("--output-dir", "-o", default="", help="artifact directory")
-        p.add_argument("-v", "--verbose", action="count", default=0)
         if handler is _cmd_experiment:
             p.add_argument(
                 "--svg", action="store_true", help="also emit SVG bar charts"
@@ -181,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_invocation(argv: list[str]) -> argparse.Namespace:
     """Parse argv into ``subcommand``, ``handler``, ``config``, ``overrides``,
-    ``output_dir``, ``verbose``, ``argv`` itself and, for ``experiment``,
-    ``svg``.  Raises SystemExit(2) on usage errors (argparse behaviour)."""
+    ``output_dir``, ``argv`` itself and, for ``experiment``, ``svg``.
+    Raises SystemExit(2) on usage errors (argparse behaviour)."""
     args = _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     args.overrides = list(args.overrides)   # else every parse shares the parser's default list
     return args

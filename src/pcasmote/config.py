@@ -1,15 +1,14 @@
-"""Experiment configuration: flat key=value files, JSON, and overrides.
+"""Experiment configuration: a flat key=value file and overrides.
 
-The text format is one ``key = value`` pair per line with dotted section
-keys (``pca.threshold = 0.90``); ``#`` starts a comment.  JSON files (by
-``.json`` extension or a leading ``{``) may nest sections or use the same
-dotted keys.  Unknown keys are rejected by name.  Seed lists accept either
-comma-separated integers or an inclusive, ascending range like ``1..20``.
+A config file holds one ``key = value`` pair per line with dotted section
+keys (``pca.threshold = 0.90``); ``#`` starts a comment.  ``--set
+key=value`` overrides apply on top of the file.  Unknown keys are rejected
+by name.  Seed lists accept either comma-separated integers or an
+inclusive, ascending range like ``1..20``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -100,7 +99,15 @@ KEYS = {
 }
 
 
-def parse_kv_text(text: str, source: str = "<config>") -> dict:
+def read_config_file(path) -> dict:
+    """Raw key -> value-text mapping from a config file; a file that cannot
+    be read, is not UTF-8, has a line that is not ``key = value`` or sets a
+    key twice raises ``ConfigError`` naming it (and the line)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from None
     values: dict = {}
     set_on: dict = {}   # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -108,72 +115,15 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in set_on:
             raise ConfigError(
-                f"{source}: config key {key!r} is set twice, on lines {set_on[key]} and {lineno}"
+                f"{path}: config key {key!r} is set twice, on lines {set_on[key]} and {lineno}"
             )
         set_on[key] = lineno
         values[key] = value
     return values
-
-
-def _spelling(keys: tuple) -> str:
-    """A key path as written in JSON: ``{"eval": {"seeds": …}}``."""
-    return "".join(f"{{{json.dumps(k)}: " for k in keys) + "…" + "}" * len(keys)
-
-
-def _json_settings(obj: tuple, source: str, path: tuple = ()):
-    """(key path, value text) of each setting in a JSON object parsed with
-    ``object_pairs_hook=tuple``: an object is a tuple of (key, value) pairs,
-    so a key written twice is seen, not merged away."""
-    for key, value in obj:
-        keys = (*path, key)
-        dotted = ".".join(keys)
-        if value is None or (isinstance(value, list) and None in value):
-            raise ConfigError(f"{source}: config key {dotted!r} is null")
-        if isinstance(value, tuple):
-            yield from _json_settings(value, source, keys)
-        elif isinstance(value, list):
-            nested = any(isinstance(v, (list, tuple)) for v in value)
-            if nested or KEYS.get(dotted, _parse_order) not in (_parse_order, _parse_seeds):
-                what = "a nested list" if nested else "a list, but takes one value"
-                raise ConfigError(f"{source}: config key {dotted!r} is {what}")
-            yield keys, ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            yield keys, "true" if value else "false"
-        else:
-            yield keys, str(value)
-
-
-def read_config_file(path) -> dict:
-    """Raw key -> value-text mapping from a config file; a file that cannot
-    be read, is not UTF-8, is malformed or sets a key twice raises
-    ``ConfigError`` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read config file: {exc}") from None
-    if str(path).endswith(".json") or text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text, object_pairs_hook=tuple)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(data, tuple):
-            raise ConfigError(f"{path}: JSON config must be an object")
-        values, spelled = {}, {}   # dotted key -> value text, and the key path that set it
-        for keys, value in _json_settings(data, str(path)):
-            dotted = ".".join(keys)
-            if dotted in spelled:
-                raise ConfigError(
-                    f"{path}: config key {dotted!r} is set twice, as "
-                    f"{_spelling(spelled[dotted])} and as {_spelling(keys)}"
-                )
-            values[dotted], spelled[dotted] = value, keys
-        return values
-    return parse_kv_text(text, source=str(path))
 
 
 def apply_overrides(values: dict, pairs: list[str]) -> dict:
@@ -232,16 +182,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_seed_range("smote.seed", [cfg.smote.seed])
     if len(set(cfg.smote.order)) != len(cfg.smote.order):
         raise ConfigError("smote.order must list distinct classes")
-    validate_eval(cfg.eval)
+    validate_eval(cfg.eval, cfg.eval.resample_scope == "train-folds-only")
     if cfg.pca.fit_within_fold and cfg.eval.resample_scope != "train-folds-only":
         raise ConfigError(
             "pca.fit_within_fold requires eval.resample_scope = train-folds-only"
         )
 
 
-def validate_eval(ev: EvalSettings) -> None:
+def validate_eval(ev: EvalSettings, smote_in_folds: bool = False) -> None:
     """Raise ``ConfigError`` on the first ``eval.*`` setting of ``ev`` that is
-    out of range or inconsistent with another; ``evaluate_dataset`` calls it too."""
+    out of range or inconsistent with another; ``evaluate_dataset`` calls it too.
+    Leave-one-out deals every seed the same folds, so it takes one seed
+    unless SMOTE is drawn in each training fold (``smote_in_folds``, as
+    ``experiment`` does under ``train-folds-only``)."""
     if ev.protocol not in PROTOCOLS:
         raise ConfigError(f"eval.protocol must be one of {PROTOCOLS}")
     if ev.k < 2:
@@ -259,11 +212,11 @@ def validate_eval(ev: EvalSettings) -> None:
     _check_seed_range("eval.seeds", ev.seeds)
     if ev.resample_scope not in RESAMPLE_SCOPES:
         raise ConfigError(f"eval.resample_scope must be one of {RESAMPLE_SCOPES}")
-    if ev.protocol == "leave-one-out" and ev.resample_scope == "whole-dataset" and len(ev.seeds) > 1:
+    if ev.protocol == "leave-one-out" and not smote_in_folds and len(ev.seeds) > 1:
         raise ConfigError(
-            f"eval.seeds lists {len(ev.seeds)} seeds, but leave-one-out under "
-            "eval.resample_scope = whole-dataset gives every seed the same result; "
-            "give one seed"
+            f"eval.seeds lists {len(ev.seeds)} seeds, but leave-one-out gives every "
+            "seed the same result unless SMOTE is drawn in each training fold "
+            "(experiment under eval.resample_scope = train-folds-only); give one seed"
         )
 
 

@@ -1,4 +1,3 @@
-import json
 import re
 from pathlib import Path
 
@@ -28,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @st.composite
 def config_settings(draw):
-    """(settings as {section: {name: value}}, the text form of each value).
+    """The text form of each drawn setting, by dotted key.
 
     Each key but ``dataset`` is present or left to its default; the drawn
     settings always pass validation."""
@@ -65,23 +64,21 @@ def config_settings(draw):
             text[key] = draw(st.sampled_from((",", ", "))).join(map(str, value))
         else:
             text[key] = repr(value) if isinstance(value, float) else str(value)
-    nested: dict = {}
-    for key, value in values.items():
-        section, _, name = key.rpartition(".")
-        (nested.setdefault(section, {}) if section else nested)[name] = value
-    return nested, text
+    return text
 
 
 class TestConfigProperties:
     @settings(max_examples=150, deadline=None)
-    @given(case=config_settings())
-    def test_text_and_nested_json_build_equal_configs(self, tmp_path_factory, case):
-        nested, text = case
+    @given(text=config_settings())
+    def test_file_and_overrides_build_equal_configs(self, tmp_path_factory, text):
+        """Drawn settings give one config whether the file holds them all or
+        holds only ``dataset`` and ``--set`` overrides give the rest."""
         folder = tmp_path_factory.mktemp("cfg")
-        kv_path, json_path = folder / "run.cfg", folder / "run.json"
+        kv_path, base_path = folder / "run.cfg", folder / "base.cfg"
         kv_path.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
-        json_path.write_text(json.dumps(nested))
-        assert load_config(kv_path) == load_config(json_path)
+        base_path.write_text(f"dataset = {text['dataset']}\n")
+        overrides = [f"{key}={value}" for key, value in text.items() if key != "dataset"]
+        assert load_config(kv_path) == load_config(base_path, overrides)
 
     @given(lo=st.integers(-(2**70), 2**70), width=st.integers(0, 200))
     def test_seed_range_is_inclusive(self, lo, width):
@@ -111,28 +108,6 @@ def test_key_set_twice_in_text_file_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dataset = x\neval.seeds = 1..3\n# later\n\neval.seeds = 4..5\n")
     message = f"{path}: config key 'eval.seeds' is set twice, on lines 2 and 5"
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        load_config(path)
-
-
-NESTED, DOTTED = '{"eval": {"seeds": …}}', '{"eval.seeds": …}'
-
-
-@pytest.mark.parametrize(
-    "document, key, first, second",
-    [
-        ('{"eval": {"seeds": [1, 2]}, "eval.seeds": "4..5"}', "eval.seeds", NESTED, DOTTED),
-        ('{"eval.seeds": "4..5", "eval": {"k": 3, "seeds": [1]}}', "eval.seeds", DOTTED, NESTED),
-        ('{"eval": {"seeds": [1]}, "eval": {"seeds": [2]}}', "eval.seeds", NESTED, NESTED),
-        ('{"dataset": "x", "dataset": "y"}', "dataset", '{"dataset": …}', '{"dataset": …}'),
-    ],
-    ids=["nested-then-dotted", "dotted-then-nested", "one-spelling-twice", "top-level-twice"],
-)
-def test_key_set_twice_in_json_file_rejected(tmp_path, document, key, first, second):
-    """Both spellings of the key are named, as written."""
-    path = tmp_path / "run.json"
-    path.write_text(document, encoding="utf-8")
-    message = f"{path}: config key {key!r} is set twice, as {first} and as {second}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
 

@@ -133,3 +133,43 @@ def test_kept_names_are_unused_and_their_reasons_hold():
         assert key in defined, f"{key} is kept but not defined"
         assert key not in used, f"{key} is used in src/: drop it from KEPT"
         assert key in importers[reason], f"{key} is kept as {reason!r}, which is not so"
+
+
+def _option_dest(call: ast.Call) -> str:
+    """The ``dest`` of one ``add_argument`` call, as argparse derives it:
+    ``dest=``, else the first long option, else the first name."""
+    for keyword in call.keywords:
+        if keyword.arg == "dest":
+            return keyword.value.value
+    names = [arg.value for arg in call.args]
+    name = next((n for n in names if n.startswith("--")), names[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def test_every_cli_option_is_read():
+    """Each option the CLI declares is read as ``args.<dest>`` by package
+    code; a flag no code reads (say ``-v`` before anything prints progress)
+    is dead.  ``action="version"`` options store nothing and are skipped."""
+    declared = {
+        _option_dest(node)
+        for node in ast.walk(_tree(SRC / "cli.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and not any(
+            kw.arg == "action" and getattr(kw.value, "value", None) == "version"
+            for kw in node.keywords
+        )
+    }
+    assert declared, "no add_argument calls found: the scan is broken"
+    read = {
+        node.attr
+        for path in SRC.glob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    unread = sorted(declared - read)
+    assert not unread, f"cli.py declares options that no code reads as args.<dest>: {unread}"

@@ -136,8 +136,12 @@ class TestEvaluateDataset:
         (EvalSettings("leave-one-out", seeds=(1, 2)), [
             "eval.protocol=leave-one-out", "eval.seeds=1,2",
         ]),
+        # the scope names where experiment draws SMOTE; evaluate draws none
+        (EvalSettings("leave-one-out", seeds=(1, 2), resample_scope="train-folds-only"), [
+            "eval.protocol=leave-one-out", "eval.seeds=1,2", "eval.resample_scope=train-folds-only",
+        ]),
         (EvalSettings(seeds=(1 << 64,)), [f"eval.seeds={1 << 64}"]),
-    ], ids=["protocol", "no-seeds", "loo-seeds", "seed-range"])
+    ], ids=["protocol", "no-seeds", "loo-seeds", "loo-seeds-train-folds-only", "seed-range"])
     def test_settings_checked_as_the_cli_checks_them(
         self, lung, default_config, capsys, settings, overrides
     ):

@@ -401,7 +401,7 @@ def fold_stacks(draw):
     return ds, stack, step
 
 
-class TestCrossValPredict:
+class TestFoldPredictions:
     """``experiment._fold_predictions``, the one loop over (seed, fold)
     models, on a plain dataset, as Initial, each ``whole-dataset`` method
     and ``evaluate`` use it."""

@@ -175,6 +175,11 @@ MODEL_CONFIGS = (
     ("evaluate", "evaluate", ()),
     ("evaluate loo seed 1", "evaluate", ("eval.protocol=leave-one-out", "eval.seeds=1")),
     ("evaluate cohort", "evaluate", (f"dataset={COHORT}",)),
+    # evaluate draws no SMOTE rows, so the scope must not move its output
+    ("evaluate train-folds-only", "evaluate", (TFO,)),
+    ("evaluate train-folds-only+loo seed 1", "evaluate", (
+        TFO, "eval.protocol=leave-one-out", "eval.seeds=1",
+    )),
     ("resample", "resample", ()),
     ("resample smote.order=TypeB,TypeA", "resample", ("smote.order=TypeB,TypeA",)),
     ("resample cohort", "resample", (f"dataset={COHORT}", "smote.per_class_target=180")),
