@@ -73,6 +73,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
                 f"eval.seeds range {text!r} runs backwards ({lo} > {hi}); "
                 f"write it as {hi}..{lo}"
             )
+        if hi - lo >= _SEED_LIMIT:   # over 2^64 seeds: check the end before building
+            _check_seed_range("eval.seeds", [hi])
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -148,7 +150,7 @@ def build_config(values: dict) -> ExperimentConfig:
         section, _, name = key.rpartition(".")
         try:
             (sections[section] if section else top)[name] = KEYS[key](text)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
 
     if not top.get("dataset"):
@@ -182,7 +184,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_seed_range("smote.seed", [cfg.smote.seed])
     if len(set(cfg.smote.order)) != len(cfg.smote.order):
         raise ConfigError("smote.order must list distinct classes")
-    validate_eval(cfg.eval, cfg.eval.resample_scope == "train-folds-only")
+    smote_in_folds = cfg.eval.resample_scope == "train-folds-only" and bool(cfg.smote.order)
+    validate_eval(cfg.eval, smote_in_folds)
     if cfg.pca.fit_within_fold and cfg.eval.resample_scope != "train-folds-only":
         raise ConfigError(
             "pca.fit_within_fold requires eval.resample_scope = train-folds-only"
@@ -194,7 +197,8 @@ def validate_eval(ev: EvalSettings, smote_in_folds: bool = False) -> None:
     out of range or inconsistent with another; ``evaluate_dataset`` calls it too.
     Leave-one-out deals every seed the same folds, so it takes one seed
     unless SMOTE is drawn in each training fold (``smote_in_folds``, as
-    ``experiment`` does under ``train-folds-only``)."""
+    ``experiment`` does under ``train-folds-only`` with a nonempty
+    ``smote.order``)."""
     if ev.protocol not in PROTOCOLS:
         raise ConfigError(f"eval.protocol must be one of {PROTOCOLS}")
     if ev.k < 2:
@@ -216,7 +220,8 @@ def validate_eval(ev: EvalSettings, smote_in_folds: bool = False) -> None:
         raise ConfigError(
             f"eval.seeds lists {len(ev.seeds)} seeds, but leave-one-out gives every "
             "seed the same result unless SMOTE is drawn in each training fold "
-            "(experiment under eval.resample_scope = train-folds-only); give one seed"
+            "(experiment under eval.resample_scope = train-folds-only with a "
+            "nonempty smote.order); give one seed"
         )
 
 

@@ -242,31 +242,10 @@ def predict_matrix(model: NbModel, rows: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-#: each field of a model file, with its shape as ``model_io.read_model`` takes it
-_FILE_FIELDS = {
-    "class_names": None,
-    "priors": ("class_names",), "means": ("class_names", "f"), "stds": ("class_names", "f"),
-}
-
-
-#: each bounded field of a model file, as ``model_io.read_model`` takes its rules
-_FILE_RULES = {
-    "class_names": (
-        "a list of strings",
-        lambda names: isinstance(names, list) and all(isinstance(n, str) for n in names),
-    ),
-    "priors": model_io.POSITIVE,
-    "stds": model_io.POSITIVE,
-}
+#: the fields of a model file, in the order ``save_nb`` writes them
+_FILE_FIELDS = ("class_names", "priors", "means", "stds")
 
 
 def save_nb(model: NbModel, path) -> None:
     fields = {name: getattr(model, name) for name in _FILE_FIELDS}
     model_io.write_model(path, "naive-bayes", fields)
-
-
-def load_nb(path) -> NbModel:
-    """The model ``save_nb`` wrote to ``path``; raises ``DataError`` as
-    ``model_io.read_model`` does."""
-    fields = model_io.read_model(path, "naive-bayes", _FILE_FIELDS, _FILE_RULES)
-    return NbModel(**{**fields, "class_names": tuple(fields["class_names"])})

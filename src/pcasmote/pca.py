@@ -238,29 +238,11 @@ def transform(model: PcaModel, ds: Dataset) -> Dataset:
     )
 
 
-#: each field of a model file, with its shape as ``model_io.read_model`` takes it
-_FILE_FIELDS = {
-    "mode": None, "variance_threshold": None, "retained": None,
-    "mean": ("f",), "scale": ("f",), "eigenvalues": ("f",), "components": ("f", "retained"),
-}
-
-
-#: each bounded field of a model file, as ``model_io.read_model`` takes its rules
-_FILE_RULES = {
-    "mode": (" or ".join(map(repr, PCA_MODES)), lambda mode: mode in PCA_MODES),
-    "retained": ("an integer of at least 1", lambda r: type(r) is int and r >= 1),
-    "variance_threshold": (
-        "a number in (0, 1]", lambda t: type(t) in (int, float) and 0.0 < t <= 1.0,
-    ),
-    "scale": model_io.POSITIVE,
-}
+#: the fields of a model file, in the order ``save_pca`` writes them
+_FILE_FIELDS = (
+    "mode", "variance_threshold", "retained", "mean", "scale", "eigenvalues", "components",
+)
 
 
 def save_pca(model: PcaModel, path) -> None:
     model_io.write_model(path, "pca", {name: getattr(model, name) for name in _FILE_FIELDS})
-
-
-def load_pca(path) -> PcaModel:
-    """The model ``save_pca`` wrote to ``path``; raises ``DataError`` as
-    ``model_io.read_model`` does."""
-    return PcaModel(**model_io.read_model(path, "pca", _FILE_FIELDS, _FILE_RULES))

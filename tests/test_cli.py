@@ -357,6 +357,27 @@ _FOLDS_ONLY = (
             )
         ),
         *(
+            # an empty order draws no SMOTE rows in the folds: every seed alike
+            pytest.param(
+                "experiment", None, None,
+                "eval.resample_scope = train-folds-only\nsmote.order =\n"
+                f"eval.protocol = leave-one-out\neval.seeds = 1..3\n{extra}", 2,
+                ["error[usage]", "eval.seeds lists 3 seeds"],
+                id=f"loo-seeds-without-smote-order{suffix}",
+            )
+            for suffix, extra in (("", ""), ("-pca-in-folds", "pca.fit_within_fold = true\n"))
+        ),
+        pytest.param(
+            "experiment", None, None, f"eval.seeds = 0..{2**64}\n", 2,
+            ["error[usage]", f"eval.seeds holds {2**64}, not below 2^64"],
+            id="seed-range-end-above-64-bits",
+        ),
+        pytest.param(
+            "experiment", None, None, f"eval.seeds = 0..{2**63 - 1}\n", 2,
+            ["error[usage]", "config key 'eval.seeds'"],
+            id="seed-range-too-long-to-build",
+        ),
+        *(
             pytest.param(
                 command, None, None, "eval.k = 40\n", 3,
                 ["error[data]", "{data}: eval.k=40 exceeds the number of samples (32)"],
@@ -386,6 +407,8 @@ def test_input_fault_exit_code(
             cfg.write_bytes(settings)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "-o", str(out)]) == code
+    if code == 2:   # usage errors are found before the output directory is made
+        assert not out.exists()
     err = capsys.readouterr().err
     for text in named:
         assert text.format(data=data, cfg=cfg) in err

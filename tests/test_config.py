@@ -50,10 +50,11 @@ def config_settings(draw):
     values = {key: value for key, value in values.items() if key in present}
     if values.get("pca.fit_within_fold"):
         values["eval.resample_scope"] = "train-folds-only"
-    if (
-        values.get("eval.protocol") == "leave-one-out"
-        and values.get("eval.resample_scope", "whole-dataset") == "whole-dataset"
-    ):
+    smote_in_folds = (
+        values.get("eval.resample_scope") == "train-folds-only"
+        and values.get("smote.order") != []   # an absent order is the default, nonempty
+    )
+    if values.get("eval.protocol") == "leave-one-out" and not smote_in_folds:
         values["eval.seeds"] = values.get("eval.seeds", [1])[:1]
 
     text = {}

@@ -29,8 +29,6 @@ KEPT = {
     ("naive_bayes", "posterior"): (ACCEPTANCE, "posteriors sum to one"),
     ("naive_bayes", "predict"): (ACCEPTANCE, "the one-row prediction"),
     ("naive_bayes", "predict_matrix"): (ORACLE, "the reference of the batched predictors"),
-    ("naive_bayes", "load_nb"): (ORACLE, "reads back the model file `train` writes"),
-    ("pca", "load_pca"): (ORACLE, "reads back the model file `reduce` writes"),
     ("rng", "Rng"): (PERFBENCH_IMPORT, "the spec of the random stream; the cohort draws from it"),
     ("smote", "nearest_minority_neighbors"): (ACCEPTANCE, "the one-row neighbour query"),
 }

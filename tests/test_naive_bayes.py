@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -20,7 +21,6 @@ from pcasmote.naive_bayes import (
     class_moments,
     finite_fits,
     fit_nb,
-    load_nb,
     log_posterior,
     posterior,
     predict,
@@ -262,21 +262,30 @@ class TestPredict:
 
 
 class TestSerialization:
+    """A model file is write-only JSON: ``json.loads`` gives back every field,
+    each array bit for bit."""
+
     def test_round_trip(self, tmp_path, lung):
         model = fit_nb(lung)
         path = tmp_path / "nb_model.json"
         save_nb(model, path)
-        back = load_nb(path)
-        assert back.class_names == model.class_names
-        assert np.array_equal(back.priors, model.priors)
-        assert np.array_equal(back.means, model.means)
-        assert np.array_equal(back.stds, model.stds)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format", "kind", *naive_bayes._FILE_FIELDS]
+        assert (doc["format"], doc["kind"]) == ("pcasmote-model v2", "naive-bayes")
+        assert tuple(doc["class_names"]) == model.class_names
+        for name in ("priors", "means", "stds"):
+            # bytes, not values: a -0.0 written for a +0.0 fails
+            assert np.array(doc[name]).tobytes() == getattr(model, name).tobytes(), name
 
     def test_reloaded_model_predicts_identically(self, tmp_path, lung):
         model = fit_nb(lung)
         path = tmp_path / "nb_model.json"
         save_nb(model, path)
-        back = load_nb(path)
+        doc = json.loads(path.read_text())
+        back = NbModel(
+            priors=np.array(doc["priors"]), means=np.array(doc["means"]),
+            stds=np.array(doc["stds"]), class_names=tuple(doc["class_names"]),
+        )
         assert np.array_equal(
             predict_matrix(model, lung.features), predict_matrix(back, lung.features)
         )

@@ -16,7 +16,6 @@ from pcasmote.pca import (
     PcaModel,
     fit_pca,
     fit_pca_subsets,
-    load_pca,
     retained_for_threshold,
     save_pca,
     transform,
@@ -417,24 +416,32 @@ class TestTransform:
 
 
 class TestSerialization:
+    """A model file is write-only JSON: ``json.loads`` gives back every field,
+    each array bit for bit."""
+
     def test_round_trip_bitwise(self, tmp_path, lung):
         model = fit_pca(lung, 0.90, "correlation")
         path = tmp_path / "pca_model.json"
         save_pca(model, path)
-        back = load_pca(path)
-        assert back.mode == model.mode
-        assert back.retained == model.retained
-        assert back.variance_threshold == model.variance_threshold
-        assert np.array_equal(back.mean, model.mean)
-        assert np.array_equal(back.scale, model.scale)
-        assert np.array_equal(back.eigenvalues, model.eigenvalues)
-        assert np.array_equal(back.components, model.components)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format", "kind", *pca._FILE_FIELDS]
+        assert doc["kind"] == "pca"
+        assert (doc["mode"], doc["variance_threshold"], doc["retained"]) == (
+            model.mode, model.variance_threshold, model.retained,
+        )
+        for name in ("mean", "scale", "eigenvalues", "components"):
+            # bytes, not values: a -0.0 written for a +0.0 fails
+            assert np.array(doc[name]).tobytes() == getattr(model, name).tobytes(), name
 
     def test_reloaded_model_transforms_identically(self, tmp_path, lung):
         model = fit_pca(lung, 0.90, "correlation")
         path = tmp_path / "pca_model.json"
         save_pca(model, path)
-        back = load_pca(path)
+        doc = json.loads(path.read_text())
+        back = PcaModel(**{
+            name: np.array(doc[name]) if isinstance(doc[name], list) else doc[name]
+            for name in pca._FILE_FIELDS
+        })
         assert np.array_equal(
             transform(model, lung).features, transform(back, lung).features
         )

@@ -153,7 +153,9 @@ CONFIGS = (
 
 #: (name, subcommand, ``--set`` overrides) of the single-stage runs: the
 #: reducer under both modes, at the default threshold and at full rank, the
-#: trainer, the cross-validation of one dataset, whose ``evaluation.csv``
+#: reducer and the trainer under mean imputation, the trainer on the cohort
+#: too, so each model writer runs on more than the bundled default, the
+#: cross-validation of one dataset, whose ``evaluation.csv``
 #: no experiment writes, and the oversampling sequence, whose run files no
 #: experiment writes either
 MODEL_CONFIGS = (
@@ -171,7 +173,10 @@ MODEL_CONFIGS = (
     ("reduce cohort covariance+pca.threshold=1.0", "reduce", (
         f"dataset={COHORT}", "pca.mode=covariance", "pca.threshold=1.0",
     )),
+    ("reduce imputation=mean", "reduce", ("imputation=mean",)),
     ("train", "train", ()),
+    ("train imputation=mean", "train", ("imputation=mean",)),
+    ("train cohort", "train", (f"dataset={COHORT}",)),
     ("evaluate", "evaluate", ()),
     ("evaluate loo seed 1", "evaluate", ("eval.protocol=leave-one-out", "eval.seeds=1")),
     ("evaluate cohort", "evaluate", (f"dataset={COHORT}",)),
