@@ -23,8 +23,7 @@ from .config import load_config, validate_eval
 from .dataset import class_counts, impute_missing, load_dataset, write_dataset_csv
 from .errors import ConfigError, ConvergenceError, DataError
 from .experiment import evaluate_dataset, resolve_order, run_experiment
-from .naive_bayes import fit_nb, save_nb
-from .pca import fit_pca, save_pca, transform
+from .pca import fit_pca, transform
 from .smote import balance_sequence
 
 #: failure type -> (exit code, stderr tag); a subclass maps as its base.
@@ -67,13 +66,12 @@ def _cmd_reduce(args, cfg) -> None:
     out = _resolve_output_dir(args)
     ds = _load_imputed(cfg)
     model = fit_pca(ds, cfg.pca.threshold, cfg.pca.mode)
-    save_pca(model, out / "pca_model.json")
     write_dataset_csv(transform(model, ds), out / "reduced.csv")
     print(
         f"retained {model.retained} of {ds.n_features} components "
         f"({cfg.pca.mode} mode, threshold {cfg.pca.threshold})"
     )
-    print(f"wrote {out / 'pca_model.json'} and {out / 'reduced.csv'}")
+    print(f"wrote {out / 'reduced.csv'}")
 
 
 def _cmd_resample(args, cfg) -> None:
@@ -89,16 +87,6 @@ def _cmd_resample(args, cfg) -> None:
     write_dataset_csv(final, out / "resampled.csv")
     print(f"class counts: {class_counts(final)}")
     print(f"wrote {len(runs)} run file(s) and {out / 'resampled.csv'}")
-
-
-def _cmd_train(args, cfg) -> None:
-    out = _resolve_output_dir(args)
-    ds = _load_imputed(cfg)
-    model = fit_nb(ds)
-    save_nb(model, out / "nb_model.json")
-    priors = " ".join(f"{n}={p:.4f}" for n, p in zip(model.class_names, model.priors))
-    print(f"priors: {priors}")
-    print(f"wrote {out / 'nb_model.json'}")
 
 
 def _cmd_evaluate(args, cfg) -> None:
@@ -122,8 +110,6 @@ def _cmd_experiment(args, cfg) -> None:
     reporting.write_report_json(report, out / "report.json")
     reporting.write_report_csv(report, out / "report.csv")
     reporting.write_figure_csvs(report, out)
-    if args.svg:
-        reporting.write_figure_svgs(report, out)
     reporting.write_run_metadata(out, args.argv)
     print(f"pca retained: {report.pca_retained} ({cfg.pca.mode} mode); "
           f"other mode: {report.pca_retained_other_mode}")
@@ -144,7 +130,6 @@ COMMANDS = {
     "inspect": ("print a summary of the configured dataset", _cmd_inspect),
     "reduce": ("fit the PCA reducer and export the reduced dataset", _cmd_reduce),
     "resample": ("run the configured oversampling sequence", _cmd_resample),
-    "train": ("fit the naive Bayes classifier and save it", _cmd_train),
     "evaluate": ("cross-validate naive Bayes on the configured dataset", _cmd_evaluate),
     "experiment": ("run the full multi-stage comparison", _cmd_experiment),
 }
@@ -172,17 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
         p.add_argument("--output-dir", "-o", default="", help="artifact directory")
-        if handler is _cmd_experiment:
-            p.add_argument(
-                "--svg", action="store_true", help="also emit SVG bar charts"
-            )
     return parser
 
 
 def parse_invocation(argv: list[str]) -> argparse.Namespace:
     """Parse argv into ``subcommand``, ``handler``, ``config``, ``overrides``,
-    ``output_dir``, ``argv`` itself and, for ``experiment``, ``svg``.
-    Raises SystemExit(2) on usage errors (argparse behaviour)."""
+    ``output_dir`` and ``argv`` itself.  Raises SystemExit(2) on usage
+    errors (argparse behaviour)."""
     args = _build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     args.overrides = list(args.overrides)   # else every parse shares the parser's default list
     return args

@@ -4,7 +4,7 @@ A config file holds one ``key = value`` pair per line with dotted section
 keys (``pca.threshold = 0.90``); ``#`` starts a comment.  ``--set
 key=value`` overrides apply on top of the file.  Unknown keys are rejected
 by name.  Seed lists accept either comma-separated integers or an
-inclusive, ascending range like ``1..20``.
+inclusive, ascending range like ``1..20`` of at most ``MAX_SEEDS`` seeds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ RESAMPLE_SCOPES = ("whole-dataset", "train-folds-only")
 
 #: seeds are 64-bit: the random streams would read a larger one mod 2^64
 _SEED_LIMIT = 1 << 64
+
+#: the most seeds an ``eval.seeds`` range may hold, 500 times the paper's 20
+MAX_SEEDS = 10_000
 
 
 @dataclass
@@ -75,6 +78,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             )
         if hi - lo >= _SEED_LIMIT:   # over 2^64 seeds: check the end before building
             _check_seed_range("eval.seeds", [hi])
+        if hi - lo + 1 > MAX_SEEDS:
+            raise ValueError(
+                f"range {text!r} holds {hi - lo + 1} seeds; at most {MAX_SEEDS} are allowed"
+            )
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 

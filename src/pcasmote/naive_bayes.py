@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model_io
 from .dataset import Dataset
 from .errors import DataError
 
@@ -240,12 +239,3 @@ def predict_matrix(model: NbModel, rows: np.ndarray) -> np.ndarray:
     """Vectorised ``predict`` over the rows of a matrix."""
     scores = _log_scores(rows, model.priors, model.means, model.stds)
     return np.argmax(scores, axis=1).astype(np.int64)
-
-
-#: the fields of a model file, in the order ``save_nb`` writes them
-_FILE_FIELDS = ("class_names", "priors", "means", "stds")
-
-
-def save_nb(model: NbModel, path) -> None:
-    fields = {name: getattr(model, name) for name in _FILE_FIELDS}
-    model_io.write_model(path, "naive-bayes", fields)

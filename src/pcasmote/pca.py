@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg, model_io
+from . import linalg
 from .dataset import Dataset
 from .errors import ConvergenceError, DataError
 
@@ -48,8 +48,6 @@ class PcaModel:
     components: np.ndarray
     eigenvalues: np.ndarray
     retained: int
-    variance_threshold: float
-    mode: str
 
     @property
     def n_features(self) -> int:
@@ -175,8 +173,6 @@ def _fit_stack(stack: np.ndarray, threshold: float, mode: str) -> list[PcaModel 
             components=vecs[:, :r] + 0.0,  # a zero is +0.0, whatever LAPACK's sign
             eigenvalues=values,
             retained=r,
-            variance_threshold=threshold,
-            mode=mode,
         )
     return models
 
@@ -236,13 +232,3 @@ def transform(model: PcaModel, ds: Dataset) -> Dataset:
         features=project(model, ds.features),
         feature_names=tuple(f"PC{i}" for i in range(1, model.retained + 1)),
     )
-
-
-#: the fields of a model file, in the order ``save_pca`` writes them
-_FILE_FIELDS = (
-    "mode", "variance_threshold", "retained", "mean", "scale", "eigenvalues", "components",
-)
-
-
-def save_pca(model: PcaModel, path) -> None:
-    model_io.write_model(path, "pca", {name: getattr(model, name) for name in _FILE_FIELDS})

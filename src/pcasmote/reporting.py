@@ -1,4 +1,4 @@
-"""Report artifacts: JSON document, flat CSV, per-metric CSVs, optional SVGs.
+"""Report artifacts: JSON document, flat CSV, per-metric CSVs.
 
 All writers are deterministic for a given report; timestamps live only in
 the sidecar metadata file so repeated runs produce byte-identical artifacts.
@@ -16,7 +16,7 @@ from .model_io import write_text
 
 SCHEMA_VERSION = 1
 
-#: metric -> the ``EvalSummary`` row the figure CSVs and SVGs read it from
+#: metric -> the ``EvalSummary`` row the figure CSVs read it from
 FIGURE_METRICS = {
     "accuracy": "mean",
     "fp_rate": "mean",
@@ -103,52 +103,6 @@ def write_figure_csvs(report: ExperimentReport, out_dir) -> None:
     for metric in FIGURE_METRICS:
         lines = ["method,value"] + [f"{m},{v!r}" for m, v in figure_values(report, metric)]
         write_text(Path(out_dir) / f"{metric}.csv", "\n".join(lines) + "\n")
-
-
-def _svg_bar_chart(title: str, pairs: list[tuple[str, float]]) -> str:
-    width, height = 480, 300
-    margin_left, margin_bottom, margin_top = 50, 40, 30
-    plot_w = width - margin_left - 20
-    plot_h = height - margin_top - margin_bottom
-    top = max((v for _, v in pairs), default=1.0)
-    top = top if top > 0 else 1.0
-    bar_w = plot_w / max(len(pairs), 1) * 0.6
-    gap = plot_w / max(len(pairs), 1)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>',
-        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" '
-        f'y2="{margin_top + plot_h}" stroke="black"/>',
-        f'<line x1="{margin_left}" y1="{margin_top + plot_h}" '
-        f'x2="{margin_left + plot_w}" y2="{margin_top + plot_h}" stroke="black"/>',
-    ]
-    for i, (name, value) in enumerate(pairs):
-        h = plot_h * (value / top)
-        x = margin_left + i * gap + (gap - bar_w) / 2
-        y = margin_top + plot_h - h
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{h:.2f}" '
-            f'fill="#4878a8"/>'
-        )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.2f}" y="{y - 4:.2f}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{value:.4g}</text>'
-        )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.2f}" y="{margin_top + plot_h + 16}" '
-            f'text-anchor="middle" font-size="11" font-family="sans-serif">{name}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_figure_svgs(report: ExperimentReport, out_dir) -> None:
-    for metric in FIGURE_METRICS:
-        chart = _svg_bar_chart(metric.replace("_", " "), figure_values(report, metric))
-        write_text(Path(out_dir) / f"{metric}.svg", chart)
 
 
 def write_run_metadata(out_dir, argv: list[str]) -> None:

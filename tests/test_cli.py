@@ -11,6 +11,7 @@ import pytest
 
 from pcasmote import cli, linalg
 from pcasmote.cli import main, parse_invocation
+from pcasmote.config import MAX_SEEDS
 from pcasmote.dataset import impute_missing, load_uci_lung_cancer, write_dataset_csv
 
 
@@ -44,6 +45,21 @@ class TestParse:
         cfg = write_config(tmp_path, data_file)
         assert main(["experiment", "--config", str(cfg), "-o", str(tmp_path), "-v"]) == 2
         assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["train"], "invalid choice: 'train'"),
+            (["experiment", "--svg"], "unrecognized arguments: --svg"),
+        ],
+        ids=["train", "svg"],
+    )
+    def test_model_and_chart_writers_are_unknown(self, tmp_path, data_file, capsys, argv, named):
+        """No ``train`` and no ``--svg``: nothing reads what they wrote."""
+        cfg = write_config(tmp_path, data_file)
+        assert main([argv[0], "--config", str(cfg), "-o", str(tmp_path / "out"), *argv[1:]]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -213,7 +229,7 @@ class TestValidation:
     def test_output_dir_naming_a_file_is_usage_error(self, tmp_path, data_file, capsys):
         cfg = write_config(tmp_path, data_file)
         for out in (cfg, cfg / "sub"):
-            assert main(["train", "--config", str(cfg), "-o", str(out)]) == 2
+            assert main(["reduce", "--config", str(cfg), "-o", str(out)]) == 2
             err = capsys.readouterr().err
             assert f"error[usage]: output directory {out} (--output-dir" in err
 
@@ -268,7 +284,7 @@ _FOLDS_ONLY = (
                 ["error[data]", "{data}: line 1: no feature column"],
                 id=f"no-feature-column-{command}",
             )
-            for command in ("reduce", "experiment", "train", "evaluate")
+            for command in ("reduce", "experiment", "resample", "evaluate")
         ),
         pytest.param(
             "inspect", "big.data", ("1,2,2,2,2," + "9" * 400 + _UCI_ROW[11:]).encode(), "",
@@ -294,14 +310,10 @@ _FOLDS_ONLY = (
             )
             for mode in ("covariance", "correlation")
         ),
-        *(
-            pytest.param(
-                command, "huge.csv", _HUGE_ROWS, "eval.k = 2\n", 3,
-                ["error[data]", f"{{data}}{fold}: the class means or variances of the features"],
-                id=f"overflowing-variance-{command}",
-            )
-            # evaluate names the first training fold whose fit overflows
-            for command, fold in (("train", ""), ("evaluate", ", training fold 1 of seed 1"))
+        pytest.param(   # names the first training fold whose fit overflows
+            "evaluate", "huge.csv", _HUGE_ROWS, "eval.k = 2\n", 3,
+            ["error[data]", "{data}, training fold 1 of seed 1: the class means or variances"],
+            id="overflowing-variance-evaluate",
         ),
         *(
             pytest.param(
@@ -377,6 +389,12 @@ _FOLDS_ONLY = (
             ["error[usage]", "config key 'eval.seeds'"],
             id="seed-range-too-long-to-build",
         ),
+        pytest.param(   # 2^62 seeds: a range too long to build, checked before it is built
+            "inspect", None, None, f"eval.seeds = 0..{2**62}\n", 2,
+            ["error[usage]", f"config key 'eval.seeds': range '0..{2**62}' holds {2**62 + 1} "
+             f"seeds; at most {MAX_SEEDS} are allowed"],
+            id="seed-range-above-the-cap",
+        ),
         *(
             pytest.param(
                 command, None, None, "eval.k = 40\n", 3,
@@ -437,11 +455,11 @@ class TestInspect:
 
 
 class TestStages:
-    def test_reduce_writes_model_and_csv(self, tmp_path, data_file):
+    def test_reduce_writes_csv(self, tmp_path, data_file):
         cfg = write_config(tmp_path, data_file)
         out = tmp_path / "out"
         assert main(["reduce", "--config", str(cfg), "-o", str(out)]) == 0
-        assert (out / "pca_model.json").exists()
+        assert [path.name for path in out.iterdir()] == ["reduced.csv"]
         header = (out / "reduced.csv").read_text().splitlines()[0]
         assert header.startswith("PC1,") and header.endswith(",class")
 
@@ -457,12 +475,6 @@ class TestStages:
         write_dataset_csv(impute_missing(load_uci_lung_cancer(data_file), "mode"), expected)
         assert (out / "resampled.csv").read_bytes() == expected.read_bytes()
 
-    def test_train_writes_model(self, tmp_path, data_file):
-        cfg = write_config(tmp_path, data_file)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "-o", str(out)]) == 0
-        assert json.loads((out / "nb_model.json").read_text())["format"] == "pcasmote-model v2"
-
     def test_evaluate_writes_csv(self, tmp_path, data_file, capsys):
         cfg = write_config(tmp_path, data_file, "eval.seeds = 1,2\n")
         out = tmp_path / "out"
@@ -477,8 +489,8 @@ class TestStages:
         out = tmp_path / "envout"
         monkeypatch.setenv("PCASMOTE_OUTPUT_DIR", str(out))
         monkeypatch.chdir(tmp_path)
-        assert main(["train", "--config", str(cfg)]) == 0
-        assert (out / "nb_model.json").exists()
+        assert main(["reduce", "--config", str(cfg)]) == 0
+        assert (out / "reduced.csv").exists()
 
 
 def open_as_on_windows(monkeypatch):
@@ -497,18 +509,16 @@ def open_as_on_windows(monkeypatch):
     monkeypatch.setattr(builtins, "open", windows_open)
 
 
-@pytest.mark.parametrize(
-    "argv", [["experiment", "--svg"], ["evaluate"]], ids=["experiment-svg", "evaluate"]
-)
-def test_artifacts_end_lines_with_newline_alone(tmp_path, data_file, monkeypatch, argv):
-    """Every file ``experiment --svg`` and ``evaluate`` write ends its lines
+@pytest.mark.parametrize("command", ["experiment", "evaluate"])
+def test_artifacts_end_lines_with_newline_alone(tmp_path, data_file, monkeypatch, command):
+    """Every file ``experiment`` and ``evaluate`` write ends its lines
     with "\\n" alone, whatever the platform's line separator."""
     cfg = write_config(tmp_path, data_file, "eval.seeds = 1\n")
     out = tmp_path / "out"
     open_as_on_windows(monkeypatch)
-    assert main([argv[0], "--config", str(cfg), "-o", str(out), *argv[1:]]) == 0
+    assert main([command, "--config", str(cfg), "-o", str(out)]) == 0
     written = sorted(out.iterdir())
-    assert len(written) == (13 if argv[0] == "experiment" else 1)
+    assert len(written) == (8 if command == "experiment" else 1)
     assert [path.name for path in written if b"\r" in path.read_bytes()] == []
 
 
@@ -517,25 +527,23 @@ def run_dir(tmp_path_factory, data_file):
     tmp_path = tmp_path_factory.mktemp("exp")
     cfg = write_config(tmp_path, data_file, "eval.seeds = 1..3\n")
     out = tmp_path / "out"
-    code = main(["experiment", "--config", str(cfg), "-o", str(out), "--svg"])
+    code = main(["experiment", "--config", str(cfg), "-o", str(out)])
     assert code == 0
     return out
 
 
 class TestExperimentCommand:
     def test_artifacts_exist(self, run_dir):
-        for name in (
-            "report.json",
-            "report.csv",
+        assert sorted(path.name for path in run_dir.iterdir()) == [
             "accuracy.csv",
             "fp_rate.csv",
+            "misclassified.csv",
             "precision.csv",
             "recall.csv",
-            "misclassified.csv",
-            "accuracy.svg",
+            "report.csv",
+            "report.json",
             "run_meta.json",
-        ):
-            assert (run_dir / name).exists(), name
+        ]
 
     def test_report_csv_feature_sample_columns(self, run_dir):
         lines = (run_dir / "report.csv").read_text().splitlines()
@@ -562,9 +570,9 @@ class TestExperimentCommand:
         assert doc["steps"][0]["metrics_mean"]["method"] == "Initial"
         assert doc["config"]["eval"]["seeds"] == [1, 2, 3]
 
-    @pytest.mark.parametrize("command", ["experiment", "reduce", "resample", "train", "evaluate"])
+    @pytest.mark.parametrize("command", ["experiment", "reduce", "resample", "evaluate"])
     def test_files_are_ascii_lines_and_json_one_line(self, tmp_path, data_file, run_dir, command):
-        """Each file ``experiment --svg`` and the single stages write is
+        """Each file ``experiment`` and the single stages write is
         ASCII, holds no "\\r" and ends in "\\n"; each ``.json`` file is one
         line that ``json.loads`` reads."""
         out = run_dir
@@ -609,12 +617,12 @@ class TestExperimentCommand:
         self, tmp_path, default_config, command, overrides
     ):
         """``report.json``, ``report.csv`` and the five figure CSVs, or
-        ``reduce``'s ``pca_model.json`` and ``reduced.csv`` (the bundled file's
-        fit takes the Gram path), are the same bytes whether BLAS runs on one
-        thread or two, set in the child's environment only."""
+        ``reduce``'s ``reduced.csv`` (the bundled file's fit takes the Gram
+        path), are the same bytes whether BLAS runs on one thread or two,
+        set in the child's environment only."""
         figures = ("accuracy", "fp_rate", "precision", "recall", "misclassified")
         names = (
-            ["pca_model.json", "reduced.csv"] if command == "reduce"
+            ["reduced.csv"] if command == "reduce"
             else ["report.json", "report.csv"] + [f"{m}.csv" for m in figures]
         )
         written = names if command == "reduce" else names + ["run_meta.json"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcasmote.config import (
-    KEYS, PROTOCOLS, RESAMPLE_SCOPES, ExperimentConfig, build_config, load_config,
+    KEYS, MAX_SEEDS, PROTOCOLS, RESAMPLE_SCOPES, ExperimentConfig, build_config, load_config,
 )
 from pcasmote.dataset import IMPUTE_STRATEGIES
 from pcasmote.errors import ConfigError
@@ -90,6 +90,15 @@ class TestConfigProperties:
     def test_reversed_seed_range_is_rejected(self, hi, gap):
         text = f"{hi + gap}..{hi}"
         with pytest.raises(ConfigError, match=re.escape(repr(text))):
+            KEYS["eval.seeds"](text)
+
+    def test_seed_range_capped_at_max_seeds(self):
+        """A range may hold ``MAX_SEEDS`` seeds; a longer one is rejected by
+        its length, before it is built."""
+        assert KEYS["eval.seeds"](f"1..{MAX_SEEDS}") == tuple(range(1, MAX_SEEDS + 1))
+        text = f"1..{MAX_SEEDS + 1}"
+        named = f"range {text!r} holds {MAX_SEEDS + 1} seeds; at most {MAX_SEEDS} are allowed"
+        with pytest.raises(ValueError, match=re.escape(named)):
             KEYS["eval.seeds"](text)
 
 

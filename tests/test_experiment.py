@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import statistics
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 from pcasmote import cli, experiment, linalg, naive_bayes, pca
 from pcasmote.cli import main
-from pcasmote.config import EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings
+from pcasmote.config import (
+    EvalSettings, ExperimentConfig, PcaSettings, SmoteSettings, load_config,
+)
 from pcasmote.dataset import Dataset, load_dataset, stratified_fold_stack, write_dataset_csv
 from pcasmote.errors import ConfigError, DataError, ResampleError, ToolkitError
 from pcasmote.metrics import confusion_matrix, metric_rows, tally
@@ -335,6 +339,9 @@ PINNED_NUMPY = "2.4.6"
 
 TFO = "eval.resample_scope=train-folds-only"
 
+#: the benchmark's scripts, whose cohort generator ``test_readme_block_counts`` runs
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 #: run -> (the subcommand and its arguments after ``--config
 #: configs/default.cfg``, the SHA-256 of each file it writes that is
 #: pinned).  The CSV run reads the canonical export of the bundled file from
@@ -343,7 +350,7 @@ TFO = "eval.resample_scope=train-folds-only"
 #: reloads bit for bit.  ``evaluate`` cross-validates the bundled file alone.
 PINNED_REPORTS = {
     "default": (
-        ("experiment", "--svg"),
+        ("experiment",),
         {
             "report.json": "80185d8beee07c80d73720ee60f3bd2c2031c34a9121f8f58c2fc9e88ab10d80",
             "report.csv": "dce20da3c5987ed8c8facc620f1c5bace43de0be3b8db6a9ef0acfba5b8495e3",
@@ -352,11 +359,6 @@ PINNED_REPORTS = {
             "precision.csv": "5ccb80af4d6bbbea4f4b2f53d96453e7588904cfd51ed4eedc1ca97d118f1f55",
             "recall.csv": "81d66867c7cf35dd853b72e75cf0a1ac40c610d1dcd43e7cb003f7a772bee003",
             "misclassified.csv": "32edffe3c394da0ef4973b63c1c51f8bc397714a230ca5e20292c7779dc56695",
-            "accuracy.svg": "7b9a09782ecfcb37da0219833eb8bbc2aa426f2b979f3b211328685e22c082c9",
-            "fp_rate.svg": "56c7c63637aa67760570c5f238ae511dc9b1be76734d21818d81f7961a39e7da",
-            "precision.svg": "0f93f5f282d10ff62dad10c198377ca8b2b3e284cf2538ee2c21a2ba98e440df",
-            "recall.svg": "f4a3e111df6cf602991d99bd099632b44deaeb8716f0503403cf92811d69daf4",
-            "misclassified.svg": "2eea68636f024224a7f2d1e885f688348b6689fababf5291f8928749144f04be",
         },
     ),
     "train-folds-only": (
@@ -401,7 +403,7 @@ PINNED_REPORTS = {
 
 @pytest.mark.parametrize("name", list(PINNED_REPORTS))
 def test_experiment_reports_pinned(tmp_path, default_config, lung_raw, name):
-    """The artifacts of ``experiment`` (reports, figure CSVs and SVGs) and
+    """The artifacts of ``experiment`` (reports and figure CSVs) and
     of ``evaluate``, byte for byte: a change in any prediction, metric or
     number format shows here.  The bytes rest on numpy's LAPACK, so the pin
     holds only under the numpy version it was taken with."""
@@ -1018,6 +1020,47 @@ def test_a_degenerate_run_is_rejected_or_matches_the_per_fold_path(tmp_path_fact
     write_report_json(report, out / "report.json")
     write_report_json(run_experiment(cfg), out / "again.json")
     assert (out / "report.json").read_bytes() == (out / "again.json").read_bytes()
+
+
+def test_readme_block_counts(tmp_path, default_config, monkeypatch):
+    """The block counts the README gives ("The pipeline"), read by wrapping
+    the public ``linalg.blocks``: per call, the module of its cost function
+    (its caller's) and the item count of each block it yields."""
+    spec = importlib.util.spec_from_file_location("cohort", PERFBENCH / "cohort.py")
+    cohort = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cohort)
+    cohort.write_cohort_csv(0, tmp_path / "cohort.csv")
+    real, calls = linalg.blocks, []
+
+    def recording(keys, cost):
+        sizes = []
+        calls.append((cost.__module__.rpartition(".")[2], sizes))
+        for key, items in real(keys, cost):
+            sizes.append(items.size)
+            yield key, items
+
+    def run(*overrides):
+        calls.clear()
+        run_experiment(load_config(default_config, list(overrides)))
+        return list(calls)
+
+    monkeypatch.setattr(linalg, "blocks", recording)
+    # the bundled file's 200 Initial models, 73 to a block
+    initial = ("experiment", [73, 73, 54])
+    assert run()[0] == initial
+    # its 200 leak-free models in 2 blocks under the global PCA
+    (first, _), (module, leak_free) = run(TFO)
+    assert (first, module, len(leak_free), sum(leak_free)) == ("experiment", "experiment", 2, 200)
+    # ... and in 5 under fit_within_fold, whose refits stack at most 27 folds
+    (first, _), (module, refits), (_, leak_free) = run(TFO, "pca.fit_within_fold=true")
+    assert (first, module, max(refits), sum(refits)) == ("experiment", "pca", 27, 200)
+    assert (len(leak_free), sum(leak_free)) == (5, 200)
+    # the benchmark cohort's 50 Initial models, 7 to a block, and its 50
+    # leak-free models in 5 blocks of up to 12
+    cohort = f"dataset={tmp_path / 'cohort.csv'}"
+    initial, (_, leak_free) = run(TFO, cohort, "eval.seeds=1..5", "smote.per_class_target=180")
+    assert initial == ("experiment", [7] * 7 + [1])
+    assert (len(leak_free), max(leak_free), sum(leak_free)) == (5, 12, 50)
 
 
 class TestLeakFreeBlockMemory:

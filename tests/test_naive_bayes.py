@@ -1,4 +1,3 @@
-import json
 import math
 import re
 from dataclasses import replace
@@ -25,7 +24,6 @@ from pcasmote.naive_bayes import (
     posterior,
     predict,
     predict_matrix,
-    save_nb,
 )
 
 
@@ -259,36 +257,6 @@ class TestPredict:
         batch = predict_matrix(model, lung.features)
         single = [predict(model, row) for row in lung.features]
         assert batch.tolist() == single
-
-
-class TestSerialization:
-    """A model file is write-only JSON: ``json.loads`` gives back every field,
-    each array bit for bit."""
-
-    def test_round_trip(self, tmp_path, lung):
-        model = fit_nb(lung)
-        path = tmp_path / "nb_model.json"
-        save_nb(model, path)
-        doc = json.loads(path.read_text())
-        assert list(doc) == ["format", "kind", *naive_bayes._FILE_FIELDS]
-        assert (doc["format"], doc["kind"]) == ("pcasmote-model v2", "naive-bayes")
-        assert tuple(doc["class_names"]) == model.class_names
-        for name in ("priors", "means", "stds"):
-            # bytes, not values: a -0.0 written for a +0.0 fails
-            assert np.array(doc[name]).tobytes() == getattr(model, name).tobytes(), name
-
-    def test_reloaded_model_predicts_identically(self, tmp_path, lung):
-        model = fit_nb(lung)
-        path = tmp_path / "nb_model.json"
-        save_nb(model, path)
-        doc = json.loads(path.read_text())
-        back = NbModel(
-            priors=np.array(doc["priors"]), means=np.array(doc["means"]),
-            stds=np.array(doc["stds"]), class_names=tuple(doc["class_names"]),
-        )
-        assert np.array_equal(
-            predict_matrix(model, lung.features), predict_matrix(back, lung.features)
-        )
 
 
 def _bits(a) -> bytes:

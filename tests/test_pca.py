@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -10,14 +9,14 @@ import pytest
 
 from pcasmote import linalg, pca
 from pcasmote.cli import main
-from pcasmote.dataset import Dataset, stratified_fold_stack
+from pcasmote.config import load_config
+from pcasmote.dataset import Dataset, impute_missing, load_dataset, stratified_fold_stack
 from pcasmote.errors import ConvergenceError, DataError
 from pcasmote.pca import (
     PcaModel,
     fit_pca,
     fit_pca_subsets,
     retained_for_threshold,
-    save_pca,
     transform,
 )
 
@@ -90,8 +89,6 @@ class TestFit:
             components=np.eye(41)[:, :1],
             eigenvalues=eigenvalues,
             retained=int(retained_for_threshold(eigenvalues[None], 1.0)[0]),
-            variance_threshold=1.0,
-            mode="covariance",
         )
         assert model.retained == 1
         assert model.coverage(1) == 1.0
@@ -375,7 +372,7 @@ class TestTransform:
         """Five rows of eight integer features, one constant: on the Gram
         path the constant feature's entries of every component are exact
         zeros, and each is +0.0 whatever sign LAPACK's eigenvectors gave it,
-        so a ``reduce`` writes the same model file on any LAPACK build."""
+        so the basis has the same bytes on any LAPACK build."""
         x = np.random.default_rng(0).integers(0, 4, size=(5, 8)).astype(float)
         x[:, 2] = 3.0
         model = fit_pca(dataset_from(x), 1.0, mode)
@@ -415,75 +412,50 @@ class TestTransform:
             transform(model, small)
 
 
-class TestSerialization:
-    """A model file is write-only JSON: ``json.loads`` gives back every field,
-    each array bit for bit."""
-
-    def test_round_trip_bitwise(self, tmp_path, lung):
-        model = fit_pca(lung, 0.90, "correlation")
-        path = tmp_path / "pca_model.json"
-        save_pca(model, path)
-        doc = json.loads(path.read_text())
-        assert list(doc) == ["format", "kind", *pca._FILE_FIELDS]
-        assert doc["kind"] == "pca"
-        assert (doc["mode"], doc["variance_threshold"], doc["retained"]) == (
-            model.mode, model.variance_threshold, model.retained,
-        )
-        for name in ("mean", "scale", "eigenvalues", "components"):
-            # bytes, not values: a -0.0 written for a +0.0 fails
-            assert np.array(doc[name]).tobytes() == getattr(model, name).tobytes(), name
-
-    def test_reloaded_model_transforms_identically(self, tmp_path, lung):
-        model = fit_pca(lung, 0.90, "correlation")
-        path = tmp_path / "pca_model.json"
-        save_pca(model, path)
-        doc = json.loads(path.read_text())
-        back = PcaModel(**{
-            name: np.array(doc[name]) if isinstance(doc[name], list) else doc[name]
-            for name in pca._FILE_FIELDS
-        })
-        assert np.array_equal(
-            transform(model, lung).features, transform(back, lung).features
-        )
-
-    def test_versioned_header(self, tmp_path, lung):
-        model = fit_pca(lung, 0.90, "correlation")
-        path = tmp_path / "pca_model.json"
-        save_pca(model, path)
-        assert json.loads(path.read_text())["format"] == "pcasmote-model v2"
-
-
 #: numpy version under which ``PINNED_REDUCE`` was taken
 PINNED_NUMPY = "2.4.6"
 
-#: mode -> SHA-256 of ``reduce``'s (pca_model.json, reduced.csv) for the
-#: bundled file and configs/default.cfg, whose 32 x 56 fit takes the Gram path
+#: mode -> SHA-256 of the reducer's ``basis_bytes`` and of ``reduce``'s
+#: reduced.csv, for the bundled file and configs/default.cfg, whose 32 x 56
+#: fit takes the Gram path
 PINNED_REDUCE = {
     "correlation": (
-        "78a9b2945ca7d822b7b976f405e7c3aedc86069ec20bee3407cbbb2ea080fd62",
+        "6ad353dd4d228619b529c4984bd359a07431e6bfabada60608ee875f657d7b7e",
         "be1b574b61a0819ea939f71fd1a9b6b20f306e6148c467bd20e7b22c074ad5d6",
     ),
     "covariance": (
-        "abb4291c6de7cdc5924f10434a3a9cca370c73bddd3bc97cf4e68108c5a190a6",
+        "dc53fe4e4dd8e49de89c84c2139f9d2925b2a9548049f61bb094d4f84b596071",
         "326a10273897a7342544a3b7d6830292d715f2713cbb3755fd66d0c98ddbd8ea",
     ),
 }
 
 
+def basis_bytes(model: PcaModel) -> bytes:
+    """The bytes of the model's mean, scale, eigenvalues and components, one
+    array after another: bytes, not values, so a -0.0 for a +0.0 shows."""
+    arrays = (model.mean, model.scale, model.eigenvalues, model.components)
+    return b"".join(a.tobytes() for a in arrays)
+
+
 @pytest.mark.parametrize("mode", sorted(PINNED_REDUCE))
 def test_reduce_artifacts_pinned(tmp_path, default_config, mode):
-    """The reducer's files for the bundled data, byte for byte: a last-bit
-    change in the basis, the mean or the scale shows here even when no
-    prediction of the experiment moves.  The bytes depend on numpy's
-    LAPACK, so the pin holds only under the numpy version it was taken with."""
+    """The reducer of the bundled data and ``reduce``'s reduced.csv, bit for
+    bit: a last-bit change in the basis, the mean or the scale shows here
+    even when no prediction of the experiment moves.  The bits depend on
+    numpy's LAPACK, so the pin holds only under the numpy version it was
+    taken with."""
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"hashes taken under numpy {PINNED_NUMPY}, running numpy {np.__version__}")
+    override = f"pca.mode={mode}"
+    cfg = load_config(default_config, [override])
+    model = fit_pca(
+        impute_missing(load_dataset(cfg.dataset), cfg.imputation), cfg.pca.threshold, cfg.pca.mode
+    )
     out = tmp_path / "out"
-    argv = ["reduce", "--config", str(default_config), "--set", f"pca.mode={mode}"]
-    assert main(argv + ["-o", str(out)]) == 0
+    assert main(["reduce", "--config", str(default_config), "--set", override, "-o", str(out)]) == 0
     digests = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("pca_model.json", "reduced.csv")
+        hashlib.sha256(data).hexdigest()
+        for data in (basis_bytes(model), (out / "reduced.csv").read_bytes())
     )
     assert digests == PINNED_REDUCE[mode]
 

@@ -2,18 +2,16 @@
 """Compare the artifacts of ``pcasmote`` runs from two source trees.
 
 Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
-experiment --svg --config configs/default.cfg`` is run in that tree under
-every override set in ``CONFIGS``, then ``reduce``, ``train``, ``evaluate``
-and ``resample`` under every set in ``MODEL_CONFIGS``.  Every output file but
+experiment --config configs/default.cfg`` is run in that tree under every
+override set in ``CONFIGS``, then ``reduce``, ``evaluate`` and ``resample``
+under every set in ``MODEL_CONFIGS``.  Every output file but
 ``run_meta.json`` (which holds timings and the command line) is compared byte
-for byte: the reports, figure CSVs and SVGs, ``pca_model.json``,
-``reduced.csv``, ``nb_model.json``, ``evaluation.csv``, ``smote1.csv`` ...
-and ``resampled.csv``.  One line per config says whether
-the two runs agree and, if not, which files differ.  A ``.json`` file whose
-bytes differ but whose ``json.loads`` values are equal is named "same JSON
-value, other layout"; it still differs.  A tree that writes the older
-``pca_model.txt`` and ``nb_model.txt`` shows each model file as differing,
-once under each name.
+for byte: the reports, figure CSVs, ``reduced.csv``, ``evaluation.csv``,
+``smote1.csv`` ... and ``resampled.csv``.  One line per config says whether
+the two runs agree and, if not, which files differ; a file that only one
+tree writes differs too.  A ``.json`` file whose bytes differ but whose
+``json.loads`` values are equal is named "same JSON value, other layout"; it
+still differs.
 The generated cohort of the ``large-cohort`` benchmark workload (workload
 seed 0) is written once, from the second tree's ``perfbench/cohort.py``, and
 read by both.
@@ -152,12 +150,10 @@ CONFIGS = (
 )
 
 #: (name, subcommand, ``--set`` overrides) of the single-stage runs: the
-#: reducer under both modes, at the default threshold and at full rank, the
-#: reducer and the trainer under mean imputation, the trainer on the cohort
-#: too, so each model writer runs on more than the bundled default, the
-#: cross-validation of one dataset, whose ``evaluation.csv``
-#: no experiment writes, and the oversampling sequence, whose run files no
-#: experiment writes either
+#: reducer under both modes, at the default threshold and at full rank, and
+#: under mean imputation, the cross-validation of one dataset, whose
+#: ``evaluation.csv`` no experiment writes, and the oversampling sequence,
+#: whose run files no experiment writes either
 MODEL_CONFIGS = (
     ("reduce correlation", "reduce", ()),
     ("reduce correlation+pca.threshold=1.0", "reduce", ("pca.threshold=1.0",)),
@@ -174,9 +170,6 @@ MODEL_CONFIGS = (
         f"dataset={COHORT}", "pca.mode=covariance", "pca.threshold=1.0",
     )),
     ("reduce imputation=mean", "reduce", ("imputation=mean",)),
-    ("train", "train", ()),
-    ("train imputation=mean", "train", ("imputation=mean",)),
-    ("train cohort", "train", (f"dataset={COHORT}",)),
     ("evaluate", "evaluate", ()),
     ("evaluate loo seed 1", "evaluate", ("eval.protocol=leave-one-out", "eval.seeds=1")),
     ("evaluate cohort", "evaluate", (f"dataset={COHORT}",)),
@@ -204,8 +197,6 @@ def run(tree: Path, command: str, overrides: list[str], out: Path) -> str:
     """Run one subcommand; returns "" on success, else the exit status and
     the last line of stderr."""
     argv = [command, "--config", "configs/default.cfg", "--output-dir", str(out)]
-    if command == "experiment":
-        argv.append("--svg")
     for pair in overrides:
         argv += ["--set", pair]
     code = "import sys; from pcasmote.cli import main; sys.exit(main(sys.argv[1:]))"
