@@ -10,7 +10,14 @@ import pytest
 from pcasmote import linalg, pca
 from pcasmote.cli import main
 from pcasmote.config import load_config
-from pcasmote.dataset import Dataset, impute_missing, load_dataset, stratified_fold_stack
+from pcasmote.dataset import (
+    Dataset,
+    impute_missing,
+    load_dataset,
+    read_dataset_csv,
+    stratified_fold_stack,
+    write_dataset_csv,
+)
 from pcasmote.errors import ConvergenceError, DataError
 from pcasmote.pca import (
     PcaModel,
@@ -410,6 +417,23 @@ class TestTransform:
         small = dataset_from(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             transform(model, small)
+
+
+class TestSerialization:
+    """The reducer's output is what ``reduce`` writes to disk: the reduced
+    CSV reads back as ``transform``'s result, bit for bit, under any numpy."""
+
+    def test_round_trip_bitwise(self, tmp_path, lung):
+        reduced = transform(fit_pca(lung, 0.90, "correlation"), lung)
+        path = tmp_path / "reduced.csv"
+        write_dataset_csv(reduced, path)
+        back = read_dataset_csv(path)
+        # bytes, not values: a -0.0 written for a +0.0 fails
+        assert back.features.tobytes() == reduced.features.tobytes()
+        assert np.array_equal(back.labels, reduced.labels)
+        assert (back.class_names, back.feature_names) == (
+            reduced.class_names, reduced.feature_names,
+        )
 
 
 #: numpy version under which ``PINNED_REDUCE`` was taken
