@@ -1,5 +1,6 @@
 """Tabular dataset container plus loading, imputation, and fold assignment
-(README, "The pipeline", steps 1 and 4).
+(README, "The pipeline", steps 1 and 4), and ``write_text``, which writes
+every file the toolkit makes (README, "Artifacts").
 
 Missing cells are NaN until :func:`impute_missing` runs.  Datasets are
 immutable: each keeps its own read-only copy of the arrays it is given,
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ImputationError
-from .model_io import write_text
 from .rng import next_u64_array
 
 LUNG_CLASS_NAMES = ("TypeA", "TypeB", "TypeC")
@@ -171,6 +171,12 @@ def load_uci_lung_cancer(path) -> Dataset:
         if idx not in present:
             raise DataError(f"{path}: class {name} has no samples")
     return Dataset(features, np.array(labels), LUNG_CLASS_NAMES, names, str(path))
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` in one call, as ASCII with bare newlines."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:

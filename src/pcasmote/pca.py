@@ -53,11 +53,6 @@ class PcaModel:
     def n_features(self) -> int:
         return self.mean.shape[0]
 
-    def coverage(self, m: int) -> float:
-        """Cumulative variance share of the first ``m`` components."""
-        shares = _cumulative_coverage(self.eigenvalues)
-        return float(shares[min(m, shares.size) - 1]) if m > 0 else 0.0
-
 
 def _cumulative_coverage(eigenvalues) -> np.ndarray:
     """Variance share of the first 1, 2, ... components of descending

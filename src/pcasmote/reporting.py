@@ -1,4 +1,6 @@
-"""Report artifacts: JSON document, flat CSV, per-metric CSVs.
+"""Report artifacts, each written by ``dataset.write_text``: JSON documents
+(one line from a one-shot ``json.dumps`` without ``indent``, the call that
+runs json's C encoder), flat CSV, per-metric CSVs.
 
 All writers are deterministic for a given report; timestamps live only in
 the sidecar metadata file so repeated runs produce byte-identical artifacts.
@@ -11,8 +13,8 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .dataset import write_text
 from .experiment import EvalSummary, ExperimentReport, StepResult
-from .model_io import write_text
 
 SCHEMA_VERSION = 1
 
@@ -89,19 +91,13 @@ def write_report_csv(report: ExperimentReport, path) -> None:
     write_summaries_csv([step.summary for step in report.steps], ("mean", "median"), path)
 
 
-def figure_values(report: ExperimentReport, metric: str) -> list[tuple[str, float]]:
-    """Each method's ``metric``, read from the summary row ``FIGURE_METRICS`` names."""
-    row = FIGURE_METRICS[metric]
-    return [
-        (step.method_name, float(getattr(getattr(step.summary, row), metric)))
-        for step in report.steps
-    ]
-
-
 def write_figure_csvs(report: ExperimentReport, out_dir) -> None:
-    """One two-column CSV per metric: method name, aggregated value."""
-    for metric in FIGURE_METRICS:
-        lines = ["method,value"] + [f"{m},{v!r}" for m, v in figure_values(report, metric)]
+    """One two-column CSV per metric: method name, value of its ``FIGURE_METRICS`` row."""
+    for metric, row in FIGURE_METRICS.items():
+        lines = ["method,value"] + [
+            f"{step.method_name},{float(getattr(getattr(step.summary, row), metric))!r}"
+            for step in report.steps
+        ]
         write_text(Path(out_dir) / f"{metric}.csv", "\n".join(lines) + "\n")
 
 

@@ -456,6 +456,24 @@ def refit_run(data_file):
     return counted_run(data_file, True, targets)
 
 
+@pytest.fixture
+def yielded_blocks(monkeypatch):
+    """Records each ``linalg.blocks`` call the test makes: the module of its
+    cost function (its caller's) and the (key, item list) of each block it
+    yields.  An item is a model, numbered ``seed_pos * n_folds + fold``."""
+    real, calls = linalg.blocks, []
+
+    def recording(keys, cost):
+        yielded = []
+        calls.append((cost.__module__.rpartition(".")[2], yielded))
+        for key, items in real(keys, cost):
+            yielded.append((key, items.tolist()))
+            yield key, items
+
+    monkeypatch.setattr(linalg, "blocks", recording)
+    return calls
+
+
 class TestTrainFoldsOnlyScope:
     def test_smoke_and_sample_counts(self, data_file):
         cfg = default_config(
@@ -677,18 +695,10 @@ class TestTrainFoldsOnlyScope:
             fit_nb=0,
         )
 
-    def test_blocks_follow_the_element_budget(self, data_file, monkeypatch):
-        """A 20-seed run's 200 (seed, fold) models are scored in consecutive
-        blocks of as many models as the budget holds, Initial's and then the
-        leak-free ones."""
-        blocks = {(): [], (0, 2, 1): []}
-        score_models = experiment._score_models
-
-        def recording(*args):
-            blocks[tuple(args[5])].append(args[-3] * 10 + args[-2])   # seed * 10 + fold
-            return score_models(*args)
-
-        monkeypatch.setattr(experiment, "_score_models", recording)
+    def test_blocks_follow_the_element_budget(self, data_file, monkeypatch, yielded_blocks):
+        """A 20-seed run's 200 (seed, fold) models, seed * 10 + fold, are
+        scored in consecutive blocks of as many models as the budget holds,
+        Initial's and then the leak-free ones."""
         # a leak-free model holds its two fits' means and stds, 4 rows of 18
         # features for each of the 3 classes, and at its peak the stack of
         # its first fit, 32 rows (TypeA's last-fit stack is its 9 rows and
@@ -699,10 +709,9 @@ class TestTrainFoldsOnlyScope:
         # floats alone, so 3 fit
         monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 7 * (4 * 3 + 32) * 18 + 5)
         run_experiment(default_config(data_file, resample_scope="train-folds-only"))
-        for chain, step in (((), 3), ((0, 2, 1), 7)):
-            assert [block.tolist() for block in blocks[chain]] == [
-                list(range(lo, min(lo + step, 200))) for lo in range(0, 200, step)
-            ]
+        initial, leak_free = ([items for _, items in blocks] for _, blocks in yielded_blocks)
+        for blocks, step in ((initial, 3), (leak_free, 7)):
+            assert blocks == [list(range(lo, min(lo + step, 200))) for lo in range(0, 200, step)]
 
 def per_fold_reference(base, cfg, model, order_idx, fold_of, seed_pos):
     """The leak-free scorer as it was before the global reduction, the class
@@ -792,23 +801,21 @@ class TestGlobalPcaScorerMatchesPerFoldPath:
         ids=["one-model-per-block", "blocks-split-by-width", "covariance-leave-one-out"],
     )
     def test_refit_predictions_equal(
-        self, cohort_file, monkeypatch, protocol, k, seeds, mode, budget, n_widths
+        self, cohort_file, monkeypatch, yielded_blocks, protocol, k, seeds, mode, budget,
+        n_widths,
     ):
         """Under ``pca.fit_within_fold`` the models are blocked by retained
         count.  On the 10-fold cases the folds retain 4 or 5 components, so
         with the default budget the blocks split by width and span seeds."""
-        blocks = []
-        score_models = experiment._score_models
-
-        def recording(*args):
-            if args[5]:   # a leak-free block, not Initial's
-                blocks.append((args[2].shape[-1], set(args[-3].tolist())))   # (width, seeds)
-            return score_models(*args)
-
-        monkeypatch.setattr(experiment, "_score_models", recording)
         stack = self.check_scorer(
             cohort_file, monkeypatch, protocol, k, seeds, 5, True, budget, mode
         )
+        # the run's last call blocks its leak-free models, after Initial's and the refits
+        module, leak_free = yielded_blocks[-1]
+        assert module == "experiment"
+        n_folds = int(stack.max()) + 1
+        # (width, seed positions) of each block
+        blocks = [(width, {b // n_folds for b in items}) for width, items in leak_free]
         base = experiment.load_dataset(str(cohort_file))
         widths = [
             fit_pca(base.subset(np.flatnonzero(fold_of != fold)), 0.8, mode).retained
@@ -1022,7 +1029,7 @@ def test_a_degenerate_run_is_rejected_or_matches_the_per_fold_path(tmp_path_fact
     assert (out / "report.json").read_bytes() == (out / "again.json").read_bytes()
 
 
-def test_readme_block_counts(tmp_path, default_config, monkeypatch):
+def test_readme_block_counts(tmp_path, default_config, yielded_blocks):
     """The block counts the README gives ("The pipeline"), read by wrapping
     the public ``linalg.blocks``: per call, the module of its cost function
     (its caller's) and the item count of each block it yields."""
@@ -1030,21 +1037,12 @@ def test_readme_block_counts(tmp_path, default_config, monkeypatch):
     cohort = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cohort)
     cohort.write_cohort_csv(0, tmp_path / "cohort.csv")
-    real, calls = linalg.blocks, []
-
-    def recording(keys, cost):
-        sizes = []
-        calls.append((cost.__module__.rpartition(".")[2], sizes))
-        for key, items in real(keys, cost):
-            sizes.append(items.size)
-            yield key, items
 
     def run(*overrides):
-        calls.clear()
+        yielded_blocks.clear()
         run_experiment(load_config(default_config, list(overrides)))
-        return list(calls)
+        return [(module, [len(items) for _, items in blocks]) for module, blocks in yielded_blocks]
 
-    monkeypatch.setattr(linalg, "blocks", recording)
     # the bundled file's 200 Initial models, 73 to a block
     initial = ("experiment", [73, 73, 54])
     assert run()[0] == initial

@@ -137,6 +137,44 @@ class TestFit:
             fit_nb(ds)
 
 
+def edge_data(rows, n_classes=2):
+    """``rows`` labelled c0, c1, c0, c1, ... of ``n_classes`` classes."""
+    labels = [i % 2 for i in range(len(rows))]
+    return replace(make_dataset(rows, labels, n_classes), provenance="edge.data")
+
+
+#: (fit rule, data at its edge, check of the fitted model, or None where the
+#: fit refuses the data)
+EDGES = [
+    ("an-overflowing-class-mean-is-a-data-error",
+     edge_data([[1.7e308, 1.0], [0.0, 2.0], [1.7e308, 3.0], [0.0, 4.0]]), None),
+    ("a-constant-column-keeps-a-positive-std",
+     edge_data([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0], [5.0, 4.0]]), lambda m: m.stds.min() > 0.0),
+    ("an-absent-class-keeps-a-positive-prior",
+     edge_data([[5.0, 1.0], [6.0, 2.0], [1.0, 1.0], [2.0, 2.0]], 3),
+     lambda m: m.priors.min() > 0.0),
+    ("an-absent-class-keeps-a-row-of-means",
+     edge_data([[5.0, 1.0], [6.0, 2.0], [1.0, 1.0], [2.0, 2.0]], 3),
+     lambda m: m.means.shape == (len(m.class_names), m.n_features)),
+]
+
+
+@pytest.mark.parametrize(
+    "data,rule", [edge[1:] for edge in EDGES], ids=[edge[0] for edge in EDGES]
+)
+def test_fit_at_an_edge(data, rule):
+    """The fit refuses data that would give a non-finite entry with a
+    ``DataError`` naming the data; at every other edge the fitted model
+    keeps the rule."""
+    if rule is None:
+        with pytest.raises(DataError, match=re.escape(data.provenance)):
+            fit_nb(data)
+        return
+    model = fit_nb(data)
+    assert model.n_features == data.n_features
+    assert rule(model)
+
+
 class TestLogPosterior:
     def test_symmetric_midpoint(self):
         model = make_model(

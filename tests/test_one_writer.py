@@ -1,5 +1,5 @@
 """One writer: every file the package writes goes through
-``model_io.write_text``.  Writes are read from the syntax tree of
+``dataset.write_text``.  Writes are read from the syntax tree of
 ``src/pcasmote``, as ``test_dead_code`` reads uses: an ``open`` or
 ``Path.open`` call whose mode writes (or is not a literal), a
 ``.write_text`` or ``.write_bytes`` call, or ``json.dump``.  A call of
@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "pcasmote"
 
 #: (module, function) of the one function that writes files
-WRITER = ("model_io", "write_text")
+WRITER = ("dataset", "write_text")
 
 
 def _writes(call: ast.Call) -> bool:
@@ -30,7 +30,7 @@ def _writes(call: ast.Call) -> bool:
     if not isinstance(func, ast.Attribute):
         return False
     if func.attr in ("write_text", "write_bytes"):
-        return not (isinstance(func.value, ast.Name) and func.value.id == "model_io")
+        return not (isinstance(func.value, ast.Name) and func.value.id == "dataset")
     return func.attr == "dump" and isinstance(func.value, ast.Name) and func.value.id == "json"
 
 

@@ -28,7 +28,7 @@ from pcasmote.pca import (
 )
 
 
-def dataset_from(features, labels=None):
+def dataset_from(features, labels=None, provenance=""):
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
     labels = labels if labels is not None else [i % 2 for i in range(n)]
@@ -37,6 +37,7 @@ def dataset_from(features, labels=None):
         labels=np.array(labels),
         class_names=("a", "b"),
         feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
+        provenance=provenance,
     )
 
 
@@ -84,8 +85,9 @@ class TestFit:
     def test_coverage_rule_boundary(self, lung):
         model = fit_pca(lung, threshold=0.90, mode="correlation")
         m = model.retained
-        assert model.coverage(m) >= 0.90
-        assert model.coverage(m - 1) < 0.90
+        coverage = pca._cumulative_coverage(model.eigenvalues)
+        assert coverage[m - 1] >= 0.90
+        assert coverage[m - 2] < 0.90
 
     def test_coverage_ignores_eigenvalues_below_rank_tolerance(self):
         # the 40 tiny eigenvalues are numerical zeros: one component covers all
@@ -98,8 +100,7 @@ class TestFit:
             retained=int(retained_for_threshold(eigenvalues[None], 1.0)[0]),
         )
         assert model.retained == 1
-        assert model.coverage(1) == 1.0
-        assert model.coverage(0) == 0.0
+        assert pca._cumulative_coverage(model.eigenvalues)[0] == 1.0
 
     def test_retained_counts_are_ints(self, lung):
         """A stack of eigenvalues gives an int array, and a model's count is
@@ -154,6 +155,46 @@ class TestFit:
         ds = dataset_from([[1.0, np.nan], [2.0, 3.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             fit_pca(ds, 0.9, "covariance")
+
+
+#: fewer samples than features: PCA takes the Gram path
+WIDE = [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 0.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0, 2.0]]
+EQUAL_ROWS = [[5.0, 1.0]] * 4
+
+#: (fit rule, rows at its edge, check of the fitted model, or None where the
+#: fit refuses the rows)
+EDGES = [
+    ("an-overflowing-column-mean-is-a-data-error",
+     [[1.7e308, 1.0], [1.7e308, 2.0], [0.0, 3.0], [0.0, 4.0]], None),
+    ("an-overflowing-column-sd-is-a-data-error",
+     [[1e200, 1.0], [-1e200, 2.0], [0.0, 3.0], [0.0, 4.0]], None),
+    ("a-constant-column-keeps-a-positive-scale",
+     [[5.0, 1.0], [5.0, 2.0], [5.0, 3.0], [5.0, 4.0]], lambda m: m.scale.min() > 0.0),
+    ("equal-rows-retain-a-component", EQUAL_ROWS, lambda m: m.retained >= 1),
+    ("equal-rows-keep-a-column-per-retained-component", EQUAL_ROWS,
+     lambda m: m.components.shape == (m.n_features, m.retained)),
+    ("wide-rows-keep-an-eigenvalue-per-feature", WIDE,
+     lambda m: m.eigenvalues.shape == (m.n_features,)),
+    ("wide-rows-keep-a-component-row-per-feature", WIDE,
+     lambda m: m.components.shape[0] == m.n_features),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,rule", [edge[1:] for edge in EDGES], ids=[edge[0] for edge in EDGES]
+)
+def test_fit_at_an_edge(rows, rule):
+    """The fit refuses rows that would give a non-finite entry with a
+    ``DataError`` naming the data; at every other edge the fitted model
+    keeps the rule."""
+    data = dataset_from(rows, provenance="edge.data")
+    if rule is None:
+        with pytest.raises(DataError, match=r"edge\.data"):
+            fit_pca(data, 0.9, "correlation")
+        return
+    model = fit_pca(data, 0.9, "correlation")
+    assert model.n_features == data.n_features
+    assert rule(model)
 
 
 def training_folds(ds, k, seeds):
@@ -423,7 +464,7 @@ class TestSerialization:
     """The reducer's output is what ``reduce`` writes to disk: the reduced
     CSV reads back as ``transform``'s result, bit for bit, under any numpy."""
 
-    def test_round_trip_bitwise(self, tmp_path, lung):
+    def test_reduced_csv_reads_back_bitwise(self, tmp_path, lung):
         reduced = transform(fit_pca(lung, 0.90, "correlation"), lung)
         path = tmp_path / "reduced.csv"
         write_dataset_csv(reduced, path)

@@ -4,14 +4,14 @@
 Each tree's ``src/`` is put first on ``PYTHONPATH`` and ``pcasmote
 experiment --config configs/default.cfg`` is run in that tree under every
 override set in ``CONFIGS``, then ``reduce``, ``evaluate`` and ``resample``
-under every set in ``MODEL_CONFIGS``.  Every output file but
+under every set in ``STAGE_CONFIGS``.  Every output file but
 ``run_meta.json`` (which holds timings and the command line) is compared byte
 for byte: the reports, figure CSVs, ``reduced.csv``, ``evaluation.csv``,
 ``smote1.csv`` ... and ``resampled.csv``.  One line per config says whether
 the two runs agree and, if not, which files differ; a file that only one
-tree writes differs too.  A ``.json`` file whose bytes differ but whose
-``json.loads`` values are equal is named "same JSON value, other layout"; it
-still differs.
+tree writes differs too, and the line then counts each tree's files.  A
+``.json`` file whose bytes differ but whose ``json.loads`` values are equal
+is named "same JSON value, other layout"; it still differs.
 The generated cohort of the ``large-cohort`` benchmark workload (workload
 seed 0) is written once, from the second tree's ``perfbench/cohort.py``, and
 read by both.
@@ -154,7 +154,7 @@ CONFIGS = (
 #: under mean imputation, the cross-validation of one dataset, whose
 #: ``evaluation.csv`` no experiment writes, and the oversampling sequence,
 #: whose run files no experiment writes either
-MODEL_CONFIGS = (
+STAGE_CONFIGS = (
     ("reduce correlation", "reduce", ()),
     ("reduce correlation+pca.threshold=1.0", "reduce", ("pca.threshold=1.0",)),
     ("reduce covariance", "reduce", ("pca.mode=covariance",)),
@@ -241,7 +241,7 @@ def main(argv: list[str]) -> int:
         cohort = Path(tmp) / "cohort.csv"
         write_cohort(after, cohort)
         runs = [(name, "experiment", overrides) for name, overrides in CONFIGS]
-        for i, (name, command, overrides) in enumerate(runs + list(MODEL_CONFIGS)):
+        for i, (name, command, overrides) in enumerate(runs + list(STAGE_CONFIGS)):
             pairs = [p.replace(COHORT, str(cohort)) for p in overrides]
             outs = [Path(tmp) / f"{i}-{side}" for side in ("before", "after")]
             errors = [
@@ -257,7 +257,10 @@ def main(argv: list[str]) -> int:
                     f"{side} failed with {err}" for side, err in zip(("before", "after"), errors) if err
                 )
             elif differing:
-                verdict = f"{len(a)} files, these differ: {', '.join(differing)}"
+                files = f"{len(a)} files"
+                if a.keys() != b.keys():
+                    files += f" before, {len(b)} after"
+                verdict = f"{files}, these differ: {', '.join(differing)}"
             else:
                 verdict = f"{len(a)} files identical"
             failed += bool(any(errors) or differing)
